@@ -3,7 +3,9 @@
 #include <chrono>
 #include <utility>
 
+#include "engine/handoff.hpp"
 #include "engine/parallel_explorer.hpp"
+#include "engine/sentinel.hpp"
 #include "obs/trace.hpp"
 #include "sim/explorer.hpp"
 #include "sim/random_runner.hpp"
@@ -34,7 +36,8 @@ sim::ExplorerConfig explorer_config(const CheckRequest& request) {
 }
 
 CheckReport run_sequential(const CheckRequest& request, std::uint64_t max_visited,
-                           const char* span_name = "explore") {
+                           const char* span_name = "explore",
+                           engine::ProbeHandoff* handoff = nullptr) {
   sim::ExplorerConfig config = explorer_config(request);
   config.max_visited = static_cast<std::int64_t>(max_visited);
   sim::Explorer explorer(request.system.memory, request.system.processes, config);
@@ -42,7 +45,7 @@ CheckReport run_sequential(const CheckRequest& request, std::uint64_t max_visite
   report.strategy = Strategy::kSequentialDFS;
   {
     obs::Span span(request.obs.tracer, 0, span_name);
-    report.violation = explorer.run();
+    report.violation = explorer.run(handoff);
   }
   report.stats = explorer.stats();
   report.threads_used = 1;
@@ -51,20 +54,24 @@ CheckReport run_sequential(const CheckRequest& request, std::uint64_t max_visite
   return report;
 }
 
-CheckReport run_parallel(const CheckRequest& request,
-                         std::uint64_t expected_states = 0) {
+engine::ParallelExplorerConfig parallel_config(const CheckRequest& request) {
   engine::ParallelExplorerConfig config;
   static_cast<sim::ExplorerConfig&>(config) = explorer_config(request);
   config.num_threads = request.num_threads;
   config.shard_bits = request.shard_bits;
-  config.expected_states = expected_states;
+  return config;
+}
+
+// `handoff`, when set, continues a kAuto probe instead of starting from the root.
+CheckReport run_parallel(const CheckRequest& request, engine::ParallelExplorerConfig config,
+                         engine::ProbeHandoff* handoff = nullptr) {
   engine::ParallelExplorer explorer(request.system.memory, request.system.processes,
-                                    config);
+                                    std::move(config));
   CheckReport report;
   report.strategy = Strategy::kParallelBFS;
   {
     obs::Span span(request.obs.tracer, 0, "explore");
-    report.violation = explorer.run();
+    report.violation = handoff != nullptr ? explorer.run(std::move(*handoff)) : explorer.run();
   }
   report.stats = explorer.stats();
   report.threads_used = explorer.num_threads();
@@ -133,33 +140,53 @@ CheckReport run_auto(const CheckRequest& request) {
   // representation only — route straight there, skipping the probe (a probe
   // would waste the budget of exactly the long runs checkpoints exist for).
   if (!request.checkpoint_path.empty() || request.resume != nullptr) {
-    return run_parallel(request);
+    return run_parallel(request, parallel_config(request));
   }
   // Estimate the state-space size with a bounded sequential probe: explore at
   // most `auto_probe_limit` states. A probe that finishes (verdict, clean or
-  // not) IS the sequential check of a small instance, so return it directly;
-  // a truncated probe means the space is large — hand the full budget to the
-  // parallel engine.
+  // not) IS the sequential check of a small instance, so return it directly,
+  // as is a probe stopped by the real budget or by a time or memory limit.
+  // Only a probe stopped on its own visited cap escalates: the parallel
+  // engine continues from the probe's store and DFS-stack cut
+  // (engine/handoff.hpp), inside what is left of one shared deadline.
   const std::uint64_t probe_limit =
       request.auto_probe_limit < request.budget.visited_cap()
           ? request.auto_probe_limit
           : request.budget.visited_cap();
-  CheckReport probe = run_sequential(request, probe_limit, "probe");
-  if (!probe.stats.truncated || probe_limit == request.budget.visited_cap()) {
-    return probe;  // small instance, or the real budget was the probe budget
+  const bool may_escalate = probe_limit < request.budget.visited_cap();
+  const std::int64_t deadline_ms =
+      request.budget.time_limit_ms > 0
+          ? engine::steady_now_ms() + request.budget.time_limit_ms
+          : 0;
+  engine::ProbeHandoff handoff;
+  CheckReport probe =
+      run_sequential(request, probe_limit, "probe", may_escalate ? &handoff : nullptr);
+  if (!may_escalate || probe.stats.stop_reason != sim::StopReason::kVisitedCap) {
+    return probe;
   }
   if (request.obs.tracer != nullptr) request.obs.tracer->instant(0, "auto_select");
   if (request.obs.metrics != nullptr) {
-    // Keep the probe's count (it is real signal about the instance) but clear
-    // its engine/store totals so the escalated run's counters match the
-    // winning backend's ExplorerStats exactly.
-    request.obs.metrics->counter("check.probe_visited").add(0, probe.stats.visited);
-    request.obs.metrics->reset("engine.");
-    request.obs.metrics->reset("store.");
+    // States the probe expanded itself; the deferred ones are the engine's.
+    request.obs.metrics->counter("check.probe_visited")
+        .add(0, probe.stats.visited - handoff.frontier.size());
   }
-  // The probe's visited count is a lower bound on the state space — enough
-  // signal for the engine to auto-tune shard_bits (engine::pick_shard_bits).
-  return run_parallel(request, probe.stats.visited);
+  engine::ParallelExplorerConfig config = parallel_config(request);
+  if (deadline_ms != 0) {
+    // What the probe left of the deadline; 0 would mean "unlimited".
+    const std::int64_t left = deadline_ms - engine::steady_now_ms();
+    config.time_limit_ms = left > 0 ? left : 1;
+  }
+  if (handoff.store == nullptr) {
+    // Programs without decode() cannot hand off and restart from the root;
+    // clear the probe's engine/store totals so the registry matches the
+    // engine's ExplorerStats.
+    if (request.obs.metrics != nullptr) {
+      request.obs.metrics->reset("engine.");
+      request.obs.metrics->reset("store.");
+    }
+    return run_parallel(request, std::move(config));
+  }
+  return run_parallel(request, std::move(config), &handoff);
 }
 
 }  // namespace
@@ -195,7 +222,7 @@ CheckReport check(CheckRequest request) {
         report = run_sequential(request, request.budget.max_visited);
         break;
       case Strategy::kParallelBFS:
-        report = run_parallel(request);
+        report = run_parallel(request, parallel_config(request));
         break;
       case Strategy::kRandomized:
         report = run_randomized(request);

@@ -17,11 +17,18 @@
 //   kReplay        — sim::replay of `schedule`. Deterministic re-execution of
 //                    one schedule — e.g. a Violation::schedule from any other
 //                    strategy.
-//   kAuto          — estimates the state-space size with a bounded sequential
-//                    probe (up to `auto_probe_limit` states). If the probe
-//                    finishes, the instance was small and the probe's verdict
-//                    is returned as kSequentialDFS; otherwise the state space
-//                    is large and the check re-runs on the parallel engine.
+//   kAuto          — starts with a bounded sequential probe (up to
+//                    `auto_probe_limit` states). If the probe finishes, the
+//                    instance was small and the probe's verdict is returned
+//                    as kSequentialDFS, as it is when the probe stops on the
+//                    real budget or a time/memory limit. A probe stopped on
+//                    its own visited cap hands off (engine/handoff.hpp): it
+//                    finishes the frames on its DFS stack, and the parallel
+//                    engine continues from the probe's store and stack cut
+//                    with the probe's counters and what is left of the
+//                    time limit — no state is explored twice. Programs
+//                    without decode() cannot hand off; the engine restarts
+//                    from the root for them.
 //
 // Every violation carries its typed schedule, so a counterexample found by
 // any strategy can be handed back to check() with kReplay (or sim::replay
@@ -87,7 +94,8 @@ struct CheckRequest {
   Strategy strategy = Strategy::kAuto;
 
   // kAuto: state spaces the bounded sequential probe fully explores within
-  // this many states stay sequential; larger ones go to the parallel engine.
+  // this many states stay sequential; larger ones continue on the parallel
+  // engine.
   std::uint64_t auto_probe_limit = 200'000;
 
   // Exhaustive strategies: node representation override (kAuto picks the
@@ -96,7 +104,7 @@ struct CheckRequest {
 
   // kParallelBFS (and the kAuto escalation path):
   int num_threads = 0;  // 0 = hardware concurrency
-  int shard_bits = -1;  // -1 = auto-tune from thread count and probe size
+  int shard_bits = -1;  // -1 = auto-tune from thread count and max_visited
 
   // kRandomized:
   std::uint64_t seed = 1;
@@ -125,10 +133,11 @@ struct CheckRequest {
   // taxonomy (obs/session.cpp lists it), a tracer receives phase and worker
   // spans. Null members (the default) disable the instrumentation. The
   // registry is not reset by check() — callers sharing one registry across
-  // checks reset between them; the kAuto escalation path does reset the
-  // engine.* and store.* prefixes so the winning backend's totals are not
-  // polluted by the probe's (the probe's count survives as
-  // check.probe_visited).
+  // checks reset between them. On kAuto escalation the probe's flushes are
+  // part of the totals, as its work is part of the engine's ExplorerStats;
+  // check.probe_visited counts the states the probe expanded itself. (The
+  // restart for programs without decode() resets the engine.* and store.*
+  // prefixes instead, as it throws the probe's work away.)
   obs::Hooks obs;
 };
 

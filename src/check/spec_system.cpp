@@ -1,5 +1,6 @@
 #include "check/spec_system.hpp"
 
+#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -31,12 +32,14 @@ ScenarioSystem build_team(const ScenarioSpec& spec) {
 }
 
 ScenarioSystem build_halting(const ScenarioSpec& spec) {
-  auto type = typesys::make_type(spec.type);
+  std::shared_ptr<const typesys::ObjectType> type = typesys::make_type(spec.type);
   RCONS_ASSERT_MSG(type != nullptr, "spec type unknown to the zoo");
   std::vector<typesys::Value> inputs;
   for (int i = 0; i < spec.n; ++i) inputs.push_back(i + 1);
+  // The system's programs outlive this scope, so their transition cache must
+  // own the type rather than borrow it.
   rc::HaltingConsensusSystem built =
-      rc::make_halting_consensus(*type, spec.n, inputs);
+      rc::make_halting_consensus(std::move(type), spec.n, inputs);
   ScenarioSystem system;
   system.memory = std::move(built.memory);
   system.processes = std::move(built.processes);

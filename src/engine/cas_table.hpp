@@ -169,18 +169,21 @@ class CasTable {
     return live_.load(std::memory_order_acquire)->capacity;
   }
 
-  // Quiescent iteration for checkpointing: visits every PUBLISHED slot of
-  // every epoch array still owned by the table (live and sealed), calling
-  // `fn(key, value)`. Caller contract: no concurrent inserts (the engine
-  // calls this only while every worker is parked at the pause barrier or
-  // after they joined). A key carried over by a partial migration sweep
-  // appears in both its sealed and its destination array with the SAME
-  // value, so callers needing uniqueness dedup by value.
+  // Quiescent iteration for checkpointing and re-sharding: visits every
+  // PUBLISHED slot of the arrays lookups still reach — the live array and
+  // any sealed array whose sweep is pending (an array whose sweep completed
+  // holds only keys its successors already have) — calling `fn(key, value)`.
+  // Caller contract: no concurrent inserts (the engine calls this only while
+  // every worker is parked at the pause barrier or after they joined). A key
+  // carried over by a partial migration sweep appears in both its sealed and
+  // its destination array with the SAME value, so callers needing uniqueness
+  // dedup by value.
   template <typename F>
   void for_each_published(F&& fn) {
-    // rcons-lint: allow(hot-path-no-mutex) enumeration runs offline (stats/checkpoint), never per-insert
+    // rcons-lint: allow(hot-path-no-mutex) enumeration runs offline (checkpoint, re-shard), never per-insert
     std::lock_guard<std::mutex> lock(growth_mu_);
-    for (const std::unique_ptr<Array>& array : arrays_) {
+    for (const Array* array = live_.load(std::memory_order_acquire); array != nullptr;
+         array = array->prev.load(std::memory_order_acquire)) {
       for (std::size_t i = 0; i < array->capacity; ++i) {
         const Slot& slot = array->slots[i];
         if (slot.tag.load(std::memory_order_acquire) == kPublished) {

@@ -395,6 +395,30 @@ NodeStore::Stats NodeStore::stats() const {
   return stats;
 }
 
+void NodeStore::reshard(int shard_bits, int num_arenas) {
+  RCONS_ASSERT_MSG(shard_bits >= 0 && shard_bits <= 16, "shard_bits must be in [0, 16]");
+  while (arenas_.size() < static_cast<std::size_t>(num_arenas)) {
+    arenas_.push_back(std::make_unique<Arena>());
+  }
+  if (shard_bits == shard_bits_) return;
+  const std::size_t count = std::size_t{1} << shard_bits;
+  const std::uint64_t expected_per_shard = size() / count;
+  std::vector<std::unique_ptr<Shard>> old_shards = std::move(shards_);
+  shards_.clear();
+  shards_.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    shards_.push_back(std::make_unique<Shard>(expected_per_shard));
+  }
+  shard_bits_ = shard_bits;
+  // A key a partial growth sweep carried over appears twice with the same
+  // record address; the second insert finds it.
+  for (const std::unique_ptr<Shard>& old : old_shards) {
+    old->index.for_each_published([&](util::U128 key, std::uint64_t value) {
+      shards_[shard_index(key)]->index.insert(key, value);
+    });
+  }
+}
+
 ShardedVisited::LoadStats NodeStore::load_stats() const {
   ShardedVisited::LoadStats stats;
   stats.min_shard = ~0ULL;

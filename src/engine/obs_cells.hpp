@@ -70,7 +70,6 @@ struct ObsCells {
   obs::Gauge* frontier_pending = nullptr;
   obs::Gauge* visited_cap = nullptr;
   obs::Gauge* num_threads = nullptr;
-  obs::Gauge* expected_states = nullptr;
 
   obs::Histogram* batch_size = nullptr;
 
@@ -102,7 +101,6 @@ struct ObsCells {
     cells.frontier_pending = &registry->gauge("engine.frontier_pending");
     cells.visited_cap = &registry->gauge("engine.visited_cap");
     cells.num_threads = &registry->gauge("engine.num_threads");
-    cells.expected_states = &registry->gauge("engine.expected_states");
     cells.batch_size = &registry->histogram("engine.batch_size");
     return cells;
   }

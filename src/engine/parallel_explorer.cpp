@@ -1,11 +1,13 @@
 #include "engine/parallel_explorer.hpp"
 
 #include <chrono>
+#include <memory>
 #include <new>
 #include <string>
 #include <thread>
 #include <type_traits>
 #include <unordered_map>
+#include <utility>
 
 #include "engine/checkpoint.hpp"
 #include "engine/fault_inject.hpp"
@@ -81,14 +83,8 @@ ParallelExplorer::ParallelExplorer(sim::Memory initial,
     num_threads_ = static_cast<int>(std::thread::hardware_concurrency());
     if (num_threads_ <= 0) num_threads_ = 1;
   }
-  if (config_.shard_bits >= 0) {
-    shard_bits_ = config_.shard_bits;
-  } else {
-    std::uint64_t expected = config_.expected_states != 0 ? config_.expected_states
-                                                          : config_.visited_cap();
-    if (expected > config_.visited_cap()) expected = config_.visited_cap();
-    shard_bits_ = pick_shard_bits(num_threads_, expected);
-  }
+  shard_bits_ = config_.shard_bits >= 0 ? config_.shard_bits
+                                        : pick_shard_bits(num_threads_, config_.visited_cap());
 
   compact_ = resolve_compact_repr(config_.node_repr, initial_processes_);
   RCONS_ASSERT_MSG(config_.symmetry_classes.empty() ||
@@ -99,14 +95,6 @@ ParallelExplorer::ParallelExplorer(sim::Memory initial,
       "checkpointing requires the compact node representation");
   RCONS_ASSERT_MSG(config_.sentinel_interval_ms >= 1,
                    "sentinel_interval_ms must be >= 1");
-}
-
-std::uint64_t ParallelExplorer::presize_states() const {
-  // Only a real expectation (e.g. the kAuto probe's count) pre-commits table
-  // memory; max_visited defaults are far too pessimistic to allocate for.
-  std::uint64_t expected = config_.expected_states;
-  if (expected > config_.visited_cap()) expected = config_.visited_cap();
-  return expected;
 }
 
 void ParallelExplorer::offer_violation(std::vector<Event> path,
@@ -769,6 +757,21 @@ void ParallelExplorer::worker_compact(int id, CompactFrontier& frontier,
 }
 
 std::optional<sim::Violation> ParallelExplorer::run() {
+  reset_run();
+  return compact_ ? run_compact(nullptr) : run_legacy();
+}
+
+std::optional<sim::Violation> ParallelExplorer::run(ProbeHandoff handoff) {
+  RCONS_ASSERT_MSG(compact_, "a probe handoff needs the compact node representation");
+  RCONS_ASSERT_MSG(config_.checkpoint_path.empty() && config_.resume == nullptr,
+                   "a probe handoff cannot be combined with checkpoint or resume");
+  RCONS_ASSERT_MSG(handoff.store != nullptr && !handoff.frontier.empty(),
+                   "a probe handoff carries its store and deferred states");
+  reset_run();
+  return run_compact(&handoff);
+}
+
+void ParallelExplorer::reset_run() {
   stats_ = sim::ExplorerStats{};
   visited_count_.store(0, std::memory_order_relaxed);
   stop_.store(false, std::memory_order_relaxed);
@@ -807,16 +810,45 @@ std::optional<sim::Violation> ParallelExplorer::run() {
   if (obs_cells_.active) {
     obs_cells_.visited_cap->set(static_cast<std::int64_t>(config_.visited_cap()));
     obs_cells_.num_threads->set(num_threads_);
-    obs_cells_.expected_states->set(
-        static_cast<std::int64_t>(config_.expected_states));
+  }
+}
+
+void ParallelExplorer::seed_from_probe(ProbeHandoff& handoff, CompactFrontier& frontier,
+                                       PathArena& arena,
+                                       std::atomic<std::uint64_t>& pending) {
+  // The probe's work is part of this run's totals (its obs counters are
+  // already in the registry, so nothing is flushed for it here).
+  const sim::ExplorerStats& probe = handoff.stats;
+  visited_count_.store(probe.visited, std::memory_order_relaxed);
+  resume_visited_ = probe.visited;
+  resume_transitions_ = probe.transitions;
+  resume_decisions_ = probe.decisions;
+  resume_terminal_states_ = probe.terminal_states;
+  resume_orbit_skipped_ = probe.orbit_skipped;
+  resume_encodes_ = probe.store.encodes;
+  resume_canonical_hits_ = probe.store.canonical_hits;
+  if (handoff.has_violation) {
+    has_violation_ = true;
+    best_path_ = std::move(handoff.violation_path);
+    best_violation_ = std::move(handoff.violation);
   }
 
-  return compact_ ? run_compact() : run_legacy();
+  // Arena paths from the root, so violations below a deferred state report
+  // full schedules. The stack cut is small (tens of states at depth ~20 on
+  // Sn(5) n=5 with a 200k probe), so each path gets its own chain.
+  for (std::size_t i = 0; i < handoff.frontier.size(); ++i) {
+    const ProbeHandoff::Item& item = handoff.frontier[i];
+    const PathLink* tail = nullptr;
+    for (const Event& event : item.path) tail = arena.add(event, tail);
+    pending.fetch_add(1, std::memory_order_release);
+    frontier.push(static_cast<int>(i % static_cast<std::size_t>(num_threads_)),
+                  CompactWorkItem{item.record, item.length, tail});
+  }
 }
 
 std::optional<sim::Violation> ParallelExplorer::run_legacy() {
   Frontier frontier(num_threads_);
-  ShardedVisited visited(shard_bits_, presize_states());
+  ShardedVisited visited(shard_bits_);
   std::vector<PathArena> arenas(static_cast<std::size_t>(num_threads_));
   std::atomic<std::uint64_t> pending{0};
 
@@ -853,9 +885,13 @@ std::optional<sim::Violation> ParallelExplorer::run_legacy() {
   return finish(worker_stats);
 }
 
-std::optional<sim::Violation> ParallelExplorer::run_compact() {
+std::optional<sim::Violation> ParallelExplorer::run_compact(ProbeHandoff* handoff) {
   CompactFrontier frontier(num_threads_);
-  NodeStore store(shard_bits_, presize_states(), num_threads_);
+  const std::unique_ptr<NodeStore> owned_store =
+      handoff != nullptr ? std::move(handoff->store)
+                         : std::make_unique<NodeStore>(shard_bits_, 0, num_threads_);
+  NodeStore& store = *owned_store;
+  if (handoff != nullptr) store.reshard(shard_bits_, num_threads_);
   std::vector<PathArena> arenas(static_cast<std::size_t>(num_threads_));
   std::atomic<std::uint64_t> pending{0};
   std::vector<WorkerStats> worker_stats(static_cast<std::size_t>(num_threads_));
@@ -909,6 +945,8 @@ std::optional<sim::Violation> ParallelExplorer::run_compact() {
       frontier.push(static_cast<int>(i % static_cast<std::size_t>(num_threads_)),
                     CompactWorkItem{node.record, node.length, nullptr});
     }
+  } else if (handoff != nullptr) {
+    seed_from_probe(*handoff, frontier, arenas[0], pending);
   } else {
     const NodeStore::Intern interned =
         store.intern(root_encoded.fingerprint, root_record);
@@ -926,10 +964,11 @@ std::optional<sim::Violation> ParallelExplorer::run_compact() {
       obs_cells_.flush(0, root_delta);
     }
   }
-  // A resume's root re-encode was already counted by the original run.
-  const std::uint64_t fresh_encodes = config_.resume == nullptr ? 1 : 0;
-  const std::uint64_t fresh_canonical_hits =
-      config_.resume == nullptr ? root_canonical_hits : 0;
+  // A resume's root re-encode was already counted by the original run, a
+  // handoff's by the probe.
+  const bool fresh_root = config_.resume == nullptr && handoff == nullptr;
+  const std::uint64_t fresh_encodes = fresh_root ? 1 : 0;
+  const std::uint64_t fresh_canonical_hits = fresh_root ? root_canonical_hits : 0;
 
   const std::uint64_t config_hash = checkpoint_config_hash(config_);
 

@@ -59,6 +59,7 @@
 
 #include "engine/expand.hpp"
 #include "engine/frontier.hpp"
+#include "engine/handoff.hpp"
 #include "engine/node_store.hpp"
 #include "engine/obs_cells.hpp"
 #include "engine/path_arena.hpp"
@@ -73,11 +74,6 @@ namespace rcons::engine {
 struct ParallelExplorerConfig : sim::ExplorerConfig {
   int num_threads = 0;  // 0 = std::thread::hardware_concurrency()
   int shard_bits = -1;  // -1 = auto via pick_shard_bits(); valid fixed: [0, 16]
-
-  // Hint for auto shard_bits and for pre-sizing the dedup tables: how many
-  // states the run is expected to visit (e.g. the kAuto probe's count).
-  // 0 = unknown, max_visited bounds it.
-  std::uint64_t expected_states = 0;
 };
 
 class ParallelExplorer {
@@ -89,6 +85,17 @@ class ParallelExplorer {
   // trace violation found, or nullopt if every execution satisfies the
   // properties. Callable repeatedly; each call restarts from the root.
   std::optional<sim::Violation> run();
+
+  // Continues a kAuto probe that stopped on its visited cap
+  // (engine/handoff.hpp) instead of starting from the root: takes ownership
+  // of the probe's store (re-sharding its index for this run's shards and
+  // workers), seeds the frontier with its deferred states (each given an
+  // arena path from the root, so violation traces stay full replayable
+  // schedules), starts every counter from the probe's totals, and keeps its
+  // violation candidate unless a lower trace turns up. Verdicts and counts
+  // equal a run from the root. Requires the compact representation and no
+  // checkpoint or resume.
+  std::optional<sim::Violation> run(ProbeHandoff handoff);
 
   const sim::ExplorerStats& stats() const { return stats_; }
 
@@ -146,8 +153,13 @@ class ParallelExplorer {
   }
 
  private:
+  void reset_run();
   std::optional<sim::Violation> run_legacy();
-  std::optional<sim::Violation> run_compact();
+  // `handoff` is null for a run from the root (or a resume).
+  std::optional<sim::Violation> run_compact(ProbeHandoff* handoff);
+  // Seeds the frontier, counters and violation candidate from a probe.
+  void seed_from_probe(ProbeHandoff& handoff, CompactFrontier& frontier,
+                       PathArena& arena, std::atomic<std::uint64_t>& pending);
 
   // --- robustness layer -----------------------------------------------------
   //
@@ -197,10 +209,6 @@ class ParallelExplorer {
   void worker_compact(int id, CompactFrontier& frontier, NodeStore& store,
                       PathArena& arena, std::atomic<std::uint64_t>& pending,
                       WorkerStats& local);
-
-  // Dedup-table pre-size for a run: the expectation hint clamped by
-  // max_visited (0 when unknown).
-  std::uint64_t presize_states() const;
 
   void offer_violation(std::vector<Event> path, sim::PropertyViolation broken);
   void record_truncation(const PathLink* tail, const Event& event);
@@ -252,7 +260,8 @@ class ParallelExplorer {
   std::condition_variable monitor_cv_;
   bool monitor_exit_ = false;  // guarded by monitor_mu_
 
-  // Baseline carried in from a resumed checkpoint, added back in finish().
+  // Baseline carried in from a resumed checkpoint or a kAuto probe, added
+  // back in finish().
   std::uint64_t resume_visited_ = 0;
   std::uint64_t resume_transitions_ = 0;
   std::uint64_t resume_decisions_ = 0;

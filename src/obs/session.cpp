@@ -54,14 +54,13 @@ bool Session::finish(std::string* error) {
 
 const std::vector<NameDoc>& metric_names() {
   static const std::vector<NameDoc> kNames = {
-      {"check.probe_visited", "states the kAuto probe explored before escalating"},
+      {"check.probe_visited", "states the kAuto probe expanded before escalating"},
       {"engine.batch_size", "histogram of successor batch sizes pushed per expansion"},
       {"engine.cas_retries", "lock-free slot claims lost to a racing worker and retried"},
       {"engine.decisions", "decide transitions taken (== ExplorerStats.decisions)"},
       {"engine.dedup_cache_hits", "duplicate probes answered by the per-worker cache"},
       {"engine.dedup_cache_probes", "lookups in the per-worker recently-inserted cache"},
       {"engine.duplicates", "successor states that were already visited"},
-      {"engine.expected_states", "gauge: pre-size hint handed to the dedup tables"},
       {"engine.frontier_batched_items", "items across those batches"},
       {"engine.frontier_batches", "successor batches submitted to the frontier"},
       {"engine.frontier_pending", "gauge: items queued or mid-expansion right now"},

@@ -1,5 +1,7 @@
 #include "rc/discerning_consensus.hpp"
 
+#include <utility>
+
 #include "util/assert.hpp"
 
 namespace rcons::rc {
@@ -94,12 +96,13 @@ std::size_t DiscerningConsensusProgram::decode(const Value* data, std::size_t si
   return 3;
 }
 
-HaltingConsensusSystem make_halting_consensus(const typesys::ObjectType& type,
+HaltingConsensusSystem make_halting_consensus(std::shared_ptr<const typesys::ObjectType> type,
                                               int witness_n,
                                               const std::vector<Value>& inputs) {
   RCONS_ASSERT(!inputs.empty());
   RCONS_ASSERT(static_cast<int>(inputs.size()) <= witness_n);
-  auto cache = std::make_shared<typesys::TransitionCache>(type, witness_n);
+  RCONS_ASSERT(type != nullptr);
+  auto cache = std::make_shared<typesys::TransitionCache>(std::move(type), witness_n);
   auto witness = hierarchy::find_discerning_witness(*cache);
   RCONS_ASSERT_MSG(witness.has_value(), "type is not witness_n-discerning");
   auto plan = DiscerningPlan::create(cache, *witness);

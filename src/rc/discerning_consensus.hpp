@@ -87,8 +87,9 @@ struct HaltingConsensusSystem {
 };
 
 // Full consensus (halting model) for inputs.size() ≤ witness_n processes via
-// tournament over the discerning team algorithm.
-HaltingConsensusSystem make_halting_consensus(const typesys::ObjectType& type,
+// tournament over the discerning team algorithm. The system's transition
+// cache shares ownership of `type`, so the caller may drop its handle.
+HaltingConsensusSystem make_halting_consensus(std::shared_ptr<const typesys::ObjectType> type,
                                               int witness_n,
                                               const std::vector<typesys::Value>& inputs);
 

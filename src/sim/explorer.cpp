@@ -1,6 +1,7 @@
 #include "sim/explorer.hpp"
 
 #include <new>
+#include <utility>
 
 #include "engine/sentinel.hpp"
 #include "util/assert.hpp"
@@ -48,11 +49,13 @@ void fill_probe_stats(ExplorerStats& stats, const engine::FlatTable::Stats& prob
 
 }  // namespace
 
-std::optional<Violation> Explorer::run() {
+std::optional<Violation> Explorer::run(engine::ProbeHandoff* handoff) {
   stats_ = ExplorerStats{};
   visited_ = engine::FlatTable();
   path_.clear();
   table_ops_ = engine::CasTable::OpStats{};
+  draining_ = false;
+  handoff_ = compact_ ? handoff : nullptr;  // clone-based nodes cannot hand off
 
   obs_cells_ = engine::ObsCells::resolve(config_.obs.metrics);
   obs_flushed_ = engine::ObsDeltas{};
@@ -254,6 +257,15 @@ std::optional<Violation> Explorer::run_compact() {
   stats_.hot.cas_retries = table_ops_.cas_retries;
   stats_.hot.migration_stripes = table_ops_.migration_stripes;
   stats_.hot.rehashes = store_stats.rehashes;
+  if (draining_) {
+    // The drain never stops early, so the probe's own verdict is the plain
+    // visited-cap truncation, traced to the state that tripped the cap.
+    RCONS_ASSERT(!result.has_value() && !handoff_->frontier.empty());
+    result = Violation{"state space exceeded max_visited; verdict incomplete",
+                       PropertyKind::kNone, 0, handoff_->frontier.front().path};
+    handoff_->store = std::move(store_);
+    handoff_->stats = stats_;
+  }
   store_.reset();  // release the arena; the stats survive in stats_
   codec_.reset();
   return result;
@@ -308,6 +320,16 @@ std::optional<Violation> Explorer::dfs_compact(const typesys::Value* record,
                 : event.process;
     if (auto broken = engine::apply_event(scratch_node_, event, config_)) {
       obs_violation_edges_ += 1;
+      if (draining_) {
+        // A candidate for the engine, which reports the lowest trace.
+        if (!handoff_->has_violation || engine::path_less(path_, handoff_->violation_path)) {
+          handoff_->has_violation = true;
+          handoff_->violation_path = path_;
+          handoff_->violation = std::move(*broken);
+        }
+        path_.pop_back();
+        continue;
+      }
       Violation violation{std::move(broken->description), broken->property,
                           broken->param, path_};
       path_.pop_back();
@@ -329,21 +351,33 @@ std::optional<Violation> Explorer::dfs_compact(const typesys::Value* record,
           static_cast<std::uint64_t>(interned.length) * sizeof(typesys::Value);
       stats_.visited += 1;
       if (stats_.visited > config_.visited_cap()) {
-        stats_.truncated = true;
-        stats_.stop_reason = StopReason::kVisitedCap;
-        Violation violation{"state space exceeded max_visited; verdict incomplete",
-                            PropertyKind::kNone, 0, path_};
-        path_.pop_back();
-        return violation;
+        if (!draining_) {
+          stats_.truncated = true;
+          stats_.stop_reason = StopReason::kVisitedCap;
+          if (handoff_ == nullptr) {
+            Violation violation{"state space exceeded max_visited; verdict incomplete",
+                                PropertyKind::kNone, 0, path_};
+            path_.pop_back();
+            return violation;
+          }
+          // Finish the stack for the engine (engine/handoff.hpp). The drain
+          // is bounded by the events left on the stack and a handoff is only
+          // useful whole, so the sentinels stop polling.
+          draining_ = true;
+          deadline_ms_ = 0;
+          rss_cap_bytes_ = 0;
+        }
+        handoff_->frontier.push_back({interned.record, interned.length, path_});
+      } else {
+        if (auto violation = dfs_compact(interned.record, interned.length)) {
+          path_.pop_back();
+          return violation;
+        }
+        // Recursion re-pointed the codec's captured layout at descendant
+        // records; a full re-decode (restore with kDirtyAll) re-captures this
+        // record's layout before the next sibling.
+        dirty = engine::NodeCodec::kDirtyAll;
       }
-      if (auto violation = dfs_compact(interned.record, interned.length)) {
-        path_.pop_back();
-        return violation;
-      }
-      // Recursion re-pointed the codec's captured layout at descendant
-      // records; a full re-decode (restore with kDirtyAll) re-captures this
-      // record's layout before the next sibling.
-      dirty = engine::NodeCodec::kDirtyAll;
     } else {
       obs_duplicates_ += 1;
     }

@@ -39,6 +39,7 @@
 
 #include "engine/expand.hpp"
 #include "engine/flat_table.hpp"
+#include "engine/handoff.hpp"
 #include "engine/node_store.hpp"
 #include "engine/obs_cells.hpp"
 #include "sim/explorer_config.hpp"
@@ -54,7 +55,14 @@ class Explorer {
 
   // Explores the full (deduplicated) execution tree. Returns the first
   // violation found, or nullopt if every execution satisfies the properties.
-  std::optional<Violation> run();
+  //
+  // With a `handoff` (the kAuto probe; engine/handoff.hpp), a stop on the
+  // visited cap finishes the DFS stack and hands the store, the deferred
+  // states and any violation candidate over through `handoff` for
+  // engine::ParallelExplorer to continue. Any other outcome leaves
+  // handoff->store null, as does the legacy representation, which cannot
+  // hand off.
+  std::optional<Violation> run(engine::ProbeHandoff* handoff = nullptr);
 
   const ExplorerStats& stats() const { return stats_; }
 
@@ -107,6 +115,13 @@ class Explorer {
   std::vector<std::uint8_t> orbit_skip_;
   engine::CasTable::OpStats table_ops_;
   bool orbit_reduction_ = false;
+
+  // kAuto handoff (compact path only; null otherwise). Once the visited cap
+  // trips, draining_ stops recursion: the remaining events of every frame
+  // still run, new states are deferred to handoff_->frontier, and violating
+  // edges become candidates instead of ending the run.
+  engine::ProbeHandoff* handoff_ = nullptr;
+  bool draining_ = false;
 
   // Resource-sentinel state for poll_limits(): the absolute deadline and RSS
   // cap resolved from the budget at run() (0 = unlimited), and the next

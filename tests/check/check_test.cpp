@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "rc/naive_register.hpp"
 #include "rc/team_consensus.hpp"
 #include "typesys/zoo.hpp"
 
@@ -39,6 +40,35 @@ struct ConstantDecider {
   void encode(std::vector<typesys::Value>& out) const { out.push_back(0); }
 };
 
+// Publishes 1 on its first step, then runs `steps` more before deciding 1.
+struct SlowWriter {
+  sim::RegId reg = 0;
+  int steps = 0;
+  int pc = 0;
+
+  sim::StepResult step(sim::Memory& memory) {
+    if (pc == 0) memory.write(reg, 1);
+    if (pc++ < steps) return sim::StepResult::running();
+    return sim::StepResult::decided(1);
+  }
+  void encode(std::vector<typesys::Value>& out) const { out.push_back(pc); }
+  std::size_t decode(const typesys::Value* data, std::size_t) {
+    pc = static_cast<int>(data[0]);
+    return 1;
+  }
+};
+
+// Decides what it reads on its only step: valid only after the writer went.
+struct EagerReader {
+  sim::RegId reg = 0;
+
+  sim::StepResult step(sim::Memory& memory) {
+    return sim::StepResult::decided(memory.read(reg));
+  }
+  void encode(std::vector<typesys::Value>& out) const { out.push_back(0); }
+  std::size_t decode(const typesys::Value*, std::size_t) { return 1; }
+};
+
 CheckRequest broken_request() {
   CheckRequest request;
   const sim::RegId reg = request.system.memory.add_register();
@@ -49,7 +79,8 @@ CheckRequest broken_request() {
   return request;
 }
 
-CheckRequest team_request(const std::string& type_name, int n, int crash_budget) {
+CheckRequest team_request(const std::string& type_name, int n, int crash_budget,
+                          bool symmetric = false) {
   auto type = typesys::make_type(type_name);
   rc::TeamConsensusSystem system =
       rc::make_team_consensus_system(*type, n, kInputA, kInputB);
@@ -57,7 +88,21 @@ CheckRequest team_request(const std::string& type_name, int n, int crash_budget)
   request.system.memory = std::move(system.memory);
   request.system.processes = std::move(system.processes);
   request.system.properties.valid_outputs = {kInputA, kInputB};
+  if (symmetric) request.system.symmetry_classes = std::move(system.symmetry_classes);
   request.budget.crash_budget = crash_budget;
+  return request;
+}
+
+// Write-then-read "consensus" over one register, with decode() support: a
+// compact violating system whose only breakable property is agreement, so
+// every backend must report that property whichever trace it finds first.
+CheckRequest naive_register_request() {
+  rc::NaiveRegisterSystem system = rc::make_naive_register_system(3);
+  CheckRequest request;
+  request.system.memory = std::move(system.memory);
+  request.system.processes = std::move(system.processes);
+  request.system.properties.valid_outputs = std::move(system.inputs);
+  request.budget.crash_budget = 1;
   return request;
 }
 
@@ -100,23 +145,138 @@ TEST(CheckTest, AutoStaysSequentialOnSmallStateSpaces) {
 }
 
 TEST(CheckTest, AutoEscalatesToParallelWhenProbeTruncates) {
-  // Force escalation by making the probe tiny: the full state space (a few
-  // thousand states) exceeds it, so the facade must re-run on the engine —
-  // and the engine must still deliver the complete verdict.
-  CheckRequest sequential_request = team_request("Sn(2)", 2, 3);
-  sequential_request.strategy = Strategy::kSequentialDFS;
-  const CheckReport sequential = check(std::move(sequential_request));
-  ASSERT_GT(sequential.stats.visited, 100u);
+  // A probe smaller than the state space stops on its visited cap and hands
+  // its store and DFS-stack cut to the engine (engine/handoff.hpp). The
+  // engine continues from there, so every count must equal a sequential run
+  // from the root — whatever the cut, the worker count, or the reduction.
+  // Under symmetry reduction, decisions and orbit_skipped depend on which
+  // concrete state first reaches each orbit (its per-run step counts decide
+  // which sibling events are skipped), so they differ between kSequentialDFS
+  // and kParallelBFS even at one thread; there the order-free counts are
+  // pinned and the exactness identity is left to tests/obs/metrics_test.cpp.
+  for (const bool symmetric : {false, true}) {
+    CheckRequest sequential_request = team_request("Sn(3)", 3, 2, symmetric);
+    sequential_request.strategy = Strategy::kSequentialDFS;
+    const CheckReport sequential = check(std::move(sequential_request));
+    ASSERT_TRUE(sequential.clean);
+    ASSERT_GT(sequential.stats.visited, 1000u);
+    EXPECT_EQ(sequential.stats.orbit_skipped > 0, symmetric);
 
-  CheckRequest request = team_request("Sn(2)", 2, 3);
-  request.strategy = Strategy::kAuto;
-  request.auto_probe_limit = 100;
-  request.num_threads = 2;
-  const CheckReport report = check(std::move(request));
+    for (const std::uint64_t probe_limit : {1, 7, 100, 1000}) {
+      for (const int threads : {1, 2, 4}) {
+        SCOPED_TRACE("symmetric=" + std::to_string(symmetric) +
+                     " probe_limit=" + std::to_string(probe_limit) +
+                     " threads=" + std::to_string(threads));
+        CheckRequest request = team_request("Sn(3)", 3, 2, symmetric);
+        request.strategy = Strategy::kAuto;
+        request.auto_probe_limit = probe_limit;
+        request.num_threads = threads;
+        const CheckReport report = check(std::move(request));
+        EXPECT_EQ(report.strategy, Strategy::kParallelBFS);
+        EXPECT_EQ(report.threads_used, threads);
+        EXPECT_TRUE(report.clean);
+        EXPECT_TRUE(report.complete);
+        EXPECT_EQ(report.stats.visited, sequential.stats.visited);
+        EXPECT_EQ(report.stats.transitions, sequential.stats.transitions);
+        EXPECT_EQ(report.stats.terminal_states, sequential.stats.terminal_states);
+        EXPECT_EQ(report.stats.store.nodes, report.stats.visited + 1);  // + root
+        if (symmetric) {
+          EXPECT_GT(report.stats.orbit_skipped, 0u);
+        } else {
+          EXPECT_EQ(report.stats.decisions, sequential.stats.decisions);
+          EXPECT_EQ(report.stats.orbit_skipped, 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(CheckTest, AutoHandoffReportsAFullReplayableViolation) {
+  // The probe is too small to reach the violation, so it is found below a
+  // handed-off state: its trace must still be a schedule from the root.
+  CheckRequest parallel_request = naive_register_request();
+  parallel_request.strategy = Strategy::kParallelBFS;
+  parallel_request.num_threads = 2;
+  const CheckReport parallel = check(std::move(parallel_request));
+  ASSERT_TRUE(parallel.violation.has_value());
+  ASSERT_EQ(parallel.violation->property, sim::PropertyKind::kAgreement);
+
+  for (const std::uint64_t probe_limit : {1, 2}) {
+    SCOPED_TRACE("probe_limit=" + std::to_string(probe_limit));
+    CheckRequest request = naive_register_request();
+    request.strategy = Strategy::kAuto;
+    request.auto_probe_limit = probe_limit;
+    request.num_threads = 2;
+    const CheckReport report = check(std::move(request));
+    ASSERT_EQ(report.strategy, Strategy::kParallelBFS);
+    ASSERT_TRUE(report.violation.has_value());
+    EXPECT_TRUE(report.complete);
+    EXPECT_EQ(report.violation->property, parallel.violation->property);
+    EXPECT_EQ(report.stats.visited, parallel.stats.visited);
+
+    CheckRequest replay_request = naive_register_request();
+    replay_request.strategy = Strategy::kReplay;
+    replay_request.schedule = report.violation->schedule;
+    const CheckReport replayed = check(std::move(replay_request));
+    ASSERT_TRUE(replayed.violation.has_value());
+    EXPECT_EQ(replayed.violation->property, parallel.violation->property);
+  }
+}
+
+TEST(CheckTest, AutoHandoffCarriesTheProbesViolationCandidate) {
+  // The only violating edge is the root's last event, step(p1): the DFS
+  // explores the writer's whole subtree first, so a small probe stops inside
+  // it and meets that edge only while finishing its stack. The engine must
+  // report exactly what a sequential run from the root reports.
+  auto request_for = [](Strategy strategy) {
+    CheckRequest request;
+    const sim::RegId reg = request.system.memory.add_register();
+    request.system.processes.emplace_back(SlowWriter{reg, 30, 0});
+    request.system.processes.emplace_back(EagerReader{reg});
+    request.system.properties.valid_outputs = {1};
+    request.budget.crash_budget = 0;
+    request.strategy = strategy;
+    request.auto_probe_limit = 5;
+    request.num_threads = 2;
+    return request;
+  };
+  const CheckReport sequential = check(request_for(Strategy::kSequentialDFS));
+  ASSERT_TRUE(sequential.violation.has_value());
+  ASSERT_EQ(sequential.violation->property, sim::PropertyKind::kValidity);
+  ASSERT_EQ(sequential.violation->schedule,
+            std::vector<sim::ScheduleEvent>{sim::ScheduleEvent::step(1)});
+
+  const CheckReport report = check(request_for(Strategy::kAuto));
   EXPECT_EQ(report.strategy, Strategy::kParallelBFS);
-  EXPECT_TRUE(report.clean);
-  EXPECT_TRUE(report.complete);
+  ASSERT_TRUE(report.violation.has_value());
+  EXPECT_EQ(report.violation->property, sim::PropertyKind::kValidity);
+  EXPECT_EQ(report.violation->schedule, sequential.violation->schedule);
   EXPECT_EQ(report.stats.visited, sequential.stats.visited);
+  EXPECT_EQ(report.stats.transitions, sequential.stats.transitions);
+}
+
+TEST(CheckTest, AutoProbeStoppedByMemoryLimitDoesNotEscalate) {
+  // Only a probe stopped on its own visited cap escalates; a resource limit
+  // is the verdict (the engine would only hit it again).
+  CheckRequest request = team_request("Sn(3)", 3, 2);
+  request.strategy = Strategy::kAuto;
+  request.budget.mem_limit_mb = 1;  // any live process is above this
+  const CheckReport report = check(std::move(request));
+  EXPECT_EQ(report.strategy, Strategy::kSequentialDFS);
+  EXPECT_EQ(report.stats.stop_reason, sim::StopReason::kMemory);
+  EXPECT_FALSE(report.complete);
+}
+
+TEST(CheckTest, AutoProbeStoppedByDeadlineDoesNotEscalate) {
+  // A deadline the probe hits is the whole check's deadline: no fresh time
+  // budget on the engine.
+  CheckRequest request = team_request("Sn(5)", 5, 1);
+  request.strategy = Strategy::kAuto;
+  request.budget.time_limit_ms = 1;
+  const CheckReport report = check(std::move(request));
+  EXPECT_EQ(report.strategy, Strategy::kSequentialDFS);
+  EXPECT_EQ(report.stats.stop_reason, sim::StopReason::kDeadline);
+  EXPECT_FALSE(report.complete);
 }
 
 TEST(CheckTest, AutoRespectsRealBudgetTruncation) {
@@ -131,6 +291,25 @@ TEST(CheckTest, AutoRespectsRealBudgetTruncation) {
   EXPECT_TRUE(report.stats.truncated);
   ASSERT_TRUE(report.violation.has_value());
   EXPECT_NE(report.violation->description.find("max_visited"), std::string::npos);
+}
+
+TEST(CheckTest, AutoHandoffStillHonoursTheRealBudget) {
+  // A real budget just above the probe limit: finishing the probe's stack
+  // may already spend it, and the engine's first new state then truncates.
+  for (const std::int64_t max_visited : {101, 105, 150}) {
+    SCOPED_TRACE("max_visited=" + std::to_string(max_visited));
+    CheckRequest request = team_request("Sn(3)", 3, 2);
+    request.strategy = Strategy::kAuto;
+    request.auto_probe_limit = 100;
+    request.num_threads = 2;
+    request.budget.max_visited = max_visited;
+    const CheckReport report = check(std::move(request));
+    EXPECT_EQ(report.strategy, Strategy::kParallelBFS);
+    EXPECT_FALSE(report.complete);
+    EXPECT_EQ(report.stats.stop_reason, sim::StopReason::kVisitedCap);
+    ASSERT_TRUE(report.violation.has_value());
+    EXPECT_EQ(report.violation->property, sim::PropertyKind::kNone);
+  }
 }
 
 TEST(CheckTest, RandomizedAggregatesRunsAndStaysIncompleteAsProof) {

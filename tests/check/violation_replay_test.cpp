@@ -42,7 +42,7 @@ struct ConstantDecider {
 
 ScenarioSystem make_halting_tas_system() {
   auto type = typesys::make_type("test-and-set");
-  rc::HaltingConsensusSystem system = rc::make_halting_consensus(*type, 2, {5, 6});
+  rc::HaltingConsensusSystem system = rc::make_halting_consensus(std::move(type), 2, {5, 6});
   ScenarioSystem out;
   out.memory = std::move(system.memory);
   out.processes = std::move(system.processes);

@@ -86,6 +86,23 @@ TEST(CliExitCodeTest, InvalidInputExitsTwo) {
   EXPECT_EQ(run_cli(spec + " --checkpoint-every=10", "everynoout").exit_code, 2);
 }
 
+TEST(CliExitCodeTest, HaltingSpecsKeepTheExitContract) {
+  // algo=halting builds its programs over a transition cache of the spec's
+  // type; the cache must own that type, or every step reads freed memory and
+  // the run dies on a signal instead of exiting 0 or 1.
+  const std::string spec = temp_path("halting.spec");
+  write_file(spec,
+             "type=compare-and-swap n=2 budget=1 algo=halting\n"
+             "type=Sn(3) n=3 budget=1 algo=halting\n");
+  for (const char* strategy : {"auto", "dfs", "bfs"}) {
+    const RunResult result = run_cli(spec + " --strategy=" + strategy + " --threads=2",
+                                     std::string("halting_") + strategy);
+    EXPECT_TRUE(result.exit_code == 0 || result.exit_code == 1)
+        << strategy << " exited " << result.exit_code << "\n"
+        << result.output;
+  }
+}
+
 TEST(CliExitCodeTest, TruncationExitsThree) {
   const std::string spec = temp_path("trunc.spec");
   write_file(spec, "type=Sn(3) n=3 budget=2 max_visited=100\n");

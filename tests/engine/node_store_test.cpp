@@ -95,6 +95,30 @@ TEST(NodeStoreTest, ConcurrentInternsAgreeOnWinners) {
   EXPECT_EQ(fetched, record_of(123, 3));
 }
 
+TEST(NodeStoreTest, ReshardKeepsEveryRecordInPlace) {
+  // A single-shard probe store re-sharded for parallel workers: every record
+  // keeps its address, lookups find it through the new shards, and the new
+  // arenas intern new records.
+  NodeStore store(0);
+  constexpr std::uint64_t kKeys = 3000;  // past several growth epochs
+  std::vector<NodeStore::Intern> interned;
+  for (std::uint64_t i = 0; i < kKeys; ++i) {
+    interned.push_back(store.intern(key(i), record_of(i, 3)));
+  }
+  store.reshard(4, 2);
+  EXPECT_EQ(store.num_shards(), 16);
+  EXPECT_EQ(store.num_arenas(), 2);
+  EXPECT_EQ(store.size(), kKeys);
+  for (std::uint64_t i = 0; i < kKeys; ++i) {
+    const NodeStore::Intern again = store.intern(key(i), record_of(i, 3), 1);
+    ASSERT_FALSE(again.inserted) << i;
+    ASSERT_EQ(again.record, interned[i].record) << i;
+  }
+  const NodeStore::Intern fresh = store.intern(key(kKeys), record_of(kKeys, 4), 1);
+  EXPECT_TRUE(fresh.inserted);
+  EXPECT_EQ(store.size(), kKeys + 1);
+}
+
 // Encode/decode must be mutually inverse, and the fingerprint must equal the
 // legacy clone-based fingerprint of the same node (that is what lets compact
 // and legacy runs explore the identical deduplicated graph).

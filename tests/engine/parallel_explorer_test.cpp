@@ -192,16 +192,16 @@ TEST(ParallelExplorerDeathTest, ShardBitsOutOfRangeAsserts) {
   }
 }
 
-TEST(ParallelExplorerTest, AutoShardBitsResolvesFromThreadsAndExpectation) {
+TEST(ParallelExplorerTest, AutoShardBitsResolvesFromThreadsAndVisitedCap) {
   sim::Memory memory;
   const sim::RegId reg = memory.add_register();
   std::vector<sim::Process> processes;
   processes.emplace_back(BrokenConsensus{reg, 1, 0});
   ParallelExplorerConfig config;
   config.num_threads = 4;
-  config.expected_states = 1'000'000;
+  config.max_visited = 1'000'000;
   ParallelExplorer explorer(std::move(memory), std::move(processes), config);
-  EXPECT_EQ(explorer.shard_bits(), pick_shard_bits(4, 1'000'000));
+  EXPECT_EQ(explorer.shard_bits(), pick_shard_bits(4, config.visited_cap()));
 }
 
 TEST(ParallelExplorerTest, FindsValidityViolation) {

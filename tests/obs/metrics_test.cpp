@@ -297,10 +297,12 @@ TEST(MetricsContractTest, ReplayPublishesScheduleTotals) {
   EXPECT_GE(counter_value(report.metrics, "replay.violations"), 1u);
 }
 
-TEST(MetricsContractTest, AutoEscalationResetsProbePollution) {
-  // A tiny probe limit forces kAuto to escalate; the engine totals must then
-  // describe only the parallel run, with the probe's work preserved under
-  // check.probe_visited.
+TEST(MetricsContractTest, AutoEscalationTotalsIncludeTheProbe) {
+  // A tiny probe limit forces kAuto to escalate. The engine continues from
+  // the probe's store and counters (engine/handoff.hpp), so the registry
+  // totals — the probe's flushes plus the engine's — must equal the escalated
+  // run's ExplorerStats, and check.probe_visited counts the states the probe
+  // expanded itself.
   MetricsRegistry registry;
   check::CheckRequest request = team_request(2, 3);
   request.auto_probe_limit = 100;

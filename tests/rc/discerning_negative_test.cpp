@@ -41,7 +41,7 @@ TEST_P(HaltingConsensusTest, CorrectWithoutCrashes) {
   auto type = typesys::make_type(c.type_name);
   std::vector<typesys::Value> inputs;
   for (int i = 0; i < c.participants; ++i) inputs.push_back(100 + i);
-  HaltingConsensusSystem system = make_halting_consensus(*type, c.witness_n, inputs);
+  HaltingConsensusSystem system = make_halting_consensus(std::move(type), c.witness_n, inputs);
   check::CheckRequest request =
       halting_request(std::move(system), inputs, /*crash_budget=*/0);
   request.strategy = check::Strategy::kAuto;
@@ -69,7 +69,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(HaltingNegativeTest, TasConsensusBreaksUnderOneCrash) {
   auto type = typesys::make_type("test-and-set");
-  HaltingConsensusSystem system = make_halting_consensus(*type, 2, {5, 6});
+  HaltingConsensusSystem system = make_halting_consensus(std::move(type), 2, {5, 6});
   check::CheckRequest request =
       halting_request(std::move(system), {5, 6}, /*crash_budget=*/1);
   request.strategy = check::Strategy::kSequentialDFS;
@@ -84,7 +84,7 @@ TEST(HaltingNegativeTest, TnConsensusBreaksUnderCrashes) {
   // recoverable exists; this exhibits the concrete failure of this
   // particular algorithm).
   auto type = typesys::make_type("Tn(4)");
-  HaltingConsensusSystem system = make_halting_consensus(*type, 4, {1, 2, 3, 4});
+  HaltingConsensusSystem system = make_halting_consensus(std::move(type), 4, {1, 2, 3, 4});
   check::CheckRequest request =
       halting_request(std::move(system), {1, 2, 3, 4}, /*crash_budget=*/2);
   request.budget.max_visited = 40'000'000;
@@ -100,7 +100,7 @@ TEST(HaltingNegativeTest, EvenCasBreaksWhenAlgorithmIsResponseBased) {
   // Solving RC with CAS requires the state-based Figure 2 algorithm; this
   // test pins down that the weakness is the algorithm, not the type.
   auto type = typesys::make_type("compare-and-swap");
-  HaltingConsensusSystem system = make_halting_consensus(*type, 2, {5, 6});
+  HaltingConsensusSystem system = make_halting_consensus(std::move(type), 2, {5, 6});
   check::CheckRequest request =
       halting_request(std::move(system), {5, 6}, /*crash_budget=*/2);
   request.strategy = check::Strategy::kSequentialDFS;

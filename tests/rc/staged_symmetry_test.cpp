@@ -47,7 +47,7 @@ TEST(StagedSymmetryTest, HaltingTournamentDeclarationIsSoundUnderExploration) {
   auto type = typesys::make_type("test-and-set");
   ASSERT_NE(type, nullptr);
   const std::vector<typesys::Value> inputs = {1, 2};
-  HaltingConsensusSystem with = make_halting_consensus(*type, 2, inputs);
+  HaltingConsensusSystem with = make_halting_consensus(std::move(type), 2, inputs);
   ASSERT_EQ(with.symmetry_classes.size(), with.processes.size());
 
   check::ScenarioSystem plain;
