@@ -5,10 +5,10 @@
 // Verifies that every configuration reports the same verdict and
 // visited-state count before trusting a timing.
 //
-// Since the compact node-store refactor the rows also report states/sec and
-// the interned bytes/node, and a final section measures symmetry reduction:
-// the team-consensus n=4 instance re-checked with its symmetry declaration
-// attached must shrink the visited set without changing the verdict.
+// The rows also report states/sec and the interned bytes/node, and a final
+// section measures symmetry reduction: the team-consensus n=4 instance
+// re-checked with its symmetry declaration attached must shrink the visited
+// set without changing the verdict.
 //
 // Plain chrono timing rather than Google Benchmark: each run is seconds long
 // and we want a speedup table, not per-iteration statistics. Every timed
@@ -251,7 +251,6 @@ int main(int argc, char** argv) {
     json.key_value("seconds", outcome.seconds);
     json.key_value("states_per_sec", states_per_sec(outcome));
     json.key_value("speedup", speedup);
-    json.key_value("compact", outcome.stats.compact);
     json.key_value("store_nodes", outcome.stats.store.nodes);
     json.key_value("store_bytes_per_node", outcome.stats.store.bytes_per_node());
     json.key_value("canonical_hit_rate", outcome.stats.store.canonical_hit_rate());

@@ -22,7 +22,6 @@ sim::ExplorerConfig explorer_config(const CheckRequest& request) {
   sim::ExplorerConfig config;
   static_cast<Budget&>(config) = request.budget;
   config.properties = request.system.properties;
-  config.node_repr = request.node_repr;
   config.symmetry_classes = request.system.symmetry_classes;
   config.obs = request.obs;
   config.sentinel_interval_ms = request.sentinel_interval_ms;
@@ -136,9 +135,9 @@ CheckReport run_replay(const CheckRequest& request) {
 }
 
 CheckReport run_auto(const CheckRequest& request) {
-  // Checkpointing and resume live in the parallel engine's compact
-  // representation only — route straight there, skipping the probe (a probe
-  // would waste the budget of exactly the long runs checkpoints exist for).
+  // Checkpointing and resume live in the parallel engine only — route
+  // straight there, skipping the probe (a probe would waste the budget of
+  // exactly the long runs checkpoints exist for).
   if (!request.checkpoint_path.empty() || request.resume != nullptr) {
     return run_parallel(request, parallel_config(request));
   }
@@ -175,16 +174,6 @@ CheckReport run_auto(const CheckRequest& request) {
     // What the probe left of the deadline; 0 would mean "unlimited".
     const std::int64_t left = deadline_ms - engine::steady_now_ms();
     config.time_limit_ms = left > 0 ? left : 1;
-  }
-  if (handoff.store == nullptr) {
-    // Programs without decode() cannot hand off and restart from the root;
-    // clear the probe's engine/store totals so the registry matches the
-    // engine's ExplorerStats.
-    if (request.obs.metrics != nullptr) {
-      request.obs.metrics->reset("engine.");
-      request.obs.metrics->reset("store.");
-    }
-    return run_parallel(request, std::move(config));
   }
   return run_parallel(request, std::move(config), &handoff);
 }

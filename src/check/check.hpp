@@ -98,10 +98,6 @@ struct CheckRequest {
   // engine.
   std::uint64_t auto_probe_limit = 200'000;
 
-  // Exhaustive strategies: node representation override (kAuto picks the
-  // compact interned store whenever every program supports decode()).
-  sim::NodeRepr node_repr = sim::NodeRepr::kAuto;
-
   // kParallelBFS (and the kAuto escalation path):
   int num_threads = 0;  // 0 = hardware concurrency
   int shard_bits = -1;  // -1 = auto-tune from thread count and max_visited
@@ -116,9 +112,9 @@ struct CheckRequest {
   std::vector<sim::ScheduleEvent> schedule;
 
   // Robustness layer (exhaustive strategies; see sim/explorer_config.hpp for
-  // the field contracts). Durable checkpoints and resume require the parallel
-  // engine's compact representation, so kAuto routes straight to the engine —
-  // no probe — whenever checkpoint_path or resume is set. The budget's
+  // the field contracts). Durable checkpoints and resume live in the parallel
+  // engine only, so kAuto routes straight to the engine — no probe — whenever
+  // checkpoint_path or resume is set. The budget's
   // time_limit_ms / mem_limit_mb ride along inside `budget`.
   int sentinel_interval_ms = 50;
   int watchdog_stall_intervals = 0;
@@ -135,9 +131,7 @@ struct CheckRequest {
   // registry is not reset by check() — callers sharing one registry across
   // checks reset between them. On kAuto escalation the probe's flushes are
   // part of the totals, as its work is part of the engine's ExplorerStats;
-  // check.probe_visited counts the states the probe expanded itself. (The
-  // restart for programs without decode() resets the engine.* and store.*
-  // prefixes instead, as it throws the probe's work away.)
+  // check.probe_visited counts the states the probe expanded itself.
   obs::Hooks obs;
 };
 
@@ -149,9 +143,8 @@ struct CheckReport {
   std::optional<sim::Violation> violation;
 
   // Exhaustive strategies (sequential / parallel / auto). `stats.store`
-  // carries the compact node-store statistics — states interned, arena bytes
-  // per node, canonicalization hit rate — when the run used the interned
-  // representation (stats.compact).
+  // carries the node-store statistics — states interned, arena bytes per
+  // node, canonicalization hit rate.
   sim::ExplorerStats stats;
 
   // Worker threads the executed backend actually resolved and ran with:

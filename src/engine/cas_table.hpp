@@ -1,7 +1,5 @@
-// Lock-free open-addressing fingerprint table — the concurrent replacement
+// Lock-free open-addressing fingerprint table: the NodeStore intern index.
 // rcons-lint: hot-path
-// for the per-shard `mutex + FlatTable` pairs in ShardedVisited and the
-// NodeStore intern index.
 //
 // Every slot carries a 32-bit atomic tag driving a small state machine:
 //
@@ -156,7 +154,7 @@ class CasTable {
   // Keys inserted. Exact at quiescence; a racy snapshot while inserting.
   std::uint64_t size() const { return size_.load(std::memory_order_relaxed); }
 
-  // Growth epochs started (the concurrent analogue of FlatTable rehashes).
+  // Growth epochs started (table doublings).
   std::uint64_t rehashes() const { return rehashes_.load(std::memory_order_relaxed); }
 
   // True while a sealed array still has unmigrated stripes.

@@ -1,14 +1,14 @@
 // Durable checkpoints for the parallel exhaustive engine.
 //
-// A checkpoint is a consistent cut of a compact-representation run taken
-// while every worker is parked at a pause barrier (or after they joined):
-// the interned node records (which double as the visited set), the frontier
-// as node indices, the visited counter, the partial statistics, and the best
-// violation found so far. Resuming re-interns the records, re-seeds the
-// frontier, and continues; because complete-run visited counts are
-// scheduling-independent (they count the deduplicated graph), a resumed run
-// finishes with byte-identical visited counts and the same verdict as an
-// uninterrupted one (tests/engine/checkpoint_test.cpp, CI kill-and-resume).
+// A checkpoint is a consistent cut of a run taken while every worker is
+// parked at a pause barrier (or after they joined): the interned node records
+// (which double as the visited set), the frontier as node indices, the
+// visited counter, the partial statistics, and the best violation found so
+// far. Resuming re-interns the records, re-seeds the frontier, and
+// continues; because complete-run visited counts are scheduling-independent
+// (they count the deduplicated graph), a resumed run finishes with
+// byte-identical visited counts and the same verdict as an uninterrupted one
+// (tests/engine/checkpoint_test.cpp, CI kill-and-resume).
 //
 // What a checkpoint deliberately does NOT carry: the path backlinks of
 // frontier items. Traces of violations found *after* a resume are therefore

@@ -23,11 +23,6 @@ Node make_root(sim::Memory initial, std::vector<sim::Process> processes,
 }
 
 void enumerate_events(const Node& node, const sim::ExplorerConfig& config,
-                      std::vector<Event>& out) {
-  enumerate_events(node, config, out, nullptr, nullptr);
-}
-
-void enumerate_events(const Node& node, const sim::ExplorerConfig& config,
                       std::vector<Event>& out,
                       const std::vector<std::uint8_t>* orbit_skip,
                       std::uint64_t* orbit_skipped) {
@@ -141,11 +136,6 @@ void encode_node(const Node& node, std::vector<Value>& scratch) {
   for (std::size_t i = 0; i < node.processes.size(); ++i) {
     encode_process_block(node, i, scratch);
   }
-}
-
-util::U128 fingerprint(const Node& node, std::vector<Value>& scratch) {
-  encode_node(node, scratch);
-  return fingerprint_values(scratch.data(), scratch.size());
 }
 
 util::U128 fingerprint_values(const Value* data, std::size_t size) {

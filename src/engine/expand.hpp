@@ -8,14 +8,15 @@
 // `sim::PropertySet` (the sorted distinct-output set for agreement / k-set
 // agreement, plus the per-process stability memory when at-most-once decide
 // is on). Expansion enumerates the applicable events (process steps, then
-// crash placements, in a fixed deterministic order), applies them to copies,
-// and evaluates the property set on the way — inline through the shared
-// helpers in sim/properties.hpp, with no virtual dispatch or allocation on
-// the hot path.
+// crash placements, in a fixed deterministic order), applies them, and
+// evaluates the property set on the way — inline through the shared helpers
+// in sim/properties.hpp, with no virtual dispatch or allocation on the hot
+// path.
 //
 // Keeping this logic in one place is what makes the two explorers provably
-// explore the same deduplicated graph: they differ only in traversal order
-// and in how the visited set is stored.
+// explore the same deduplicated graph: they differ only in traversal order.
+// The test-only reference explorer (tests/support/reference_explorer.hpp)
+// uses these same step semantics over plain node clones.
 #ifndef RCONS_ENGINE_EXPAND_HPP
 #define RCONS_ENGINE_EXPAND_HPP
 
@@ -76,20 +77,18 @@ Node make_root(sim::Memory initial, std::vector<sim::Process> processes,
 // process that has not taken a step in its current run, or an all-crash when
 // nobody has progressed) are pruned here, identically for both explorers.
 //
-// The orbit-aware overload additionally drops per-process events whose
-// process is marked in `orbit_skip` (a non-representative member of a
-// same-class orbit, see NodeCodec::orbit_skip_mask): the representative's
-// successor canonicalizes identically, so the sibling edge can only ever be
-// a duplicate. Each dropped event bumps `*orbit_skipped`; callers credit the
+// With an `orbit_skip` mask it additionally drops per-process events whose
+// process is marked there (a non-representative member of a same-class
+// orbit, see NodeCodec::orbit_skip_mask): the representative's successor
+// canonicalizes identically, so the sibling edge can only ever be a
+// duplicate. Each dropped event bumps `*orbit_skipped`; callers credit the
 // same amount to `transitions` so the exactness invariant becomes
 // transitions == visited + duplicates + violation_edges + orbit_skipped.
 // kCrashAll is never skipped (it is not a per-process event).
 void enumerate_events(const Node& node, const sim::ExplorerConfig& config,
-                      std::vector<Event>& out);
-void enumerate_events(const Node& node, const sim::ExplorerConfig& config,
                       std::vector<Event>& out,
-                      const std::vector<std::uint8_t>* orbit_skip,
-                      std::uint64_t* orbit_skipped);
+                      const std::vector<std::uint8_t>* orbit_skip = nullptr,
+                      std::uint64_t* orbit_skipped = nullptr);
 
 // True when every process has decided (no step moves exist).
 bool is_terminal(const Node& node);
@@ -102,11 +101,10 @@ bool is_terminal(const Node& node);
 std::optional<sim::PropertyViolation> apply_event(Node& node, const Event& event,
                                                   const sim::ExplorerConfig& config);
 
-// The canonical encoding is assembled from these two helpers, shared by the
-// clone-based encode_node() below and the compact NodeCodec
-// (engine/node_store.hpp), so the two representations cannot drift: any
-// future property that adds node state extends the layout in exactly one
-// place and both paths keep fingerprinting identically.
+// The canonical encoding is assembled from these two helpers, shared by
+// encode_node() below and the NodeCodec (engine/node_store.hpp), so the two
+// cannot drift: any future property that adds node state extends the layout
+// in exactly one place.
 
 // Record header: crash budget spent, the sorted distinct-output constraint,
 // then the shared memory.
@@ -129,16 +127,15 @@ inline void encode_process_block(const Node& node, std::size_t i,
   node.processes[i].encode(out);
 }
 
-// Canonical encoding of the node (header + every process block) and its
-// 128-bit fingerprint. `scratch` is caller-provided to avoid per-node
-// allocation.
+// Canonical encoding of the node: header + every process block, the prefix
+// of a NodeCodec record that its fingerprint covers. Written into `scratch`
+// (cleared first).
 void encode_node(const Node& node, std::vector<typesys::Value>& scratch);
-util::U128 fingerprint(const Node& node, std::vector<typesys::Value>& scratch);
 
 // Streaming form of the node fingerprint: both 64-bit hash lanes absorb
-// values as they are appended to the encoding (the compact NodeCodec feeds
-// each record segment right after writing it, while it is still cache-hot),
-// and the encoded length is folded in only at finish(). One pass produces
+// values as they are appended to the encoding (the NodeCodec feeds each
+// record segment right after writing it, while it is still cache-hot), and
+// the encoded length is folded in only at finish(). One pass produces
 // record + hash with no separate fingerprint sweep.
 struct FpStream {
   std::uint64_t lo = 0x2545f4914f6cdd1dULL;
@@ -172,9 +169,8 @@ struct FpStream {
 };
 
 // Fingerprint of an already-encoded canonical prefix (== FpStream absorbing
-// the whole prefix). Shared by fingerprint() and the compact NodeCodec
-// (engine/node_store.hpp), so the clone-based and interned representations
-// key the visited set identically.
+// the whole prefix). The NodeCodec (engine/node_store.hpp) uses it for
+// records the canonicalizer permuted and as its DCHECK reference sweep.
 util::U128 fingerprint_values(const typesys::Value* data, std::size_t size);
 
 // Deterministic total order on events / event paths, matching the enumeration

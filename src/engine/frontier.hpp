@@ -18,10 +18,9 @@
 // removes the historical double-lock (steal used to enqueue into the thief's
 // deque and then re-pop it) and the thief-side mutex acquisition entirely.
 //
-// The frontier is generic over the item type: the clone-based explorer queues
-// `WorkItem`s that own their node, while the compact explorer queues
-// `CompactWorkItem`s that carry only an interned NodeStore id (the node
-// payload lives once in the store's arena, engine/node_store.hpp).
+// Items are `CompactWorkItem`s: a view of the node's interned record (the
+// payload lives once in the store's arena, engine/node_store.hpp) plus the
+// path backlink.
 #ifndef RCONS_ENGINE_FRONTIER_HPP
 #define RCONS_ENGINE_FRONTIER_HPP
 
@@ -37,47 +36,21 @@
 
 namespace rcons::engine {
 
-// One pending unit of work in the clone-based representation: a deduplicated
-// global state plus a backlink to the event path that first reached it
-// (materialized only for trace reporting).
-struct WorkItem {
-  Node node;
-  const PathLink* tail = nullptr;
-};
-
-// One pending unit of work in the compact representation: a direct view of
-// the node's interned record in the NodeStore arena (stable, immutable —
-// see NodeStore::Intern) plus the same path backlink. Trivially copyable —
-// moving one through the frontier is three register-width stores, and
-// expansion decodes the record in place with no lock and no copy.
+// One pending unit of work: a direct view of the node's interned record in
+// the NodeStore arena (stable, immutable — see NodeStore::Intern) plus a
+// backlink to the event path that first reached it (materialized only for
+// trace reporting). Trivially copyable — moving one through the frontier is
+// three register-width stores, and expansion decodes the record in place
+// with no lock and no copy.
 struct CompactWorkItem {
   const typesys::Value* record = nullptr;
   std::uint32_t length = 0;
   const PathLink* tail = nullptr;
 };
 
-// Shared across FrontierT instantiations so callers can hold the counters
-// without caring which item type produced them.
-struct FrontierStats {
-  std::uint64_t steals = 0;         // successful batch steals
-  std::uint64_t stolen_items = 0;   // items moved by those steals
-  std::uint64_t failed_steals = 0;  // pops that found every deque empty
-  std::uint64_t push_batches = 0;   // push/push_batch lock acquisitions
-  std::uint64_t pushed_items = 0;   // items across those pushes
-  std::uint64_t pop_batches = 0;    // pop_batch calls that returned items
-  std::uint64_t popped_items = 0;   // items across those pops
-
-  double avg_push_batch() const {
-    return push_batches == 0 ? 0.0
-                             : static_cast<double>(pushed_items) /
-                                   static_cast<double>(push_batches);
-  }
-};
-
-template <typename Item>
-class FrontierT {
+class CompactFrontier {
  public:
-  explicit FrontierT(int num_workers) {
+  explicit CompactFrontier(int num_workers) {
     RCONS_ASSERT(num_workers >= 1);
     deques_.reserve(static_cast<std::size_t>(num_workers));
     for (int i = 0; i < num_workers; ++i) {
@@ -87,21 +60,20 @@ class FrontierT {
 
   // Pushes one item onto `worker`'s own deque. Thread-safe (stealers lock the
   // same deque), but `worker` must identify the calling worker.
-  void push(int worker, Item item) {
+  void push(int worker, CompactWorkItem item) {
     Deque& deque = *deques_[static_cast<std::size_t>(worker)];
     {
       // rcons-lint: allow(hot-path-no-mutex) single-item push is the slow API; batch paths amortize
       std::lock_guard<std::mutex> lock(deque.mu);
-      deque.items.push_back(std::move(item));
+      deque.items.push_back(item);
     }
     push_batches_.fetch_add(1, std::memory_order_relaxed);
     pushed_items_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Moves every item of `batch` onto `worker`'s own deque under one lock
-  // acquisition — the per-expansion submit path. The span's items are left
-  // moved-from.
-  void push_batch(int worker, std::span<Item> batch) {
+  // acquisition — the per-expansion submit path.
+  void push_batch(int worker, std::span<CompactWorkItem> batch) {
     if (batch.empty()) return;
     Deque& deque = *deques_[static_cast<std::size_t>(worker)];
     {
@@ -111,7 +83,7 @@ class FrontierT {
       // allocation-free.
       // rcons-lint: allow(hot-path-no-mutex) one acquisition per pushed batch, amortized over batch size
       std::lock_guard<std::mutex> lock(deque.mu);
-      for (Item& item : batch) deque.items.push_back(std::move(item));
+      for (const CompactWorkItem& item : batch) deque.items.push_back(item);
     }
     push_batches_.fetch_add(1, std::memory_order_relaxed);
     pushed_items_.fetch_add(batch.size(), std::memory_order_relaxed);
@@ -128,7 +100,7 @@ class FrontierT {
   // `stole`, when non-null, reports whether the returned items came from a
   // victim's deque rather than the worker's own (observability: the engine
   // emits a "steal" span for these).
-  std::size_t pop_batch(int worker, std::vector<Item>& out, std::size_t max,
+  std::size_t pop_batch(int worker, std::vector<CompactWorkItem>& out, std::size_t max,
                         bool* stole = nullptr) {
     RCONS_ASSERT(max >= 1);
     if (stole != nullptr) *stole = false;
@@ -184,10 +156,10 @@ class FrontierT {
   // Single-item convenience over pop_batch (tests, simple drains). Unlike
   // the batch path this allocates a one-slot buffer per call; the workers use
   // pop_batch with reusable buffers.
-  bool pop(int worker, Item& out) {
-    std::vector<Item> scratch;
+  bool pop(int worker, CompactWorkItem& out) {
+    std::vector<CompactWorkItem> scratch;
     if (pop_batch(worker, scratch, 1) == 0) return false;
-    out = std::move(scratch.back());
+    out = scratch.back();
     return true;
   }
 
@@ -196,7 +168,7 @@ class FrontierT {
   // per-deque locks are still taken so a racy caller corrupts nothing, but
   // the snapshot is only a consistent cut at quiescence. Items are copied,
   // not drained; the run continues unchanged afterwards.
-  void snapshot(std::vector<Item>& out) const {
+  void snapshot(std::vector<CompactWorkItem>& out) const {
     for (const std::unique_ptr<Deque>& deque : deques_) {
       // rcons-lint: allow(hot-path-no-mutex) checkpoint snapshot runs only at quiescence (workers parked)
       std::lock_guard<std::mutex> lock(deque->mu);
@@ -206,7 +178,22 @@ class FrontierT {
     }
   }
 
-  using Stats = FrontierStats;
+  struct Stats {
+    std::uint64_t steals = 0;         // successful batch steals
+    std::uint64_t stolen_items = 0;   // items moved by those steals
+    std::uint64_t failed_steals = 0;  // pops that found every deque empty
+    std::uint64_t push_batches = 0;   // push/push_batch lock acquisitions
+    std::uint64_t pushed_items = 0;   // items across those pushes
+    std::uint64_t pop_batches = 0;    // pop_batch calls that returned items
+    std::uint64_t popped_items = 0;   // items across those pops
+
+    double avg_push_batch() const {
+      return push_batches == 0 ? 0.0
+                               : static_cast<double>(pushed_items) /
+                                     static_cast<double>(push_batches);
+    }
+  };
+
   Stats stats() const {
     Stats stats;
     stats.steals = steals_.load(std::memory_order_relaxed);
@@ -228,16 +215,16 @@ class FrontierT {
   struct alignas(64) Deque {
     // rcons-lint: allow(hot-path-no-mutex) per-deque lock; every acquisition above is batch-amortized
     mutable std::mutex mu;
-    std::vector<Item> items;
+    std::vector<CompactWorkItem> items;
     std::size_t head = 0;  // live range is items[head, items.size())
 
     std::size_t size() const { return items.size() - head; }
 
     // Appends the `take` newest items to `out` in oldest-to-newest order.
-    void take_back(std::size_t take, std::vector<Item>& out) {
+    void take_back(std::size_t take, std::vector<CompactWorkItem>& out) {
       const std::size_t begin = items.size() - take;
       for (std::size_t i = begin; i < items.size(); ++i) {
-        out.push_back(std::move(items[i]));
+        out.push_back(items[i]);
       }
       items.resize(begin);
       if (items.size() <= head) {
@@ -247,9 +234,9 @@ class FrontierT {
     }
 
     // Appends the `take` oldest items to `out` in oldest-to-newest order.
-    void take_front(std::size_t take, std::vector<Item>& out) {
+    void take_front(std::size_t take, std::vector<CompactWorkItem>& out) {
       for (std::size_t i = 0; i < take; ++i) {
-        out.push_back(std::move(items[head + i]));
+        out.push_back(items[head + i]);
       }
       head += take;
       if (head >= items.size()) {
@@ -274,9 +261,6 @@ class FrontierT {
   std::atomic<std::uint64_t> pop_batches_{0};
   std::atomic<std::uint64_t> popped_items_{0};
 };
-
-using Frontier = FrontierT<WorkItem>;
-using CompactFrontier = FrontierT<CompactWorkItem>;
 
 }  // namespace rcons::engine
 

@@ -27,8 +27,8 @@ namespace rcons::engine {
 
 struct ProbeHandoff {
   // Every state the probe interned, root included. Non-null only when the
-  // probe stopped on its visited cap on the compact representation — i.e.
-  // when there is something to hand off.
+  // probe stopped on its visited cap — i.e. when there is something to hand
+  // off.
   std::unique_ptr<NodeStore> store;
 
   // States interned after the cap but never expanded, in DFS order. The

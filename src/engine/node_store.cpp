@@ -11,23 +11,28 @@ namespace rcons::engine {
 
 using typesys::Value;
 
-bool resolve_compact_repr(sim::NodeRepr repr,
-                          const std::vector<sim::Process>& processes) {
-  bool all_decodable = true;
-  for (const sim::Process& process : processes) {
-    all_decodable = all_decodable && process.decodable();
+int pick_shard_bits(int num_threads, std::uint64_t expected_states) {
+  if (num_threads <= 1) return 0;
+
+  // Smallest k with 2^k >= 8 * num_threads.
+  int contention_bits = 0;
+  while (contention_bits < 16 &&
+         (std::uint64_t{1} << contention_bits) <
+             8 * static_cast<std::uint64_t>(num_threads)) {
+    contention_bits += 1;
   }
-  switch (repr) {
-    case sim::NodeRepr::kAuto:
-      return all_decodable;
-    case sim::NodeRepr::kCompact:
-      RCONS_ASSERT_MSG(all_decodable,
-                       "NodeRepr::kCompact requires every program to decode()");
-      return true;
-    case sim::NodeRepr::kLegacy:
-      return false;
+
+  if (expected_states == 0) return contention_bits;
+
+  // Largest k with 2^k <= expected_states / 64 (0 when the quotient is 0 or
+  // 1 — the loop never advances).
+  int occupancy_bits = 0;
+  while (occupancy_bits < 16 &&
+         (std::uint64_t{1} << (occupancy_bits + 1)) <= expected_states / 64) {
+    occupancy_bits += 1;
   }
-  return false;
+
+  return contention_bits < occupancy_bits ? contention_bits : occupancy_bits;
 }
 
 // --- Canonicalizer ----------------------------------------------------------
@@ -133,13 +138,6 @@ int Canonicalizer::orbit_mask(const Value* record,
 }
 
 // --- NodeCodec --------------------------------------------------------------
-
-bool NodeCodec::decodable(const Node& node) {
-  for (const sim::Process& process : node.processes) {
-    if (!process.decodable()) return false;
-  }
-  return true;
-}
 
 NodeCodec::Encoded NodeCodec::encode(const Node& node, std::vector<Value>& record) {
   record.clear();
@@ -419,8 +417,8 @@ void NodeStore::reshard(int shard_bits, int num_arenas) {
   }
 }
 
-ShardedVisited::LoadStats NodeStore::load_stats() const {
-  ShardedVisited::LoadStats stats;
+NodeStore::LoadStats NodeStore::load_stats() const {
+  LoadStats stats;
   stats.min_shard = ~0ULL;
   for (const auto& shard : shards_) {
     const std::uint64_t count = shard->index.size();

@@ -1,16 +1,14 @@
-// Compact interned node representation for the exhaustive explorers.
+// Interned node representation for the exhaustive explorers.
 // rcons-lint: hot-path
 //
-// The clone-based representation copies `Memory` plus N type-erased `Process`
-// objects (two heap clones each) for every successor generated — the dominant
-// cost of the expansion hot path. Here a node is its canonical encoding: a
-// flat `std::vector<typesys::Value>` record interned once in a per-worker
-// bump arena, keyed by the node's 128-bit fingerprint through a lock-free
-// CAS-claimed slot index (engine/cas_table.hpp). The store doubles as the
-// visited set (interning *is* deduplication), frontier items carry interned
-// ids instead of owning nodes, and expansion decodes a record into a reusable
-// per-worker scratch `Node` — zero allocations, zero program clones, and zero
-// locks per successor on both the hit and the miss path.
+// A node is its canonical encoding: a flat `std::vector<typesys::Value>`
+// record interned once in a per-worker bump arena, keyed by the node's
+// 128-bit fingerprint through a lock-free CAS-claimed slot index
+// (engine/cas_table.hpp). The store doubles as the visited set (interning
+// *is* deduplication), frontier items carry interned ids instead of owning
+// nodes, and expansion decodes a record into a reusable per-worker scratch
+// `Node` — no `Memory`/`Process` clones, no allocations and no locks per
+// successor on both the hit and the miss path.
 //
 // Record layout (NodeCodec):
 //
@@ -23,11 +21,9 @@
 //   [steps_in_run...]                           sidecar, one value per process
 //
 // Everything except the sidecar is the canonical encoding the fingerprint
-// covers — byte-for-byte the same prefix `engine::encode_node` produces, so
-// compact and legacy runs compute identical fingerprints and explore the
-// identical deduplicated graph. The sidecar (per-run step counts for the
-// recoverable-wait-freedom bound) is intentionally outside the fingerprint,
-// matching the legacy dedup semantics where the first path to reach a state
+// covers — byte-for-byte the same prefix `engine::encode_node` produces. The
+// sidecar (per-run step counts for the recoverable-wait-freedom bound) is
+// intentionally outside the fingerprint: the first path to reach a state
 // fixes its step counts. The fingerprint is computed *during* encoding
 // (engine::FpStream): each record segment is absorbed right after it is
 // written, so the separate fingerprint sweep of the record is gone.
@@ -62,16 +58,27 @@
 
 #include "engine/cas_table.hpp"
 #include "engine/expand.hpp"
-#include "engine/visited.hpp"
 #include "util/hash.hpp"
 
 namespace rcons::engine {
 
-// Resolves which representation a run uses, shared by both explorers:
-// kAuto picks compact iff every process supports decode(); kCompact asserts
-// that precondition; kLegacy always clones.
-bool resolve_compact_repr(sim::NodeRepr repr,
-                          const std::vector<sim::Process>& processes);
+// Picks shard_bits for a parallel run's store instead of a fixed default.
+// Two forces:
+//
+//   * contention — with T workers inserting concurrently we want enough
+//     shards that two unrelated inserts rarely meet on one table's atomics:
+//     at least 8×T shards (collision probability <= 1/8 per pair), rounded
+//     up to the next power of two;
+//   * occupancy — a state space of S states should not be spread over more
+//     than S/64 shards, or most shards sit empty and load stats (and cache
+//     locality) degrade.
+//
+// The occupancy cap wins when they conflict (tiny spaces finish before
+// contention matters). `expected_states` of 0 means unknown — only the
+// contention bound applies. A single worker always gets 0 bits (the
+// sequential layout; no concurrent inserts to spread). Result is clamped to
+// the supported [0, 16] range.
+int pick_shard_bits(int num_threads, std::uint64_t expected_states);
 
 // Sorts same-class per-process blocks of an encoded node into canonical
 // order. Built once per run from the symmetry declaration; copy one per
@@ -135,10 +142,6 @@ class NodeCodec {
   NodeCodec() = default;
   explicit NodeCodec(const std::vector<int>& symmetry_classes)
       : canonicalizer_(symmetry_classes) {}
-
-  // True when every process of `node` supports Process::decode — the
-  // precondition for the compact representation.
-  static bool decodable(const Node& node);
 
   struct Encoded {
     util::U128 fingerprint;
@@ -261,9 +264,19 @@ class NodeStore {
   // concurrent interns or reads.
   void reshard(int shard_bits, int num_arenas);
 
-  // Shard occupancy in the same shape ShardedVisited reports, so shard_bits
-  // tuning reads one format for either backend.
-  ShardedVisited::LoadStats load_stats() const;
+  // Shard occupancy for tuning shard_bits: total entries, the
+  // fullest/emptiest shard, and the imbalance ratio max/(total/shards)
+  // (1.0 = perfectly even). `duplicate_inserts` counts interns that found
+  // their key present; `rehashes` counts growth epochs across the shards.
+  struct LoadStats {
+    std::uint64_t total = 0;
+    std::uint64_t min_shard = 0;
+    std::uint64_t max_shard = 0;
+    double imbalance = 1.0;
+    std::uint64_t duplicate_inserts = 0;
+    std::uint64_t rehashes = 0;
+  };
+  LoadStats load_stats() const;
 
   // Quiescent iteration over every interned record for checkpointing:
   // `fn(fingerprint, payload, length)` where `payload` points at the record

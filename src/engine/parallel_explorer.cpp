@@ -34,10 +34,10 @@ constexpr std::size_t kMaxPopBatch = 128;
 
 // Per-worker recently-inserted fingerprint cache: direct-mapped, fixed size.
 // A hit proves the fingerprint is already interned (everything remembered
-// went through the store first), so the shard lock + table probe can be
-// skipped entirely. Duplicate successors cluster in time — siblings reaching
-// the same state, diamond interleavings — which is exactly what a small
-// recency cache captures.
+// went through the store first), so the table probe can be skipped
+// entirely. Duplicate successors cluster in time — siblings reaching the same
+// state, diamond interleavings — which is exactly what a small recency cache
+// captures.
 class DedupCache {
  public:
   DedupCache() : keys_(kEntries), valid_(kEntries, 0) {}
@@ -86,13 +86,9 @@ ParallelExplorer::ParallelExplorer(sim::Memory initial,
   shard_bits_ = config_.shard_bits >= 0 ? config_.shard_bits
                                         : pick_shard_bits(num_threads_, config_.visited_cap());
 
-  compact_ = resolve_compact_repr(config_.node_repr, initial_processes_);
   RCONS_ASSERT_MSG(config_.symmetry_classes.empty() ||
                        config_.symmetry_classes.size() == initial_processes_.size(),
                    "symmetry_classes must be empty or name every process");
-  RCONS_ASSERT_MSG(
-      (config_.checkpoint_path.empty() && config_.resume == nullptr) || compact_,
-      "checkpointing requires the compact node representation");
   RCONS_ASSERT_MSG(config_.sentinel_interval_ms >= 1,
                    "sentinel_interval_ms must be >= 1");
 }
@@ -343,196 +339,9 @@ void ParallelExplorer::flush_worker_obs(std::size_t lane, WorkerStats& last_flus
   last_flushed = local;
 }
 
-void ParallelExplorer::worker_legacy(int id, Frontier& frontier,
-                                     ShardedVisited& visited, PathArena& arena,
-                                     std::atomic<std::uint64_t>& pending,
-                                     WorkerStats& local) {
-  // Per-worker reusable buffers: the popped batch, the successor batch under
-  // construction, event/encode scratch, and the recently-inserted cache. The
-  // only per-successor allocations left are the Node clones inherent to the
-  // legacy representation.
-  std::vector<Event> events;
-  std::vector<typesys::Value> scratch;
-  std::vector<WorkItem> batch;
-  std::vector<WorkItem> successors;
-  DedupCache cache;
-
-  // Observability: metrics flush at batch boundaries (obs_cells_ inactive =
-  // one predicted branch per batch), spans on the tracer's worker lane.
-  obs::Tracer* const tracer = config_.obs.tracer;
-  const std::size_t obs_lane = 1 + static_cast<std::size_t>(id);
-  const std::size_t trace_lane = tracer != nullptr ? tracer->worker_lane(id) : 0;
-  if (tracer != nullptr) {
-    tracer->set_lane_name(trace_lane, "worker-" + std::to_string(id));
-  }
-  WorkerStats flushed;
-  const std::uint64_t worker_begin = tracer != nullptr ? tracer->now_us() : 0;
-  std::uint64_t batch_begin = 0;
-  std::size_t pop_batch = kInitPopBatch;
-  std::uint64_t steal_mark = frontier.failed_steals();
-  Heartbeat& heartbeat = heartbeats_[static_cast<std::size_t>(id)];
-  std::uint64_t beats = 0;
-  FaultPlan* const fault = config_.fault;
-
-  // Any allocation failure — a fault-injected one or a real bad_alloc out of
-  // table/deque/arena growth — lands here and becomes the typed
-  // StopReason::kMemory truncated verdict; it never escapes the worker.
-  try {
-    for (;;) {
-      heartbeat.beats.store(++beats, std::memory_order_relaxed);
-      if (batch.empty()) {
-        // Cooperative stop: exit immediately. Queued work stays queued (and
-        // pending-counted), so a checkpoint taken after the join still sees
-        // every outstanding item; every worker leaves through this check, so
-        // pending never reaching 0 cannot hang anyone.
-        if (stop_.load(std::memory_order_relaxed)) break;
-        if (pause_flag_.load(std::memory_order_relaxed)) {
-          worker_pause_point();
-          continue;
-        }
-        if (obs_cells_.active) {
-          flush_worker_obs(obs_lane, flushed, local,
-                           pending.load(std::memory_order_relaxed));
-        }
-        // Adapt the batch size to observed steal pressure before popping.
-        const std::uint64_t failed = frontier.failed_steals();
-        if (failed != steal_mark) {
-          steal_mark = failed;
-          pop_batch = pop_batch / 2 < kMinPopBatch ? kMinPopBatch : pop_batch / 2;
-        }
-        const std::uint64_t pop_begin = tracer != nullptr ? tracer->now_us() : 0;
-        bool stole = false;
-        const std::size_t got = frontier.pop_batch(id, batch, pop_batch, &stole);
-        if (got == 0) {
-          // pending counts items queued, locally buffered, or mid-expansion;
-          // 0 means fully drained.
-          if (pending.load(std::memory_order_acquire) == 0) break;
-          std::this_thread::yield();
-          continue;
-        }
-        if (fault != nullptr &&
-            fault->hit(FaultPlan::Site::kBatch) == FaultPlan::Action::kStop) {
-          request_stop(sim::StopReason::kForcedStop);
-        }
-        if (!stole && got == pop_batch && pop_batch < kMaxPopBatch) {
-          pop_batch *= 2;  // local deque runs deep, nobody is starving
-        }
-        if (tracer != nullptr) {
-          batch_begin = tracer->now_us();
-          if (stole) tracer->complete(trace_lane, "steal", pop_begin, batch_begin);
-        }
-      } else if (stop_.load(std::memory_order_relaxed) ||
-                 pause_flag_.load(std::memory_order_relaxed)) {
-        // Hand the unprocessed remainder back (still pending-counted) so a
-        // pause or post-stop checkpoint sees every outstanding item; the
-        // next iteration parks or exits.
-        frontier.push_batch(id, batch);
-        batch.clear();
-        continue;
-      }
-      WorkItem item = std::move(batch.back());
-      batch.pop_back();
-
-      enumerate_events(item.node, config_, events);
-      if (is_terminal(item.node)) local.terminal_states += 1;
-      successors.clear();
-      bool incomplete = false;
-
-      for (const Event& event : events) {
-        if (stop_.load(std::memory_order_relaxed)) {
-          incomplete = true;
-          break;
-        }
-        local.transitions += 1;
-        Node child = item.node;
-        if (auto broken = apply_event(child, event, config_)) {
-          local.violation_edges += 1;
-          std::vector<Event> path = materialize_path(item.tail);
-          path.push_back(event);
-          offer_violation(std::move(path), std::move(*broken));
-          continue;  // a violating edge is never expanded further
-        }
-        if (child.decisions.size() > item.node.decisions.size()) local.decisions += 1;
-        const util::U128 key = fingerprint(child, scratch);
-        local.cache_probes += 1;
-        if (cache.seen(key)) {
-          local.cache_hits += 1;
-          local.duplicates += 1;
-          continue;
-        }
-        if (!visited.insert(key, &local.ops)) {
-          cache.remember(key);
-          local.duplicates += 1;
-          continue;
-        }
-        cache.remember(key);
-
-        const std::uint64_t count =
-            visited_count_.fetch_add(1, std::memory_order_relaxed) + 1;
-        local.visited += 1;
-        if (count > config_.visited_cap()) {
-          record_truncation(item.tail, event);
-          incomplete = true;
-          break;
-        }
-        successors.push_back(WorkItem{std::move(child), arena.add(event, item.tail)});
-        local.allocations_avoided += 2;  // inline frontier item + arena link
-      }
-
-      if (!successors.empty()) {
-        local.batches += 1;
-        local.batched_items += successors.size();
-        if (obs_cells_.active) {
-          obs_cells_.batch_size->record(obs_lane, successors.size());
-        }
-        pending.fetch_add(successors.size(), std::memory_order_release);
-        frontier.push_batch(id, successors);
-        successors.clear();
-      }
-      if (incomplete) {
-        // A stop interrupted this expansion: re-queue the item WITHOUT
-        // releasing its pending slot. A resumed run re-expands it and the
-        // already-inserted successors dedup away, so nothing is lost and
-        // visited counts stay exact.
-        frontier.push(id, std::move(item));
-      } else {
-        pending.fetch_sub(1, std::memory_order_release);
-      }
-      if (tracer != nullptr && batch.empty()) {
-        tracer->complete(trace_lane, "expand_batch", batch_begin, tracer->now_us());
-      }
-    }
-  } catch (const std::bad_alloc&) {
-    // An allocation failed mid-event (real exhaustion or an injected alloc
-    // fault): the in-flight event was already tallied as a transition but its
-    // classification never completed. Drop the half-counted transition so
-    // the conservation law stays exact at the flush/exit DCHECK below — the
-    // run is truncated (kMemory) either way, and an unclassified transition
-    // would overstate the explored edge count.
-    // (The deviation is the one unclassified event, or — in the compact
-    // worker — orbit skips recorded by an interrupted expansion before their
-    // transition credit landed; reconciling to the classified sum restores
-    // the law in both directions.)
-    local.transitions =
-        local.visited + local.duplicates + local.violation_edges + local.orbit_skipped;
-    request_stop(sim::StopReason::kMemory);
-  }
-
-  dcheck_transitions_identity(local);  // holds even when obs flushing is off
-  if (obs_cells_.active) {
-    flush_worker_obs(obs_lane, flushed, local,
-                     pending.load(std::memory_order_relaxed));
-  }
-  if (tracer != nullptr) {
-    tracer->complete(trace_lane, "worker", worker_begin, tracer->now_us());
-  }
-  worker_exit(id);
-}
-
-void ParallelExplorer::worker_compact(int id, CompactFrontier& frontier,
-                                      NodeStore& store, PathArena& arena,
-                                      std::atomic<std::uint64_t>& pending,
-                                      WorkerStats& local) {
+void ParallelExplorer::worker(int id, CompactFrontier& frontier, NodeStore& store,
+                              PathArena& arena, std::atomic<std::uint64_t>& pending,
+                              WorkerStats& local) {
   // Per-worker reusable state: one scratch node (restored from the parent's
   // record between successors — no Node copies), the record/event buffers,
   // the orbit mask, the popped and successor batches, and the
@@ -736,10 +545,10 @@ void ParallelExplorer::worker_compact(int id, CompactFrontier& frontier,
     // the conservation law stays exact at the flush/exit DCHECK below — the
     // run is truncated (kMemory) either way, and an unclassified transition
     // would overstate the explored edge count.
-    // (The deviation is the one unclassified event, or — in the compact
-    // worker — orbit skips recorded by an interrupted expansion before their
-    // transition credit landed; reconciling to the classified sum restores
-    // the law in both directions.)
+    // (The deviation is the one unclassified event, or orbit skips recorded
+    // by an interrupted expansion before their transition credit landed;
+    // reconciling to the classified sum restores the law in both
+    // directions.)
     local.transitions =
         local.visited + local.duplicates + local.violation_edges + local.orbit_skipped;
     request_stop(sim::StopReason::kMemory);
@@ -758,17 +567,16 @@ void ParallelExplorer::worker_compact(int id, CompactFrontier& frontier,
 
 std::optional<sim::Violation> ParallelExplorer::run() {
   reset_run();
-  return compact_ ? run_compact(nullptr) : run_legacy();
+  return explore(nullptr);
 }
 
 std::optional<sim::Violation> ParallelExplorer::run(ProbeHandoff handoff) {
-  RCONS_ASSERT_MSG(compact_, "a probe handoff needs the compact node representation");
   RCONS_ASSERT_MSG(config_.checkpoint_path.empty() && config_.resume == nullptr,
                    "a probe handoff cannot be combined with checkpoint or resume");
   RCONS_ASSERT_MSG(handoff.store != nullptr && !handoff.frontier.empty(),
                    "a probe handoff carries its store and deferred states");
   reset_run();
-  return run_compact(&handoff);
+  return explore(&handoff);
 }
 
 void ParallelExplorer::reset_run() {
@@ -846,46 +654,7 @@ void ParallelExplorer::seed_from_probe(ProbeHandoff& handoff, CompactFrontier& f
   }
 }
 
-std::optional<sim::Violation> ParallelExplorer::run_legacy() {
-  Frontier frontier(num_threads_);
-  ShardedVisited visited(shard_bits_);
-  std::vector<PathArena> arenas(static_cast<std::size_t>(num_threads_));
-  std::atomic<std::uint64_t> pending{0};
-
-  {
-    WorkItem root;
-    root.node = make_root(initial_memory_, initial_processes_, config_.properties);
-    std::vector<typesys::Value> scratch;
-    visited.insert(fingerprint(root.node, scratch));
-    pending.fetch_add(1, std::memory_order_release);
-    frontier.push(0, std::move(root));
-  }
-
-  std::vector<WorkerStats> worker_stats(static_cast<std::size_t>(num_threads_));
-  std::thread monitor;
-  if (monitor_needed()) {
-    // The legacy representation supports the sentinels and the watchdog but
-    // not checkpoints (the ctor rejects that combination).
-    monitor = std::thread([this] { monitor_loop(std::function<bool()>{}); });
-  }
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(num_threads_));
-  for (int id = 0; id < num_threads_; ++id) {
-    threads.emplace_back(
-        [this, id, &frontier, &visited, &arenas, &pending, &worker_stats] {
-          worker_legacy(id, frontier, visited, arenas[static_cast<std::size_t>(id)],
-                        pending, worker_stats[static_cast<std::size_t>(id)]);
-        });
-  }
-  for (std::thread& thread : threads) thread.join();
-  stop_monitor(monitor);
-
-  visited_stats_ = visited.load_stats();
-  frontier_stats_ = frontier.stats();
-  return finish(worker_stats);
-}
-
-std::optional<sim::Violation> ParallelExplorer::run_compact(ProbeHandoff* handoff) {
+std::optional<sim::Violation> ParallelExplorer::explore(ProbeHandoff* handoff) {
   CompactFrontier frontier(num_threads_);
   const std::unique_ptr<NodeStore> owned_store =
       handoff != nullptr ? std::move(handoff->store)
@@ -1064,8 +833,8 @@ std::optional<sim::Violation> ParallelExplorer::run_compact(ProbeHandoff* handof
   for (int id = 0; id < num_threads_; ++id) {
     threads.emplace_back(
         [this, id, &frontier, &store, &arenas, &pending, &worker_stats] {
-          worker_compact(id, frontier, store, arenas[static_cast<std::size_t>(id)],
-                         pending, worker_stats[static_cast<std::size_t>(id)]);
+          worker(id, frontier, store, arenas[static_cast<std::size_t>(id)], pending,
+                 worker_stats[static_cast<std::size_t>(id)]);
         });
   }
   for (std::thread& thread : threads) thread.join();
@@ -1083,7 +852,6 @@ std::optional<sim::Violation> ParallelExplorer::run_compact(ProbeHandoff* handof
   }
 
   const NodeStore::Stats store_stats = store.stats();
-  stats_.compact = true;
   stats_.store.nodes = store_stats.nodes;
   stats_.store.value_bytes = store_stats.value_bytes;
   stats_.store.encodes = fresh_encodes;

@@ -25,18 +25,13 @@
 // duplicate probes before touching the shared tables at all.
 // ExplorerStats::hot counts the work saved and the contention observed.
 //
-// Two node representations share this driver (sim::NodeRepr selects):
-//
-//   * compact (default when every process is decodable) — nodes are interned
-//     value records in a sharded NodeStore arena; frontier items carry ids,
-//     and each worker decodes into reusable scratch nodes instead of cloning
-//     Memory + N Process objects per successor (engine/node_store.hpp);
-//   * legacy — the original clone-based WorkItems deduplicated through a
-//     fingerprint-only ShardedVisited set.
-//
-// Both explore the identical deduplicated graph
-// (tests/engine/differential_test.cpp); the compact path additionally
-// supports symmetry reduction via ExplorerConfig::symmetry_classes.
+// Nodes are interned value records in a sharded NodeStore, which is also the
+// visited set; frontier items carry views of those records, and each worker
+// decodes into a reusable scratch node instead of cloning Memory + N Process
+// objects per successor (engine/node_store.hpp). A symmetry declaration
+// (ExplorerConfig::symmetry_classes) makes the fingerprints canonical.
+// tests/engine/differential_test.cpp checks both drivers against a naive
+// reference explorer.
 //
 // Unlike the sequential explorer, which stops at the first violation its DFS
 // meets, the parallel engine keeps exploring until the frontier drains (or
@@ -63,7 +58,6 @@
 #include "engine/node_store.hpp"
 #include "engine/obs_cells.hpp"
 #include "engine/path_arena.hpp"
-#include "engine/visited.hpp"
 #include "sim/explorer_config.hpp"
 #include "sim/memory.hpp"
 #include "sim/process.hpp"
@@ -93,23 +87,17 @@ class ParallelExplorer {
   // arena path from the root, so violation traces stay full replayable
   // schedules), starts every counter from the probe's totals, and keeps its
   // violation candidate unless a lower trace turns up. Verdicts and counts
-  // equal a run from the root. Requires the compact representation and no
-  // checkpoint or resume.
+  // equal a run from the root. Requires no checkpoint or resume.
   std::optional<sim::Violation> run(ProbeHandoff handoff);
 
   const sim::ExplorerStats& stats() const { return stats_; }
 
-  // Store/visited-set shard occupancy and frontier steal/batch counts of the
-  // last run() (whichever representation ran fills visited_stats()).
-  const ShardedVisited::LoadStats& visited_stats() const { return visited_stats_; }
-  const Frontier::Stats& frontier_stats() const { return frontier_stats_; }
+  // Store shard occupancy and frontier steal/batch counts of the last run().
+  const NodeStore::LoadStats& visited_stats() const { return visited_stats_; }
+  const CompactFrontier::Stats& frontier_stats() const { return frontier_stats_; }
 
   int num_threads() const { return num_threads_; }
   int shard_bits() const { return shard_bits_; }
-
-  // Whether run() uses the compact interned representation (resolved from
-  // config.node_repr and the processes' decode support).
-  bool compact() const { return compact_; }
 
   // Public (not private) so the contract test can violate it on purpose and
   // watch the DCHECK fire under -DRCONS_FORCE_DCHECK=ON.
@@ -142,7 +130,7 @@ class ParallelExplorer {
   // Per-worker conservation law: every counted transition is classified
   // exactly once — it discovered a new state (visited), hit a duplicate, was
   // a violating edge (never expanded further), or was skipped whole by orbit
-  // reduction. Both worker loops restore this identity at every obs-flush
+  // reduction. The worker loop restores this identity at every obs-flush
   // boundary and at worker exit; drift means a classification branch was
   // added without its tally (or a tally without its transition).
   static void dcheck_transitions_identity(const WorkerStats& w) {
@@ -154,9 +142,8 @@ class ParallelExplorer {
 
  private:
   void reset_run();
-  std::optional<sim::Violation> run_legacy();
   // `handoff` is null for a run from the root (or a resume).
-  std::optional<sim::Violation> run_compact(ProbeHandoff* handoff);
+  std::optional<sim::Violation> explore(ProbeHandoff* handoff);
   // Seeds the frontier, counters and violation candidate from a probe.
   void seed_from_probe(ProbeHandoff& handoff, CompactFrontier& frontier,
                        PathArena& arena, std::atomic<std::uint64_t>& pending);
@@ -202,13 +189,8 @@ class ParallelExplorer {
   void flush_worker_obs(std::size_t lane, WorkerStats& last_flushed,
                         const WorkerStats& local, std::uint64_t pending_now);
 
-  void worker_legacy(int id, Frontier& frontier, ShardedVisited& visited,
-                     PathArena& arena, std::atomic<std::uint64_t>& pending,
-                     WorkerStats& local);
-
-  void worker_compact(int id, CompactFrontier& frontier, NodeStore& store,
-                      PathArena& arena, std::atomic<std::uint64_t>& pending,
-                      WorkerStats& local);
+  void worker(int id, CompactFrontier& frontier, NodeStore& store, PathArena& arena,
+              std::atomic<std::uint64_t>& pending, WorkerStats& local);
 
   void offer_violation(std::vector<Event> path, sim::PropertyViolation broken);
   void record_truncation(const PathLink* tail, const Event& event);
@@ -219,11 +201,10 @@ class ParallelExplorer {
   ParallelExplorerConfig config_;
   int num_threads_;
   int shard_bits_;
-  bool compact_;
 
   sim::ExplorerStats stats_;
-  ShardedVisited::LoadStats visited_stats_;
-  Frontier::Stats frontier_stats_;
+  NodeStore::LoadStats visited_stats_;
+  CompactFrontier::Stats frontier_stats_;
 
   // Resolved metric handles for this run (inactive when config_.obs.metrics
   // is null). Resolved once in run(); workers only touch lane-private cells.

@@ -21,7 +21,7 @@
 // and hence cannot solve 3-process consensus this way at all).
 //
 // Processes run StagedProgram chains of length <= 1 (rc/staged.hpp), so the
-// whole system is decodable and the staged symmetry declaration applies.
+// staged symmetry declaration applies.
 #ifndef RCONS_RC_K_SET_HPP
 #define RCONS_RC_K_SET_HPP
 

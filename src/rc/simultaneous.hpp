@@ -145,9 +145,7 @@ class SimultaneousRCProgram {
   // Inverse of encode(). A running inner is rebuilt exactly as step()'s
   // kInner case constructs it (pref_ is unchanged while an inner runs) and
   // then decodes its own state.
-  std::size_t decode(const typesys::Value* data, std::size_t size)
-    requires sim::DecodableProgram<InnerProgram>
-  {
+  std::size_t decode(const typesys::Value* data, std::size_t size) {
     RCONS_ASSERT_MSG(size >= 5, "truncated SimultaneousRCProgram encoding");
     pc_ = static_cast<int>(data[0]);
     round_ = data[1];

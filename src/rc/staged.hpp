@@ -74,9 +74,7 @@ class StagedProgram {
   // Inverse of encode(). A running inner is rebuilt from its stage exactly
   // as step() constructs it (value_ is unchanged while an inner runs, so the
   // reconstruction sees the same input) and then decodes its own state.
-  std::size_t decode(const typesys::Value* data, std::size_t size)
-    requires sim::DecodableProgram<InnerProgram>
-  {
+  std::size_t decode(const typesys::Value* data, std::size_t size) {
     RCONS_ASSERT_MSG(size >= 3, "truncated StagedProgram encoding");
     stage_index_ = static_cast<std::size_t>(data[0]);
     value_ = data[1];

@@ -35,27 +35,14 @@ Explorer::Explorer(Memory initial, std::vector<Process> processes, ExplorerConfi
   RCONS_ASSERT_MSG(config_.symmetry_classes.empty() ||
                        config_.symmetry_classes.size() == initial_processes_.size(),
                    "symmetry_classes must be empty or name every process");
-  compact_ = engine::resolve_compact_repr(config_.node_repr, initial_processes_);
 }
-
-namespace {
-
-void fill_probe_stats(ExplorerStats& stats, const engine::FlatTable::Stats& probes) {
-  stats.hot.probe_total = probes.probe_total;
-  stats.hot.probe_ops = probes.probe_ops;
-  stats.hot.max_probe = probes.max_probe;
-  stats.hot.rehashes = probes.rehashes;
-}
-
-}  // namespace
 
 std::optional<Violation> Explorer::run(engine::ProbeHandoff* handoff) {
   stats_ = ExplorerStats{};
-  visited_ = engine::FlatTable();
   path_.clear();
   table_ops_ = engine::CasTable::OpStats{};
   draining_ = false;
-  handoff_ = compact_ ? handoff : nullptr;  // clone-based nodes cannot hand off
+  handoff_ = handoff;
 
   obs_cells_ = engine::ObsCells::resolve(config_.obs.metrics);
   obs_flushed_ = engine::ObsDeltas{};
@@ -79,15 +66,7 @@ std::optional<Violation> Explorer::run(engine::ProbeHandoff* handoff) {
 
   std::optional<Violation> result;
   try {
-    if (compact_) {
-      result = run_compact();
-    } else {
-      engine::Node root =
-          engine::make_root(initial_memory_, initial_processes_, config_.properties);
-      insert_visited(root);
-      result = dfs(root);
-      fill_probe_stats(stats_, visited_.stats());
-    }
+    result = explore();
   } catch (const std::bad_alloc&) {
     // An allocation failure becomes the typed truncated verdict with whatever
     // partial stats accumulated — never an abort.
@@ -144,10 +123,6 @@ void Explorer::flush_obs() {
   obs_last_flush_transitions_ = stats_.transitions;
 }
 
-bool Explorer::insert_visited(const engine::Node& node) {
-  return visited_.insert(engine::fingerprint(node, scratch_), 0).inserted;
-}
-
 std::optional<Violation> Explorer::poll_limits() {
   if (deadline_ms_ == 0 && rss_cap_bytes_ == 0) return std::nullopt;
   if (stats_.transitions < next_limit_poll_) return std::nullopt;
@@ -175,59 +150,7 @@ std::optional<Violation> Explorer::poll_limits() {
   return std::nullopt;
 }
 
-std::optional<Violation> Explorer::dfs(const engine::Node& node) {
-  // Depth-indexed scratch: one event buffer per recursion level, reused
-  // across siblings so expansion does not allocate per node.
-  const std::size_t depth = path_.size();
-  while (events_pool_.size() <= depth) events_pool_.emplace_back();
-  std::vector<engine::Event>& events = events_pool_[depth];
-  engine::enumerate_events(node, config_, events);
-  if (engine::is_terminal(node)) stats_.terminal_states += 1;
-
-  for (const engine::Event& event : events) {
-    engine::Node child = node;
-    path_.push_back(event);
-    stats_.transitions += 1;
-    if (obs_cells_.active &&
-        stats_.transitions - obs_last_flush_transitions_ >= kObsFlushTransitions) {
-      flush_obs();
-    }
-    if (auto truncated = poll_limits()) {
-      path_.pop_back();
-      return truncated;
-    }
-    if (auto broken = engine::apply_event(child, event, config_)) {
-      obs_violation_edges_ += 1;
-      Violation violation{std::move(broken->description), broken->property,
-                          broken->param, path_};
-      path_.pop_back();
-      return violation;
-    }
-    if (child.decisions.size() > node.decisions.size()) stats_.decisions += 1;
-    if (insert_visited(child)) {
-      stats_.visited += 1;
-      if (stats_.visited > config_.visited_cap()) {
-        stats_.truncated = true;
-        stats_.stop_reason = StopReason::kVisitedCap;
-        Violation violation{"state space exceeded max_visited; verdict incomplete",
-                            PropertyKind::kNone, 0, path_};
-        path_.pop_back();
-        return violation;
-      }
-      if (auto violation = dfs(child)) {
-        path_.pop_back();
-        return violation;
-      }
-    } else {
-      obs_duplicates_ += 1;
-    }
-    path_.pop_back();
-  }
-
-  return std::nullopt;
-}
-
-std::optional<Violation> Explorer::run_compact() {
+std::optional<Violation> Explorer::explore() {
   // Single shard, single arena: the sequential traversal has no concurrent
   // inserters (the lock-free table degenerates to plain probes).
   store_ = std::make_unique<engine::NodeStore>(0);
@@ -245,9 +168,8 @@ std::optional<Violation> Explorer::run_compact() {
   obs_store_nodes_ += 1;
   obs_store_bytes_ += static_cast<std::uint64_t>(root.length) * sizeof(typesys::Value);
 
-  std::optional<Violation> result = dfs_compact(root.record, root.length);
+  std::optional<Violation> result = dfs(root.record, root.length);
 
-  stats_.compact = true;
   const engine::NodeStore::Stats store_stats = store_->stats();
   stats_.store.nodes = store_stats.nodes;
   stats_.store.value_bytes = store_stats.value_bytes;
@@ -271,15 +193,14 @@ std::optional<Violation> Explorer::run_compact() {
   return result;
 }
 
-std::optional<Violation> Explorer::dfs_compact(const typesys::Value* record,
-                                               std::size_t size) {
-  // Same traversal as dfs(), but the parent is its interned record, read in
-  // place from the store arena — no Memory/Process clones, no per-depth
-  // record copies. Between successors the one scratch node diverges from the
-  // record only where the previous event touched it, so restore() refills
-  // just that (one program decode per successor instead of n), and
-  // per-process successors patch-encode by copying the n-1 unchanged blocks
-  // from the parent record.
+std::optional<Violation> Explorer::dfs(const typesys::Value* record,
+                                       std::size_t size) {
+  // The parent is its interned record, read in place from the store arena —
+  // no Memory/Process clones, no per-depth record copies. Between successors
+  // the one scratch node diverges from the record only where the previous
+  // event touched it, so restore() refills just that (one program decode per
+  // successor instead of n), and per-process successors patch-encode by
+  // copying the n-1 unchanged blocks from the parent record.
   const std::size_t depth = path_.size();
   while (events_pool_.size() <= depth) events_pool_.emplace_back();
   std::vector<engine::Event>& events = events_pool_[depth];
@@ -369,7 +290,7 @@ std::optional<Violation> Explorer::dfs_compact(const typesys::Value* record,
         }
         handoff_->frontier.push_back({interned.record, interned.length, path_});
       } else {
-        if (auto violation = dfs_compact(interned.record, interned.length)) {
+        if (auto violation = dfs(interned.record, interned.length)) {
           path_.pop_back();
           return violation;
         }

@@ -16,13 +16,11 @@
 // tractable; dedup keys are 128-bit hashes of the canonical encoding, making
 // a pruning collision astronomically unlikely (documented trade-off).
 //
-// Two node representations share the depth-first traversal (NodeRepr in
-// sim/explorer_config.hpp selects): the compact path interns each state's
-// encoding once in an engine::NodeStore and re-decodes into a reusable
-// scratch node per successor, while the legacy path clones the full Node.
-// Both visit the identical deduplicated graph; the compact path additionally
-// honours ExplorerConfig::symmetry_classes (canonical fingerprints — see
-// engine/node_store.hpp).
+// Each state's encoding is interned once in an engine::NodeStore (which is
+// also the visited set), and the traversal re-decodes one reusable scratch
+// node per successor instead of cloning it. A symmetry declaration
+// (ExplorerConfig::symmetry_classes) makes the fingerprints canonical — see
+// engine/node_store.hpp.
 //
 // This is the single-threaded traversal; node expansion, property checking,
 // and fingerprinting are shared with the multi-threaded
@@ -38,7 +36,6 @@
 #include <vector>
 
 #include "engine/expand.hpp"
-#include "engine/flat_table.hpp"
 #include "engine/handoff.hpp"
 #include "engine/node_store.hpp"
 #include "engine/obs_cells.hpp"
@@ -60,49 +57,34 @@ class Explorer {
   // visited cap finishes the DFS stack and hands the store, the deferred
   // states and any violation candidate over through `handoff` for
   // engine::ParallelExplorer to continue. Any other outcome leaves
-  // handoff->store null, as does the legacy representation, which cannot
-  // hand off.
+  // handoff->store null.
   std::optional<Violation> run(engine::ProbeHandoff* handoff = nullptr);
 
   const ExplorerStats& stats() const { return stats_; }
 
-  // Whether run() uses the compact interned representation (resolved from
-  // config.node_repr and the processes' decode support).
-  bool compact() const { return compact_; }
-
  private:
-  std::optional<Violation> dfs(const engine::Node& node);
-  bool insert_visited(const engine::Node& node);
-
   // Resource sentinels, polled inline every kLimitPollTransitions transitions
   // (the sequential explorer has no monitor thread). Returns the typed
   // truncated verdict when a limit tripped; the hot path with no limits set
   // never touches a clock.
   std::optional<Violation> poll_limits();
 
-  std::optional<Violation> run_compact();
-  std::optional<Violation> dfs_compact(const typesys::Value* record,
-                                       std::size_t size);
+  std::optional<Violation> explore();
+  std::optional<Violation> dfs(const typesys::Value* record, std::size_t size);
 
   Memory initial_memory_;
   std::vector<Process> initial_processes_;
   ExplorerConfig config_;
-  bool compact_ = false;
   ExplorerStats stats_;
-  // Legacy-path visited set: the same flat open-addressing table the engine
-  // shards (engine/flat_table.hpp) — no per-insert node allocation.
-  engine::FlatTable visited_;
   std::vector<engine::Event> path_;
   // Per-depth event buffers, reused across siblings. A deque because deeper
   // recursion grows it while shallower frames hold references into it, and
   // deque growth at the end never invalidates existing elements.
   std::deque<std::vector<engine::Event>> events_pool_;
-  std::vector<typesys::Value> scratch_;
 
-  // Compact-representation state (unused on the legacy path): the interning
-  // store, one decoded scratch node shared by every depth (restored from the
-  // parent's record between successors — see NodeCodec::restore), and the
-  // codec with its canonicalizer. Parent records are read in place from the
+  // The interning store, one decoded scratch node shared by every depth
+  // (restored from the parent's record between successors — see
+  // NodeCodec::restore), and the codec with its canonicalizer. Parent records are read in place from the
   // store arena (stable, immutable — NodeStore::Intern), so recursion holds
   // pointers instead of per-depth record copies. Probe/CAS work accumulates
   // caller-side in table_ops_ (the lock-free table keeps no shared tallies);
@@ -116,8 +98,8 @@ class Explorer {
   engine::CasTable::OpStats table_ops_;
   bool orbit_reduction_ = false;
 
-  // kAuto handoff (compact path only; null otherwise). Once the visited cap
-  // trips, draining_ stops recursion: the remaining events of every frame
+  // kAuto handoff (null when run() got none). Once the visited cap trips,
+  // draining_ stops recursion: the remaining events of every frame
   // still run, new states are deferred to handoff_->frontier, and violating
   // edges become candidates instead of ending the run.
   engine::ProbeHandoff* handoff_ = nullptr;

@@ -44,24 +44,12 @@ const char* stop_reason_name(StopReason reason);
 // rest of the shared budget in check/budget.hpp.
 using CrashModel = check::CrashModel;
 
-// How the explorers represent nodes internally (engine/node_store.hpp):
-//   kAuto    — compact interned encodings when every process is decodable,
-//              clone-based nodes otherwise (the pre-node-store behaviour).
-//   kCompact — force the interned representation; asserts if any process
-//              lacks decode() support.
-//   kLegacy  — force clone-based nodes (differential testing / debugging).
-// Both representations explore the identical deduplicated graph;
-// tests/engine/differential_test.cpp pins this.
-enum class NodeRepr { kAuto, kCompact, kLegacy };
-
 struct ExplorerConfig : check::Budget {
   // What counts as a correct outcome (sim/properties.hpp): the classic trio
   // by default. The validity set lives inside (properties.valid_outputs); the
   // wait-freedom property inherits Budget::max_steps_per_run unless it
   // carries its own bound.
   PropertySet properties;
-
-  NodeRepr node_repr = NodeRepr::kAuto;
 
   // Symmetry declaration: symmetry_classes[i] is the equivalence class of
   // process i, where processes in the same class run *identical* programs
@@ -97,7 +85,7 @@ struct ExplorerConfig : check::Budget {
   // 0 disables the watchdog.
   int watchdog_stall_intervals = 0;
 
-  // Durable checkpoints (parallel engine, compact representation only):
+  // Durable checkpoints (parallel engine only):
   // when checkpoint_path is non-empty the run writes a final checkpoint at
   // exit, plus an intermediate one each time `checkpoint_every` further
   // states have been visited (0 = final only). `resume`, when non-null,
@@ -135,8 +123,7 @@ struct Violation {
   std::string trace() const;
 };
 
-// Statistics of the compact interned node store (engine/node_store.hpp).
-// All-zero when the run used the clone-based legacy representation.
+// Statistics of the interned node store (engine/node_store.hpp).
 struct NodeStoreStats {
   std::uint64_t nodes = 0;        // unique states interned (incl. the root)
   std::uint64_t value_bytes = 0;  // arena payload bytes across all records
@@ -155,10 +142,10 @@ struct NodeStoreStats {
 };
 
 // Per-state cost counters of the batched, allocation-free hot path
-// (engine/frontier.hpp, engine/flat_table.hpp, engine/path_arena.hpp). The
+// (engine/frontier.hpp, engine/cas_table.hpp, engine/path_arena.hpp). The
 // parallel engine fills all of them; the sequential explorer fills the
-// probe-length counters (its dedup tables are the same flat open-addressing
-// tables) and leaves the frontier/arena/cache counters at zero.
+// probe-length and table counters (its store uses the same lock-free table)
+// and leaves the frontier/arena/cache counters at zero.
 struct HotPathStats {
   // Per-item heap allocations the pre-batching hot path would have made:
   // one `unique_ptr` wrapper per frontier item plus one `shared_ptr<PathLink>`
@@ -169,12 +156,12 @@ struct HotPathStats {
   std::uint64_t batched_items = 0;  // items across those batches
 
   // Per-worker recently-inserted fingerprint cache, consulted before the
-  // sharded store: a hit short-circuits the shard lock + probe entirely.
+  // sharded store: a hit short-circuits the table probe entirely.
   std::uint64_t dedup_cache_probes = 0;
   std::uint64_t dedup_cache_hits = 0;
 
-  // Probing across the visited/NodeStore dedup tables (legacy: FlatTable;
-  // compact/parallel: the lock-free CasTable, counted per worker).
+  // Probing across the NodeStore's lock-free CasTable index, counted per
+  // worker.
   std::uint64_t probe_total = 0;  // slots inspected
   std::uint64_t probe_ops = 0;    // operations that probed
   std::uint64_t max_probe = 0;    // longest single probe sequence
@@ -203,6 +190,15 @@ struct HotPathStats {
   }
 };
 
+// Run counters. `visited`, `transitions` and `terminal_states` do not depend
+// on traversal order: every driver and thread count reports the same figures
+// for a complete run. With a symmetry declaration, `decisions` and
+// `orbit_skipped` do. The sidecar step counts lie outside the fingerprint, so
+// the concrete state that first reaches an orbit fixes them, and with them
+// which sibling events the orbit mask skips (a skipped event counts no
+// decision). Measured on Sn(3) n=3 c=2 with
+// reduction (decisions/orbit_skipped): 1,541/873 under kSequentialDFS, and
+// 1,540/841 and 1,545/836 under kParallelBFS at 1 and 4 threads.
 struct ExplorerStats {
   std::uint64_t visited = 0;
   std::uint64_t transitions = 0;
@@ -226,7 +222,6 @@ struct ExplorerStats {
   // or every write was faulted away).
   std::uint64_t checkpoints_written = 0;
 
-  bool compact = false;  // ran on the interned node representation
   NodeStoreStats store;
   HotPathStats hot;
 };

@@ -8,32 +8,30 @@
 // paper's model wipes local memory including the program counter — is
 // modelled by reset() back to the initial invocation.
 //
-// Program concept:
+// Program concept (`Program` below):
 //   struct P {
 //     StepResult step(Memory& memory);            // one access per call
 //     void encode(std::vector<Value>& out) const; // canonical local state
-//     // optional — enables the engine's compact interned node representation:
 //     std::size_t decode(const Value* data, std::size_t size);
 //   };
 //
 // decode() is the inverse of encode(): it restores the current run's volatile
 // local state from the values encode() produced and returns how many values
 // it consumed (encodings are self-delimiting, so composed programs can chain
-// decodes). Programs that implement it are "decodable"; the explorers then
-// store nodes as interned value vectors and rebuild process state in place
-// instead of cloning type-erased programs on every expansion
-// (engine/node_store.hpp). Programs without decode() still work — the
-// explorers fall back to the clone-based representation.
+// decodes). The explorers store each state once as an interned value record
+// and rebuild process state from it in place instead of cloning type-erased
+// programs on every expansion (engine/node_store.hpp), so all three members
+// are required.
 #ifndef RCONS_SIM_PROCESS_HPP
 #define RCONS_SIM_PROCESS_HPP
 
 #include <concepts>
+#include <cstddef>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "sim/memory.hpp"
-#include "util/assert.hpp"
 
 namespace rcons::sim {
 
@@ -46,16 +44,18 @@ struct StepResult {
   static StepResult decided(typesys::Value value) { return {Kind::kDecided, value}; }
 };
 
-// Detects the optional decode() half of the program concept.
 template <typename P>
-concept DecodableProgram =
-    requires(P& program, const typesys::Value* data, std::size_t size) {
-      { program.decode(data, size) } -> std::same_as<std::size_t>;
-    };
+concept Program = requires(P& program, const P& const_program, Memory& memory,
+                           std::vector<typesys::Value>& out,
+                           const typesys::Value* data, std::size_t size) {
+  { program.step(memory) } -> std::convertible_to<StepResult>;
+  const_program.encode(out);
+  { program.decode(data, size) } -> std::same_as<std::size_t>;
+};
 
 class Process {
  public:
-  template <typename P>
+  template <Program P>
   explicit Process(P program)
       : initial_(std::make_unique<Model<P>>(program)),
         current_(std::make_unique<Model<P>>(std::move(program))) {}
@@ -85,11 +85,8 @@ class Process {
   // Canonical encoding of the current run's local state.
   void encode(std::vector<typesys::Value>& out) const { current_->encode(out); }
 
-  // Whether the underlying program supports decode() (see header comment).
-  bool decodable() const { return current_->decodable(); }
-
   // Restores the current run's local state from an encode() image, returning
-  // the number of values consumed. Asserts when the program is not decodable.
+  // the number of values consumed.
   std::size_t decode(const typesys::Value* data, std::size_t size) {
     return current_->decode(data, size);
   }
@@ -101,7 +98,6 @@ class Process {
     virtual void assign_from(const Concept& other) = 0;
     virtual StepResult step(Memory& memory) = 0;
     virtual void encode(std::vector<typesys::Value>& out) const = 0;
-    virtual bool decodable() const = 0;
     virtual std::size_t decode(const typesys::Value* data, std::size_t size) = 0;
   };
 
@@ -118,16 +114,8 @@ class Process {
     void encode(std::vector<typesys::Value>& out) const override {
       program.encode(out);
     }
-    bool decodable() const override { return DecodableProgram<P>; }
     std::size_t decode(const typesys::Value* data, std::size_t size) override {
-      if constexpr (DecodableProgram<P>) {
-        return program.decode(data, size);
-      } else {
-        (void)data;
-        (void)size;
-        RCONS_ASSERT_MSG(false, "program does not implement decode()");
-        return 0;
-      }
+      return program.decode(data, size);
     }
     P program;
   };

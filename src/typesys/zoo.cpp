@@ -1,5 +1,8 @@
 #include "typesys/zoo.hpp"
 
+#include <charconv>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "typesys/types/containers.hpp"
@@ -52,6 +55,29 @@ std::vector<ZooEntry> make_zoo(int family_n) {
   return zoo;
 }
 
+namespace {
+
+// The parameter of a family name like "Sn(5)": a plain decimal that fits an
+// int and is at least `min`. No sign, no spaces, no trailing characters.
+std::optional<int> family_parameter(std::string_view name, std::string_view prefix,
+                                    int min) {
+  if (!name.starts_with(prefix) || !name.ends_with(')')) return std::nullopt;
+  const std::string_view digits =
+      name.substr(prefix.size(), name.size() - prefix.size() - 1);
+  if (digits.empty() || digits.front() < '0' || digits.front() > '9') {
+    return std::nullopt;
+  }
+  int value = 0;
+  const auto [end, error] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), value);
+  if (error != std::errc() || end != digits.data() + digits.size() || value < min) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+}  // namespace
+
 std::unique_ptr<ObjectType> make_type(const std::string& name) {
   if (name == "register") return std::make_unique<RegisterType>();
   if (name == "counter") return std::make_unique<CounterType>();
@@ -66,12 +92,9 @@ std::unique_ptr<ObjectType> make_type(const std::string& name) {
   if (name == "readable-stack") return std::make_unique<StackType>(true);
   if (name == "queue") return std::make_unique<QueueType>(false);
   if (name == "readable-queue") return std::make_unique<QueueType>(true);
-  if (name.rfind("Tn(", 0) == 0 && name.back() == ')') {
-    return std::make_unique<TnType>(std::stoi(name.substr(3, name.size() - 4)));
-  }
-  if (name.rfind("Sn(", 0) == 0 && name.back() == ')') {
-    return std::make_unique<SnType>(std::stoi(name.substr(3, name.size() - 4)));
-  }
+  // T_n needs n >= 4 (Proposition 19), S_n needs n >= 2 (Proposition 21).
+  if (const auto k = family_parameter(name, "Tn(", 4)) return std::make_unique<TnType>(*k);
+  if (const auto k = family_parameter(name, "Sn(", 2)) return std::make_unique<SnType>(*k);
   return nullptr;
 }
 

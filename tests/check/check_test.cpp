@@ -7,38 +7,17 @@
 
 #include "rc/naive_register.hpp"
 #include "rc/team_consensus.hpp"
+#include "support/programs.hpp"
 #include "typesys/zoo.hpp"
 
 namespace rcons::check {
 namespace {
 
+using test::BrokenConsensus;
+using test::ConstantDecider;
+
 constexpr typesys::Value kInputA = 101;
 constexpr typesys::Value kInputB = 202;
-
-// Deliberately broken "consensus": write your input, decide what you read —
-// register non-solvability, so every exhaustive backend must find an
-// agreement violation even without crashes.
-struct BrokenConsensus {
-  sim::RegId reg = 0;
-  typesys::Value input = 0;
-  int pc = 0;
-
-  sim::StepResult step(sim::Memory& memory) {
-    if (pc == 0) {
-      memory.write(reg, input);
-      pc = 1;
-      return sim::StepResult::running();
-    }
-    return sim::StepResult::decided(memory.read(reg));
-  }
-  void encode(std::vector<typesys::Value>& out) const { out.push_back(pc); }
-};
-
-struct ConstantDecider {
-  typesys::Value value = 0;
-  sim::StepResult step(sim::Memory&) { return sim::StepResult::decided(value); }
-  void encode(std::vector<typesys::Value>& out) const { out.push_back(0); }
-};
 
 // Publishes 1 on its first step, then runs `steps` more before deciding 1.
 struct SlowWriter {
@@ -376,8 +355,8 @@ TEST(CheckTest, SystemPropertySetIsTheOneSourceOfValidity) {
 }
 
 TEST(CheckTest, ReportsNodeStoreStatsOnDecodableSystems) {
-  // Team-consensus programs decode, so exhaustive strategies run on the
-  // compact interned representation and the report carries store stats.
+  // Exhaustive strategies intern every state, and the report carries the
+  // store's stats.
   auto type = typesys::make_type("Sn(2)");
   rc::TeamConsensusSystem system =
       rc::make_team_consensus_system(*type, 2, kInputA, kInputB);
@@ -389,7 +368,6 @@ TEST(CheckTest, ReportsNodeStoreStatsOnDecodableSystems) {
   request.strategy = Strategy::kSequentialDFS;
   const CheckReport report = check(std::move(request));
   ASSERT_TRUE(report.clean);
-  EXPECT_TRUE(report.stats.compact);
   EXPECT_EQ(report.stats.store.nodes, report.stats.visited + 1);  // + root
   EXPECT_GT(report.stats.store.bytes_per_node(), 0.0);
   EXPECT_GT(report.stats.store.encodes, report.stats.visited);
@@ -418,22 +396,6 @@ TEST(CheckTest, SymmetryDeclarationShrinksVisitedSetThroughFacade) {
   ASSERT_TRUE(reduced.clean);
   EXPECT_LE(reduced.stats.visited, plain.stats.visited);
   EXPECT_GT(reduced.stats.store.canonical_hit_rate(), 0.0);
-}
-
-TEST(CheckTest, LegacyRepresentationStillWorksThroughFacade) {
-  // Programs without decode() (like this test's BrokenConsensus) fall back
-  // to clone-based nodes; forcing kLegacy on a decodable system works too.
-  CheckRequest request;
-  const sim::RegId reg = request.system.memory.add_register();
-  request.system.processes.emplace_back(BrokenConsensus{reg, 1, 0});
-  request.system.processes.emplace_back(BrokenConsensus{reg, 2, 0});
-  request.system.properties.valid_outputs = {1, 2};
-  request.budget.crash_budget = 0;
-  request.strategy = Strategy::kParallelBFS;
-  const CheckReport report = check(std::move(request));
-  ASSERT_FALSE(report.clean);
-  EXPECT_FALSE(report.stats.compact);
-  EXPECT_EQ(report.stats.store.nodes, 0u);
 }
 
 TEST(CheckTest, WallTimeIsReported) {

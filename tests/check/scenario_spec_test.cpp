@@ -52,11 +52,18 @@ TEST(ScenarioSpecTest, SkipsCommentsAndBlankLines) {
 }
 
 TEST(ScenarioSpecTest, RejectsUnknownTypeName) {
-  const ScenarioParse parse = parse_scenario_specs("type=Qn(7) n=2\n");
-  ASSERT_FALSE(parse.ok());
-  EXPECT_TRUE(parse.specs.empty());
-  EXPECT_NE(parse.errors.front().find("line 1"), std::string::npos);
-  EXPECT_NE(parse.errors.front().find("unknown type 'Qn(7)'"), std::string::npos);
+  // Besides names of no family, a family name whose parameter is not a plain
+  // decimal in the family's domain (Sn: k >= 2, Tn: k >= 4) that fits an int.
+  for (const std::string name :
+       {"Qn(7)", "Sn(1)", "Sn(-1)", "Tn(0)", "Tn(3)", "Sn()", "Sn(99999999999)",
+        "Sn(3x)", "Sn(+3)"}) {
+    const ScenarioParse parse = parse_scenario_specs("type=" + name + " n=2\n");
+    ASSERT_FALSE(parse.ok()) << name;
+    EXPECT_TRUE(parse.specs.empty()) << name;
+    EXPECT_NE(parse.errors.front().find("line 1"), std::string::npos) << name;
+    EXPECT_NE(parse.errors.front().find("unknown type '" + name + "'"), std::string::npos)
+        << name;
+  }
 }
 
 TEST(ScenarioSpecTest, RejectsMalformedFields) {

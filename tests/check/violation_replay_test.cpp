@@ -13,32 +13,15 @@
 #include "check/check.hpp"
 #include "rc/discerning_consensus.hpp"
 #include "sim/replay.hpp"
+#include "support/programs.hpp"
 #include "typesys/zoo.hpp"
 
 namespace rcons::check {
 namespace {
 
-struct BrokenConsensus {
-  sim::RegId reg = 0;
-  typesys::Value input = 0;
-  int pc = 0;
-
-  sim::StepResult step(sim::Memory& memory) {
-    if (pc == 0) {
-      memory.write(reg, input);
-      pc = 1;
-      return sim::StepResult::running();
-    }
-    return sim::StepResult::decided(memory.read(reg));
-  }
-  void encode(std::vector<typesys::Value>& out) const { out.push_back(pc); }
-};
-
-struct ConstantDecider {
-  typesys::Value value = 0;
-  sim::StepResult step(sim::Memory&) { return sim::StepResult::decided(value); }
-  void encode(std::vector<typesys::Value>& out) const { out.push_back(0); }
-};
+using test::BrokenConsensus;
+using test::ConstantDecider;
+using test::Looper;
 
 ScenarioSystem make_halting_tas_system() {
   auto type = typesys::make_type("test-and-set");
@@ -132,16 +115,6 @@ TEST(ViolationReplayTest, ValidityViolationRoundTripsWithValiditySet) {
 TEST(ViolationReplayTest, WaitFreedomViolationRoundTripsWithSameBudget) {
   // A program that never decides trips the per-run step bound; replaying its
   // schedule under the same budget must trip the same bound.
-  struct Looper {
-    sim::RegId reg = 0;
-    long count = 0;
-    sim::StepResult step(sim::Memory& memory) {
-      memory.write(reg, 1);
-      count += 1;
-      return sim::StepResult::running();
-    }
-    void encode(std::vector<typesys::Value>& out) const { out.push_back(count); }
-  };
   auto make_looper_system = [] {
     ScenarioSystem out;
     const sim::RegId reg = out.memory.add_register();

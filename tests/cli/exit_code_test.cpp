@@ -73,6 +73,10 @@ TEST(CliExitCodeTest, InvalidInputExitsTwo) {
   const std::string bad_spec = temp_path("bad.spec");
   write_file(bad_spec, "type=NoSuchType n=2\n");
   EXPECT_EQ(run_cli(bad_spec, "badspec").exit_code, 2);
+  // Family names outside their domain are unknown types, not aborts.
+  const std::string bad_family = temp_path("badfamily.spec");
+  write_file(bad_family, "type=Sn(1) n=2 budget=1\n");
+  EXPECT_EQ(run_cli(bad_family, "badfamily").exit_code, 2);
   EXPECT_EQ(run_cli("--no-such-flag", "badflag").exit_code, 2);
   const std::string spec = temp_path("ok.spec");
   write_file(spec, "type=Sn(2) n=2 budget=2\n");

@@ -201,35 +201,5 @@ TEST(DeterminismStressTest, SymmetryReductionIsDeterministicAcrossThreadCounts) 
   }
 }
 
-TEST(DeterminismStressTest, LegacyRepresentationIsDeterministicToo) {
-  // The clone-based path shares the batched frontier and arena links; pin its
-  // determinism on the register race (decodable or not, NodeRepr::kLegacy
-  // forces it).
-  const auto cases = corpus_cases();
-  for (const CorpusCase& corpus_case : cases) {
-    if (corpus_case.name.find("register") == std::string::npos) continue;
-    SCOPED_TRACE(corpus_case.name);
-    std::optional<sim::Violation> first;
-    for (const int threads : kThreadCounts) {
-      check::CheckRequest request;
-      request.system = corpus_case.system;
-      request.budget = corpus_case.budget;
-      request.strategy = check::Strategy::kParallelBFS;
-      request.num_threads = threads;
-      request.node_repr = sim::NodeRepr::kLegacy;
-      const check::CheckReport report = check::check(std::move(request));
-      ASSERT_FALSE(report.clean);
-      ASSERT_TRUE(report.violation.has_value());
-      EXPECT_FALSE(report.stats.compact);
-      if (!first.has_value()) {
-        first = report.violation;
-      } else {
-        EXPECT_EQ(report.violation->schedule, first->schedule);
-        EXPECT_EQ(report.violation->description, first->description);
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace rcons::engine

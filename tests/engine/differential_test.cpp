@@ -1,14 +1,18 @@
-// Differential test of the node representations: with symmetry reduction
-// off, the compact interned-record explorers must traverse the *identical*
-// deduplicated graph as the legacy clone-based expansion — same visited /
-// transition / decision / terminal counts, same verdict, and (for the
-// deterministic reporters) the same violating schedule. With symmetry
-// reduction on, the visited set must only shrink (never grow) and the
-// verdict must be preserved.
+// Differential test of the two exploration drivers against a naive reference
+// explorer (tests/support/reference_explorer.hpp) that shares none of their
+// hashing, dedup table, symmetry reduction or threads. With symmetry
+// reduction off, sim::Explorer and engine::ParallelExplorer at 1 and 4
+// threads must reach the oracle's verdict and exactly its visited /
+// transition / decision / terminal counts on clean instances, and on a
+// violating instance report a violation of the same property — with the
+// oracle's schedule for the sequential driver, and with a schedule that
+// replays to that property for the parallel one. With symmetry reduction on,
+// the visited set must only shrink (never grow) and the verdict must hold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -17,6 +21,8 @@
 #include "rc/naive_register.hpp"
 #include "rc/team_consensus.hpp"
 #include "sim/explorer.hpp"
+#include "sim/replay.hpp"
+#include "support/reference_explorer.hpp"
 #include "typesys/zoo.hpp"
 
 namespace rcons::engine {
@@ -24,6 +30,7 @@ namespace {
 
 constexpr typesys::Value kInputA = 101;
 constexpr typesys::Value kInputB = 202;
+constexpr int kThreadCounts[] = {1, 4};
 
 struct Outcome {
   std::optional<sim::Violation> violation;
@@ -36,50 +43,43 @@ struct System {
   std::vector<int> symmetry_classes;
 };
 
-Outcome run_sequential(const System& system, sim::ExplorerConfig config,
-                       sim::NodeRepr repr, bool expect_compact) {
-  config.node_repr = repr;
+test::ReferenceResult run_reference(const System& system, const sim::ExplorerConfig& config) {
+  return test::ReferenceExplorer(config).run(system.memory, system.processes);
+}
+
+Outcome run_sequential(const System& system, const sim::ExplorerConfig& config) {
   sim::Explorer explorer(system.memory, system.processes, config);
-  EXPECT_EQ(explorer.compact(), expect_compact);
   Outcome outcome;
   outcome.violation = explorer.run();
   outcome.stats = explorer.stats();
   return outcome;
 }
 
-Outcome run_parallel(const System& system, const sim::ExplorerConfig& base,
-                     sim::NodeRepr repr, bool expect_compact, int threads) {
+Outcome run_parallel(const System& system, const sim::ExplorerConfig& base, int threads) {
   ParallelExplorerConfig config;
   static_cast<sim::ExplorerConfig&>(config) = base;
-  config.node_repr = repr;
   config.num_threads = threads;
   ParallelExplorer explorer(system.memory, system.processes, config);
-  EXPECT_EQ(explorer.compact(), expect_compact);
   Outcome outcome;
   outcome.violation = explorer.run();
   outcome.stats = explorer.stats();
   return outcome;
 }
 
-void expect_identical_graph(const Outcome& legacy, const Outcome& compact,
-                            const std::string& label) {
-  EXPECT_EQ(legacy.violation.has_value(), compact.violation.has_value()) << label;
-  EXPECT_EQ(legacy.stats.visited, compact.stats.visited) << label;
-  EXPECT_EQ(legacy.stats.transitions, compact.stats.transitions) << label;
-  EXPECT_EQ(legacy.stats.decisions, compact.stats.decisions) << label;
-  EXPECT_EQ(legacy.stats.terminal_states, compact.stats.terminal_states) << label;
-  EXPECT_EQ(legacy.stats.truncated, compact.stats.truncated) << label;
-  if (legacy.violation.has_value() && compact.violation.has_value()) {
-    EXPECT_EQ(legacy.violation->description, compact.violation->description) << label;
-    EXPECT_EQ(legacy.violation->schedule, compact.violation->schedule) << label;
-  }
+void expect_oracle_counts(const test::ReferenceResult& oracle, const Outcome& outcome,
+                          const std::string& label) {
+  EXPECT_EQ(oracle.violation.has_value(), outcome.violation.has_value()) << label;
+  EXPECT_FALSE(outcome.stats.truncated) << label;
+  EXPECT_EQ(oracle.visited, outcome.stats.visited) << label;
+  EXPECT_EQ(oracle.transitions, outcome.stats.transitions) << label;
+  EXPECT_EQ(oracle.decisions, outcome.stats.decisions) << label;
+  EXPECT_EQ(oracle.terminal_states, outcome.stats.terminal_states) << label;
 }
 
 System team_consensus_system(const std::string& type_name, int n) {
   auto type = typesys::make_type(type_name);
   EXPECT_NE(type, nullptr) << type_name;
-  rc::TeamConsensusSystem built =
-      rc::make_team_consensus_system(*type, n, kInputA, kInputB);
+  rc::TeamConsensusSystem built = rc::make_team_consensus_system(*type, n, kInputA, kInputB);
   return System{std::move(built.memory), std::move(built.processes),
                 std::move(built.symmetry_classes)};
 }
@@ -89,11 +89,12 @@ struct SeedCase {
   int n;
   int crash_budget;
   sim::CrashModel crash_model;
+  std::uint64_t pinned_visited;  // 0 = not pinned
 };
 
 class DifferentialSeedTest : public ::testing::TestWithParam<SeedCase> {};
 
-TEST_P(DifferentialSeedTest, CompactAndLegacyExploreTheIdenticalGraph) {
+TEST_P(DifferentialSeedTest, DriversMatchTheReferenceExplorer) {
   const SeedCase& c = GetParam();
   const System system = team_consensus_system(c.type_name, c.n);
 
@@ -102,48 +103,49 @@ TEST_P(DifferentialSeedTest, CompactAndLegacyExploreTheIdenticalGraph) {
   config.crash_budget = c.crash_budget;
   config.properties.valid_outputs = {kInputA, kInputB};
 
-  const Outcome seq_legacy =
-      run_sequential(system, config, sim::NodeRepr::kLegacy, false);
-  const Outcome seq_compact =
-      run_sequential(system, config, sim::NodeRepr::kCompact, true);
-  expect_identical_graph(seq_legacy, seq_compact, "sequential");
-  EXPECT_TRUE(seq_compact.stats.compact);
-  EXPECT_FALSE(seq_legacy.stats.compact);
-  // Interned nodes = visited states + the root; every record costs bytes.
-  EXPECT_EQ(seq_compact.stats.store.nodes, seq_compact.stats.visited + 1);
-  EXPECT_GT(seq_compact.stats.store.bytes_per_node(), 0.0);
-  EXPECT_EQ(seq_compact.stats.store.canonical_hits, 0u);  // symmetry off
+  const test::ReferenceResult oracle = run_reference(system, config);
+  EXPECT_FALSE(oracle.violation.has_value()) << oracle.violation->description;
+  EXPECT_GT(oracle.visited, 0u);
+  if (c.pinned_visited != 0) {
+    EXPECT_EQ(oracle.visited, c.pinned_visited);
+  }
 
-  const Outcome par_legacy =
-      run_parallel(system, config, sim::NodeRepr::kLegacy, false, 4);
-  expect_identical_graph(seq_legacy, par_legacy, "parallel-legacy");
-  const Outcome par_compact =
-      run_parallel(system, config, sim::NodeRepr::kCompact, true, 4);
-  expect_identical_graph(seq_legacy, par_compact, "parallel-compact");
+  const Outcome sequential = run_sequential(system, config);
+  expect_oracle_counts(oracle, sequential, "sequential");
+  // Interned nodes = visited states + the root; every record costs bytes.
+  EXPECT_EQ(sequential.stats.store.nodes, sequential.stats.visited + 1);
+  EXPECT_GT(sequential.stats.store.bytes_per_node(), 0.0);
+  EXPECT_EQ(sequential.stats.store.canonical_hits, 0u);  // symmetry off
+
+  for (const int threads : kThreadCounts) {
+    expect_oracle_counts(oracle, run_parallel(system, config, threads),
+                         "parallel t=" + std::to_string(threads));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, DifferentialSeedTest,
-    ::testing::Values(SeedCase{"Sn(2)", 2, 3, sim::CrashModel::kIndependent},
-                      SeedCase{"Sn(3)", 3, 2, sim::CrashModel::kIndependent},
-                      SeedCase{"sticky-bit", 3, 2, sim::CrashModel::kSimultaneous},
-                      SeedCase{"Tn(4)", 2, 3, sim::CrashModel::kIndependent}),
+    ::testing::Values(SeedCase{"Sn(2)", 2, 3, sim::CrashModel::kIndependent, 0},
+                      SeedCase{"Sn(3)", 3, 2, sim::CrashModel::kIndependent, 0},
+                      SeedCase{"sticky-bit", 3, 2, sim::CrashModel::kSimultaneous, 0},
+                      SeedCase{"Tn(4)", 2, 3, sim::CrashModel::kIndependent, 0},
+                      SeedCase{"Sn(4)", 4, 1, sim::CrashModel::kIndependent, 38'837}),
     [](const ::testing::TestParamInfo<SeedCase>& info) {
-      std::string name = info.param.type_name + "_n" + std::to_string(info.param.n) +
-                         "_c" + std::to_string(info.param.crash_budget) +
-                         (info.param.crash_model == sim::CrashModel::kIndependent
-                              ? "_ind"
-                              : "_sim");
+      std::string name = info.param.type_name + "_n" + std::to_string(info.param.n) + "_c" +
+                         std::to_string(info.param.crash_budget) +
+                         (info.param.crash_model == sim::CrashModel::kIndependent ? "_ind"
+                                                                                  : "_sim");
       for (char& ch : name) {
         if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
       }
       return name;
     });
 
-TEST(DifferentialTest, ViolatingSystemsReportTheSameLowestViolation) {
-  // The naive register race: both explorers must find a violation, and the
-  // deterministic reporters (sequential first-DFS violation, parallel
-  // lowest-trace violation) must agree between representations.
+TEST(DifferentialTest, NaiveRegisterRaceMatchesTheReferenceViolation) {
+  // The sequential driver stops at the first violation of the same DFS, so
+  // it must report the oracle's schedule. The parallel engine reports the
+  // lowest trace among all it found, which must break the same property and
+  // replay to it from the root.
   rc::NaiveRegisterSystem built = rc::make_naive_register_system(2);
   const System system{std::move(built.memory), std::move(built.processes), {}};
 
@@ -151,20 +153,27 @@ TEST(DifferentialTest, ViolatingSystemsReportTheSameLowestViolation) {
   config.crash_budget = 1;
   config.properties.valid_outputs = built.inputs;
 
-  const Outcome seq_legacy =
-      run_sequential(system, config, sim::NodeRepr::kLegacy, false);
-  const Outcome seq_compact =
-      run_sequential(system, config, sim::NodeRepr::kCompact, true);
-  ASSERT_TRUE(seq_legacy.violation.has_value());
-  expect_identical_graph(seq_legacy, seq_compact, "sequential");
+  const test::ReferenceResult oracle = run_reference(system, config);
+  ASSERT_TRUE(oracle.violation.has_value());
+  EXPECT_NE(oracle.violation->property, sim::PropertyKind::kNone);
 
-  const Outcome par_legacy =
-      run_parallel(system, config, sim::NodeRepr::kLegacy, false, 4);
-  const Outcome par_compact =
-      run_parallel(system, config, sim::NodeRepr::kCompact, true, 4);
-  ASSERT_TRUE(par_legacy.violation.has_value());
-  ASSERT_TRUE(par_compact.violation.has_value());
-  expect_identical_graph(par_legacy, par_compact, "parallel");
+  const Outcome sequential = run_sequential(system, config);
+  ASSERT_TRUE(sequential.violation.has_value());
+  EXPECT_EQ(sequential.violation->schedule, oracle.violation->schedule);
+  EXPECT_EQ(sequential.violation->property, oracle.violation->property);
+  EXPECT_EQ(sequential.violation->description, oracle.violation->description);
+
+  for (const int threads : kThreadCounts) {
+    SCOPED_TRACE("parallel t=" + std::to_string(threads));
+    const Outcome parallel = run_parallel(system, config, threads);
+    ASSERT_TRUE(parallel.violation.has_value());
+    EXPECT_EQ(parallel.violation->property, oracle.violation->property);
+    const sim::ReplayReport replayed =
+        sim::replay(system.memory, system.processes, parallel.violation->schedule,
+                    config.properties, config.max_steps_per_run);
+    ASSERT_TRUE(replayed.violation.has_value());
+    EXPECT_EQ(replayed.violation->property, oracle.violation->property);
+  }
 }
 
 TEST(DifferentialTest, CanonicalizationOnlyShrinksTheVisitedSet) {
@@ -177,12 +186,11 @@ TEST(DifferentialTest, CanonicalizationOnlyShrinksTheVisitedSet) {
     config.crash_budget = 1;
     config.properties.valid_outputs = {kInputA, kInputB};
 
-    const Outcome off = run_sequential(system, config, sim::NodeRepr::kCompact, true);
+    const Outcome off = run_sequential(system, config);
 
     sim::ExplorerConfig with_symmetry = config;
     with_symmetry.symmetry_classes = system.symmetry_classes;
-    const Outcome on =
-        run_sequential(system, with_symmetry, sim::NodeRepr::kCompact, true);
+    const Outcome on = run_sequential(system, with_symmetry);
 
     EXPECT_EQ(off.violation.has_value(), on.violation.has_value()) << type_name;
     EXPECT_LE(on.stats.visited, off.stats.visited) << type_name;
@@ -201,13 +209,9 @@ TEST(DifferentialTest, CanonicalizationOnlyShrinksTheVisitedSet) {
 
     // The parallel engine agrees with the sequential explorer under
     // canonicalization too.
-    ParallelExplorerConfig par_config;
-    static_cast<sim::ExplorerConfig&>(par_config) = with_symmetry;
-    par_config.num_threads = 4;
-    ParallelExplorer parallel(system.memory, system.processes, par_config);
-    const auto par_violation = parallel.run();
-    EXPECT_EQ(par_violation.has_value(), on.violation.has_value()) << type_name;
-    EXPECT_EQ(parallel.stats().visited, on.stats.visited) << type_name;
+    const Outcome parallel = run_parallel(system, with_symmetry, 4);
+    EXPECT_EQ(parallel.violation.has_value(), on.violation.has_value()) << type_name;
+    EXPECT_EQ(parallel.stats.visited, on.stats.visited) << type_name;
   }
 }
 

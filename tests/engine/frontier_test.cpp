@@ -13,25 +13,25 @@ namespace {
 
 // Items are tagged by the depth of their path chain so tests can observe
 // ordering; links come from an arena exactly as in the explorer.
-WorkItem item_with_depth(PathArena& arena, std::size_t depth) {
-  WorkItem item;
+CompactWorkItem item_with_depth(PathArena& arena, std::size_t depth) {
+  CompactWorkItem item;
   for (std::size_t i = 0; i < depth; ++i) {
     item.tail = arena.add(Event{Event::Kind::kStep, 0}, item.tail);
   }
   return item;
 }
 
-std::size_t depth_of(const WorkItem& item) {
+std::size_t depth_of(const CompactWorkItem& item) {
   return materialize_path(item.tail).size();
 }
 
 TEST(FrontierTest, LocalPopIsLifo) {
   PathArena arena;
-  Frontier frontier(2);
+  CompactFrontier frontier(2);
   frontier.push(0, item_with_depth(arena, 1));
   frontier.push(0, item_with_depth(arena, 2));
   frontier.push(0, item_with_depth(arena, 3));
-  WorkItem item;
+  CompactWorkItem item;
   ASSERT_TRUE(frontier.pop(0, item));
   EXPECT_EQ(depth_of(item), 3u);
   ASSERT_TRUE(frontier.pop(0, item));
@@ -43,8 +43,8 @@ TEST(FrontierTest, LocalPopIsLifo) {
 
 TEST(FrontierTest, PushBatchSubmitsUnderOneLockAndPopBatchDrainsNewestFirst) {
   PathArena arena;
-  Frontier frontier(1);
-  std::vector<WorkItem> batch;
+  CompactFrontier frontier(1);
+  std::vector<CompactWorkItem> batch;
   for (std::size_t depth = 1; depth <= 6; ++depth) {
     batch.push_back(item_with_depth(arena, depth));
   }
@@ -55,7 +55,7 @@ TEST(FrontierTest, PushBatchSubmitsUnderOneLockAndPopBatchDrainsNewestFirst) {
 
   // pop_batch takes the newest items; consuming `out` back-to-front yields
   // the LIFO order 6, 5, 4.
-  std::vector<WorkItem> out;
+  std::vector<CompactWorkItem> out;
   ASSERT_EQ(frontier.pop_batch(0, out, 3), 3u);
   EXPECT_EQ(depth_of(out[0]), 4u);
   EXPECT_EQ(depth_of(out[1]), 5u);
@@ -70,8 +70,8 @@ TEST(FrontierTest, PushBatchSubmitsUnderOneLockAndPopBatchDrainsNewestFirst) {
 
 TEST(FrontierTest, StealTakesOldestItemsInBatchDirectlyIntoOutput) {
   PathArena arena;
-  Frontier frontier(2);
-  std::vector<WorkItem> batch;
+  CompactFrontier frontier(2);
+  std::vector<CompactWorkItem> batch;
   for (std::size_t depth = 1; depth <= 8; ++depth) {
     batch.push_back(item_with_depth(arena, depth));
   }
@@ -81,7 +81,7 @@ TEST(FrontierTest, StealTakesOldestItemsInBatchDirectlyIntoOutput) {
   // the front (depths 1..4), delivered straight into `out` — worker 1's own
   // deque never participates. Back-to-front consumption serves the most
   // recent of the stolen batch (depth 4) first.
-  std::vector<WorkItem> out;
+  std::vector<CompactWorkItem> out;
   ASSERT_EQ(frontier.pop_batch(1, out, 32), 4u);
   EXPECT_EQ(depth_of(out.front()), 1u);
   EXPECT_EQ(depth_of(out.back()), 4u);
@@ -89,15 +89,15 @@ TEST(FrontierTest, StealTakesOldestItemsInBatchDirectlyIntoOutput) {
   EXPECT_EQ(frontier.stats().stolen_items, 4u);
 
   // Worker 0 still owns the newest items.
-  WorkItem item;
+  CompactWorkItem item;
   ASSERT_TRUE(frontier.pop(0, item));
   EXPECT_EQ(depth_of(item), 8u);
 }
 
 TEST(FrontierTest, StealRespectsCallerCapacity) {
   PathArena arena;
-  Frontier frontier(2);
-  std::vector<WorkItem> batch;
+  CompactFrontier frontier(2);
+  std::vector<CompactWorkItem> batch;
   for (std::size_t depth = 1; depth <= 8; ++depth) {
     batch.push_back(item_with_depth(arena, depth));
   }
@@ -105,7 +105,7 @@ TEST(FrontierTest, StealRespectsCallerCapacity) {
 
   // A single-item pop steals exactly one item (the victim's oldest); nothing
   // is dropped on the floor.
-  WorkItem item;
+  CompactWorkItem item;
   ASSERT_TRUE(frontier.pop(1, item));
   EXPECT_EQ(depth_of(item), 1u);
   EXPECT_EQ(frontier.stats().stolen_items, 1u);
@@ -117,9 +117,9 @@ TEST(FrontierTest, StealRespectsCallerCapacity) {
 
 TEST(FrontierTest, SingleWorkerNeverSteals) {
   PathArena arena;
-  Frontier frontier(1);
+  CompactFrontier frontier(1);
   frontier.push(0, item_with_depth(arena, 1));
-  WorkItem item;
+  CompactWorkItem item;
   EXPECT_TRUE(frontier.pop(0, item));
   EXPECT_FALSE(frontier.pop(0, item));
   EXPECT_EQ(frontier.stats().steals, 0u);
@@ -129,15 +129,15 @@ TEST(FrontierTest, ConcurrentBatchPushPopLosesNothing) {
   constexpr int kWorkers = 4;
   constexpr int kBatchesPerWorker = 500;
   constexpr std::size_t kBatchSize = 10;
-  Frontier frontier(kWorkers);
+  CompactFrontier frontier(kWorkers);
   std::atomic<int> popped{0};
   std::vector<std::thread> threads;
   for (int w = 0; w < kWorkers; ++w) {
     threads.emplace_back([w, &frontier, &popped] {
-      std::vector<WorkItem> batch;
-      std::vector<WorkItem> out;
+      std::vector<CompactWorkItem> batch;
+      std::vector<CompactWorkItem> out;
       for (int i = 0; i < kBatchesPerWorker; ++i) {
-        batch.assign(kBatchSize, WorkItem{});
+        batch.assign(kBatchSize, CompactWorkItem{});
         frontier.push_batch(w, batch);
       }
       // Drain greedily; stealing redistributes whatever is left elsewhere.
@@ -152,7 +152,7 @@ TEST(FrontierTest, ConcurrentBatchPushPopLosesNothing) {
   for (auto& thread : threads) thread.join();
   // A worker can observe momentary emptiness while another still holds
   // items, so drain the remainder single-threaded before counting.
-  std::vector<WorkItem> out;
+  std::vector<CompactWorkItem> out;
   for (int w = 0; w < kWorkers; ++w) {
     for (;;) {
       out.clear();

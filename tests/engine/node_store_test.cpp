@@ -1,7 +1,7 @@
-// Unit tests of the compact interned node representation: NodeStore
-// intern/fetch round trips, NodeCodec encode/decode inversion (including
-// fingerprint parity with the legacy clone-based encoding), and the
-// Canonicalizer's symmetry reduction.
+// Unit tests of the interned node representation: NodeStore intern/fetch
+// round trips, NodeCodec encode/decode inversion (including fingerprint
+// parity with engine::encode_node), the Canonicalizer's symmetry reduction,
+// and pick_shard_bits.
 #include "engine/node_store.hpp"
 
 #include <gtest/gtest.h>
@@ -119,13 +119,12 @@ TEST(NodeStoreTest, ReshardKeepsEveryRecordInPlace) {
   EXPECT_EQ(store.size(), kKeys + 1);
 }
 
-// Encode/decode must be mutually inverse, and the fingerprint must equal the
-// legacy clone-based fingerprint of the same node (that is what lets compact
-// and legacy runs explore the identical deduplicated graph).
-TEST(NodeCodecTest, EncodeDecodeRoundTripsAndMatchesLegacyFingerprint) {
+// Encode/decode must be mutually inverse, and the fingerprint must cover
+// exactly the encode_node() image of the same node (the record minus its
+// sidecar).
+TEST(NodeCodecTest, EncodeDecodeRoundTripsAndMatchesEncodeNodeFingerprint) {
   rc::NaiveRegisterSystem system = rc::make_naive_register_system(2);
   Node root = make_root(system.memory, system.processes);
-  ASSERT_TRUE(NodeCodec::decodable(root));
 
   sim::ExplorerConfig config;
   config.crash_budget = 1;
@@ -141,8 +140,10 @@ TEST(NodeCodecTest, EncodeDecodeRoundTripsAndMatchesLegacyFingerprint) {
   const NodeCodec::Encoded encoded = codec.encode(state, record);
   EXPECT_FALSE(encoded.permuted);
 
-  std::vector<typesys::Value> legacy;
-  EXPECT_EQ(encoded.fingerprint, fingerprint(state, legacy));
+  std::vector<typesys::Value> image;
+  encode_node(state, image);
+  EXPECT_EQ(encoded.fingerprint_length, image.size());
+  EXPECT_EQ(encoded.fingerprint, fingerprint_values(image.data(), image.size()));
 
   // Decode into a scratch node that currently holds a different state.
   Node scratch = root;
@@ -249,6 +250,49 @@ TEST(NodeCodecTest, TeamConsensusSystemsDeclareUsableSymmetry) {
   int largest = 0;
   for (const int size : class_sizes) largest = std::max(largest, size);
   EXPECT_GE(largest, 2) << "no interchangeable roles — canonicalization inert";
+}
+
+TEST(PickShardBitsTest, SingleWorkerGetsSequentialLayout) {
+  EXPECT_EQ(pick_shard_bits(1, 0), 0);
+  EXPECT_EQ(pick_shard_bits(1, 1'000'000'000), 0);
+  EXPECT_EQ(pick_shard_bits(0, 1'000'000), 0);
+}
+
+TEST(PickShardBitsTest, ContentionBoundScalesWithThreads) {
+  // Unknown state space: shards >= 8 * threads, rounded up to a power of two.
+  EXPECT_EQ(pick_shard_bits(2, 0), 4);    // 16 shards
+  EXPECT_EQ(pick_shard_bits(4, 0), 5);    // 32 shards
+  EXPECT_EQ(pick_shard_bits(8, 0), 6);    // 64 shards
+  EXPECT_EQ(pick_shard_bits(16, 0), 7);   // 128 shards
+  EXPECT_EQ(pick_shard_bits(64, 0), 9);   // 512 shards
+  // Monotone in the thread count.
+  int previous = 0;
+  for (int threads = 1; threads <= 128; threads *= 2) {
+    const int bits = pick_shard_bits(threads, 0);
+    EXPECT_GE(bits, previous) << threads;
+    previous = bits;
+  }
+}
+
+TEST(PickShardBitsTest, OccupancyCapShrinksSmallStateSpaces) {
+  // A 1000-state space should not be spread over more than ~1000/64 shards.
+  EXPECT_LE(pick_shard_bits(8, 1000), 4);
+  // A tiny space degenerates to very few shards no matter the thread count.
+  EXPECT_EQ(pick_shard_bits(64, 100), 0);
+  // A huge space leaves the contention bound in charge.
+  EXPECT_EQ(pick_shard_bits(8, 100'000'000), 6);
+}
+
+TEST(PickShardBitsTest, ResultAlwaysWithinSupportedRange) {
+  for (const int threads : {1, 2, 7, 33, 1000, 100'000}) {
+    for (const std::uint64_t states : {std::uint64_t{0}, std::uint64_t{1},
+                                       std::uint64_t{1'000'000},
+                                       ~std::uint64_t{0}}) {
+      const int bits = pick_shard_bits(threads, states);
+      EXPECT_GE(bits, 0) << threads << " " << states;
+      EXPECT_LE(bits, 16) << threads << " " << states;
+    }
+  }
 }
 
 }  // namespace

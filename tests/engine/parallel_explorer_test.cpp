@@ -12,31 +12,18 @@
 #include "hierarchy/recording.hpp"
 #include "rc/team_consensus.hpp"
 #include "sim/explorer.hpp"
+#include "support/programs.hpp"
 #include "typesys/zoo.hpp"
 
 namespace rcons::engine {
 namespace {
 
+using test::BrokenConsensus;
+using test::ConstantDecider;
+using test::Looper;
+
 constexpr typesys::Value kInputA = 101;
 constexpr typesys::Value kInputB = 202;
-
-// Deliberately broken "consensus" (same as the sequential explorer's tests):
-// write your input, decide what you read — register non-solvability.
-struct BrokenConsensus {
-  sim::RegId reg = 0;
-  typesys::Value input = 0;
-  int pc = 0;
-
-  sim::StepResult step(sim::Memory& memory) {
-    if (pc == 0) {
-      memory.write(reg, input);
-      pc = 1;
-      return sim::StepResult::running();
-    }
-    return sim::StepResult::decided(memory.read(reg));
-  }
-  void encode(std::vector<typesys::Value>& out) const { out.push_back(pc); }
-};
 
 ParallelExplorerConfig parallel_config(const sim::ExplorerConfig& base,
                                        int threads = 4, int shard_bits = 4) {
@@ -205,11 +192,6 @@ TEST(ParallelExplorerTest, AutoShardBitsResolvesFromThreadsAndVisitedCap) {
 }
 
 TEST(ParallelExplorerTest, FindsValidityViolation) {
-  struct ConstantDecider {
-    typesys::Value value = 0;
-    sim::StepResult step(sim::Memory&) { return sim::StepResult::decided(value); }
-    void encode(std::vector<typesys::Value>& out) const { out.push_back(0); }
-  };
   sim::Memory memory;
   std::vector<sim::Process> processes;
   processes.emplace_back(ConstantDecider{99});
@@ -224,16 +206,6 @@ TEST(ParallelExplorerTest, FindsValidityViolation) {
 }
 
 TEST(ParallelExplorerTest, WaitFreedomBoundFlagsLoopers) {
-  struct Looper {
-    sim::RegId reg = 0;
-    long count = 0;
-    sim::StepResult step(sim::Memory& memory) {
-      memory.write(reg, 1);
-      count += 1;
-      return sim::StepResult::running();
-    }
-    void encode(std::vector<typesys::Value>& out) const { out.push_back(count); }
-  };
   sim::Memory memory;
   const sim::RegId reg = memory.add_register();
   std::vector<sim::Process> processes;

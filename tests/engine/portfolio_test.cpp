@@ -41,6 +41,7 @@ TEST(PortfolioTest, CustomScenarioReportsViolation) {
     typesys::Value input = 0;
     sim::StepResult step(sim::Memory&) { return sim::StepResult::decided(input); }
     void encode(std::vector<typesys::Value>& out) const { out.push_back(0); }
+    std::size_t decode(const typesys::Value*, std::size_t) { return 1; }
   };
 
   Portfolio portfolio(PortfolioConfig{.num_threads = 2});

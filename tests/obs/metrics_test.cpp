@@ -12,10 +12,13 @@
 
 #include "check/check.hpp"
 #include "rc/team_consensus.hpp"
+#include "support/programs.hpp"
 #include "typesys/zoo.hpp"
 
 namespace rcons::obs {
 namespace {
+
+using test::BrokenConsensus;
 
 constexpr typesys::Value kInputA = 101;
 constexpr typesys::Value kInputB = 202;
@@ -117,24 +120,6 @@ check::CheckRequest team_request(int n, int crash_budget, bool symmetry = false)
   return request;
 }
 
-// Deliberately broken consensus (write input, decide what you read) so the
-// violating-run half of the contract is exercised too.
-struct BrokenConsensus {
-  sim::RegId reg = 0;
-  typesys::Value input = 0;
-  int pc = 0;
-
-  sim::StepResult step(sim::Memory& memory) {
-    if (pc == 0) {
-      memory.write(reg, input);
-      pc = 1;
-      return sim::StepResult::running();
-    }
-    return sim::StepResult::decided(memory.read(reg));
-  }
-  void encode(std::vector<typesys::Value>& out) const { out.push_back(pc); }
-};
-
 check::CheckRequest broken_request() {
   check::CheckRequest request;
   const sim::RegId reg = request.system.memory.add_register();
@@ -167,15 +152,12 @@ void expect_exhaustive_contract(const check::CheckReport& report) {
                 counter_value(m, "engine.violation_edges") +
                 counter_value(m, "engine.orbit_skipped") + report.stats.visited,
             report.stats.transitions);
-  if (report.stats.compact) {
-    EXPECT_EQ(counter_value(m, "store.nodes"), report.stats.store.nodes);
-    EXPECT_EQ(counter_value(m, "store.value_bytes"), report.stats.store.value_bytes);
-    EXPECT_EQ(counter_value(m, "store.encodes"), report.stats.store.encodes);
-    EXPECT_EQ(counter_value(m, "store.canonical_hits"),
-              report.stats.store.canonical_hits);
-    // The store interns the root before exploration counts it as visited.
-    EXPECT_EQ(report.stats.store.nodes, report.stats.visited + 1);
-  }
+  EXPECT_EQ(counter_value(m, "store.nodes"), report.stats.store.nodes);
+  EXPECT_EQ(counter_value(m, "store.value_bytes"), report.stats.store.value_bytes);
+  EXPECT_EQ(counter_value(m, "store.encodes"), report.stats.store.encodes);
+  EXPECT_EQ(counter_value(m, "store.canonical_hits"), report.stats.store.canonical_hits);
+  // The store interns the root before exploration counts it as visited.
+  EXPECT_EQ(report.stats.store.nodes, report.stats.visited + 1);
 }
 
 check::CheckReport run_with_registry(check::CheckRequest request,

@@ -58,6 +58,11 @@ struct TokenConsensusProgram {
     out.push_back(pc);
     out.push_back(popped);
   }
+  std::size_t decode(const typesys::Value* data, std::size_t) {
+    pc = static_cast<int>(data[0]);
+    popped = data[1];
+    return 2;
+  }
 };
 
 struct System {

@@ -51,9 +51,15 @@ TEST(KSetTeamConsensusTest, BuildsRoundRobinGroupsWithPerGroupInputs) {
   // teams of a size-2 witness.
   EXPECT_NE(system.inputs[0], system.inputs[2]);
 
-  // Every program decodes — the compact interned representation applies.
-  for (const sim::Process& process : system.processes) {
-    EXPECT_TRUE(process.decodable());
+  // Every program's encoding decodes back to itself (the explorers rebuild
+  // process state from interned records).
+  for (sim::Process process : system.processes) {
+    std::vector<typesys::Value> image;
+    process.encode(image);
+    EXPECT_EQ(process.decode(image.data(), image.size()), image.size());
+    std::vector<typesys::Value> again;
+    process.encode(again);
+    EXPECT_EQ(again, image);
   }
 }
 

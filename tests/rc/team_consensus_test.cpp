@@ -170,6 +170,11 @@ class BrokenDeferProgram {
     out.push_back(pc_);
     out.push_back(q_);
   }
+  std::size_t decode(const typesys::Value* data, std::size_t) {
+    pc_ = static_cast<int>(data[0]);
+    q_ = data[1];
+    return 2;
+  }
 
  private:
   TeamConsensusInstance instance_;

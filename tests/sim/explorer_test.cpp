@@ -2,41 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "support/programs.hpp"
+
 namespace rcons::sim {
 namespace {
 
-// Deliberately broken "consensus": each process writes its input to a shared
-// register and decides what it reads afterwards — classic register
-// non-solvability, so the explorer must find an agreement violation even
-// without crashes.
-struct BrokenConsensus {
-  RegId reg = 0;
-  typesys::Value input = 0;
-  int pc = 0;
-
-  StepResult step(Memory& memory) {
-    if (pc == 0) {
-      memory.write(reg, input);
-      pc = 1;
-      return StepResult::running();
-    }
-    return StepResult::decided(memory.read(reg));
-  }
-  void encode(std::vector<typesys::Value>& out) const { out.push_back(pc); }
-};
-
-// Correct one-shot "consensus" for any number of processes using a single
-// write-once register guarded by... nothing recoverable, but correct without
-// crashes only when every process writes the same value. Used to exercise
-// validity checking.
-struct ConstantDecider {
-  typesys::Value value = 0;
-  StepResult step(Memory& memory) {
-    (void)memory;
-    return StepResult::decided(value);
-  }
-  void encode(std::vector<typesys::Value>& out) const { out.push_back(0); }
-};
+using test::BrokenConsensus;
+using test::ConstantDecider;
+using test::Looper;
 
 TEST(ExplorerTest, FindsAgreementViolation) {
   Memory memory;
@@ -82,19 +55,7 @@ TEST(ExplorerTest, CleanSystemPasses) {
 }
 
 TEST(ExplorerTest, WaitFreedomBoundFlagsLoopers) {
-  // A program that never decides: must trip the per-run step bound. Its
-  // local state advances every step (all our real algorithms do), which the
-  // explorer's deduplication assumes — see DESIGN.md.
-  struct Looper {
-    RegId reg = 0;
-    long count = 0;
-    StepResult step(Memory& memory) {
-      memory.write(reg, 1);
-      count += 1;
-      return StepResult::running();
-    }
-    void encode(std::vector<typesys::Value>& out) const { out.push_back(count); }
-  };
+  // A program that never decides must trip the per-run step bound.
   Memory memory;
   const RegId reg = memory.add_register();
   std::vector<Process> processes;

@@ -21,6 +21,10 @@ struct CountingProgram {
     return StepResult::decided(memory.read(reg));
   }
   void encode(std::vector<typesys::Value>& out) const { out.push_back(steps_done); }
+  std::size_t decode(const typesys::Value* data, std::size_t) {
+    steps_done = static_cast<int>(data[0]);
+    return 1;
+  }
 };
 
 TEST(ProcessTest, RunsToDecision) {

@@ -18,6 +18,10 @@ struct WriteThenReadProgram {
     return StepResult::decided(memory.read(reg));
   }
   void encode(std::vector<typesys::Value>& out) const { out.push_back(pc); }
+  std::size_t decode(const typesys::Value* data, std::size_t) {
+    pc = static_cast<int>(data[0]);
+    return 1;
+  }
 };
 
 TEST(ReplayTest, RunsScriptedSchedule) {
