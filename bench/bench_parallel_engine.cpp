@@ -16,9 +16,8 @@
 // arenas, branch predictors), then `repeats` samples whose *median* is
 // reported. Results are also written machine-readably to
 // BENCH_parallel_engine.json so the perf trajectory accumulates across
-// revisions; the rows carry the hot-path counters (allocations avoided,
-// batch sizes, dedup-cache hit rate, probe lengths) introduced with the
-// batched engine.
+// revisions; the rows carry the hot-path counters (batch sizes, dedup-cache
+// hit rate, probe lengths) introduced with the batched engine.
 //
 // Usage: bench_parallel_engine [--repeats N] [--filter SUBSTR] [N]
 //   --repeats N     timed samples per configuration (default 3, min 1)
@@ -254,7 +253,6 @@ int main(int argc, char** argv) {
     json.key_value("store_nodes", outcome.stats.store.nodes);
     json.key_value("store_bytes_per_node", outcome.stats.store.bytes_per_node());
     json.key_value("canonical_hit_rate", outcome.stats.store.canonical_hit_rate());
-    json.key_value("allocations_avoided", hot.allocations_avoided);
     json.key_value("avg_push_batch", hot.avg_batch());
     json.key_value("dedup_cache_hit_rate", hot.cache_hit_rate());
     json.key_value("avg_probe_length", hot.avg_probe());

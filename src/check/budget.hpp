@@ -1,8 +1,8 @@
 // The one definition of "how hard may a checker try": crash model, crash
-// budget, and the step/state bounds. Every execution backend — the sequential
-// explorer, the parallel engine, the random runner, and scripted replay —
-// consumes the same `Budget`, so the knobs cannot drift apart per backend
-// (they used to be copied across ExplorerConfig / RandomRunConfig /
+// budget, and the step/state bounds. Every execution backend — the engine's
+// depth-first and worker-loop traversals, the random runner, and scripted
+// replay — consumes the same `Budget`, so the knobs cannot drift apart per
+// backend (they used to be copied across ExplorerConfig / RandomRunConfig /
 // PortfolioConfig).
 //
 // What counts as a *correct* outcome lives elsewhere: the typed

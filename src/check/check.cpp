@@ -3,11 +3,8 @@
 #include <chrono>
 #include <utility>
 
-#include "engine/handoff.hpp"
 #include "engine/parallel_explorer.hpp"
-#include "engine/sentinel.hpp"
 #include "obs/trace.hpp"
-#include "sim/explorer.hpp"
 #include "sim/random_runner.hpp"
 #include "sim/replay.hpp"
 #include "util/assert.hpp"
@@ -18,8 +15,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-sim::ExplorerConfig explorer_config(const CheckRequest& request) {
-  sim::ExplorerConfig config;
+engine::ParallelExplorer make_explorer(const CheckRequest& request) {
+  engine::ParallelExplorerConfig config;
   static_cast<Budget&>(config) = request.budget;
   config.properties = request.system.properties;
   config.symmetry_classes = request.system.symmetry_classes;
@@ -31,52 +28,36 @@ sim::ExplorerConfig explorer_config(const CheckRequest& request) {
   config.checkpoint_label = request.checkpoint_label;
   config.resume = request.resume;
   config.fault = request.fault;
-  return config;
-}
-
-CheckReport run_sequential(const CheckRequest& request, std::uint64_t max_visited,
-                           const char* span_name = "explore",
-                           engine::ProbeHandoff* handoff = nullptr) {
-  sim::ExplorerConfig config = explorer_config(request);
-  config.max_visited = static_cast<std::int64_t>(max_visited);
-  sim::Explorer explorer(request.system.memory, request.system.processes, config);
-  CheckReport report;
-  report.strategy = Strategy::kSequentialDFS;
-  {
-    obs::Span span(request.obs.tracer, 0, span_name);
-    report.violation = explorer.run(handoff);
-  }
-  report.stats = explorer.stats();
-  report.threads_used = 1;
-  report.clean = !report.violation.has_value();
-  report.complete = !report.stats.truncated;
-  return report;
-}
-
-engine::ParallelExplorerConfig parallel_config(const CheckRequest& request) {
-  engine::ParallelExplorerConfig config;
-  static_cast<sim::ExplorerConfig&>(config) = explorer_config(request);
   config.num_threads = request.num_threads;
   config.shard_bits = request.shard_bits;
-  return config;
+  return engine::ParallelExplorer(request.system.memory, request.system.processes,
+                                  std::move(config));
 }
 
-// `handoff`, when set, continues a kAuto probe instead of starting from the root.
-CheckReport run_parallel(const CheckRequest& request, engine::ParallelExplorerConfig config,
-                         engine::ProbeHandoff* handoff = nullptr) {
-  engine::ParallelExplorer explorer(request.system.memory, request.system.processes,
-                                    std::move(config));
+// The depth-first traversal reports as kSequentialDFS on one thread, the
+// worker loop as kParallelBFS on the engine's resolved thread count.
+CheckReport exhaustive_report(const engine::ParallelExplorer& explorer, bool parallel,
+                              std::optional<sim::Violation> violation) {
   CheckReport report;
-  report.strategy = Strategy::kParallelBFS;
-  {
-    obs::Span span(request.obs.tracer, 0, "explore");
-    report.violation = handoff != nullptr ? explorer.run(std::move(*handoff)) : explorer.run();
-  }
+  report.strategy = parallel ? Strategy::kParallelBFS : Strategy::kSequentialDFS;
+  report.threads_used = parallel ? explorer.num_threads() : 1;
+  report.violation = std::move(violation);
   report.stats = explorer.stats();
-  report.threads_used = explorer.num_threads();
   report.clean = !report.violation.has_value();
   report.complete = !report.stats.truncated;
   return report;
+}
+
+CheckReport run_sequential(const CheckRequest& request) {
+  engine::ParallelExplorer explorer = make_explorer(request);
+  obs::Span span(request.obs.tracer, 0, "explore");
+  return exhaustive_report(explorer, false, explorer.run_dfs());
+}
+
+CheckReport run_parallel(const CheckRequest& request) {
+  engine::ParallelExplorer explorer = make_explorer(request);
+  obs::Span span(request.obs.tracer, 0, "explore");
+  return exhaustive_report(explorer, true, explorer.run());
 }
 
 CheckReport run_randomized(const CheckRequest& request) {
@@ -135,47 +116,36 @@ CheckReport run_replay(const CheckRequest& request) {
 }
 
 CheckReport run_auto(const CheckRequest& request) {
-  // Checkpointing and resume live in the parallel engine only — route
-  // straight there, skipping the probe (a probe would waste the budget of
-  // exactly the long runs checkpoints exist for).
+  // Checkpointing and resume live in the worker loop only — route straight
+  // there, skipping the probe (a probe would waste the budget of exactly the
+  // long runs checkpoints exist for).
   if (!request.checkpoint_path.empty() || request.resume != nullptr) {
-    return run_parallel(request, parallel_config(request));
+    return run_parallel(request);
   }
-  // Estimate the state-space size with a bounded sequential probe: explore at
-  // most `auto_probe_limit` states. A probe that finishes (verdict, clean or
-  // not) IS the sequential check of a small instance, so return it directly,
-  // as is a probe stopped by the real budget or by a time or memory limit.
-  // Only a probe stopped on its own visited cap escalates: the parallel
-  // engine continues from the probe's store and DFS-stack cut
-  // (engine/handoff.hpp), inside what is left of one shared deadline.
-  const std::uint64_t probe_limit =
-      request.auto_probe_limit < request.budget.visited_cap()
-          ? request.auto_probe_limit
-          : request.budget.visited_cap();
-  const bool may_escalate = probe_limit < request.budget.visited_cap();
-  const std::int64_t deadline_ms =
-      request.budget.time_limit_ms > 0
-          ? engine::steady_now_ms() + request.budget.time_limit_ms
-          : 0;
-  engine::ProbeHandoff handoff;
-  CheckReport probe =
-      run_sequential(request, probe_limit, "probe", may_escalate ? &handoff : nullptr);
-  if (!may_escalate || probe.stats.stop_reason != sim::StopReason::kVisitedCap) {
-    return probe;
+  // Estimate the state-space size with a bounded depth-first probe: explore
+  // at most `auto_probe_limit` states. A probe that finishes (verdict, clean
+  // or not) IS the sequential check of a small instance, so return it
+  // directly, as is a probe stopped by the real budget or by a time or
+  // memory limit. Only a probe stopped on its own cap escalates: the worker
+  // loop continues from the probe's store and DFS-stack cut, inside the same
+  // deadline.
+  engine::ParallelExplorer explorer = make_explorer(request);
+  std::optional<sim::Violation> violation;
+  {
+    obs::Span span(request.obs.tracer, 0, "probe");
+    violation = explorer.run_dfs(request.auto_probe_limit);
+  }
+  if (!explorer.can_escalate()) {
+    return exhaustive_report(explorer, false, std::move(violation));
   }
   if (request.obs.tracer != nullptr) request.obs.tracer->instant(0, "auto_select");
   if (request.obs.metrics != nullptr) {
-    // States the probe expanded itself; the deferred ones are the engine's.
+    // States the probe expanded itself; the deferred ones are the workers'.
     request.obs.metrics->counter("check.probe_visited")
-        .add(0, probe.stats.visited - handoff.frontier.size());
+        .add(0, explorer.stats().visited - explorer.deferred());
   }
-  engine::ParallelExplorerConfig config = parallel_config(request);
-  if (deadline_ms != 0) {
-    // What the probe left of the deadline; 0 would mean "unlimited".
-    const std::int64_t left = deadline_ms - engine::steady_now_ms();
-    config.time_limit_ms = left > 0 ? left : 1;
-  }
-  return run_parallel(request, std::move(config), &handoff);
+  obs::Span span(request.obs.tracer, 0, "explore");
+  return exhaustive_report(explorer, true, explorer.escalate());
 }
 
 }  // namespace
@@ -208,10 +178,10 @@ CheckReport check(CheckRequest request) {
         report = run_auto(request);
         break;
       case Strategy::kSequentialDFS:
-        report = run_sequential(request, request.budget.max_visited);
+        report = run_sequential(request);
         break;
       case Strategy::kParallelBFS:
-        report = run_parallel(request, parallel_config(request));
+        report = run_parallel(request);
         break;
       case Strategy::kRandomized:
         report = run_randomized(request);

@@ -8,10 +8,12 @@
 //                   the strategy actually used and the wall time
 //
 // Strategies:
-//   kSequentialDFS — sim::Explorer. Deterministic first-violation DFS; the
-//                    right tool when a test pins a specific counterexample.
-//   kParallelBFS   — engine::ParallelExplorer. Same deduplicated graph, all
-//                    cores; reports the lexicographically lowest violation.
+//   kSequentialDFS — engine::ParallelExplorer::run_dfs. Deterministic
+//                    first-violation DFS on the calling thread; the right
+//                    tool when a test pins a specific counterexample.
+//   kParallelBFS   — engine::ParallelExplorer::run, the worker loop. Same
+//                    deduplicated graph, all cores; reports the
+//                    lexicographically lowest violation.
 //   kRandomized    — sim::run_random, `runs` seeded executions (seed, seed+1,
 //                    ...). Sampling, not proof: `complete` stays false.
 //   kReplay        — sim::replay of `schedule`. Deterministic re-execution of
@@ -22,13 +24,12 @@
 //                    instance was small and the probe's verdict is returned
 //                    as kSequentialDFS, as it is when the probe stops on the
 //                    real budget or a time/memory limit. A probe stopped on
-//                    its own visited cap hands off (engine/handoff.hpp): it
-//                    finishes the frames on its DFS stack, and the parallel
-//                    engine continues from the probe's store and stack cut
-//                    with the probe's counters and what is left of the
-//                    time limit — no state is explored twice. Programs
-//                    without decode() cannot hand off; the engine restarts
-//                    from the root for them.
+//                    its own visited cap finishes the frames on its DFS
+//                    stack, and the same explorer object escalates: its
+//                    worker loop continues from the probe's store and stack
+//                    cut with the probe's counters and under the deadline
+//                    taken when the probe started — no state is explored
+//                    twice.
 //
 // Every violation carries its typed schedule, so a counterexample found by
 // any strategy can be handed back to check() with kReplay (or sim::replay
@@ -93,9 +94,9 @@ struct CheckRequest {
   Budget budget;  // how hard to try; system.properties says what "correct" means
   Strategy strategy = Strategy::kAuto;
 
-  // kAuto: state spaces the bounded sequential probe fully explores within
-  // this many states stay sequential; larger ones continue on the parallel
-  // engine.
+  // kAuto: state spaces the bounded depth-first probe fully explores within
+  // this many states stay sequential; larger ones continue in the worker
+  // loop.
   std::uint64_t auto_probe_limit = 200'000;
 
   // kParallelBFS (and the kAuto escalation path):

@@ -142,13 +142,13 @@ std::string serialize_checkpoint(const CheckpointData& data) {
   put_string(out, data.label);
   put_u64(out, data.root_fp.lo);
   put_u64(out, data.root_fp.hi);
-  put_u64(out, data.visited);
-  put_u64(out, data.transitions);
-  put_u64(out, data.decisions);
-  put_u64(out, data.terminal_states);
-  put_u64(out, data.orbit_skipped);
-  put_u64(out, data.encodes);
-  put_u64(out, data.canonical_hits);
+  put_u64(out, data.counts.visited);
+  put_u64(out, data.counts.transitions);
+  put_u64(out, data.counts.decisions);
+  put_u64(out, data.counts.terminal_states);
+  put_u64(out, data.counts.orbit_skipped);
+  put_u64(out, data.counts.encodes);
+  put_u64(out, data.counts.canonical_hits);
   put_u64(out, data.checkpoints_written);
 
   out.push_back(data.has_violation ? 1 : 0);
@@ -262,13 +262,13 @@ CheckpointLoad load_checkpoint(const std::string& path, CheckpointData& data,
   loaded.label = r.str();
   loaded.root_fp.lo = r.u64();
   loaded.root_fp.hi = r.u64();
-  loaded.visited = r.u64();
-  loaded.transitions = r.u64();
-  loaded.decisions = r.u64();
-  loaded.terminal_states = r.u64();
-  loaded.orbit_skipped = r.u64();
-  loaded.encodes = r.u64();
-  loaded.canonical_hits = r.u64();
+  loaded.counts.visited = r.u64();
+  loaded.counts.transitions = r.u64();
+  loaded.counts.decisions = r.u64();
+  loaded.counts.terminal_states = r.u64();
+  loaded.counts.orbit_skipped = r.u64();
+  loaded.counts.encodes = r.u64();
+  loaded.counts.canonical_hits = r.u64();
   loaded.checkpoints_written = r.u64();
 
   unsigned char has_violation = 0;

@@ -43,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/obs_cells.hpp"
 #include "sim/explorer_config.hpp"
 #include "sim/schedule.hpp"
 #include "util/hash.hpp"
@@ -58,15 +59,10 @@ struct CheckpointData {
   std::string label;  // e.g. the formatted scenario line; validated by the CLI
   util::U128 root_fp{};
 
-  std::uint64_t visited = 0;
-
-  // Partial statistics at the cut, re-based into ExplorerStats on resume.
-  std::uint64_t transitions = 0;
-  std::uint64_t decisions = 0;
-  std::uint64_t terminal_states = 0;
-  std::uint64_t orbit_skipped = 0;
-  std::uint64_t encodes = 0;
-  std::uint64_t canonical_hits = 0;
+  // Counts at the cut, the resumed run's baseline. The file carries visited,
+  // transitions, decisions, terminal_states, orbit_skipped, encodes and
+  // canonical_hits; the other fields load as zero.
+  Tally counts;
   std::uint64_t checkpoints_written = 0;
 
   // Best violation found before the cut (empty when none): survives the

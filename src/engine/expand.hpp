@@ -1,6 +1,6 @@
-// Node-expansion core shared by the sequential `sim::Explorer` and the
+// Node-expansion core shared by the two traversals of
 // rcons-lint: hot-path
-// parallel `engine::ParallelExplorer`.
+// `engine::ParallelExplorer` (the depth-first run_dfs and the worker loop).
 //
 // A `Node` is one deduplicatable global state: shared memory, every process's
 // local step machine, the per-process decided/steps-in-run bookkeeping, the
@@ -13,8 +13,8 @@
 // in sim/properties.hpp, with no virtual dispatch or allocation on the hot
 // path.
 //
-// Keeping this logic in one place is what makes the two explorers provably
-// explore the same deduplicated graph: they differ only in traversal order.
+// Keeping this logic in one place is what makes the two traversals provably
+// explore the same deduplicated graph: they differ only in order.
 // The test-only reference explorer (tests/support/reference_explorer.hpp)
 // uses these same step semantics over plain node clones.
 #ifndef RCONS_ENGINE_EXPAND_HPP
@@ -72,10 +72,10 @@ Node make_root(sim::Memory initial, std::vector<sim::Process> processes,
                const sim::PropertySet& properties = {});
 
 // Enumerates the events applicable at `node`, in the canonical order the
-// sequential explorer uses: step(p0) < step(p1) < ... < crash moves. Crash
+// depth-first traversal uses: step(p0) < step(p1) < ... < crash moves. Crash
 // placements that only burn budget without changing reachability (crashing a
 // process that has not taken a step in its current run, or an all-crash when
-// nobody has progressed) are pruned here, identically for both explorers.
+// nobody has progressed) are pruned here, identically for both traversals.
 //
 // With an `orbit_skip` mask it additionally drops per-process events whose
 // process is marked there (a non-representative member of a same-class

@@ -259,9 +259,9 @@ class NodeStore {
   // Rebuilds the index over 2^shard_bits shards, each pre-sized for its
   // share of the records interned so far, and adds arenas up to
   // `num_arenas`. Records stay where they are, so every Intern view stays
-  // valid. This is how a sequential probe's store (one shard, one arena)
-  // becomes a parallel engine's (engine/handoff.hpp). Caller contract: no
-  // concurrent interns or reads.
+  // valid. This is how a depth-first probe's store (one shard, one arena)
+  // becomes the worker loop's (ParallelExplorer::escalate). Caller contract:
+  // no concurrent interns or reads.
   void reshard(int shard_bits, int num_arenas);
 
   // Shard occupancy for tuning shard_bits: total entries, the

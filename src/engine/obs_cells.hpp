@@ -1,12 +1,13 @@
-// Resolved metric handles for the engine taxonomy (obs/session.hpp), shared
-// by the sequential and parallel explorers.
+// The counter record both traversals keep, and the resolved metric handles
+// of the engine taxonomy (obs/session.hpp) it flushes into.
 //
 // Handles are resolved once per run (the only locking moment); after that
-// every update is a relaxed atomic on a lane-private cell. The explorers keep
-// counting in their plain per-worker locals exactly as before and call
-// flush() with the *delta since the last flush* at batch boundaries — so the
-// per-state hot path is untouched and a null registry (inactive cells) costs
-// one predicted branch per batch.
+// every update is a relaxed atomic on a lane-private cell. The traversals
+// count in plain Tally locals and call flush() at batch boundaries (the
+// worker loop) or every 1024 transitions (the depth-first traversal), which
+// adds the growth since the previous flush — so the per-state hot path is
+// untouched and a null registry (inactive cells) costs one predicted branch
+// per batch.
 //
 // The counter names mirror sim::ExplorerStats field-for-field where a field
 // exists (engine.visited_states == stats.visited, and so on); the obs tests
@@ -16,30 +17,83 @@
 
 #include <cstdint>
 
+#include "engine/cas_table.hpp"
 #include "obs/metrics.hpp"
+#include "sim/explorer_config.hpp"
 
 namespace rcons::engine {
 
-// Counter deltas accumulated between flushes. Field meanings match the
-// engine.* / store.* taxonomy in obs/session.cpp.
-struct ObsDeltas {
+// Everything one traversal counts. The depth-first traversal keeps one, every
+// worker of the worker loop keeps its own, and a run's baseline (the root, a
+// resumed checkpoint, or the depth-first run kAuto escalates from) is one
+// more. Field meanings match the engine.* / store.* taxonomy in
+// obs/session.cpp; store_nodes/store_bytes count the records this traversal
+// interned.
+struct Tally {
   std::uint64_t visited = 0;
   std::uint64_t transitions = 0;
   std::uint64_t decisions = 0;
   std::uint64_t terminal_states = 0;
+  std::uint64_t orbit_skipped = 0;
   std::uint64_t duplicates = 0;
   std::uint64_t violation_edges = 0;
   std::uint64_t encodes = 0;
   std::uint64_t canonical_hits = 0;
-  std::uint64_t nodes = 0;
-  std::uint64_t value_bytes = 0;
-  std::uint64_t cache_probes = 0;
-  std::uint64_t cache_hits = 0;
+  std::uint64_t store_nodes = 0;
+  std::uint64_t store_bytes = 0;
   std::uint64_t batches = 0;
   std::uint64_t batched_items = 0;
-  std::uint64_t orbit_skipped = 0;
-  std::uint64_t cas_retries = 0;
-  std::uint64_t migration_stripes = 0;
+  std::uint64_t cache_probes = 0;
+  std::uint64_t cache_hits = 0;
+  // Lock-free table work (probe lengths, lost claim CASes, migration stripes
+  // helped), accumulated caller-side so the tables never bounce a shared
+  // stats cache line between workers.
+  CasTable::OpStats ops;
+
+  Tally& operator+=(const Tally& o) {
+    visited += o.visited;
+    transitions += o.transitions;
+    decisions += o.decisions;
+    terminal_states += o.terminal_states;
+    orbit_skipped += o.orbit_skipped;
+    duplicates += o.duplicates;
+    violation_edges += o.violation_edges;
+    encodes += o.encodes;
+    canonical_hits += o.canonical_hits;
+    store_nodes += o.store_nodes;
+    store_bytes += o.store_bytes;
+    batches += o.batches;
+    batched_items += o.batched_items;
+    cache_probes += o.cache_probes;
+    cache_hits += o.cache_hits;
+    ops.probe_total += o.ops.probe_total;
+    ops.probe_ops += o.ops.probe_ops;
+    if (o.ops.max_probe > ops.max_probe) ops.max_probe = o.ops.max_probe;
+    ops.cas_retries += o.ops.cas_retries;
+    ops.migration_stripes += o.ops.migration_stripes;
+    return *this;
+  }
+
+  // The ExplorerStats counters this record owns. The store's own totals
+  // (nodes, value bytes, rehashes) and the stop reason come from elsewhere.
+  void write_to(sim::ExplorerStats& stats) const {
+    stats.visited = visited;
+    stats.transitions = transitions;
+    stats.decisions = decisions;
+    stats.terminal_states = terminal_states;
+    stats.orbit_skipped = orbit_skipped;
+    stats.store.encodes = encodes;
+    stats.store.canonical_hits = canonical_hits;
+    stats.hot.batches = batches;
+    stats.hot.batched_items = batched_items;
+    stats.hot.dedup_cache_probes = cache_probes;
+    stats.hot.dedup_cache_hits = cache_hits;
+    stats.hot.probe_total = ops.probe_total;
+    stats.hot.probe_ops = ops.probe_ops;
+    stats.hot.max_probe = ops.max_probe;
+    stats.hot.cas_retries = ops.cas_retries;
+    stats.hot.migration_stripes = ops.migration_stripes;
+  }
 };
 
 struct ObsCells {
@@ -105,28 +159,32 @@ struct ObsCells {
     return cells;
   }
 
-  // Adds the nonzero deltas into `lane`'s cells. Callers pass deltas, not
-  // totals, so flushing is idempotent-per-increment and the registry totals
-  // equal the sums of the per-worker locals at every boundary.
-  void flush(std::size_t lane, const ObsDeltas& d) const {
+  // Adds what `now` grew since `flushed` into `lane`'s cells, then records
+  // `now` as flushed — so the registry totals equal the sums of the tallies
+  // at every boundary.
+  void flush(std::size_t lane, const Tally& now, Tally& flushed) const {
     if (!active) return;
-    if (d.visited != 0) visited_states->add(lane, d.visited);
-    if (d.transitions != 0) transitions->add(lane, d.transitions);
-    if (d.decisions != 0) decisions->add(lane, d.decisions);
-    if (d.terminal_states != 0) terminal_states->add(lane, d.terminal_states);
-    if (d.duplicates != 0) duplicates->add(lane, d.duplicates);
-    if (d.violation_edges != 0) violation_edges->add(lane, d.violation_edges);
-    if (d.encodes != 0) store_encodes->add(lane, d.encodes);
-    if (d.canonical_hits != 0) store_canonical_hits->add(lane, d.canonical_hits);
-    if (d.nodes != 0) store_nodes->add(lane, d.nodes);
-    if (d.value_bytes != 0) store_value_bytes->add(lane, d.value_bytes);
-    if (d.cache_probes != 0) dedup_cache_probes->add(lane, d.cache_probes);
-    if (d.cache_hits != 0) dedup_cache_hits->add(lane, d.cache_hits);
-    if (d.batches != 0) frontier_batches->add(lane, d.batches);
-    if (d.batched_items != 0) frontier_batched_items->add(lane, d.batched_items);
-    if (d.orbit_skipped != 0) orbit_skipped->add(lane, d.orbit_skipped);
-    if (d.cas_retries != 0) cas_retries->add(lane, d.cas_retries);
-    if (d.migration_stripes != 0) migration_stripes->add(lane, d.migration_stripes);
+    auto add = [lane](obs::Counter* cell, std::uint64_t to, std::uint64_t from) {
+      if (to != from) cell->add(lane, to - from);
+    };
+    add(visited_states, now.visited, flushed.visited);
+    add(transitions, now.transitions, flushed.transitions);
+    add(decisions, now.decisions, flushed.decisions);
+    add(terminal_states, now.terminal_states, flushed.terminal_states);
+    add(orbit_skipped, now.orbit_skipped, flushed.orbit_skipped);
+    add(duplicates, now.duplicates, flushed.duplicates);
+    add(violation_edges, now.violation_edges, flushed.violation_edges);
+    add(store_encodes, now.encodes, flushed.encodes);
+    add(store_canonical_hits, now.canonical_hits, flushed.canonical_hits);
+    add(store_nodes, now.store_nodes, flushed.store_nodes);
+    add(store_value_bytes, now.store_bytes, flushed.store_bytes);
+    add(frontier_batches, now.batches, flushed.batches);
+    add(frontier_batched_items, now.batched_items, flushed.batched_items);
+    add(dedup_cache_probes, now.cache_probes, flushed.cache_probes);
+    add(dedup_cache_hits, now.cache_hits, flushed.cache_hits);
+    add(cas_retries, now.ops.cas_retries, flushed.ops.cas_retries);
+    add(migration_stripes, now.ops.migration_stripes, flushed.ops.migration_stripes);
+    flushed = now;
   }
 };
 

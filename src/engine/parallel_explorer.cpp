@@ -64,6 +64,11 @@ class DedupCache {
   std::vector<std::uint8_t> valid_;
 };
 
+// Transitions between inline polls of the time/memory limits (both
+// traversals) and between the depth-first traversal's metric flushes.
+constexpr std::uint64_t kPollTransitions = 1024;
+constexpr std::uint64_t kNever = ~std::uint64_t{0};
+
 }  // namespace
 
 ParallelExplorer::ParallelExplorer(sim::Memory initial,
@@ -78,6 +83,16 @@ ParallelExplorer::ParallelExplorer(sim::Memory initial,
                    "num_threads must be >= 0 (0 selects hardware concurrency)");
   RCONS_ASSERT_MSG(config_.shard_bits >= -1 && config_.shard_bits <= 16,
                    "shard_bits must be in [0, 16], or -1 for auto");
+  RCONS_ASSERT_MSG(config_.symmetry_classes.empty() ||
+                       config_.symmetry_classes.size() == initial_processes_.size(),
+                   "symmetry_classes must be empty or name every process");
+  RCONS_ASSERT_MSG(config_.sentinel_interval_ms >= 1,
+                   "sentinel_interval_ms must be >= 1");
+  if (config_.num_threads > 0) resolve_threads();
+}
+
+void ParallelExplorer::resolve_threads() {
+  if (num_threads_ > 0) return;
   num_threads_ = config_.num_threads;
   if (num_threads_ <= 0) {
     num_threads_ = static_cast<int>(std::thread::hardware_concurrency());
@@ -85,12 +100,39 @@ ParallelExplorer::ParallelExplorer(sim::Memory initial,
   }
   shard_bits_ = config_.shard_bits >= 0 ? config_.shard_bits
                                         : pick_shard_bits(num_threads_, config_.visited_cap());
+}
 
-  RCONS_ASSERT_MSG(config_.symmetry_classes.empty() ||
-                       config_.symmetry_classes.size() == initial_processes_.size(),
-                   "symmetry_classes must be empty or name every process");
-  RCONS_ASSERT_MSG(config_.sentinel_interval_ms >= 1,
-                   "sentinel_interval_ms must be >= 1");
+void ParallelExplorer::reset_run() {
+  stats_ = sim::ExplorerStats{};
+  visited_stats_ = NodeStore::LoadStats{};
+  frontier_stats_ = CompactFrontier::Stats{};
+  store_.reset();
+  base_ = Tally{};
+  cut_.clear();
+  draining_ = false;
+  stop_reason_.store(static_cast<int>(sim::StopReason::kNone), std::memory_order_relaxed);
+  has_violation_ = false;
+  best_path_.clear();
+  best_violation_ = sim::PropertyViolation{};
+  truncation_path_.clear();
+  watchdog_dump_.clear();
+  obs_cells_ = ObsCells::resolve(config_.obs.metrics);
+  limits_.deadline_ms =
+      config_.time_limit_ms > 0 ? steady_now_ms() + config_.time_limit_ms : 0;
+  limits_.rss_cap_bytes =
+      config_.mem_limit_mb > 0 ? static_cast<std::uint64_t>(config_.mem_limit_mb) << 20 : 0;
+}
+
+sim::StopReason ParallelExplorer::Limits::sample() const {
+  if (deadline_ms != 0 && steady_now_ms() >= deadline_ms) {
+    return sim::StopReason::kDeadline;
+  }
+  if (rss_cap_bytes != 0) {
+    const std::uint64_t rss = current_rss_bytes();
+    // A 0 reading means RSS is unavailable on this platform; never trip.
+    if (rss != 0 && rss > rss_cap_bytes) return sim::StopReason::kMemory;
+  }
+  return sim::StopReason::kNone;
 }
 
 void ParallelExplorer::offer_violation(std::vector<Event> path,
@@ -116,8 +158,8 @@ void ParallelExplorer::request_stop(sim::StopReason reason) {
 
 void ParallelExplorer::record_truncation(const PathLink* tail, const Event& event) {
   request_stop(sim::StopReason::kVisitedCap);
-  // Best-effort trace of where the budget ran out (like the sequential
-  // explorer's partial trace); first recorder wins.
+  // Best-effort trace of where the budget ran out (like the depth-first
+  // traversal's partial trace); first recorder wins.
   std::lock_guard<std::mutex> lock(violation_mu_);
   if (!truncated_.load(std::memory_order_relaxed)) {
     truncated_.store(true, std::memory_order_relaxed);
@@ -127,8 +169,8 @@ void ParallelExplorer::record_truncation(const PathLink* tail, const Event& even
   }
 }
 
-std::string ParallelExplorer::truncation_description() const {
-  switch (static_cast<sim::StopReason>(stop_reason_.load(std::memory_order_relaxed))) {
+std::string ParallelExplorer::truncation_description(sim::StopReason reason) const {
+  switch (reason) {
     case sim::StopReason::kNone:
       break;
     case sim::StopReason::kVisitedCap:
@@ -146,6 +188,183 @@ std::string ParallelExplorer::truncation_description() const {
       return "run stopped by external request; verdict incomplete";
   }
   return "run stopped; verdict incomplete";
+}
+
+void ParallelExplorer::finish_stats(const Tally& total, sim::StopReason reason) {
+  total.write_to(stats_);
+  if (store_ != nullptr) {
+    const NodeStore::Stats store_stats = store_->stats();
+    stats_.store.nodes = store_stats.nodes;
+    stats_.store.value_bytes = store_stats.value_bytes;
+    stats_.hot.rehashes = store_stats.rehashes;
+  }
+  stats_.stop_reason = reason;
+  stats_.truncated = reason != sim::StopReason::kNone;
+  if (obs_cells_.active && stats_.hot.rehashes != 0) {
+    obs_cells_.store_rehashes->add(0, stats_.hot.rehashes);
+  }
+}
+
+// --- depth-first traversal ----------------------------------------------------
+
+std::optional<sim::Violation> ParallelExplorer::run_dfs(std::uint64_t probe_cap) {
+  reset_run();
+  dfs_cap_ = probe_cap < config_.visited_cap() ? probe_cap : config_.visited_cap();
+  dfs_ = Tally{};
+  dfs_flushed_ = Tally{};
+  dfs_next_poll_ = obs_cells_.active || limits_.armed() ? kPollTransitions : kNever;
+  path_.clear();
+  if (obs_cells_.active) {
+    obs_cells_.visited_cap->set(static_cast<std::int64_t>(dfs_cap_));
+    obs_cells_.num_threads->set(1);
+  }
+
+  std::optional<sim::Violation> result;
+  try {
+    // Single shard, single arena: no concurrent inserters (the lock-free
+    // table degenerates to plain probes). escalate() re-shards it.
+    store_ = std::make_unique<NodeStore>(0);
+    codec_ = std::make_unique<NodeCodec>(config_.symmetry_classes);
+    orbit_reduction_ = codec_->canonicalizing();
+    scratch_node_ = make_root(initial_memory_, initial_processes_, config_.properties);
+    const NodeCodec::Encoded encoded = codec_->encode(scratch_node_, encode_scratch_);
+    dfs_.encodes += 1;
+    if (encoded.permuted) dfs_.canonical_hits += 1;
+    const NodeStore::Intern root =
+        store_->intern(encoded.fingerprint, encode_scratch_, 0, &dfs_.ops);
+    dfs_.store_nodes += 1;
+    dfs_.store_bytes += static_cast<std::uint64_t>(root.length) * sizeof(typesys::Value);
+    result = dfs(root.record, root.length);
+    if (draining_) {
+      // The drain never stops early, so the probe's own verdict is the plain
+      // visited-cap truncation, traced to the state that tripped the cap.
+      RCONS_ASSERT(!result.has_value() && !cut_.empty());
+      result = sim::Violation{truncation_description(sim::StopReason::kVisitedCap),
+                              sim::PropertyKind::kNone, 0, cut_.front().path};
+      draining_ = false;
+    }
+  } catch (const std::bad_alloc&) {
+    // An allocation failure becomes the typed truncated verdict with whatever
+    // partial stats accumulated — never an abort — and is never escalated.
+    stop_reason_.store(static_cast<int>(sim::StopReason::kMemory), std::memory_order_relaxed);
+    result = sim::Violation{truncation_description(sim::StopReason::kMemory),
+                            sim::PropertyKind::kNone, 0, path_};
+    cut_.clear();
+    draining_ = false;
+  }
+
+  obs_cells_.flush(0, dfs_, dfs_flushed_);
+  finish_stats(dfs_, static_cast<sim::StopReason>(stop_reason_.load(std::memory_order_relaxed)));
+  codec_.reset();
+  if (cut_.empty()) store_.reset();  // release the arena; stats survive in stats_
+  return result;
+}
+
+std::optional<sim::Violation> ParallelExplorer::dfs_poll() {
+  dfs_next_poll_ = dfs_.transitions + kPollTransitions;
+  obs_cells_.flush(0, dfs_, dfs_flushed_);
+  if (draining_ || !limits_.armed()) return std::nullopt;
+  const sim::StopReason reason = limits_.sample();
+  if (reason == sim::StopReason::kNone) return std::nullopt;
+  request_stop(reason);
+  return sim::Violation{truncation_description(reason), sim::PropertyKind::kNone, 0, path_};
+}
+
+std::optional<sim::Violation> ParallelExplorer::dfs(const typesys::Value* record,
+                                                    std::size_t size) {
+  // The parent is its interned record, read in place from the store arena —
+  // no Memory/Process clones, no per-depth record copies. Between successors
+  // the one scratch node diverges from the record only where the previous
+  // event touched it, so restore() refills just that (one program decode per
+  // successor instead of n), and per-process successors patch-encode by
+  // copying the n-1 unchanged blocks from the parent record.
+  const std::size_t depth = path_.size();
+  while (events_pool_.size() <= depth) events_pool_.emplace_back();
+  std::vector<Event>& events = events_pool_[depth];
+
+  codec_->decode(record, size, scratch_node_);
+  // Stabilizer orbits: enumerate one representative event per orbit of
+  // interchangeable processes; skipped siblings still count as transitions
+  // (edges of the unreduced graph) plus orbit_skipped. The mask is consumed
+  // by enumerate_events here, before recursion can overwrite the buffer.
+  const std::uint64_t orbit_before = dfs_.orbit_skipped;
+  const int orbit_count = orbit_reduction_ ? codec_->orbit_skip_mask(record, orbit_skip_) : 0;
+  enumerate_events(scratch_node_, config_, events, orbit_count > 0 ? &orbit_skip_ : nullptr,
+                   &dfs_.orbit_skipped);
+  dfs_.transitions += dfs_.orbit_skipped - orbit_before;
+  if (is_terminal(scratch_node_)) dfs_.terminal_states += 1;
+  // Codec header layout: record[1] counts the distinct outputs so far.
+  const auto parent_decisions = static_cast<std::size_t>(record[1]);
+
+  int dirty = NodeCodec::kDirtyNone;
+  for (const Event& event : events) {
+    path_.push_back(event);
+    dfs_.transitions += 1;
+    if (dfs_.transitions >= dfs_next_poll_) {
+      if (auto truncated = dfs_poll()) {
+        path_.pop_back();
+        return truncated;
+      }
+    }
+    if (dirty != NodeCodec::kDirtyNone) codec_->restore(record, size, scratch_node_, dirty);
+    dirty = event.kind == Event::Kind::kCrashAll ? NodeCodec::kDirtyAll : event.process;
+    if (auto broken = apply_event(scratch_node_, event, config_)) {
+      dfs_.violation_edges += 1;
+      if (draining_) {
+        offer_violation(path_, std::move(*broken));  // a candidate for escalate()
+        path_.pop_back();
+        continue;
+      }
+      sim::Violation violation{std::move(broken->description), broken->property,
+                               broken->param, path_};
+      path_.pop_back();
+      return violation;
+    }
+    if (scratch_node_.decisions.size() > parent_decisions) dfs_.decisions += 1;
+    const NodeCodec::Encoded encoded =
+        event.kind == Event::Kind::kCrashAll
+            ? codec_->encode(scratch_node_, encode_scratch_)
+            : codec_->encode_successor(record, size, scratch_node_, event.process,
+                                       encode_scratch_);
+    dfs_.encodes += 1;
+    if (encoded.permuted) dfs_.canonical_hits += 1;
+    const NodeStore::Intern interned =
+        store_->intern(encoded.fingerprint, encode_scratch_, 0, &dfs_.ops);
+    if (interned.inserted) {
+      dfs_.store_nodes += 1;
+      dfs_.store_bytes += static_cast<std::uint64_t>(interned.length) * sizeof(typesys::Value);
+      dfs_.visited += 1;
+      if (dfs_.visited > dfs_cap_) {
+        if (!draining_) {
+          request_stop(sim::StopReason::kVisitedCap);
+          if (dfs_cap_ == config_.visited_cap()) {
+            sim::Violation violation{truncation_description(sim::StopReason::kVisitedCap),
+                                     sim::PropertyKind::kNone, 0, path_};
+            path_.pop_back();
+            return violation;
+          }
+          // A probe: finish the stack for escalate(). The drain is bounded by
+          // the events left on the stack and a cut is only useful whole, so
+          // the limits are not polled until it ends.
+          draining_ = true;
+        }
+        cut_.push_back(Deferred{interned.record, interned.length, path_});
+      } else {
+        if (auto violation = dfs(interned.record, interned.length)) {
+          path_.pop_back();
+          return violation;
+        }
+        // Recursion re-pointed the codec's captured layout at descendant
+        // records; a full re-decode (restore with kDirtyAll) re-captures this
+        // record's layout before the next sibling.
+        dirty = NodeCodec::kDirtyAll;
+      }
+    } else {
+      dfs_.duplicates += 1;
+    }
+    path_.pop_back();
+  }
+  return std::nullopt;
 }
 
 // --- pause barrier ----------------------------------------------------------
@@ -210,27 +429,20 @@ void ParallelExplorer::worker_exit(int id) {
   parked_cv_.notify_all();
 }
 
-// --- monitor (resource sentinels, watchdog, periodic checkpoints) -----------
+// --- monitor (watchdog, periodic checkpoints) ----------------------------------
 
 bool ParallelExplorer::monitor_needed() const {
-  return config_.time_limit_ms > 0 || config_.mem_limit_mb > 0 ||
-         config_.watchdog_stall_intervals > 0 ||
+  return config_.watchdog_stall_intervals > 0 ||
          (!config_.checkpoint_path.empty() && config_.checkpoint_every > 0);
 }
 
 void ParallelExplorer::monitor_loop(const std::function<bool()>& write_snapshot) {
-  const std::int64_t deadline_ms =
-      config_.time_limit_ms > 0 ? steady_now_ms() + config_.time_limit_ms : 0;
-  const std::uint64_t rss_cap_bytes =
-      config_.mem_limit_mb > 0
-          ? static_cast<std::uint64_t>(config_.mem_limit_mb) << 20
-          : 0;
   const std::uint64_t ckpt_every =
       write_snapshot != nullptr ? config_.checkpoint_every : 0;
 
   std::vector<std::uint64_t> last_beats(static_cast<std::size_t>(num_threads_), 0);
   std::vector<int> stalled(static_cast<std::size_t>(num_threads_), 0);
-  std::uint64_t last_ckpt_visited = resume_visited_;
+  std::uint64_t last_ckpt_visited = base_.visited;
 
   std::unique_lock<std::mutex> lock(monitor_mu_);
   for (;;) {
@@ -240,18 +452,6 @@ void ParallelExplorer::monitor_loop(const std::function<bool()>& write_snapshot)
     if (monitor_exit_) return;
     if (stop_.load(std::memory_order_relaxed)) continue;  // wait for the join
 
-    if (deadline_ms != 0 && steady_now_ms() >= deadline_ms) {
-      request_stop(sim::StopReason::kDeadline);
-      continue;
-    }
-    if (rss_cap_bytes != 0) {
-      const std::uint64_t rss = current_rss_bytes();
-      // A 0 reading means RSS is unavailable here; never trip on it.
-      if (rss != 0 && rss > rss_cap_bytes) {
-        request_stop(sim::StopReason::kMemory);
-        continue;
-      }
-    }
     if (config_.watchdog_stall_intervals > 0) {
       std::string dump;
       for (int i = 0; i < num_threads_; ++i) {
@@ -307,41 +507,8 @@ void ParallelExplorer::stop_monitor(std::thread& monitor) {
   monitor.join();
 }
 
-void ParallelExplorer::flush_worker_obs(std::size_t lane, WorkerStats& last_flushed,
-                                        const WorkerStats& local,
-                                        std::uint64_t pending_now) {
-  // Workers flush only at event-classification boundaries, where the
-  // conservation law must hold exactly.
-  dcheck_transitions_identity(local);
-  ObsDeltas delta;
-  delta.visited = local.visited - last_flushed.visited;
-  delta.transitions = local.transitions - last_flushed.transitions;
-  delta.decisions = local.decisions - last_flushed.decisions;
-  delta.terminal_states = local.terminal_states - last_flushed.terminal_states;
-  delta.duplicates = local.duplicates - last_flushed.duplicates;
-  delta.violation_edges = local.violation_edges - last_flushed.violation_edges;
-  delta.encodes = local.encodes - last_flushed.encodes;
-  delta.canonical_hits = local.canonical_hits - last_flushed.canonical_hits;
-  delta.nodes = local.store_nodes - last_flushed.store_nodes;
-  delta.value_bytes = local.store_bytes - last_flushed.store_bytes;
-  delta.cache_probes = local.cache_probes - last_flushed.cache_probes;
-  delta.cache_hits = local.cache_hits - last_flushed.cache_hits;
-  delta.batches = local.batches - last_flushed.batches;
-  delta.batched_items = local.batched_items - last_flushed.batched_items;
-  delta.orbit_skipped = local.orbit_skipped - last_flushed.orbit_skipped;
-  delta.cas_retries = local.ops.cas_retries - last_flushed.ops.cas_retries;
-  delta.migration_stripes =
-      local.ops.migration_stripes - last_flushed.ops.migration_stripes;
-  obs_cells_.flush(lane, delta);
-  // Any recent writer's view of the pending count is equally good (gauge is
-  // last-write-wins), so a plain relaxed sample suffices.
-  obs_cells_.frontier_pending->set(static_cast<std::int64_t>(pending_now));
-  last_flushed = local;
-}
-
-void ParallelExplorer::worker(int id, CompactFrontier& frontier, NodeStore& store,
-                              PathArena& arena, std::atomic<std::uint64_t>& pending,
-                              WorkerStats& local) {
+void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& arena,
+                              std::atomic<std::uint64_t>& pending, Tally& local) {
   // Per-worker reusable state: one scratch node (restored from the parent's
   // record between successors — no Node copies), the record/event buffers,
   // the orbit mask, the popped and successor batches, and the
@@ -355,6 +522,7 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, NodeStore& stor
   std::vector<CompactWorkItem> successors;
   DedupCache cache;
   const bool orbits = codec.canonicalizing();
+  NodeStore& store = *store_;
 
   // Observability: metrics flush at batch boundaries (obs_cells_ inactive =
   // one predicted branch per batch), spans on the tracer's worker lane.
@@ -364,7 +532,16 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, NodeStore& stor
   if (tracer != nullptr) {
     tracer->set_lane_name(trace_lane, "worker-" + std::to_string(id));
   }
-  WorkerStats flushed;
+  Tally flushed;
+  // Workers flush only at event-classification boundaries, where the
+  // conservation law must hold exactly. The pending gauge is last-write-wins,
+  // so any worker's relaxed sample is equally good.
+  auto flush_obs = [&] {
+    dcheck_transitions_identity(local);
+    obs_cells_.flush(obs_lane, local, flushed);
+    obs_cells_.frontier_pending->set(
+        static_cast<std::int64_t>(pending.load(std::memory_order_relaxed)));
+  };
   const std::uint64_t worker_begin = tracer != nullptr ? tracer->now_us() : 0;
   std::uint64_t batch_begin = 0;
   std::size_t pop_batch = kInitPopBatch;
@@ -372,6 +549,7 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, NodeStore& stor
   Heartbeat& heartbeat = heartbeats_[static_cast<std::size_t>(id)];
   std::uint64_t beats = 0;
   FaultPlan* const fault = config_.fault;
+  std::uint64_t next_poll = limits_.armed() ? kPollTransitions : kNever;
 
   // Any allocation failure — fault-injected at the batch/intern sites or a
   // real bad_alloc out of index/arena/deque growth — lands here and becomes
@@ -379,6 +557,11 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, NodeStore& stor
   try {
     for (;;) {
       heartbeat.beats.store(++beats, std::memory_order_relaxed);
+      if (local.transitions >= next_poll) {
+        next_poll = local.transitions + kPollTransitions;
+        const sim::StopReason reason = limits_.sample();
+        if (reason != sim::StopReason::kNone) request_stop(reason);
+      }
       if (batch.empty()) {
         // Cooperative stop: exit immediately. Queued work stays queued (and
         // pending-counted), so a checkpoint taken after the join still sees
@@ -389,10 +572,7 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, NodeStore& stor
           worker_pause_point();
           continue;
         }
-        if (obs_cells_.active) {
-          flush_worker_obs(obs_lane, flushed, local,
-                           pending.load(std::memory_order_relaxed));
-        }
+        if (obs_cells_.active) flush_obs();
         // Adapt the batch size to observed steal pressure before popping.
         const std::uint64_t failed = frontier.failed_steals();
         if (failed != steal_mark) {
@@ -512,7 +692,6 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, NodeStore& stor
         }
         successors.push_back(CompactWorkItem{interned.record, interned.length,
                                              arena.add(event, item.tail)});
-        local.allocations_avoided += 2;  // inline frontier item + arena link
       }
 
       if (!successors.empty()) {
@@ -555,52 +734,37 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, NodeStore& stor
   }
 
   dcheck_transitions_identity(local);  // holds even when obs flushing is off
-  if (obs_cells_.active) {
-    flush_worker_obs(obs_lane, flushed, local,
-                     pending.load(std::memory_order_relaxed));
-  }
+  if (obs_cells_.active) flush_obs();
   if (tracer != nullptr) {
     tracer->complete(trace_lane, "worker", worker_begin, tracer->now_us());
   }
   worker_exit(id);
 }
 
+// --- worker loop ---------------------------------------------------------------
+
 std::optional<sim::Violation> ParallelExplorer::run() {
   reset_run();
-  return explore(nullptr);
+  return explore();
 }
 
-std::optional<sim::Violation> ParallelExplorer::run(ProbeHandoff handoff) {
+std::optional<sim::Violation> ParallelExplorer::escalate() {
+  RCONS_ASSERT_MSG(can_escalate(), "escalate() continues a run_dfs() stopped at its probe cap");
   RCONS_ASSERT_MSG(config_.checkpoint_path.empty() && config_.resume == nullptr,
-                   "a probe handoff cannot be combined with checkpoint or resume");
-  RCONS_ASSERT_MSG(handoff.store != nullptr && !handoff.frontier.empty(),
-                   "a probe handoff carries its store and deferred states");
-  reset_run();
-  return explore(&handoff);
+                   "an escalated probe cannot be combined with checkpoint or resume");
+  // The DFS's counts are part of this run's totals (its obs counters are
+  // already in the registry, so nothing is flushed for them here).
+  base_ = dfs_;
+  return explore();
 }
 
-void ParallelExplorer::reset_run() {
-  stats_ = sim::ExplorerStats{};
-  visited_count_.store(0, std::memory_order_relaxed);
+std::optional<sim::Violation> ParallelExplorer::explore() {
+  resolve_threads();
   stop_.store(false, std::memory_order_relaxed);
+  stop_reason_.store(static_cast<int>(sim::StopReason::kNone), std::memory_order_relaxed);
   truncated_.store(false, std::memory_order_relaxed);
-  stop_reason_.store(static_cast<int>(sim::StopReason::kNone),
-                     std::memory_order_relaxed);
   checkpoints_written_.store(0, std::memory_order_relaxed);
-  resume_visited_ = 0;
-  resume_transitions_ = 0;
-  resume_decisions_ = 0;
-  resume_terminal_states_ = 0;
-  resume_orbit_skipped_ = 0;
-  resume_encodes_ = 0;
-  resume_canonical_hits_ = 0;
-  resume_checkpoints_ = 0;
-  has_violation_ = false;
-  best_path_.clear();
-  best_violation_ = sim::PropertyViolation{};
-  truncation_path_.clear();
-  watchdog_dump_.clear();
-
+  resumed_checkpoints_ = 0;
   heartbeats_ = std::make_unique<Heartbeat[]>(static_cast<std::size_t>(num_threads_));
   {
     std::lock_guard<std::mutex> lock(pause_mu_);
@@ -613,57 +777,21 @@ void ParallelExplorer::reset_run() {
     std::lock_guard<std::mutex> lock(monitor_mu_);
     monitor_exit_ = false;
   }
-
-  obs_cells_ = ObsCells::resolve(config_.obs.metrics);
   if (obs_cells_.active) {
     obs_cells_.visited_cap->set(static_cast<std::int64_t>(config_.visited_cap()));
     obs_cells_.num_threads->set(num_threads_);
   }
-}
 
-void ParallelExplorer::seed_from_probe(ProbeHandoff& handoff, CompactFrontier& frontier,
-                                       PathArena& arena,
-                                       std::atomic<std::uint64_t>& pending) {
-  // The probe's work is part of this run's totals (its obs counters are
-  // already in the registry, so nothing is flushed for it here).
-  const sim::ExplorerStats& probe = handoff.stats;
-  visited_count_.store(probe.visited, std::memory_order_relaxed);
-  resume_visited_ = probe.visited;
-  resume_transitions_ = probe.transitions;
-  resume_decisions_ = probe.decisions;
-  resume_terminal_states_ = probe.terminal_states;
-  resume_orbit_skipped_ = probe.orbit_skipped;
-  resume_encodes_ = probe.store.encodes;
-  resume_canonical_hits_ = probe.store.canonical_hits;
-  if (handoff.has_violation) {
-    has_violation_ = true;
-    best_path_ = std::move(handoff.violation_path);
-    best_violation_ = std::move(handoff.violation);
-  }
-
-  // Arena paths from the root, so violations below a deferred state report
-  // full schedules. The stack cut is small (tens of states at depth ~20 on
-  // Sn(5) n=5 with a 200k probe), so each path gets its own chain.
-  for (std::size_t i = 0; i < handoff.frontier.size(); ++i) {
-    const ProbeHandoff::Item& item = handoff.frontier[i];
-    const PathLink* tail = nullptr;
-    for (const Event& event : item.path) tail = arena.add(event, tail);
-    pending.fetch_add(1, std::memory_order_release);
-    frontier.push(static_cast<int>(i % static_cast<std::size_t>(num_threads_)),
-                  CompactWorkItem{item.record, item.length, tail});
-  }
-}
-
-std::optional<sim::Violation> ParallelExplorer::explore(ProbeHandoff* handoff) {
   CompactFrontier frontier(num_threads_);
-  const std::unique_ptr<NodeStore> owned_store =
-      handoff != nullptr ? std::move(handoff->store)
-                         : std::make_unique<NodeStore>(shard_bits_, 0, num_threads_);
-  NodeStore& store = *owned_store;
-  if (handoff != nullptr) store.reshard(shard_bits_, num_threads_);
   std::vector<PathArena> arenas(static_cast<std::size_t>(num_threads_));
   std::atomic<std::uint64_t> pending{0};
-  std::vector<WorkerStats> worker_stats(static_cast<std::size_t>(num_threads_));
+  std::vector<Tally> tallies(static_cast<std::size_t>(num_threads_));
+  auto seed = [&](std::size_t i, const typesys::Value* record, std::uint32_t length,
+                  const PathLink* tail) {
+    pending.fetch_add(1, std::memory_order_release);
+    frontier.push(static_cast<int>(i % static_cast<std::size_t>(num_threads_)),
+                  CompactWorkItem{record, length, tail});
+  };
 
   // The root is always encoded — a resume checks its fingerprint against the
   // checkpoint's (same initial memory + programs) before trusting the file.
@@ -671,7 +799,6 @@ std::optional<sim::Violation> ParallelExplorer::explore(ProbeHandoff* handoff) {
   Node root_node = make_root(initial_memory_, initial_processes_, config_.properties);
   std::vector<typesys::Value> root_record;
   const NodeCodec::Encoded root_encoded = codec.encode(root_node, root_record);
-  const std::uint64_t root_canonical_hits = root_encoded.permuted ? 1 : 0;
 
   if (config_.resume != nullptr) {
     const CheckpointData& ckpt = *config_.resume;
@@ -685,20 +812,14 @@ std::optional<sim::Violation> ParallelExplorer::explore(ProbeHandoff* handoff) {
     // the resumed frontier re-reaches it.
     static_assert(std::is_same_v<typesys::Value, std::int64_t>,
                   "checkpoint records are raw value vectors");
+    store_ = std::make_unique<NodeStore>(shard_bits_, 0, num_threads_);
     std::vector<NodeStore::Intern> interned;
     interned.reserve(ckpt.nodes.size());
     for (const CheckpointData::Node& node : ckpt.nodes) {
-      interned.push_back(store.intern(node.fp, node.values));
+      interned.push_back(store_->intern(node.fp, node.values));
     }
-    visited_count_.store(ckpt.visited, std::memory_order_relaxed);
-    resume_visited_ = ckpt.visited;
-    resume_transitions_ = ckpt.transitions;
-    resume_decisions_ = ckpt.decisions;
-    resume_terminal_states_ = ckpt.terminal_states;
-    resume_orbit_skipped_ = ckpt.orbit_skipped;
-    resume_encodes_ = ckpt.encodes;
-    resume_canonical_hits_ = ckpt.canonical_hits;
-    resume_checkpoints_ = ckpt.checkpoints_written;
+    base_ = ckpt.counts;
+    resumed_checkpoints_ = ckpt.checkpoints_written;
     if (ckpt.has_violation) {
       has_violation_ = true;
       best_violation_.description = ckpt.violation_description;
@@ -710,61 +831,51 @@ std::optional<sim::Violation> ParallelExplorer::explore(ProbeHandoff* handoff) {
     // post-resume violation traces are suffixes rooted at the cut).
     for (std::size_t i = 0; i < ckpt.frontier.size(); ++i) {
       const NodeStore::Intern& node = interned[ckpt.frontier[i]];
-      pending.fetch_add(1, std::memory_order_release);
-      frontier.push(static_cast<int>(i % static_cast<std::size_t>(num_threads_)),
-                    CompactWorkItem{node.record, node.length, nullptr});
+      seed(i, node.record, node.length, nullptr);
     }
-  } else if (handoff != nullptr) {
-    seed_from_probe(*handoff, frontier, arenas[0], pending);
+  } else if (!cut_.empty()) {
+    store_->reshard(shard_bits_, num_threads_);
+    // Arena paths from the root, so violations below a deferred state report
+    // full schedules. The cut is small (tens of states at depth ~20 on Sn(5)
+    // n=5 with a 200k probe), so each path gets its own chain.
+    for (std::size_t i = 0; i < cut_.size(); ++i) {
+      const PathLink* tail = nullptr;
+      for (const Event& event : cut_[i].path) tail = arenas[0].add(event, tail);
+      seed(i, cut_[i].record, cut_[i].length, tail);
+    }
+    cut_.clear();
   } else {
-    const NodeStore::Intern interned =
-        store.intern(root_encoded.fingerprint, root_record);
-    pending.fetch_add(1, std::memory_order_release);
-    frontier.push(0, CompactWorkItem{interned.record, interned.length, nullptr});
-    if (obs_cells_.active) {
-      // The coordinator's root intern, on lane 0, so store.* totals match
-      // store.stats() exactly (the workers account everything else live).
-      ObsDeltas root_delta;
-      root_delta.nodes = 1;
-      root_delta.value_bytes =
-          static_cast<std::uint64_t>(interned.length) * sizeof(typesys::Value);
-      root_delta.encodes = 1;
-      root_delta.canonical_hits = root_canonical_hits;
-      obs_cells_.flush(0, root_delta);
-    }
+    store_ = std::make_unique<NodeStore>(shard_bits_, 0, num_threads_);
+    const NodeStore::Intern interned = store_->intern(root_encoded.fingerprint, root_record);
+    // The coordinator's root intern, flushed on lane 0, so store.* totals
+    // match the store exactly (the workers account everything else live).
+    base_.encodes = 1;
+    base_.canonical_hits = root_encoded.permuted ? 1 : 0;
+    base_.store_nodes = 1;
+    base_.store_bytes = static_cast<std::uint64_t>(interned.length) * sizeof(typesys::Value);
+    Tally unflushed;
+    obs_cells_.flush(0, base_, unflushed);
+    seed(0, interned.record, interned.length, nullptr);
   }
-  // A resume's root re-encode was already counted by the original run, a
-  // handoff's by the probe.
-  const bool fresh_root = config_.resume == nullptr && handoff == nullptr;
-  const std::uint64_t fresh_encodes = fresh_root ? 1 : 0;
-  const std::uint64_t fresh_canonical_hits = fresh_root ? root_canonical_hits : 0;
+  visited_count_.store(base_.visited, std::memory_order_relaxed);
 
+  auto total = [&] {
+    Tally sum = base_;
+    for (const Tally& local : tallies) sum += local;
+    return sum;
+  };
   const std::uint64_t config_hash = checkpoint_config_hash(config_);
 
   // Fills a checkpoint from the current state. Caller contract: the workers
   // are parked at the pause barrier or have all joined (frontier + store
-  // quiescent, worker_stats stable).
+  // quiescent, tallies stable).
   auto gather = [&](CheckpointData& data) {
     data.config_hash = config_hash;
     data.label = config_.checkpoint_label;
     data.root_fp = root_encoded.fingerprint;
-    data.visited = visited_count_.load(std::memory_order_relaxed);
-    data.transitions = resume_transitions_;
-    data.decisions = resume_decisions_;
-    data.terminal_states = resume_terminal_states_;
-    data.orbit_skipped = resume_orbit_skipped_;
-    data.encodes = resume_encodes_ + fresh_encodes;
-    data.canonical_hits = resume_canonical_hits_ + fresh_canonical_hits;
-    for (const WorkerStats& local : worker_stats) {
-      data.transitions += local.transitions;
-      data.decisions += local.decisions;
-      data.terminal_states += local.terminal_states;
-      data.orbit_skipped += local.orbit_skipped;
-      data.encodes += local.encodes;
-      data.canonical_hits += local.canonical_hits;
-    }
+    data.counts = total();
     data.checkpoints_written =
-        resume_checkpoints_ + checkpoints_written_.load(std::memory_order_relaxed);
+        resumed_checkpoints_ + checkpoints_written_.load(std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(violation_mu_);
       data.has_violation = has_violation_;
@@ -778,7 +889,7 @@ std::optional<sim::Violation> ParallelExplorer::explore(ProbeHandoff* handoff) {
     data.nodes.clear();
     data.frontier.clear();
     std::unordered_map<const typesys::Value*, std::uint64_t> record_index;
-    store.for_each_record(
+    store_->for_each_record(
         [&](util::U128 fp, const typesys::Value* values, std::uint32_t length) {
           record_index.emplace(values, data.nodes.size());
           CheckpointData::Node node;
@@ -831,11 +942,10 @@ std::optional<sim::Violation> ParallelExplorer::explore(ProbeHandoff* handoff) {
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(num_threads_));
   for (int id = 0; id < num_threads_; ++id) {
-    threads.emplace_back(
-        [this, id, &frontier, &store, &arenas, &pending, &worker_stats] {
-          worker(id, frontier, store, arenas[static_cast<std::size_t>(id)], pending,
-                 worker_stats[static_cast<std::size_t>(id)]);
-        });
+    const auto slot = static_cast<std::size_t>(id);
+    threads.emplace_back([this, id, slot, &frontier, &arenas, &pending, &tallies] {
+      worker(id, frontier, arenas[slot], pending, tallies[slot]);
+    });
   }
   for (std::thread& thread : threads) thread.join();
   stop_monitor(monitor);
@@ -851,67 +961,20 @@ std::optional<sim::Violation> ParallelExplorer::explore(ProbeHandoff* handoff) {
     }
   }
 
-  const NodeStore::Stats store_stats = store.stats();
-  stats_.store.nodes = store_stats.nodes;
-  stats_.store.value_bytes = store_stats.value_bytes;
-  stats_.store.encodes = fresh_encodes;
-  stats_.store.canonical_hits = fresh_canonical_hits;
-  visited_stats_ = store.load_stats();
+  visited_stats_ = store_->load_stats();
   frontier_stats_ = frontier.stats();
-  return finish(worker_stats);
-}
-
-std::optional<sim::Violation> ParallelExplorer::finish(
-    const std::vector<WorkerStats>& worker_stats) {
-  // Like the sequential explorer, `visited` counts the states inserted during
-  // expansion (the root insert is not counted).
-  stats_.visited = visited_count_.load(std::memory_order_relaxed);
-  stats_.stop_reason =
+  const auto reason =
       static_cast<sim::StopReason>(stop_reason_.load(std::memory_order_relaxed));
-  stats_.truncated = stats_.stop_reason != sim::StopReason::kNone;
+  finish_stats(total(), reason);
   stats_.checkpoints_written =
-      resume_checkpoints_ + checkpoints_written_.load(std::memory_order_relaxed);
-  stats_.transitions = resume_transitions_;
-  stats_.decisions = resume_decisions_;
-  stats_.terminal_states = resume_terminal_states_;
-  stats_.orbit_skipped = resume_orbit_skipped_;
-  stats_.store.encodes += resume_encodes_;
-  stats_.store.canonical_hits += resume_canonical_hits_;
-  for (const WorkerStats& local : worker_stats) {
-    stats_.transitions += local.transitions;
-    stats_.decisions += local.decisions;
-    stats_.terminal_states += local.terminal_states;
-    stats_.orbit_skipped += local.orbit_skipped;
-    stats_.store.encodes += local.encodes;
-    stats_.store.canonical_hits += local.canonical_hits;
-    stats_.hot.allocations_avoided += local.allocations_avoided;
-    stats_.hot.batches += local.batches;
-    stats_.hot.batched_items += local.batched_items;
-    stats_.hot.dedup_cache_probes += local.cache_probes;
-    stats_.hot.dedup_cache_hits += local.cache_hits;
-    // Probe/contention counters are caller-side OpStats (the lock-free
-    // tables hold no shared tallies); aggregate across workers here.
-    stats_.hot.probe_total += local.ops.probe_total;
-    stats_.hot.probe_ops += local.ops.probe_ops;
-    if (local.ops.max_probe > stats_.hot.max_probe) {
-      stats_.hot.max_probe = local.ops.max_probe;
-    }
-    stats_.hot.cas_retries += local.ops.cas_retries;
-    stats_.hot.migration_stripes += local.ops.migration_stripes;
-  }
-  stats_.hot.rehashes = visited_stats_.rehashes;
-
+      resumed_checkpoints_ + checkpoints_written_.load(std::memory_order_relaxed);
+  store_.reset();
   if (obs_cells_.active) {
-    // Steal and rehash totals live in the frontier/table internals; publish
-    // them once per run rather than threading handles through those layers.
-    if (frontier_stats_.steals != 0) {
-      obs_cells_.steals->add(0, frontier_stats_.steals);
-    }
+    // Steal totals live in the frontier internals; publish them once per run
+    // rather than threading handles through that layer.
+    if (frontier_stats_.steals != 0) obs_cells_.steals->add(0, frontier_stats_.steals);
     if (frontier_stats_.stolen_items != 0) {
       obs_cells_.stolen_items->add(0, frontier_stats_.stolen_items);
-    }
-    if (stats_.hot.rehashes != 0) {
-      obs_cells_.store_rehashes->add(0, stats_.hot.rehashes);
     }
     obs_cells_.frontier_pending->set(0);
   }
@@ -924,7 +987,7 @@ std::optional<sim::Violation> ParallelExplorer::finish(
     // Typed truncated verdict: full partial stats, a reason-specific
     // description, and (for the visited-cap case) a best-effort partial
     // trace. Never an abort, never an empty report.
-    return sim::Violation{truncation_description(), sim::PropertyKind::kNone, 0,
+    return sim::Violation{truncation_description(reason), sim::PropertyKind::kNone, 0,
                           truncation_path_};
   }
   return std::nullopt;

@@ -1,49 +1,53 @@
-// Multi-threaded exhaustive exploration with the same contract as
-// `sim::Explorer`.
+// Exhaustive exploration of the deduplicated execution graph, with two
+// traversals over one store, one counter record and one set of limits:
 //
-// Workers expand nodes taken from a work-stealing frontier and deduplicate
-// through a sharded store; each reachable global state is claimed by exactly
-// one worker and expanded exactly once. On runs that complete (no max_visited
-// truncation) this makes the *verdict* (violation-or-clean), the
-// visited/transition/decision/terminal counts, and the set of violating
-// edges all independent of scheduling. Truncated runs stop racily: counts
-// then vary run to run and `visited` can overshoot max_visited by up to one
-// state per worker. What a race can change on complete runs is which path
-// first claims a state, and therefore the trace prefix attached to a
-// violation; the engine reports the lexicographically lowest trace among
-// every violation discovered (same event order the sequential DFS uses),
-// which pins the report for algorithms whose local state advances every
-// step — all of the repository's real ones.
+//   run()      — the worker loop (check::Strategy::kParallelBFS). Workers
+//                expand nodes taken from a work-stealing frontier; each
+//                reachable state is claimed by exactly one worker and
+//                expanded exactly once.
+//   run_dfs()  — the recursive depth-first traversal on the calling thread
+//                (kSequentialDFS), in enumerate_events order. It stops at the
+//                first violation it meets, which is what the pinned
+//                counterexamples of the tests and the benchmark rely on.
+//                With a probe cap (kAuto) it stops at that many states,
+//                finishes the frames on its stack, and escalate() continues
+//                from that cut in the worker loop — no state is explored
+//                twice.
 //
-// The hot path is allocation-free, batch-oriented, and mutex-free: frontier
-// items are stored inline and submitted/drained in batches
+// Both traversals stay because only the depth-first order reproduces the
+// pinned first violations: on algorithms whose steps can leave the encoding
+// unchanged (halting-TAS) the worker loop's lowest-trace violation differs
+// from the one the DFS meets first (ROADMAP, "Deterministic violations").
+//
+// On runs that complete (no truncation) the verdict and the visited /
+// transition / terminal counts are independent of traversal and scheduling
+// (decisions and orbit_skipped are too without a symmetry declaration; see
+// ExplorerStats). Truncated worker-loop runs stop racily: counts then vary
+// run to run and `visited` can overshoot max_visited by up to one state per
+// worker. The worker loop keeps exploring after a violation until the
+// frontier drains and reports the lexicographically lowest trace among every
+// violation it found (same event order as the DFS).
+//
+// The worker hot path is allocation-free, batch-oriented, and mutex-free:
+// frontier items are stored inline and submitted/drained in batches
 // (engine/frontier.hpp) with pop-batch sizes adapted to observed steal
-// pressure, path backlinks come from per-worker append-only arenas instead
-// of shared_ptr allocations (engine/path_arena.hpp), and dedup probes hit
-// lock-free CAS-claimed slot tables (engine/cas_table.hpp) behind a small
-// per-worker recently-inserted fingerprint cache that short-circuits
-// duplicate probes before touching the shared tables at all.
-// ExplorerStats::hot counts the work saved and the contention observed.
-//
-// Nodes are interned value records in a sharded NodeStore, which is also the
-// visited set; frontier items carry views of those records, and each worker
-// decodes into a reusable scratch node instead of cloning Memory + N Process
-// objects per successor (engine/node_store.hpp). A symmetry declaration
+// pressure, path backlinks come from per-worker append-only arenas
+// (engine/path_arena.hpp), and dedup probes hit lock-free CAS-claimed slot
+// tables (engine/cas_table.hpp) behind a small per-worker recently-inserted
+// fingerprint cache. Nodes are interned value records in a NodeStore, which
+// is also the visited set; each traversal decodes into a reusable scratch
+// node instead of cloning Memory + N Process objects per successor
+// (engine/node_store.hpp). A symmetry declaration
 // (ExplorerConfig::symmetry_classes) makes the fingerprints canonical.
-// tests/engine/differential_test.cpp checks both drivers against a naive
+// tests/engine/differential_test.cpp checks both traversals against a naive
 // reference explorer.
-//
-// Unlike the sequential explorer, which stops at the first violation its DFS
-// meets, the parallel engine keeps exploring until the frontier drains (or
-// `max_visited` truncates the search) and then reports the best violation.
-// On clean instances — the expensive case that motivates parallelism — the
-// two explorers do identical work.
 #ifndef RCONS_ENGINE_PARALLEL_EXPLORER_HPP
 #define RCONS_ENGINE_PARALLEL_EXPLORER_HPP
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -54,7 +58,6 @@
 
 #include "engine/expand.hpp"
 #include "engine/frontier.hpp"
-#include "engine/handoff.hpp"
 #include "engine/node_store.hpp"
 #include "engine/obs_cells.hpp"
 #include "engine/path_arena.hpp"
@@ -75,65 +78,59 @@ class ParallelExplorer {
   ParallelExplorer(sim::Memory initial, std::vector<sim::Process> processes,
                    ParallelExplorerConfig config);
 
-  // Explores the full (deduplicated) execution graph. Returns the lowest-
+  // Worker loop from the root (or from config.resume). Returns the lowest-
   // trace violation found, or nullopt if every execution satisfies the
-  // properties. Callable repeatedly; each call restarts from the root.
+  // properties. Each call starts over.
   std::optional<sim::Violation> run();
 
-  // Continues a kAuto probe that stopped on its visited cap
-  // (engine/handoff.hpp) instead of starting from the root: takes ownership
-  // of the probe's store (re-sharding its index for this run's shards and
-  // workers), seeds the frontier with its deferred states (each given an
-  // arena path from the root, so violation traces stay full replayable
-  // schedules), starts every counter from the probe's totals, and keeps its
-  // violation candidate unless a lower trace turns up. Verdicts and counts
-  // equal a run from the root. Requires no checkpoint or resume.
-  std::optional<sim::Violation> run(ProbeHandoff handoff);
+  // Depth-first traversal from the root on the calling thread. Returns the
+  // first violation in DFS order, or nullopt. Each call starts over.
+  //
+  // A `probe_cap` below the budget's visited cap makes it kAuto's probe: on
+  // interning state probe_cap + 1 it stops recursing but finishes the
+  // remaining events of every frame on its stack — each new state deferred
+  // with its path from the root, each violating edge kept as a candidate,
+  // the time/memory limits not polled during that bounded drain — and
+  // returns the visited-cap truncation. escalate() then continues.
+  std::optional<sim::Violation> run_dfs(std::uint64_t probe_cap = ~std::uint64_t{0});
+
+  // True when the last run_dfs() stopped at its probe cap.
+  bool can_escalate() const { return !cut_.empty(); }
+  // States that run_dfs() deferred at its probe cap (interned, not expanded).
+  std::size_t deferred() const { return cut_.size(); }
+
+  // Continues the last run_dfs() from its cut in the worker loop: the store
+  // is re-sharded for the workers (records stay in place), the deferred
+  // states are seeded with arena paths from the root (violation traces stay
+  // full replayable schedules), counters carry on from the DFS totals, the
+  // DFS's violation candidate stands unless a lower trace turns up, and the
+  // deadline taken when run_dfs() started still applies. Verdicts and counts
+  // equal a run() from the root. Requires can_escalate() and no checkpoint
+  // or resume.
+  std::optional<sim::Violation> escalate();
 
   const sim::ExplorerStats& stats() const { return stats_; }
 
-  // Store shard occupancy and frontier steal/batch counts of the last run().
+  // Store shard occupancy and frontier steal/batch counts of the last
+  // worker-loop run.
   const NodeStore::LoadStats& visited_stats() const { return visited_stats_; }
   const CompactFrontier::Stats& frontier_stats() const { return frontier_stats_; }
 
+  // Resolved worker count and shard bits. With num_threads = 0 both resolve
+  // when the worker loop first starts (0 until then), so a depth-first run
+  // never queries the hardware.
   int num_threads() const { return num_threads_; }
   int shard_bits() const { return shard_bits_; }
-
-  // Public (not private) so the contract test can violate it on purpose and
-  // watch the DCHECK fire under -DRCONS_FORCE_DCHECK=ON.
-  struct WorkerStats {
-    std::uint64_t transitions = 0;
-    std::uint64_t decisions = 0;
-    std::uint64_t terminal_states = 0;
-    std::uint64_t orbit_skipped = 0;
-    std::uint64_t encodes = 0;
-    std::uint64_t canonical_hits = 0;
-    std::uint64_t allocations_avoided = 0;
-    std::uint64_t batches = 0;
-    std::uint64_t batched_items = 0;
-    std::uint64_t cache_probes = 0;
-    std::uint64_t cache_hits = 0;
-    // Lock-free table work (probe lengths, lost claim CASes, migration
-    // stripes helped) — accumulated caller-side so the tables never bounce a
-    // shared stats cache line between workers.
-    CasTable::OpStats ops;
-    // Observability-only tallies (not part of ExplorerStats): states this
-    // worker inserted, duplicate successors it skipped, violating edges it
-    // found, and the interned records/bytes it added to the store.
-    std::uint64_t visited = 0;
-    std::uint64_t duplicates = 0;
-    std::uint64_t violation_edges = 0;
-    std::uint64_t store_nodes = 0;
-    std::uint64_t store_bytes = 0;
-  };
 
   // Per-worker conservation law: every counted transition is classified
   // exactly once — it discovered a new state (visited), hit a duplicate, was
   // a violating edge (never expanded further), or was skipped whole by orbit
   // reduction. The worker loop restores this identity at every obs-flush
   // boundary and at worker exit; drift means a classification branch was
-  // added without its tally (or a tally without its transition).
-  static void dcheck_transitions_identity(const WorkerStats& w) {
+  // added without its tally (or a tally without its transition). Public so
+  // the contract test can violate it on purpose and watch the DCHECK fire
+  // under -DRCONS_FORCE_DCHECK=ON.
+  static void dcheck_transitions_identity(const Tally& w) {
     RCONS_DCHECK_MSG(
         w.visited + w.duplicates + w.violation_edges + w.orbit_skipped == w.transitions,
         "transitions identity violated: visited + duplicates + violation_edges + "
@@ -141,14 +138,32 @@ class ParallelExplorer {
   }
 
  private:
+  void resolve_threads();
+  // Clears every per-run field; `limits_` gets a fresh deadline.
   void reset_run();
-  // `handoff` is null for a run from the root (or a resume).
-  std::optional<sim::Violation> explore(ProbeHandoff* handoff);
-  // Seeds the frontier, counters and violation candidate from a probe.
-  void seed_from_probe(ProbeHandoff& handoff, CompactFrontier& frontier,
-                       PathArena& arena, std::atomic<std::uint64_t>& pending);
 
-  // --- robustness layer -----------------------------------------------------
+  // The time/memory limits of a run, polled inline every kPollTransitions
+  // transitions by whichever traversal is active (each worker on its own
+  // count). The deadline is absolute, taken when run() or run_dfs() starts.
+  struct Limits {
+    std::int64_t deadline_ms = 0;     // 0 = none
+    std::uint64_t rss_cap_bytes = 0;  // 0 = none
+    bool armed() const { return deadline_ms != 0 || rss_cap_bytes != 0; }
+    sim::StopReason sample() const;   // kNone, kDeadline or kMemory
+  };
+
+  // The typed truncated verdict's description for `reason`.
+  std::string truncation_description(sim::StopReason reason) const;
+  // Fills stats_ from `total`, the store and the stop reason.
+  void finish_stats(const Tally& total, sim::StopReason reason);
+
+  // --- depth-first traversal -------------------------------------------------
+  std::optional<sim::Violation> dfs(const typesys::Value* record, std::size_t size);
+  // Every kPollTransitions transitions: flush metrics, sample the limits
+  // (not while draining). Returns the truncated verdict when a limit tripped.
+  std::optional<sim::Violation> dfs_poll();
+
+  // --- worker loop -------------------------------------------------------------
   //
   // Cooperative stop: request_stop records the first reason (CAS,
   // first-writer-wins) and flips stop_. Workers observe stop_ at their loop
@@ -159,6 +174,7 @@ class ParallelExplorer {
   // interns, so visited counts stay exact. Workers may therefore exit with
   // pending > 0; every exit path is either "frontier drained" (pending == 0)
   // or "stop observed".
+  std::optional<sim::Violation> explore();
   void request_stop(sim::StopReason reason);
 
   // Pause barrier for consistent checkpoints: the monitor sets
@@ -174,42 +190,75 @@ class ParallelExplorer {
   void worker_pause_point();
   void worker_exit(int id);
 
-  // Resource sentinel / watchdog / periodic-checkpoint monitor. Runs only
-  // when one of those features is enabled (monitor_needed()); hot paths with
-  // everything off never touch a clock. `write_snapshot` (null when
+  // Watchdog / periodic-checkpoint monitor. Runs only when one of those is
+  // enabled (monitor_needed()). `write_snapshot` (null when periodic
   // checkpointing is off) pauses the workers, gathers, resumes, and writes.
   bool monitor_needed() const;
   void monitor_loop(const std::function<bool()>& write_snapshot);
   void stop_monitor(std::thread& monitor);
 
-  std::string truncation_description() const;
-
-  // Adds the delta between `local` and the worker's last flush into the
-  // registry cells and refreshes the frontier-pending gauge (obs_cells.hpp).
-  void flush_worker_obs(std::size_t lane, WorkerStats& last_flushed,
-                        const WorkerStats& local, std::uint64_t pending_now);
-
-  void worker(int id, CompactFrontier& frontier, NodeStore& store, PathArena& arena,
-              std::atomic<std::uint64_t>& pending, WorkerStats& local);
+  void worker(int id, CompactFrontier& frontier, PathArena& arena,
+              std::atomic<std::uint64_t>& pending, Tally& local);
 
   void offer_violation(std::vector<Event> path, sim::PropertyViolation broken);
   void record_truncation(const PathLink* tail, const Event& event);
-  std::optional<sim::Violation> finish(const std::vector<WorkerStats>& worker_stats);
 
   sim::Memory initial_memory_;
   std::vector<sim::Process> initial_processes_;
   ParallelExplorerConfig config_;
-  int num_threads_;
-  int shard_bits_;
+  int num_threads_ = 0;
+  int shard_bits_ = 0;
 
   sim::ExplorerStats stats_;
   NodeStore::LoadStats visited_stats_;
   CompactFrontier::Stats frontier_stats_;
 
   // Resolved metric handles for this run (inactive when config_.obs.metrics
-  // is null). Resolved once in run(); workers only touch lane-private cells.
+  // is null). Resolved once per run; workers only touch lane-private cells.
   ObsCells obs_cells_;
+  Limits limits_;
 
+  // The interning store (also the visited set) of the current run. Kept
+  // between run_dfs() and escalate(), released when a run ends.
+  std::unique_ptr<NodeStore> store_;
+
+  // Counts carried in before the workers start — the root, a resumed
+  // checkpoint, or the depth-first run being escalated. Never flushed by the
+  // workers: the root flushes itself, the DFS already did, and a
+  // checkpoint's counts belong to the run that wrote it.
+  Tally base_;
+
+  // Depth-first state. One scratch node shared by every depth (restored from
+  // the parent's record between successors — see NodeCodec::restore);
+  // parent records are read in place from the store arena, so recursion
+  // holds pointers instead of per-depth copies. events_pool_ holds per-depth
+  // event buffers, reused across siblings — a deque because deeper recursion
+  // grows it while shallower frames hold references into it. orbit_skip_ is
+  // fully consumed by enumerate_events before recursion can overwrite it.
+  std::unique_ptr<NodeCodec> codec_;
+  Node scratch_node_;
+  std::vector<typesys::Value> encode_scratch_;
+  std::vector<std::uint8_t> orbit_skip_;
+  std::vector<Event> path_;
+  std::deque<std::vector<Event>> events_pool_;
+  bool orbit_reduction_ = false;
+  std::uint64_t dfs_cap_ = 0;
+  Tally dfs_;
+  Tally dfs_flushed_;
+  std::uint64_t dfs_next_poll_ = 0;
+
+  // The probe's cut: states interned after its cap but never expanded, in
+  // DFS order, each with its path from the root. draining_ is set while the
+  // stack is being finished.
+  struct Deferred {
+    const typesys::Value* record = nullptr;  // view into store_
+    std::uint32_t length = 0;
+    std::vector<Event> path;
+  };
+  std::vector<Deferred> cut_;
+  bool draining_ = false;
+
+  // Worker-loop state.
   std::atomic<std::uint64_t> visited_count_{0};
   std::atomic<bool> stop_{false};
   std::atomic<bool> truncated_{false};  // a truncation path was recorded
@@ -217,6 +266,7 @@ class ParallelExplorer {
   // First stop reason wins (holds sim::StopReason as int; 0 = kNone).
   std::atomic<int> stop_reason_{0};
   std::atomic<std::uint64_t> checkpoints_written_{0};
+  std::uint64_t resumed_checkpoints_ = 0;
 
   // Per-worker progress heartbeats, bumped once per frontier item; the
   // monitor's watchdog samples them per sentinel interval. kHeartbeatExited
@@ -240,17 +290,6 @@ class ParallelExplorer {
   std::mutex monitor_mu_;
   std::condition_variable monitor_cv_;
   bool monitor_exit_ = false;  // guarded by monitor_mu_
-
-  // Baseline carried in from a resumed checkpoint or a kAuto probe, added
-  // back in finish().
-  std::uint64_t resume_visited_ = 0;
-  std::uint64_t resume_transitions_ = 0;
-  std::uint64_t resume_decisions_ = 0;
-  std::uint64_t resume_terminal_states_ = 0;
-  std::uint64_t resume_orbit_skipped_ = 0;
-  std::uint64_t resume_encodes_ = 0;
-  std::uint64_t resume_canonical_hits_ = 0;
-  std::uint64_t resume_checkpoints_ = 0;
 
   std::mutex violation_mu_;
   bool has_violation_ = false;

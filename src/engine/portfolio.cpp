@@ -146,13 +146,15 @@ util::Table Portfolio::verdict_table(const std::vector<ScenarioResult>& results)
     std::ostringstream time;
     time.precision(3);
     time << std::fixed << result.seconds;
+    // A report can be both truncated and violating (the worker loop keeps the
+    // best violation found before the stop); a real property violation
+    // always wins, as in check_cli's table.
     std::string verdict = result.clean ? "clean" : "VIOLATION";
-    if (!result.clean && result.violation.has_value() &&
+    if (result.violation.has_value() &&
         result.violation->property != sim::PropertyKind::kNone) {
       verdict = std::string("VIOLATION(") +
                 sim::property_name(result.violation->property) + ")";
-    }
-    if (result.stats.truncated) {
+    } else if (result.stats.truncated) {
       verdict = std::string("TRUNCATED(") +
                 sim::stop_reason_name(result.stats.stop_reason) + ")";
     }

@@ -1,7 +1,7 @@
 // Resource-sentinel primitives: a monotonic millisecond clock and the
-// process resident-set size. The parallel engine's monitor thread and the
-// sequential explorer's inline polls both read these; keeping the raw
-// plumbing here keeps /proc parsing out of the explorers.
+// process resident-set size. Both traversals of the engine sample these
+// inline (ParallelExplorer::Limits); keeping the raw plumbing here keeps
+// /proc parsing out of the explorer.
 #ifndef RCONS_ENGINE_SENTINEL_HPP
 #define RCONS_ENGINE_SENTINEL_HPP
 
@@ -22,7 +22,7 @@ inline std::int64_t steady_now_ms() {
 // Current resident-set size in bytes, or 0 when unavailable (non-Linux, or
 // /proc unreadable) — a 0 reading disables the memory sentinel rather than
 // tripping it. Reads /proc/self/statm, whose second field is resident pages;
-// cheap enough (~1µs) to sample every sentinel interval.
+// cheap enough (~1µs) to sample every 1024 transitions.
 inline std::uint64_t current_rss_bytes() {
 #ifdef __linux__
   std::FILE* statm = std::fopen("/proc/self/statm", "r");

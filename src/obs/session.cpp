@@ -87,7 +87,7 @@ const std::vector<NameDoc>& metric_names() {
       {"store.canonical_hits", "encodings the symmetry canonicalizer permuted"},
       {"store.encodes", "node encodings produced"},
       {"store.nodes", "unique states interned in the node store"},
-      {"store.rehashes", "incremental flat-table growths across shards"},
+      {"store.rehashes", "growth epochs of the store's lock-free index across shards"},
       {"store.value_bytes", "arena payload bytes across interned records"},
   };
   return kNames;
@@ -99,14 +99,12 @@ const std::vector<NameDoc>& span_names() {
       {"check", "one check() call end-to-end"},
       {"expand_batch", "one popped batch expanded by an engine worker"},
       {"explore", "the exhaustive backend's full exploration"},
-      {"minimize", "reserved: greedy schedule minimization of a violation"},
+      {"minimize", "check_cli --minimize: greedy schedule minimization of a violation"},
       {"portfolio_scenario", "one portfolio scenario end-to-end (': <name>' suffixed)"},
-      {"probe", "the kAuto bounded sequential probe"},
+      {"probe", "the kAuto probe: the depth-first traversal up to auto_probe_limit states"},
       {"random_run", "one seeded random execution"},
-      {"rehash", "reserved: table growth publishes store.rehashes today"},
       {"replay", "scripted schedule replay"},
-      {"spec_parse", "reserved: scenario spec file parse"},
-      {"spill_candidate", "reserved for the out-of-core store (ROADMAP)"},
+      {"spec_parse", "check_cli: scenario spec file parse"},
       {"steal", "a pop that came back with a victim's items (span covers the probe)"},
       {"worker", "one engine worker thread within a run"},
   };

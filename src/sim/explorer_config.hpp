@@ -1,10 +1,11 @@
-// Shared contract of the exhaustive explorers (sequential `sim::Explorer` and
-// parallel `engine::ParallelExplorer`): the violation report and run
-// statistics. The tunable knobs live in `check::Budget` (check/budget.hpp),
-// which both explorer configs derive from so the fields cannot drift.
+// Contract of the exhaustive explorer (`engine::ParallelExplorer`, whose
+// depth-first and worker-loop traversals back kSequentialDFS and
+// kParallelBFS): its configuration, the violation report and run statistics.
+// The tunable knobs live in `check::Budget` (check/budget.hpp), which the
+// config derives from so they cannot drift from the other backends'.
 //
-// These live in their own header so `engine/` can depend on the contract
-// without pulling in the sequential explorer (and vice versa).
+// These live under sim/ so the random runner, replay and the check facade
+// share the report types without depending on engine/.
 #ifndef RCONS_SIM_EXPLORER_CONFIG_HPP
 #define RCONS_SIM_EXPLORER_CONFIG_HPP
 
@@ -72,11 +73,11 @@ struct ExplorerConfig : check::Budget {
 
   // --- robustness layer (engine/sentinel.hpp, engine/checkpoint.hpp) ------
 
-  // Resource-sentinel sampling period. The parallel engine runs a monitor
-  // thread at this cadence whenever a time/memory limit, the watchdog, or
-  // periodic checkpointing is enabled; the sequential explorer polls its
-  // limits inline at the same granularity as its obs flushes. Hot paths with
-  // everything off never touch a clock.
+  // Watchdog and periodic-checkpoint period: the worker loop runs a monitor
+  // thread at this cadence when either is enabled. The time and memory
+  // limits are not sampled here: whichever traversal is running polls them
+  // inline every 1024 transitions. Hot paths with everything off never touch
+  // a clock.
   int sentinel_interval_ms = 50;
 
   // Watchdog: fail the run (StopReason::kWatchdog, with a per-worker
@@ -143,15 +144,10 @@ struct NodeStoreStats {
 
 // Per-state cost counters of the batched, allocation-free hot path
 // (engine/frontier.hpp, engine/cas_table.hpp, engine/path_arena.hpp). The
-// parallel engine fills all of them; the sequential explorer fills the
+// worker loop fills all of them; the depth-first traversal fills the
 // probe-length and table counters (its store uses the same lock-free table)
-// and leaves the frontier/arena/cache counters at zero.
+// and leaves the frontier/cache counters at zero.
 struct HotPathStats {
-  // Per-item heap allocations the pre-batching hot path would have made:
-  // one `unique_ptr` wrapper per frontier item plus one `shared_ptr<PathLink>`
-  // control block per push, now served by inline storage and arena links.
-  std::uint64_t allocations_avoided = 0;
-
   std::uint64_t batches = 0;        // successor batches submitted to the frontier
   std::uint64_t batched_items = 0;  // items across those batches
 

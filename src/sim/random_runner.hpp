@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "obs/hooks.hpp"
-#include "sim/explorer.hpp"
+#include "sim/explorer_config.hpp"
 #include "sim/memory.hpp"
 #include "sim/process.hpp"
 #include "sim/properties.hpp"

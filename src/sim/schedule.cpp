@@ -26,4 +26,22 @@ std::string format_schedule(const std::vector<ScheduleEvent>& schedule) {
 
 std::string Violation::trace() const { return format_schedule(schedule); }
 
+const char* stop_reason_name(StopReason reason) {
+  switch (reason) {
+    case StopReason::kNone:
+      return "none";
+    case StopReason::kVisitedCap:
+      return "visited-cap";
+    case StopReason::kDeadline:
+      return "deadline";
+    case StopReason::kMemory:
+      return "memory";
+    case StopReason::kWatchdog:
+      return "watchdog";
+    case StopReason::kForcedStop:
+      return "forced-stop";
+  }
+  return "unknown";
+}
+
 }  // namespace rcons::sim

@@ -124,9 +124,9 @@ TEST(CheckTest, AutoStaysSequentialOnSmallStateSpaces) {
 }
 
 TEST(CheckTest, AutoEscalatesToParallelWhenProbeTruncates) {
-  // A probe smaller than the state space stops on its visited cap and hands
-  // its store and DFS-stack cut to the engine (engine/handoff.hpp). The
-  // engine continues from there, so every count must equal a sequential run
+  // A probe smaller than the state space stops on its visited cap and the
+  // worker loop continues from its store and DFS-stack cut
+  // (ParallelExplorer::escalate), so every count must equal a sequential run
   // from the root — whatever the cut, the worker count, or the reduction.
   // Under symmetry reduction, decisions and orbit_skipped depend on which
   // concrete state first reaches each orbit (its per-run step counts decide

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -69,6 +70,51 @@ TEST(CorpusTest, EveryCorpusViolationReproducesThroughReplay) {
     ASSERT_TRUE(report.violation.has_value());
     EXPECT_EQ(report.violation->property, property)
         << report.violation->description;
+  }
+}
+
+// The first violation each corpus scenario yields from the root, pinned as
+// found by the depth-first traversal that kSequentialDFS runs and kAuto's
+// probe runs first (every corpus scenario fits in the probe). The benchmark's
+// spec-sweep pins the same visited counts.
+TEST(CorpusTest, DepthFirstFindsThePinnedFirstViolation) {
+  struct Pin {
+    const char* file;
+    sim::PropertyKind property;
+    const char* schedule;
+    std::uint64_t visited;
+  };
+  const Pin pins[] = {
+      {"halting-tas.viol", sim::PropertyKind::kAgreement,
+       "step(p0) step(p0) step(p0) step(p0) step(p1) step(p1) step(p1) step(p1) "
+       "CRASH(p0) step(p0) step(p0) step(p0) step(p0) ",
+       12},
+      {"kset-consensus-violates.viol", sim::PropertyKind::kAgreement,
+       "step(p0) step(p0) step(p0) step(p0) step(p0) step(p0) step(p1) ", 6},
+      {"register-race.viol", sim::PropertyKind::kAgreement,
+       "step(p0) step(p0) step(p1) step(p1) ", 3},
+  };
+  for (const Pin& pin : pins) {
+    const ViolationParse parse = load_violation_file((corpus_dir() / pin.file).string());
+    ASSERT_TRUE(parse.ok()) << pin.file;
+    const ScenarioSpec& scenario = parse.file->scenario;
+    for (const Strategy strategy : {Strategy::kSequentialDFS, Strategy::kAuto}) {
+      SCOPED_TRACE(std::string(pin.file) + " " + strategy_name(strategy));
+      CheckRequest request;
+      request.system = build_spec_system(scenario);
+      request.budget.crash_model = scenario.crash_model;
+      request.budget.crash_budget = scenario.crash_budget;
+      if (scenario.max_steps_per_run >= 0) {
+        request.budget.max_steps_per_run = scenario.max_steps_per_run;
+      }
+      request.strategy = strategy;
+      const CheckReport report = check(std::move(request));
+      EXPECT_EQ(report.strategy, Strategy::kSequentialDFS);
+      ASSERT_TRUE(report.violation.has_value());
+      EXPECT_EQ(report.violation->property, pin.property);
+      EXPECT_EQ(report.violation->trace(), pin.schedule);
+      EXPECT_EQ(report.stats.visited, pin.visited);
+    }
   }
 }
 

@@ -33,13 +33,13 @@ CheckpointData sample_data() {
   data.config_hash = 0x1234'5678'9abc'def0ULL;
   data.label = "type=Sn(3) n=3 model=independent budget=2 algo=team";
   data.root_fp = {0xdeadbeefULL, 0xfeedfaceULL};
-  data.visited = 6081;
-  data.transitions = 40000;
-  data.decisions = 123;
-  data.terminal_states = 456;
-  data.orbit_skipped = 7;
-  data.encodes = 6100;
-  data.canonical_hits = 19;
+  data.counts.visited = 6081;
+  data.counts.transitions = 40000;
+  data.counts.decisions = 123;
+  data.counts.terminal_states = 456;
+  data.counts.orbit_skipped = 7;
+  data.counts.encodes = 6100;
+  data.counts.canonical_hits = 19;
   data.checkpoints_written = 3;
   data.has_violation = true;
   data.violation_description = "agreement violated: outputs {1, 2}";
@@ -59,13 +59,13 @@ void expect_equal(const CheckpointData& a, const CheckpointData& b) {
   EXPECT_EQ(a.label, b.label);
   EXPECT_EQ(a.root_fp.lo, b.root_fp.lo);
   EXPECT_EQ(a.root_fp.hi, b.root_fp.hi);
-  EXPECT_EQ(a.visited, b.visited);
-  EXPECT_EQ(a.transitions, b.transitions);
-  EXPECT_EQ(a.decisions, b.decisions);
-  EXPECT_EQ(a.terminal_states, b.terminal_states);
-  EXPECT_EQ(a.orbit_skipped, b.orbit_skipped);
-  EXPECT_EQ(a.encodes, b.encodes);
-  EXPECT_EQ(a.canonical_hits, b.canonical_hits);
+  EXPECT_EQ(a.counts.visited, b.counts.visited);
+  EXPECT_EQ(a.counts.transitions, b.counts.transitions);
+  EXPECT_EQ(a.counts.decisions, b.counts.decisions);
+  EXPECT_EQ(a.counts.terminal_states, b.counts.terminal_states);
+  EXPECT_EQ(a.counts.orbit_skipped, b.counts.orbit_skipped);
+  EXPECT_EQ(a.counts.encodes, b.counts.encodes);
+  EXPECT_EQ(a.counts.canonical_hits, b.counts.canonical_hits);
   EXPECT_EQ(a.checkpoints_written, b.checkpoints_written);
   EXPECT_EQ(a.has_violation, b.has_violation);
   EXPECT_EQ(a.violation_description, b.violation_description);
@@ -148,7 +148,7 @@ TEST(CheckpointTest, TornWriteFaultLeavesPreviousCheckpointIntact) {
   ASSERT_TRUE(write_checkpoint(path, first, nullptr, error)) << error;
 
   CheckpointData second = sample_data();
-  second.visited = 99999;
+  second.counts.visited = 99999;
   FaultPlan fault(FaultPlan::Site::kCkptWrite, FaultPlan::Action::kTruncateWrite, 1);
   EXPECT_FALSE(write_checkpoint(path, second, &fault, error));
   EXPECT_TRUE(fault.fired());
@@ -158,7 +158,7 @@ TEST(CheckpointTest, TornWriteFaultLeavesPreviousCheckpointIntact) {
   // and still holds the first snapshot.
   CheckpointData loaded;
   ASSERT_EQ(load_checkpoint(path, loaded, error), CheckpointLoad::kOk) << error;
-  EXPECT_EQ(loaded.visited, first.visited);
+  EXPECT_EQ(loaded.counts.visited, first.counts.visited);
   std::remove(path.c_str());
 }
 
@@ -222,7 +222,7 @@ TEST(CheckpointTest, InterruptedRunResumesToIdenticalVisitedAndVerdict) {
   CheckpointData snapshot;
   std::string error;
   ASSERT_EQ(load_checkpoint(path, snapshot, error), CheckpointLoad::kOk) << error;
-  EXPECT_EQ(snapshot.visited, partial.stats.visited);
+  EXPECT_EQ(snapshot.counts.visited, partial.stats.visited);
   check::CheckRequest resumed = spec_request(line);
   resumed.checkpoint_path = path;
   resumed.checkpoint_label = line;

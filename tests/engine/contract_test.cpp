@@ -13,8 +13,8 @@
 namespace rcons::engine {
 namespace {
 
-ParallelExplorer::WorkerStats consistent_stats() {
-  ParallelExplorer::WorkerStats stats;
+Tally consistent_stats() {
+  Tally stats;
   stats.transitions = 10;
   stats.visited = 4;
   stats.duplicates = 3;
@@ -30,7 +30,7 @@ TEST(ContractTest, TransitionsIdentityHoldsOnConsistentStats) {
 
 TEST(ContractTest, TransitionsIdentityViolationAborts) {
 #if RCONS_DCHECK_ENABLED
-  ParallelExplorer::WorkerStats bad = consistent_stats();
+  Tally bad = consistent_stats();
   bad.duplicates += 1;  // one duplicate tallied without its transition
   EXPECT_DEATH(ParallelExplorer::dcheck_transitions_identity(bad),
                "transitions identity violated");

@@ -1,12 +1,12 @@
-// Differential test of the two exploration drivers against a naive reference
+// Differential test of the engine's two traversals against a naive reference
 // explorer (tests/support/reference_explorer.hpp) that shares none of their
 // hashing, dedup table, symmetry reduction or threads. With symmetry
-// reduction off, sim::Explorer and engine::ParallelExplorer at 1 and 4
-// threads must reach the oracle's verdict and exactly its visited /
+// reduction off, ParallelExplorer::run_dfs() and the worker loop (run()) at 1
+// and 4 threads must reach the oracle's verdict and exactly its visited /
 // transition / decision / terminal counts on clean instances, and on a
 // violating instance report a violation of the same property — with the
-// oracle's schedule for the sequential driver, and with a schedule that
-// replays to that property for the parallel one. With symmetry reduction on,
+// oracle's schedule for the depth-first traversal, and with a schedule that
+// replays to that property for the worker loop. With symmetry reduction on,
 // the visited set must only shrink (never grow) and the verdict must hold.
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 #include "engine/parallel_explorer.hpp"
 #include "rc/naive_register.hpp"
 #include "rc/team_consensus.hpp"
-#include "sim/explorer.hpp"
 #include "sim/replay.hpp"
 #include "support/reference_explorer.hpp"
 #include "typesys/zoo.hpp"
@@ -47,23 +46,24 @@ test::ReferenceResult run_reference(const System& system, const sim::ExplorerCon
   return test::ReferenceExplorer(config).run(system.memory, system.processes);
 }
 
-Outcome run_sequential(const System& system, const sim::ExplorerConfig& config) {
-  sim::Explorer explorer(system.memory, system.processes, config);
-  Outcome outcome;
-  outcome.violation = explorer.run();
-  outcome.stats = explorer.stats();
-  return outcome;
-}
-
-Outcome run_parallel(const System& system, const sim::ExplorerConfig& base, int threads) {
+Outcome run_engine(const System& system, const sim::ExplorerConfig& base, int threads,
+                   bool depth_first) {
   ParallelExplorerConfig config;
   static_cast<sim::ExplorerConfig&>(config) = base;
   config.num_threads = threads;
   ParallelExplorer explorer(system.memory, system.processes, config);
   Outcome outcome;
-  outcome.violation = explorer.run();
+  outcome.violation = depth_first ? explorer.run_dfs() : explorer.run();
   outcome.stats = explorer.stats();
   return outcome;
+}
+
+Outcome run_sequential(const System& system, const sim::ExplorerConfig& config) {
+  return run_engine(system, config, 0, /*depth_first=*/true);
+}
+
+Outcome run_parallel(const System& system, const sim::ExplorerConfig& config, int threads) {
+  return run_engine(system, config, threads, /*depth_first=*/false);
 }
 
 void expect_oracle_counts(const test::ReferenceResult& oracle, const Outcome& outcome,
@@ -142,8 +142,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(DifferentialTest, NaiveRegisterRaceMatchesTheReferenceViolation) {
-  // The sequential driver stops at the first violation of the same DFS, so
-  // it must report the oracle's schedule. The parallel engine reports the
+  // The depth-first traversal stops at the first violation of the same DFS,
+  // so it must report the oracle's schedule. The worker loop reports the
   // lowest trace among all it found, which must break the same property and
   // replay to it from the root.
   rc::NaiveRegisterSystem built = rc::make_naive_register_system(2);
@@ -207,7 +207,7 @@ TEST(DifferentialTest, CanonicalizationOnlyShrinksTheVisitedSet) {
       EXPECT_GT(on.stats.store.canonical_hits, 0u) << type_name;
     }
 
-    // The parallel engine agrees with the sequential explorer under
+    // The worker loop agrees with the depth-first traversal under
     // canonicalization too.
     const Outcome parallel = run_parallel(system, with_symmetry, 4);
     EXPECT_EQ(parallel.violation.has_value(), on.violation.has_value()) << type_name;

@@ -1,7 +1,7 @@
-// Parity and determinism of the parallel engine against the sequential
-// explorer: both must report the same verdict (violation-or-clean) on every
-// covered configuration, and repeated parallel runs must agree with each
-// other (ISSUE: deterministic first-violation reporting).
+// Parity and determinism of the worker loop against the depth-first
+// traversal: both must report the same verdict (violation-or-clean) on every
+// covered configuration, and repeated worker-loop runs must agree with each
+// other (deterministic first-violation reporting).
 #include "engine/parallel_explorer.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 
 #include "hierarchy/recording.hpp"
 #include "rc/team_consensus.hpp"
-#include "sim/explorer.hpp"
 #include "support/programs.hpp"
 #include "typesys/zoo.hpp"
 
@@ -56,7 +55,7 @@ std::vector<ModelCase> model_cases() {
 
 class ParallelParityTest : public ::testing::TestWithParam<ModelCase> {};
 
-// On clean instances the two explorers traverse the identical deduplicated
+// On clean instances the two traversals walk the identical deduplicated
 // graph, so not only the verdict but every counter must match.
 TEST_P(ParallelParityTest, AgreesWithSequentialExplorer) {
   const ModelCase& c = GetParam();
@@ -71,8 +70,8 @@ TEST_P(ParallelParityTest, AgreesWithSequentialExplorer) {
   base.crash_budget = c.crash_budget;
   base.properties.valid_outputs = {kInputA, kInputB};
 
-  sim::Explorer sequential(system.memory, system.processes, base);
-  const auto sequential_violation = sequential.run();
+  ParallelExplorer sequential(system.memory, system.processes, parallel_config(base));
+  const auto sequential_violation = sequential.run_dfs();
 
   ParallelExplorer parallel(system.memory, system.processes, parallel_config(base));
   const auto parallel_violation = parallel.run();
@@ -142,8 +141,8 @@ TEST(ParallelExplorerTest, ReportsLowestTraceViolation) {
   base.crash_budget = 0;
   base.properties.valid_outputs = {1, 2};
 
-  sim::Explorer sequential(memory, processes, base);
-  const auto sequential_violation = sequential.run();
+  ParallelExplorer sequential(memory, processes, parallel_config(base));
+  const auto sequential_violation = sequential.run_dfs();
   ASSERT_TRUE(sequential_violation.has_value());
 
   ParallelExplorer parallel(memory, processes, parallel_config(base));
@@ -262,8 +261,8 @@ TEST(ParallelExplorerTest, SingleThreadSubsumesSequential) {
   base.crash_budget = 2;
   base.properties.valid_outputs = {kInputA, kInputB};
 
-  sim::Explorer sequential(system.memory, system.processes, base);
-  const auto sequential_violation = sequential.run();
+  ParallelExplorer sequential(system.memory, system.processes, parallel_config(base));
+  const auto sequential_violation = sequential.run_dfs();
 
   ParallelExplorer single(system.memory, system.processes,
                           parallel_config(base, /*threads=*/1, /*shard_bits=*/0));

@@ -84,5 +84,35 @@ TEST(PortfolioTest, VerdictTableHasOneRowPerScenario) {
   EXPECT_EQ(lines, 2 + static_cast<int>(results.size()));
 }
 
+TEST(PortfolioTest, VerdictTableShowsARealViolationOverTruncation) {
+  // The worker loop can stop on a limit after it found a violation and
+  // report both; a real property violation wins, as in check_cli's table.
+  ScenarioResult truncated_and_violating;
+  truncated_and_violating.scenario.name = "both";
+  truncated_and_violating.violation =
+      sim::Violation{"agreement violated", sim::PropertyKind::kAgreement, 0, {}};
+  truncated_and_violating.stats.truncated = true;
+  truncated_and_violating.stats.stop_reason = sim::StopReason::kDeadline;
+  ScenarioResult truncated_only;
+  truncated_only.scenario.name = "cut";
+  truncated_only.violation = sim::Violation{"time limit exceeded", sim::PropertyKind::kNone,
+                                            0, {}};
+  truncated_only.stats.truncated = true;
+  truncated_only.stats.stop_reason = sim::StopReason::kDeadline;
+
+  std::ostringstream out;
+  Portfolio::verdict_table({truncated_and_violating, truncated_only}).print(out);
+  const std::string text = out.str();
+  const std::size_t both_row = text.find("| both");
+  const std::size_t cut_row = text.find("| cut");
+  ASSERT_NE(both_row, std::string::npos) << text;
+  ASSERT_NE(cut_row, std::string::npos) << text;
+  const std::string both_line = text.substr(both_row, text.find('\n', both_row) - both_row);
+  const std::string cut_line = text.substr(cut_row, text.find('\n', cut_row) - cut_row);
+  EXPECT_NE(both_line.find("VIOLATION(agreement)"), std::string::npos) << text;
+  EXPECT_EQ(both_line.find("TRUNCATED"), std::string::npos) << text;
+  EXPECT_NE(cut_line.find("TRUNCATED(deadline)"), std::string::npos) << text;
+}
+
 }  // namespace
 }  // namespace rcons::engine

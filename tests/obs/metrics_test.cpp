@@ -281,7 +281,7 @@ TEST(MetricsContractTest, ReplayPublishesScheduleTotals) {
 
 TEST(MetricsContractTest, AutoEscalationTotalsIncludeTheProbe) {
   // A tiny probe limit forces kAuto to escalate. The engine continues from
-  // the probe's store and counters (engine/handoff.hpp), so the registry
+  // the probe's store and counters (ParallelExplorer::escalate), so the registry
   // totals — the probe's flushes plus the engine's — must equal the escalated
   // run's ExplorerStats, and check.probe_visited counts the states the probe
   // expanded itself.

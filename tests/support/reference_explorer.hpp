@@ -1,5 +1,5 @@
-// A deliberately naive exhaustive explorer: the oracle the two engine drivers
-// are checked against (tests/engine/differential_test.cpp).
+// A deliberately naive exhaustive explorer: the oracle the engine's two
+// traversals are checked against (tests/engine/differential_test.cpp).
 //
 // It shares only the step semantics with the engine — make_root,
 // enumerate_events, apply_event, is_terminal, and the encode_node image of a
@@ -11,7 +11,7 @@
 //     fingerprint exists and no hash collision can prune a state;
 //   * no symmetry reduction, no orbit masks, no threads.
 //
-// The traversal is sim::Explorer's: depth first, events in enumeration
+// The traversal is ParallelExplorer::run_dfs()'s: depth first, events in enumeration
 // order, the first path to reach a state fixes it (including the per-run step
 // counts, which lie outside the encode_node image). So on a violating system
 // the first violation carries the same schedule. The counters follow

@@ -19,9 +19,10 @@ documented invariants (see README "Correctness tooling"):
   obs-taxonomy-sync    every engine.*/check.*/random.*/replay.*/portfolio.*/
                        store.* metric literal in src/ appears in the
                        metric_names() taxonomy (obs/session.cpp) and vice
-                       versa; span names created in src/ appear in
-                       span_names(), and documented spans are emitted
-                       somewhere unless marked "reserved".
+                       versa; span names created in src/ or examples/ appear
+                       in span_names(), and every documented span is emitted
+                       there. No name may be documented as "reserved": the
+                       taxonomy lists only names some code emits.
   assert-discipline    bare assert( / abort( / <cassert> outside
                        util/assert.hpp are errors; use RCONS_ASSERT /
                        RCONS_DCHECK / RCONS_UNREACHABLE.
@@ -438,19 +439,22 @@ def check_obs_taxonomy(root, files, findings):
     if not metrics and not spans:
         return
 
-    src_files = [
-        sf for sf in files
-        if sf.rel_path.replace(os.sep, "/").startswith("src/")
-        and not sf.rel_path.replace(os.sep, "/").endswith(TAXONOMY_FILE.split("/")[-1])
-    ]
+    def under(sf, top):
+        rel = sf.rel_path.replace(os.sep, "/")
+        return rel.startswith(top + "/") and rel != TAXONOMY_FILE
+
     used_metrics = {}
     used_spans = {}
     all_literals = set()
-    for sf in src_files:
+    for sf in files:
+        in_src = under(sf, "src")
+        if not in_src and not under(sf, "examples"):
+            continue
         text = sf.code_with_strings
-        for m in METRIC_LITERAL_RE.finditer(text):
-            lineno = text.count("\n", 0, m.start()) + 1
-            used_metrics.setdefault(m.group(1), (sf.rel_path, lineno))
+        if in_src:
+            for m in METRIC_LITERAL_RE.finditer(text):
+                lineno = text.count("\n", 0, m.start()) + 1
+                used_metrics.setdefault(m.group(1), (sf.rel_path, lineno))
         for pattern in SPAN_CALL_RES:
             for m in pattern.finditer(text):
                 lineno = text.count("\n", 0, m.start()) + 1
@@ -458,6 +462,13 @@ def check_obs_taxonomy(root, files, findings):
         all_literals.update(re.findall(r'"([^"\n]*)"', text))
 
     taxonomy_rel = TAXONOMY_FILE
+    for kind, docs in (("metric", metrics), ("span", spans)):
+        for name in sorted(docs):
+            if docs[name].startswith("reserved"):
+                findings.append(
+                    Finding(taxonomy_rel, 1, "obs-taxonomy-sync",
+                            f'{kind} "{name}" is documented as reserved; the taxonomy '
+                            "lists only emitted names (emit it or delete it)"))
     for name, (path, lineno) in sorted(used_metrics.items()):
         if name not in metrics:
             findings.append(
@@ -465,11 +476,11 @@ def check_obs_taxonomy(root, files, findings):
                         f'metric "{name}" is published but missing from '
                         f"metric_names() in {taxonomy_rel}"))
     for name in sorted(metrics):
-        if name not in used_metrics and not metrics[name].startswith("reserved"):
+        if name not in used_metrics:
             findings.append(
                 Finding(taxonomy_rel, 1, "obs-taxonomy-sync",
                         f'metric "{name}" is documented in metric_names() but never '
-                        'published in src/ (delete it or mark the doc "reserved: ...")'))
+                        "published in src/ (publish it or delete it)"))
     for name, (path, lineno) in sorted(used_spans.items()):
         if name not in spans:
             findings.append(
@@ -477,16 +488,14 @@ def check_obs_taxonomy(root, files, findings):
                         f'span "{name}" is emitted but missing from span_names() '
                         f"in {taxonomy_rel}"))
     for name in sorted(spans):
-        if name in used_spans or spans[name].startswith("reserved"):
-            continue
-        # Span names may travel through helpers (e.g. run_sequential(...,
-        # "probe")); any literal occurrence in src/ counts as emitted.
-        if name in all_literals:
+        # Span names may travel through helpers; any literal occurrence in
+        # src/ or examples/ counts as emitted.
+        if name in used_spans or name in all_literals:
             continue
         findings.append(
             Finding(taxonomy_rel, 1, "obs-taxonomy-sync",
                     f'span "{name}" is documented in span_names() but never emitted '
-                    'in src/ (emit it, delete it, or mark the doc "reserved: ...")'))
+                    "in src/ or examples/ (emit it or delete it)"))
 
 
 BARE_ASSERT_RE = re.compile(r"(?:^|[^_\w.])assert\s*\(")

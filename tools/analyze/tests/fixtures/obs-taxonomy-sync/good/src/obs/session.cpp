@@ -4,13 +4,12 @@ namespace obs {
 std::vector<std::pair<const char*, const char*>> metric_names() {
   return {
       {"engine.visited", "states inserted into the visited set"},
-      {"engine.rehashes", "reserved: table growth events"},
   };
 }
 std::vector<std::pair<const char*, const char*>> span_names() {
   return {
       {"probe", "pre-sizing probe run"},
-      {"minimize", "reserved: schedule minimization"},
+      {"minimize", "schedule minimization, emitted by an example program"},
   };
 }
 }  // namespace obs

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Self-test for tools/analyze/lint.py against the fixture corpus.
 
-For every rule directory under fixtures/ there is one `good` and one `bad`
-mini-tree. The good tree must lint clean for that rule (exit 0, no output);
-the bad tree must produce at least one finding OF THAT RULE and exit 1.
+For every rule directory under fixtures/ there is one `good` mini-tree and
+one or more `bad*` mini-trees. The good tree must lint clean for that rule
+(exit 0, no output); each bad tree must produce at least one finding OF THAT
+RULE and exit 1. A tree's src/ and, when present, examples/ are linted.
 Registered as the `analyze_selftest` ctest so tier-1 catches linter
 regressions.
 """
@@ -18,8 +19,9 @@ FIXTURES = os.path.join(HERE, "fixtures")
 
 
 def run_lint(root, rule):
+    paths = [p for p in ("src", "examples") if os.path.isdir(os.path.join(root, p))]
     return subprocess.run(
-        [sys.executable, LINT, "--root", root, "--rules", rule, "src"],
+        [sys.executable, LINT, "--root", root, "--rules", rule] + paths,
         capture_output=True, text=True)
 
 
@@ -35,18 +37,21 @@ def main():
             failures.append(
                 f"[{rule}] good fixture should be clean, got exit "
                 f"{good.returncode}:\n{good.stdout}{good.stderr}")
-        bad = run_lint(os.path.join(FIXTURES, rule, "bad"), rule)
-        if bad.returncode != 1:
-            failures.append(
-                f"[{rule}] bad fixture should exit 1, got "
-                f"{bad.returncode}:\n{bad.stdout}{bad.stderr}")
-        elif f"[{rule}]" not in bad.stdout:
-            failures.append(
-                f"[{rule}] bad fixture findings do not mention the rule:\n"
-                f"{bad.stdout}")
-        else:
-            print(f"ok {rule}: good clean, bad caught "
-                  f"({bad.stdout.count('[' + rule + ']')} finding(s))")
+        bad_trees = sorted(d for d in os.listdir(os.path.join(FIXTURES, rule))
+                           if d.startswith("bad"))
+        for tree in bad_trees:
+            bad = run_lint(os.path.join(FIXTURES, rule, tree), rule)
+            if bad.returncode != 1:
+                failures.append(
+                    f"[{rule}] {tree} fixture should exit 1, got "
+                    f"{bad.returncode}:\n{bad.stdout}{bad.stderr}")
+            elif f"[{rule}]" not in bad.stdout:
+                failures.append(
+                    f"[{rule}] {tree} fixture findings do not mention the rule:\n"
+                    f"{bad.stdout}")
+            else:
+                print(f"ok {rule}: good clean, {tree} caught "
+                      f"({bad.stdout.count('[' + rule + ']')} finding(s))")
     # The allow grammar itself: a reason-less allow and a stale allow must
     # both be rejected even though they name a real rule.
     meta_root = os.path.join(FIXTURES, "atomics-discipline", "good")
