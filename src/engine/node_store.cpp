@@ -1,7 +1,6 @@
 // rcons-lint: hot-path
 #include "engine/node_store.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <map>
 
@@ -43,10 +42,41 @@ Canonicalizer::Canonicalizer(const std::vector<int>& symmetry_classes)
   for (std::size_t i = 0; i < symmetry_classes.size(); ++i) {
     by_class[symmetry_classes[i]].push_back(static_cast<int>(i));
   }
+  members_.resize(num_processes_);
   for (auto& [cls, members] : by_class) {
-    if (members.size() >= 2) groups_.push_back(std::move(members));
+    if (members.size() < 2) continue;
+    for (std::size_t j = 0; j < members.size(); ++j) {
+      members_[static_cast<std::size_t>(members[j])] =
+          Member{static_cast<int>(groups_.size()), static_cast<int>(j)};
+    }
+    groups_.push_back(std::move(members));
   }
 }
+
+int Canonicalizer::compare(const Value* a, std::size_t a_size, Value a_steps,
+                           const Value* b, std::size_t b_size, Value b_steps) {
+  const std::size_t common = a_size < b_size ? a_size : b_size;
+  for (std::size_t i = 0; i < common; ++i) {
+    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+  }
+  if (a_size != b_size) return a_size < b_size ? -1 : 1;
+  if (a_steps != b_steps) return a_steps < b_steps ? -1 : 1;
+  return 0;
+}
+
+namespace {
+
+// Canonicalizer::compare() of processes a and b within one record.
+int compare_blocks(const Value* record, const std::vector<std::size_t>& block_offsets,
+                   std::size_t a, std::size_t b) {
+  const std::size_t sidecar = block_offsets.back();
+  return Canonicalizer::compare(record + block_offsets[a],
+                                block_offsets[a + 1] - block_offsets[a], record[sidecar + a],
+                                record + block_offsets[b],
+                                block_offsets[b + 1] - block_offsets[b], record[sidecar + b]);
+}
+
+}  // namespace
 
 bool Canonicalizer::canonicalize(std::vector<Value>& record,
                                  const std::vector<std::size_t>& block_offsets) {
@@ -56,20 +86,9 @@ bool Canonicalizer::canonicalize(std::vector<Value>& record,
   RCONS_ASSERT(record.size() == block_offsets[n] + n);
   const std::size_t sidecar = block_offsets[n];
 
-  // Lexicographic order on (block content, steps_in_run). The sidecar
-  // tiebreak only disambiguates equal blocks — it never influences which
-  // fingerprint results, since equal blocks fingerprint identically either
-  // way — but it keeps the stored record deterministic.
-  auto block_less = [&](int a, int b) {
-    const auto sa = static_cast<std::size_t>(a);
-    const auto sb = static_cast<std::size_t>(b);
-    const Value* a_begin = record.data() + block_offsets[sa];
-    const Value* a_end = record.data() + block_offsets[sa + 1];
-    const Value* b_begin = record.data() + block_offsets[sb];
-    const Value* b_end = record.data() + block_offsets[sb + 1];
-    if (std::lexicographical_compare(a_begin, a_end, b_begin, b_end)) return true;
-    if (std::lexicographical_compare(b_begin, b_end, a_begin, a_end)) return false;
-    return record[sidecar + sa] < record[sidecar + sb];
+  const auto less = [&](int a, int b) {
+    return compare_blocks(record.data(), block_offsets, static_cast<std::size_t>(a),
+                          static_cast<std::size_t>(b)) < 0;
   };
 
   order_.resize(n);
@@ -77,9 +96,16 @@ bool Canonicalizer::canonicalize(std::vector<Value>& record,
   bool permuted = false;
   for (const std::vector<int>& group : groups_) {
     sorted_.assign(group.begin(), group.end());
-    // Stable: fully-equal blocks (e.g. every process at the root) keep their
-    // original order, so the identity state never counts as a "hit".
-    std::stable_sort(sorted_.begin(), sorted_.end(), block_less);
+    // Stable insertion sort (classes are a handful of processes, and the
+    // scratch never reallocates once grown): a member only moves past
+    // strictly greater ones, so full ties keep process-index order and the
+    // identity state (e.g. every process at the root) never counts as a hit.
+    for (std::size_t j = 1; j < sorted_.size(); ++j) {
+      const int member = sorted_[j];
+      std::size_t k = j;
+      for (; k > 0 && less(member, sorted_[k - 1]); --k) sorted_[k] = sorted_[k - 1];
+      sorted_[k] = member;
+    }
     for (std::size_t j = 0; j < group.size(); ++j) {
       order_[static_cast<std::size_t>(group[j])] = sorted_[j];
       permuted = permuted || sorted_[j] != group[j];
@@ -105,6 +131,48 @@ bool Canonicalizer::canonicalize(std::vector<Value>& record,
   return true;
 }
 
+bool Canonicalizer::reinsert(const Value* parent,
+                             const std::vector<std::size_t>& block_offsets, int process,
+                             const Value* block, std::size_t block_size, Value steps,
+                             std::vector<int>& order) const {
+  const std::size_t n = num_processes_;
+  RCONS_ASSERT(block_offsets.size() == n + 1);
+  RCONS_ASSERT(has_peers(process));
+  const Member member = members_[static_cast<std::size_t>(process)];
+  const std::vector<int>& group = groups_[static_cast<std::size_t>(member.group)];
+  const std::size_t sidecar = block_offsets[n];
+
+  // Three-way compare of the new block against class member j's parent block.
+  const auto versus = [&](std::size_t j) {
+    const auto q = static_cast<std::size_t>(group[j]);
+    return compare(block, block_size, steps, parent + block_offsets[q],
+                   block_offsets[q + 1] - block_offsets[q], parent[sidecar + q]);
+  };
+
+  // The parent's class is sorted and the other members keep their blocks, so
+  // the new block's rank is found by walking from its old slot: left past
+  // strictly greater members, else right past strictly smaller ones. A full
+  // tie stops the walk — the process-index order the stable sort keeps.
+  const auto from = static_cast<std::size_t>(member.index);
+  std::size_t to = from;
+  while (to > 0 && versus(to - 1) < 0) --to;
+  if (to == from) {
+    while (to + 1 < group.size() && versus(to + 1) > 0) ++to;
+  }
+
+  order.resize(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<int>(i);
+  // Members between the two slots shift by one toward the vacated slot.
+  for (std::size_t j = to; j < from; ++j) {
+    order[static_cast<std::size_t>(group[j + 1])] = group[j];
+  }
+  for (std::size_t j = from; j < to; ++j) {
+    order[static_cast<std::size_t>(group[j])] = group[j + 1];
+  }
+  order[static_cast<std::size_t>(group[to])] = process;
+  return to != from;
+}
+
 int Canonicalizer::orbit_mask(const Value* record,
                               const std::vector<std::size_t>& block_offsets,
                               std::vector<std::uint8_t>& skip) const {
@@ -112,7 +180,6 @@ int Canonicalizer::orbit_mask(const Value* record,
   RCONS_ASSERT(block_offsets.size() == n + 1);
   skip.assign(n, 0);
   if (groups_.empty()) return 0;
-  const std::size_t sidecar = block_offsets[n];
   int marked = 0;
   for (const std::vector<int>& group : groups_) {
     // In a canonical record the group's blocks are sorted, so every orbit is
@@ -122,14 +189,7 @@ int Canonicalizer::orbit_mask(const Value* record,
     for (std::size_t j = 1; j < group.size(); ++j) {
       const auto a = static_cast<std::size_t>(group[j - 1]);
       const auto b = static_cast<std::size_t>(group[j]);
-      const std::size_t a_len = block_offsets[a + 1] - block_offsets[a];
-      const std::size_t b_len = block_offsets[b + 1] - block_offsets[b];
-      if (a_len != b_len) continue;
-      if (record[sidecar + a] != record[sidecar + b]) continue;
-      if (!std::equal(record + block_offsets[a], record + block_offsets[a + 1],
-                      record + block_offsets[b])) {
-        continue;
-      }
+      if (compare_blocks(record, block_offsets, a, b) != 0) continue;
       skip[b] = 1;
       marked += 1;
     }
@@ -185,43 +245,69 @@ NodeCodec::Encoded NodeCodec::encode_successor(const Value* parent,
                    "encode_successor needs the parent's captured layout");
   RCONS_ASSERT(parent_size == block_offsets_[n] + n);
   RCONS_ASSERT(changed_process >= 0 && static_cast<std::size_t>(changed_process) < n);
+  const auto changed = static_cast<std::size_t>(changed_process);
 
   record.clear();
   FpStream fp;
   encode_node_header(node, record);
   fp.absorb(record.data(), record.size());
 
-  offsets_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t begin = record.size();
-    offsets_.push_back(begin);
-    if (static_cast<int>(i) == changed_process) {
-      encode_process_block(node, i, record);
-    } else {
-      // Unchanged process: its block is byte-identical to the parent's.
-      record.insert(record.end(), parent + block_offsets_[i],
-                    parent + block_offsets_[i + 1]);
-    }
-    fp.absorb(record.data() + begin, record.size() - begin);
-  }
-  offsets_.push_back(record.size());
-  for (std::size_t i = 0; i < n; ++i) record.push_back(node.steps_in_run[i]);
-
   Encoded encoded;
-  encoded.permuted = canonicalizer_.canonicalize(record, offsets_);
+  if (!canonicalizer_.has_peers(changed_process)) {
+    // Every class keeps the parent's canonical order, so the parent's
+    // process order is canonical: patch the changed block in place.
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t begin = record.size();
+      if (i == changed) {
+        encode_process_block(node, i, record);
+      } else {
+        // Unchanged process: its block is byte-identical to the parent's.
+        record.insert(record.end(), parent + block_offsets_[i],
+                      parent + block_offsets_[i + 1]);
+      }
+      fp.absorb(record.data() + begin, record.size() - begin);
+    }
+    for (std::size_t i = 0; i < n; ++i) record.push_back(node.steps_in_run[i]);
+  } else {
+    // Re-insert the changed block at its rank among its class, then write
+    // the blocks and sidecar in that order, absorbing each block as written.
+    block_.clear();
+    encode_process_block(node, changed, block_);
+    encoded.permuted =
+        canonicalizer_.reinsert(parent, block_offsets_, changed_process, block_.data(),
+                                block_.size(), node.steps_in_run[changed], order_);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t begin = record.size();
+      const auto src = static_cast<std::size_t>(order_[i]);
+      if (src == changed) {
+        record.insert(record.end(), block_.begin(), block_.end());
+      } else {
+        record.insert(record.end(), parent + block_offsets_[src],
+                      parent + block_offsets_[src + 1]);
+      }
+      fp.absorb(record.data() + begin, record.size() - begin);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      record.push_back(node.steps_in_run[static_cast<std::size_t>(order_[i])]);
+    }
+  }
   encoded.fingerprint_length = record.size() - n;
-  encoded.fingerprint =
-      encoded.permuted ? fingerprint_values(record.data(), encoded.fingerprint_length)
-                       : fp.finish(encoded.fingerprint_length);
-  // Codec round-trip contract: the fused absorb-during-encode stream must
-  // agree with a reference sweep over the finished record. Divergence means
-  // an encode path mutated values after absorbing them.
-  RCONS_DCHECK_MSG(
-      encoded.permuted ||
-          encoded.fingerprint ==
-              fingerprint_values(record.data(), encoded.fingerprint_length),
-      "fused fingerprint diverged from reference sweep");
+  encoded.fingerprint = fp.finish(encoded.fingerprint_length);
+  // Successor contract: patching or re-inserting against the canonical
+  // parent must give exactly what encoding the node from scratch and
+  // sorting it gives — record, fingerprint and hit flag alike.
+  RCONS_DCHECK_MSG(matches_encode(node, record, encoded),
+                   "successor encode diverged from encode() + canonicalize()");
   return encoded;
+}
+
+bool NodeCodec::matches_encode(const Node& node, const std::vector<Value>& record,
+                               const Encoded& encoded) {
+  std::vector<Value> reference;
+  const Encoded expected = encode(node, reference);
+  return reference == record && expected.fingerprint == encoded.fingerprint &&
+         expected.fingerprint_length == encoded.fingerprint_length &&
+         expected.permuted == encoded.permuted;
 }
 
 void NodeCodec::decode(const Value* record, std::size_t size, Node& out) {

@@ -33,7 +33,11 @@
 // class — processes running identical programs — into a canonical order
 // before fingerprinting. States that differ only by permuting interchangeable
 // processes then intern to one record, shrinking visited sets combinatorially
-// for team-consensus and tournament scenarios. The canonical representative
+// for team-consensus and tournament scenarios. Only whole-node encodes (the
+// root, crash-all, checkpoint re-seeds) sort; a per-process successor of a
+// canonical parent differs from it in one block, so encode_successor()
+// re-inserts that block at its rank within its class while writing the
+// record, fingerprinting it in the same pass. The canonical representative
 // is what exploration continues from; since class members are behaviourally
 // identical this preserves every verdict, but a violating schedule found
 // under reduction is a schedule of representatives — valid up to a class
@@ -80,9 +84,15 @@ namespace rcons::engine {
 // the supported [0, 16] range.
 int pick_shard_bits(int num_threads, std::uint64_t expected_states);
 
-// Sorts same-class per-process blocks of an encoded node into canonical
+// Puts same-class per-process blocks of an encoded node into canonical
 // order. Built once per run from the symmetry declaration; copy one per
 // worker (cheap — it owns only the class index and scratch buffers).
+//
+// The canonical order of a class is one rule, compare(): lexicographic on the
+// block values, then on the sidecar step count, with full ties left in
+// process-index order. canonicalize() applies it to a whole record;
+// reinsert() applies it to a successor of a canonical record, in which only
+// one block moved. Both share compare(), so they cannot drift apart.
 class Canonicalizer {
  public:
   Canonicalizer() = default;  // identity (no declaration)
@@ -91,13 +101,40 @@ class Canonicalizer {
   // True when at least one class has two or more members.
   bool active() const { return !groups_.empty(); }
 
+  // True when `process` shares its class with another process.
+  bool has_peers(int process) const {
+    return static_cast<std::size_t>(process) < members_.size() &&
+           members_[static_cast<std::size_t>(process)].group >= 0;
+  }
+
+  // Three-way compare (<0, 0, >0) of two blocks with their sidecar step
+  // counts under the canonical order. The sidecar only disambiguates equal
+  // blocks — equal blocks fingerprint identically either way — but it keeps
+  // the stored record deterministic. A 0 (full tie) is broken by process
+  // index.
+  static int compare(const typesys::Value* a, std::size_t a_size, typesys::Value a_steps,
+                     const typesys::Value* b, std::size_t b_size, typesys::Value b_steps);
+
   // `record` holds a full NodeCodec record whose per-process blocks span
   // [block_offsets[i], block_offsets[i+1]) and whose sidecar occupies the
   // final n values. Reorders same-class blocks (and their sidecar entries)
-  // into sorted order. Returns true when a non-identity permutation was
-  // applied (a canonicalization "hit").
+  // into sorted order with a stable insertion sort per class. Returns true
+  // when a non-identity permutation was applied (a canonicalization "hit").
+  // Allocates nothing once the scratch buffers have grown to the record.
   bool canonicalize(std::vector<typesys::Value>& record,
                     const std::vector<std::size_t>& block_offsets);
+
+  // Canonical order of a successor of the *canonical* record `parent` in
+  // which only `process` changed: its block to [block, block + block_size)
+  // and its sidecar entry to `steps`. Requires has_peers(process). Walks the
+  // new block from its old slot to its rank among the class with at most
+  // (class size - 1) compare() calls, and fills `order` (n entries) with the
+  // process whose block — the new one for `process` — belongs at each
+  // position. Returns true when that order is not the identity, exactly when
+  // canonicalize() of the successor in the parent's order would return true.
+  bool reinsert(const typesys::Value* parent, const std::vector<std::size_t>& block_offsets,
+                int process, const typesys::Value* block, std::size_t block_size,
+                typesys::Value steps, std::vector<int>& order) const;
 
   // Stabilizer orbits of a *canonical* record: marks skip[p] = 1 for every
   // same-class process whose block and sidecar step count equal those of an
@@ -111,8 +148,15 @@ class Canonicalizer {
                  std::vector<std::uint8_t>& skip) const;
 
  private:
+  // Where a process sits in groups_: group -1 when it has no same-class peer.
+  struct Member {
+    int group = -1;
+    int index = 0;
+  };
+
   std::size_t num_processes_ = 0;
   std::vector<std::vector<int>> groups_;  // classes with >= 2 members
+  std::vector<Member> members_;           // per process
   std::vector<int> order_;                // scratch: block source per position
   std::vector<int> sorted_;               // scratch: one class being sorted
   std::vector<typesys::Value> scratch_;   // scratch: rebuilt record
@@ -129,7 +173,9 @@ class Canonicalizer {
 //     process programs again;
 //   * encode_successor() — build a successor's record by memcpy-ing the n-1
 //     unchanged process blocks straight from the parent record, encoding
-//     only the stepped/crashed process.
+//     only the stepped/crashed process, and keeping the record canonical by
+//     re-inserting that one block (Canonicalizer::reinsert) instead of
+//     sorting the record again.
 // Both are pure record-level optimizations: the resulting records and
 // fingerprints are identical to full decode()+encode().
 class NodeCodec {
@@ -156,7 +202,12 @@ class NodeCodec {
   // Like encode(), but every process block except `changed_process` is
   // copied verbatim from `parent` (the record most recently decode()d by
   // this codec — its captured layout supplies the block spans). The header,
-  // memory, changed block, and sidecar come from `node`.
+  // memory, changed block, and sidecar come from `node`. `parent` is
+  // canonical, so only the changed block can be out of place: without a
+  // same-class peer it is patched in place; with one it is re-inserted at
+  // its rank (Canonicalizer::reinsert) while the record is written, so the
+  // fingerprint is absorbed in the same single pass and nothing is sorted
+  // or rebuilt. The result equals encode() of `node` byte for byte.
   Encoded encode_successor(const typesys::Value* parent, std::size_t parent_size,
                            const Node& node, int changed_process,
                            std::vector<typesys::Value>& record);
@@ -185,8 +236,15 @@ class NodeCodec {
   bool canonicalizing() const { return canonicalizer_.active(); }
 
  private:
+  // encode_successor()'s contract check: encode() of `node` gives the same
+  // record, fingerprint and hit flag.
+  bool matches_encode(const Node& node, const std::vector<typesys::Value>& record,
+                      const Encoded& encoded);
+
   Canonicalizer canonicalizer_;
-  std::vector<std::size_t> offsets_;  // scratch: per-process block offsets
+  std::vector<std::size_t> offsets_;   // scratch: per-process block offsets
+  std::vector<typesys::Value> block_;  // scratch: a successor's changed block
+  std::vector<int> order_;             // scratch: successor block order
 
   // Layout of the record most recently decode()d: where the process blocks
   // and the sidecar live. Valid until the next decode().

@@ -1,18 +1,24 @@
 // Unit tests of the interned node representation: NodeStore intern/fetch
 // round trips, NodeCodec encode/decode inversion (including fingerprint
-// parity with engine::encode_node), the Canonicalizer's symmetry reduction,
+// parity with engine::encode_node), the Canonicalizer's symmetry reduction
+// (full sort and successor re-insertion, with pinned hit counts),
 // and pick_shard_bits.
 #include "engine/node_store.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "check/check.hpp"
+#include "check/spec_system.hpp"
 #include "engine/expand.hpp"
 #include "rc/naive_register.hpp"
 #include "rc/team_consensus.hpp"
+#include "support/programs.hpp"
 #include "typesys/zoo.hpp"
 
 namespace rcons::engine {
@@ -28,6 +34,98 @@ std::vector<typesys::Value> record_of(std::uint64_t i, std::size_t length) {
     record.push_back(static_cast<typesys::Value>(i * 100 + k));
   }
   return record;
+}
+
+// Per-process successors a walk compared, tallied by how the changed block
+// relates to its class peers afterwards.
+struct SuccessorTally {
+  std::uint64_t compared = 0;
+  std::uint64_t permuted = 0;
+  std::uint64_t sidecar_ties = 0;  // a peer has the same block, another step count
+  std::uint64_t full_ties = 0;     // a peer has the same block and step count
+};
+
+// Walks every reachable canonical record — deduplicated on the whole record,
+// sidecar included, so every step-count variant of a state is expanded too —
+// and checks each per-process successor's encode_successor() against
+// encode() of the same scratch node: same record, fingerprint, fingerprint
+// length and hit flag.
+SuccessorTally expect_successors_match_encode(const sim::Memory& memory,
+                                              const std::vector<sim::Process>& processes,
+                                              const std::vector<int>& classes,
+                                              const sim::ExplorerConfig& config) {
+  const Node root = make_root(memory, processes, config.properties);
+  NodeCodec codec(classes);
+  NodeCodec reference(classes);
+  Node node = root;
+  std::vector<typesys::Value> successor;
+  std::vector<typesys::Value> expected;
+  codec.encode(root, successor);
+  std::set<std::vector<typesys::Value>> seen{successor};
+  std::vector<std::vector<typesys::Value>> stack{successor};
+  std::vector<Event> events;
+  std::vector<typesys::Value> block;
+  std::vector<typesys::Value> peer;
+  SuccessorTally tally;
+  while (!stack.empty()) {
+    const std::vector<typesys::Value> parent = std::move(stack.back());
+    stack.pop_back();
+    codec.decode(parent.data(), parent.size(), node);
+    enumerate_events(node, config, events);
+    int dirty = NodeCodec::kDirtyNone;
+    for (const Event& event : events) {
+      if (dirty != NodeCodec::kDirtyNone) {
+        codec.restore(parent.data(), parent.size(), node, dirty);
+      }
+      dirty = event.kind == Event::Kind::kCrashAll ? NodeCodec::kDirtyAll : event.process;
+      if (apply_event(node, event, config)) continue;
+      if (event.kind == Event::Kind::kCrashAll) {
+        codec.encode(node, successor);
+      } else {
+        const NodeCodec::Encoded got = codec.encode_successor(
+            parent.data(), parent.size(), node, event.process, successor);
+        const NodeCodec::Encoded want = reference.encode(node, expected);
+        EXPECT_EQ(successor, expected);
+        EXPECT_EQ(got.fingerprint, want.fingerprint);
+        EXPECT_EQ(got.fingerprint_length, want.fingerprint_length);
+        EXPECT_EQ(got.permuted, want.permuted);
+        tally.compared += 1;
+        if (got.permuted) tally.permuted += 1;
+
+        const auto p = static_cast<std::size_t>(event.process);
+        block.clear();
+        encode_process_block(node, p, block);
+        for (std::size_t q = 0; q < classes.size(); ++q) {
+          if (q == p || classes[q] != classes[p]) continue;
+          peer.clear();
+          encode_process_block(node, q, peer);
+          if (peer != block) continue;
+          if (node.steps_in_run[q] == node.steps_in_run[p]) {
+            tally.full_ties += 1;
+          } else {
+            tally.sidecar_ties += 1;
+          }
+        }
+      }
+      if (seen.insert(successor).second) stack.push_back(successor);
+    }
+  }
+  return tally;
+}
+
+// The system a spec line describes, with its crash model, budget, properties
+// and symmetry declaration copied into `config`.
+check::ScenarioSystem spec_system(const std::string& line, sim::ExplorerConfig& config) {
+  check::ScenarioSpec spec;
+  std::vector<std::string> errors;
+  check::parse_scenario_line(line, spec, errors);
+  EXPECT_TRUE(errors.empty());
+  config.crash_model = spec.crash_model;
+  config.crash_budget = spec.crash_budget;
+  check::ScenarioSystem system = check::build_spec_system(spec);
+  config.properties = system.properties;
+  config.symmetry_classes = system.symmetry_classes;
+  return system;
 }
 
 TEST(NodeStoreTest, InternRoundTripsRecords) {
@@ -229,6 +327,79 @@ TEST(CanonicalizerTest, DifferentClassesAreNeverMixed) {
   EXPECT_NE(a.fingerprint, b.fingerprint);
   EXPECT_FALSE(a.permuted);
   EXPECT_FALSE(b.permuted);
+}
+
+// A successor of a canonical record re-inserts its one changed block at its
+// rank instead of sorting the record; that must give exactly what a full
+// encode() and sort of the same node gives, on every successor of a real
+// team-consensus state space.
+TEST(CanonicalizerTest, ReinsertedSuccessorsMatchFullEncodeOnTeamConsensus) {
+  sim::ExplorerConfig config;
+  const check::ScenarioSystem system =
+      spec_system("type=Sn(3) n=3 model=independent budget=2 symmetry=on", config);
+  ASSERT_FALSE(system.symmetry_classes.empty());
+  const SuccessorTally tally = expect_successors_match_encode(
+      system.memory, system.processes, system.symmetry_classes, config);
+  EXPECT_GT(tally.compared, 10'000u);
+  EXPECT_GT(tally.permuted, 0u);
+  EXPECT_GT(tally.full_ties, 0u);
+}
+
+// Two classes plus a singleton: a changed block that ties a peer's block but
+// not its step count is ordered by the sidecar, one that ties both keeps
+// process-index order (the stable tiebreak), and the singleton's successors
+// take the in-place patch while the other classes stay canonical.
+TEST(CanonicalizerTest, ReinsertedSuccessorsMatchFullEncodeAcrossClasses) {
+  sim::Memory memory;
+  const sim::RegId spin = memory.add_register();
+  const sim::RegId race = memory.add_register();
+  std::vector<sim::Process> processes;
+  processes.emplace_back(test::Spinner{spin, 0});
+  processes.emplace_back(test::Spinner{spin, 0});
+  processes.emplace_back(test::BrokenConsensus{race, 1, 0});
+  processes.emplace_back(test::BrokenConsensus{race, 1, 0});
+  processes.emplace_back(test::BrokenConsensus{race, 2, 0});
+  const std::vector<int> classes = {0, 0, 1, 1, 2};
+
+  sim::ExplorerConfig config;
+  config.crash_budget = 2;
+  config.max_steps_per_run = 3;  // bounds the spinners' step counts
+  config.properties.valid_outputs = {1, 2};
+  config.properties.add({sim::PropertyKind::kAtMostOnceDecide, 0});
+
+  const SuccessorTally tally =
+      expect_successors_match_encode(memory, processes, classes, config);
+  EXPECT_GT(tally.compared, 1'000u);
+  EXPECT_GT(tally.permuted, 0u);
+  EXPECT_GT(tally.sidecar_ties, 0u);
+  EXPECT_GT(tally.full_ties, 0u);
+}
+
+// Visited states and canonicalization hits of the depth-first traversal
+// under symmetry reduction. Hits count permuted successors, so they pin the
+// successor path's hit flag as well as the reduction itself.
+TEST(CanonicalizerTest, SequentialDfsVisitedAndCanonicalHitsArePinned) {
+  struct Pin {
+    const char* line;
+    std::uint64_t visited;
+    std::uint64_t canonical_hits;
+  };
+  for (const Pin& pin : {Pin{"type=Sn(4) n=4 model=independent budget=1 symmetry=on",
+                             8'987, 11'195},
+                         Pin{"type=Sn(3) n=3 model=independent budget=2 symmetry=on",
+                             3'429, 2'461}}) {
+    SCOPED_TRACE(pin.line);
+    sim::ExplorerConfig config;
+    check::CheckRequest request;
+    request.system = spec_system(pin.line, config);
+    request.budget.crash_model = config.crash_model;
+    request.budget.crash_budget = config.crash_budget;
+    request.strategy = check::Strategy::kSequentialDFS;
+    const check::CheckReport report = check::check(std::move(request));
+    EXPECT_TRUE(report.clean);
+    EXPECT_EQ(report.stats.visited, pin.visited);
+    EXPECT_EQ(report.stats.store.canonical_hits, pin.canonical_hits);
+  }
 }
 
 TEST(NodeCodecTest, TeamConsensusSystemsDeclareUsableSymmetry) {

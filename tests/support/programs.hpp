@@ -63,6 +63,25 @@ struct Looper {
   }
 };
 
+// Never decides: writes a register and toggles a phase bit, so its block
+// returns to an earlier value while its per-run step count keeps growing —
+// two such processes can have equal blocks and different step counts.
+struct Spinner {
+  sim::RegId reg = 0;
+  int phase = 0;
+
+  sim::StepResult step(sim::Memory& memory) {
+    memory.write(reg, 1);
+    phase = (phase + 1) % 2;
+    return sim::StepResult::running();
+  }
+  void encode(std::vector<typesys::Value>& out) const { out.push_back(phase); }
+  std::size_t decode(const typesys::Value* data, std::size_t) {
+    phase = static_cast<int>(data[0]);
+    return 1;
+  }
+};
+
 }  // namespace rcons::test
 
 #endif  // RCONS_TESTS_SUPPORT_PROGRAMS_HPP
