@@ -25,12 +25,17 @@
 // schedule (check/minimize.hpp) before printing/saving, and --save-viol=DIR
 // persists each violation as DIR/<scenario>.viol.
 //
+// A spec file runs through check::run_specs (check/spec_runner.hpp), which
+// owns the scenario loop, the verdict column and the exit code; this file
+// parses arguments, replays .viol files and handles each violation.
+//
 // Exit-code contract (pinned by tests/cli/exit_code_test.cpp):
 //   0 = every scenario clean (or, for a .viol input, the violation reproduced)
 //   1 = a property violation was found (or a .viol failed to reproduce);
 //       takes precedence over truncation
-//   2 = bad usage or invalid input (unparsable spec, unknown flag, corrupt or
-//       mismatched checkpoint without --resume-or-fresh, bad fault plan)
+//   2 = bad usage or invalid input (unparsable spec, unknown flag, a numeric
+//       flag that is not a plain decimal in range, corrupt or mismatched
+//       checkpoint without --resume-or-fresh, bad fault plan)
 //   3 = no violation, but at least one scenario was truncated (visited cap,
 //       time/memory sentinel, watchdog, or forced stop — the verdict names
 //       the reason); the verdict is incomplete, not a proof
@@ -54,16 +59,16 @@
 // invalid or unwritable trace exits 2. `--list` also prints every documented
 // metric and span name.
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 
 #include "check/check.hpp"
 #include "check/minimize.hpp"
 #include "check/scenario_spec.hpp"
+#include "check/spec_runner.hpp"
 #include "check/spec_system.hpp"
 #include "check/violation_io.hpp"
 #include "engine/checkpoint.hpp"
@@ -71,7 +76,6 @@
 #include "obs/session.hpp"
 #include "sim/replay.hpp"
 #include "typesys/zoo.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -100,6 +104,24 @@ struct CliOptions {
   int watchdog_stall_intervals = 0;
 };
 
+// Reads the value of `arg` ("--flag=value"): decimal digits only, no sign or
+// trailing text, in range and at least `min`.
+template <typename T>
+bool parse_number(const std::string& arg, T min, T& out) {
+  const std::size_t eq = arg.find('=');
+  const char* const begin = arg.data() + eq + 1;
+  const char* const end = arg.data() + arg.size();
+  T value{};
+  const auto [stop, error] = std::from_chars(begin, end, value);
+  if (error != std::errc{} || stop != end || *begin == '-' || value < min) {
+    std::cerr << arg.substr(0, eq) << " needs an integer >= " << min << ", got '"
+              << arg.substr(eq + 1) << "'\n";
+    return false;
+  }
+  out = value;
+  return true;
+}
+
 bool parse_args(int argc, char** argv, CliOptions& options) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -118,11 +140,11 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
         return false;
       }
     } else if (arg.rfind("--threads=", 0) == 0) {
-      options.num_threads = std::atoi(arg.c_str() + 10);
+      if (!parse_number(arg, 0, options.num_threads)) return false;
     } else if (arg.rfind("--runs=", 0) == 0) {
-      options.runs = std::atoi(arg.c_str() + 7);
+      if (!parse_number(arg, 1, options.runs)) return false;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      options.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      if (!parse_number(arg, std::uint64_t{0}, options.seed)) return false;
     } else if (arg == "--trace") {
       options.show_trace = true;
     } else if (arg == "--minimize") {
@@ -138,11 +160,7 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
     } else if (arg.rfind("--metrics-out=", 0) == 0) {
       options.metrics_out = arg.substr(14);
     } else if (arg.rfind("--obs-interval-ms=", 0) == 0) {
-      options.obs_interval_ms = std::atoi(arg.c_str() + 18);
-      if (options.obs_interval_ms <= 0) {
-        std::cerr << "--obs-interval-ms needs a positive integer\n";
-        return false;
-      }
+      if (!parse_number(arg, 1, options.obs_interval_ms)) return false;
     } else if (arg.rfind("--checkpoint-out=", 0) == 0) {
       options.checkpoint_out = arg.substr(17);
       if (options.checkpoint_out.empty()) {
@@ -150,11 +168,7 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
         return false;
       }
     } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-      options.checkpoint_every = std::strtoull(arg.c_str() + 19, nullptr, 10);
-      if (options.checkpoint_every == 0) {
-        std::cerr << "--checkpoint-every needs a positive state count\n";
-        return false;
-      }
+      if (!parse_number(arg, std::uint64_t{1}, options.checkpoint_every)) return false;
     } else if (arg.rfind("--resume=", 0) == 0) {
       options.resume_path = arg.substr(9);
       options.resume_or_fresh = false;
@@ -170,17 +184,9 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
         return false;
       }
     } else if (arg.rfind("--watchdog=", 0) == 0) {
-      options.watchdog_stall_intervals = std::atoi(arg.c_str() + 11);
-      if (options.watchdog_stall_intervals <= 0) {
-        std::cerr << "--watchdog needs a positive interval count\n";
-        return false;
-      }
+      if (!parse_number(arg, 1, options.watchdog_stall_intervals)) return false;
     } else if (arg.rfind("--sentinel-interval-ms=", 0) == 0) {
-      options.sentinel_interval_ms = std::atoi(arg.c_str() + 23);
-      if (options.sentinel_interval_ms <= 0) {
-        std::cerr << "--sentinel-interval-ms needs a positive integer\n";
-        return false;
-      }
+      if (!parse_number(arg, 1, options.sentinel_interval_ms)) return false;
     } else if (arg.rfind("--fault-inject=", 0) == 0) {
       options.fault_plan_text = arg.substr(15);
       if (options.fault_plan_text.empty()) {
@@ -278,27 +284,57 @@ std::string sanitize_filename(std::string name) {
   return name;
 }
 
-check::Budget spec_budget(const check::ScenarioSpec& spec) {
-  check::Budget budget;
-  budget.crash_model = spec.crash_model;
-  budget.crash_budget = spec.crash_budget;
-  if (spec.max_steps_per_run >= 0) budget.max_steps_per_run = spec.max_steps_per_run;
-  if (spec.max_visited >= 0) budget.max_visited = spec.max_visited;
-  if (spec.time_limit_ms >= 0) budget.time_limit_ms = spec.time_limit_ms;
-  if (spec.mem_limit_mb >= 0) budget.mem_limit_mb = spec.mem_limit_mb;
-  return budget;
-}
-
-// The identity a checkpoint's config hash covers, rebuilt exactly the way
-// check::check() builds the explorer config (so the CLI can reject a
-// mismatched resume gracefully instead of tripping the engine's assert).
-std::uint64_t spec_config_hash(const check::ScenarioSystem& system,
-                               const check::Budget& budget) {
-  sim::ExplorerConfig config;
-  static_cast<check::Budget&>(config) = budget;
-  config.properties = system.properties;
-  config.symmetry_classes = system.symmetry_classes;
-  return engine::checkpoint_config_hash(config);
+// Prints a scenario's violation (or a truncation's note) to stderr, after
+// --minimize, with --trace's schedule, and saved under --save-viol.
+void report_violation(const CliOptions& options, obs::Hooks hooks,
+                      const check::ScenarioResult& result,
+                      const check::ScenarioSystem& pristine) {
+  const std::string& name = result.name;
+  if (!result.violating()) {
+    if (result.truncated() && result.report.violation.has_value()) {
+      std::cerr << name << ": " << result.report.violation->description << "\n";
+    }
+    return;
+  }
+  const check::Budget budget = result.spec.budget();
+  sim::Violation violation = *result.report.violation;
+  if (options.minimize) {
+    obs::Span span(hooks.tracer, 0, "minimize");
+    const check::MinimizeResult minimized = check::minimize(pristine, budget, violation);
+    std::cerr << name << ": minimized " << minimized.original_events << " -> "
+              << minimized.violation.schedule.size() << " events ("
+              << minimized.replays << " replays)\n";
+    violation = minimized.violation;
+  }
+  std::cerr << name << ": " << violation.description << "\n";
+  if (options.show_trace) {
+    std::cerr << "  schedule: " << violation.trace() << "\n";
+  }
+  if (options.save_viol_dir.empty()) return;
+  // A corpus file must honour the replay contract; schedules found under
+  // symmetry reduction are only valid up to a class permutation and may not
+  // reproduce — verify before persisting.
+  const sim::ReplayReport replayed =
+      sim::replay(pristine.memory, pristine.processes, violation.schedule,
+                  pristine.properties, budget.max_steps_per_run);
+  if (!replayed.violation.has_value() ||
+      replayed.violation->property != violation.property) {
+    std::cerr << name << ": schedule does not replay (symmetry-reduced "
+                         "counterexample?) — not saved\n";
+    return;
+  }
+  check::ViolationFile file;
+  file.scenario = result.spec;
+  file.property = violation.property;
+  file.property_param = violation.property_param;
+  file.description = violation.description;
+  file.schedule = violation.schedule;
+  const std::string path = options.save_viol_dir + "/" + sanitize_filename(name) + ".viol";
+  if (check::save_violation_file(path, file)) {
+    std::cerr << name << ": saved " << path << "\n";
+  } else {
+    std::cerr << name << ": could not write " << path << "\n";
+  }
 }
 
 // Replays one persisted violation file and reports whether it reproduces.
@@ -312,7 +348,7 @@ int replay_violation_file(const CliOptions& options, obs::Hooks hooks) {
 
   check::CheckRequest request;
   request.system = check::build_spec_system(file.scenario);
-  request.budget = spec_budget(file.scenario);
+  request.budget = file.scenario.budget();
   request.strategy = check::Strategy::kReplay;
   request.schedule = file.schedule;
   request.obs = hooks;
@@ -340,9 +376,7 @@ int run_spec_file(const CliOptions& options, obs::Hooks hooks) {
     return 2;
   }
 
-  const bool checkpointing =
-      !options.checkpoint_out.empty() || !options.resume_path.empty();
-  if (checkpointing) {
+  if (!options.checkpoint_out.empty() || !options.resume_path.empty()) {
     if (parse.specs.size() != 1) {
       std::cerr << "checkpoint/resume needs a spec file with exactly one "
                    "scenario, got "
@@ -357,25 +391,34 @@ int run_spec_file(const CliOptions& options, obs::Hooks hooks) {
     }
   }
 
+  check::CheckRequest request;
+  request.strategy = options.strategy;
+  request.num_threads = options.num_threads;
+  request.runs = options.runs;
+  request.seed = options.seed;
+  request.obs = hooks;
+  request.sentinel_interval_ms = options.sentinel_interval_ms;
+  request.watchdog_stall_intervals = options.watchdog_stall_intervals;
+  request.checkpoint_path = options.checkpoint_out;
+  request.checkpoint_every = options.checkpoint_every;
+
   engine::FaultPlan fault_plan;
-  bool have_fault = false;
   if (!options.fault_plan_text.empty()) {
     std::string error;
     if (!engine::parse_fault_plan(options.fault_plan_text, fault_plan, error)) {
       std::cerr << error << "\n";
       return 2;
     }
-    have_fault = true;
+    request.fault = &fault_plan;
   }
 
   engine::CheckpointData resume_data;
-  bool have_resume = false;
   if (!options.resume_path.empty()) {
     std::string error;
     const engine::CheckpointLoad load =
         engine::load_checkpoint(options.resume_path, resume_data, error);
     if (load == engine::CheckpointLoad::kOk) {
-      have_resume = true;
+      request.resume = &resume_data;
     } else if (options.resume_or_fresh) {
       std::cerr << "resume: " << error << " — starting fresh\n";
     } else {
@@ -384,155 +427,17 @@ int run_spec_file(const CliOptions& options, obs::Hooks hooks) {
     }
   }
 
-  if (hooks.metrics != nullptr) {
-    hooks.metrics->gauge("portfolio.scenarios_total")
-        .set(static_cast<std::int64_t>(parse.specs.size()));
+  const check::SpecRun run = check::run_specs(
+      parse.specs, request,
+      [&](const check::ScenarioResult& result, const check::ScenarioSystem& pristine) {
+        report_violation(options, hooks, result, pristine);
+      });
+  if (!run.error.empty()) {
+    std::cerr << run.error << "\n";
+    return 2;
   }
-
-  util::Table table(
-      {"scenario", "strategy", "verdict", "visited", "runs", "time(s)"});
-  int violations = 0;
-  int truncations = 0;
-  std::size_t scenario_index = 0;
-  for (const check::ScenarioSpec& spec : parse.specs) {
-    scenario_index += 1;
-    if (hooks.metrics != nullptr) {
-      // Per-scenario counters, same contract as Portfolio::run_all(): clear
-      // the previous scenario's totals, keep the portfolio.* gauges.
-      hooks.metrics->reset("check.");
-      hooks.metrics->reset("engine.");
-      hooks.metrics->reset("store.");
-      hooks.metrics->reset("random.");
-      hooks.metrics->reset("replay.");
-      hooks.metrics->gauge("portfolio.scenario_index")
-          .set(static_cast<std::int64_t>(scenario_index));
-    }
-    check::CheckRequest request;
-    request.system = check::build_spec_system(spec);
-    request.budget = spec_budget(spec);
-    request.strategy = options.strategy;
-    request.num_threads = options.num_threads;
-    request.runs = options.runs;
-    request.seed = options.seed;
-    request.obs = hooks;
-    request.sentinel_interval_ms = options.sentinel_interval_ms;
-    request.watchdog_stall_intervals = options.watchdog_stall_intervals;
-    if (have_fault) request.fault = &fault_plan;
-    if (checkpointing) {
-      request.checkpoint_path = options.checkpoint_out;
-      request.checkpoint_every = options.checkpoint_every;
-      request.checkpoint_label = check::format_scenario_line(spec);
-      if (have_resume) {
-        // Reject a checkpoint from a different scenario or config before the
-        // engine ever sees it — a human-readable label diff plus the exact
-        // config hash the checkpoint was written under.
-        if (resume_data.label != request.checkpoint_label) {
-          std::cerr << "resume: checkpoint is from a different scenario\n"
-                    << "  checkpoint: " << resume_data.label << "\n"
-                    << "  requested:  " << request.checkpoint_label << "\n";
-          return 2;
-        }
-        if (resume_data.config_hash !=
-            spec_config_hash(request.system, request.budget)) {
-          std::cerr << "resume: checkpoint config hash mismatch (different "
-                       "budget/properties/symmetry)\n";
-          return 2;
-        }
-        request.resume = &resume_data;
-      }
-    }
-
-    // minimize/save need a pristine copy after check() consumes the request.
-    const check::ScenarioSystem pristine =
-        (options.minimize || !options.save_viol_dir.empty())
-            ? request.system
-            : check::ScenarioSystem{};
-    const check::Budget budget = request.budget;
-
-    const check::CheckReport report = check::check(std::move(request));
-
-    const std::string name = check::spec_display_name(spec);
-    std::ostringstream time;
-    time.precision(3);
-    time << std::fixed << report.seconds;
-    // A report can be both truncated and violating (the parallel engine keeps
-    // the best violation found before the stop); a real property violation
-    // always wins — in the verdict column and in the exit code.
-    const bool real_violation =
-        report.violation.has_value() &&
-        report.violation->property != sim::PropertyKind::kNone;
-    std::string verdict = "clean";
-    if (real_violation) {
-      verdict = std::string("VIOLATION(") +
-                sim::property_name(report.violation->property) + ")";
-    } else if (report.stats.truncated) {
-      verdict = std::string("TRUNCATED(") +
-                sim::stop_reason_name(report.stats.stop_reason) + ")";
-      truncations += 1;
-      if (report.violation.has_value()) {
-        std::cerr << name << ": " << report.violation->description << "\n";
-      }
-    }
-    table.add_row({name, check::strategy_name(report.strategy), verdict,
-                   std::to_string(report.stats.visited), std::to_string(report.runs),
-                   time.str()});
-    if (real_violation) {
-      violations += 1;
-      sim::Violation violation = *report.violation;
-      if (options.minimize) {
-        obs::Span span(hooks.tracer, 0, "minimize");
-        const check::MinimizeResult minimized =
-            check::minimize(pristine, budget, violation);
-        std::cerr << name << ": minimized " << minimized.original_events << " -> "
-                  << minimized.violation.schedule.size() << " events ("
-                  << minimized.replays << " replays)\n";
-        violation = minimized.violation;
-      }
-      std::cerr << name << ": " << violation.description << "\n";
-      if (options.show_trace) {
-        std::cerr << "  schedule: " << violation.trace() << "\n";
-      }
-      if (!options.save_viol_dir.empty() &&
-          violation.property != sim::PropertyKind::kNone) {
-        // A corpus file must honour the replay contract; schedules found
-        // under symmetry reduction are only valid up to a class permutation
-        // and may not reproduce — verify before persisting.
-        const sim::ReplayReport replayed =
-            sim::replay(pristine.memory, pristine.processes, violation.schedule,
-                        pristine.properties, budget.max_steps_per_run);
-        if (!replayed.violation.has_value() ||
-            replayed.violation->property != violation.property) {
-          std::cerr << name << ": schedule does not replay (symmetry-reduced "
-                       "counterexample?) — not saved\n";
-        } else {
-          check::ViolationFile file;
-          file.scenario = spec;
-          file.property = violation.property;
-          file.property_param = violation.property_param;
-          file.description = violation.description;
-          file.schedule = violation.schedule;
-          const std::string path =
-              options.save_viol_dir + "/" + sanitize_filename(name) + ".viol";
-          if (check::save_violation_file(path, file)) {
-            std::cerr << name << ": saved " << path << "\n";
-          } else {
-            std::cerr << name << ": could not write " << path << "\n";
-          }
-        }
-      }
-    }
-  }
-  table.print(std::cout);
-  std::cout << "\n"
-            << parse.specs.size() - static_cast<std::size_t>(violations) -
-                   static_cast<std::size_t>(truncations)
-            << "/" << parse.specs.size() << " scenarios clean";
-  if (truncations != 0) std::cout << " (" << truncations << " truncated)";
-  std::cout << ".\n";
-  // Exit contract: violations dominate truncations (a found bug is a found
-  // bug even if the search also hit a budget).
-  if (violations != 0) return 1;
-  return truncations != 0 ? 3 : 0;
+  run.print(std::cout);
+  return run.exit_code();
 }
 
 }  // namespace

@@ -2,8 +2,7 @@
 // budget, and the step/state bounds. Every execution backend — the engine's
 // depth-first and worker-loop traversals, the random runner, and scripted
 // replay — consumes the same `Budget`, so the knobs cannot drift apart per
-// backend (they used to be copied across ExplorerConfig / RandomRunConfig /
-// PortfolioConfig).
+// backend (they used to be copied across the backend configs).
 //
 // What counts as a *correct* outcome lives elsewhere: the typed
 // `sim::PropertySet` (sim/properties.hpp), carried by `check::ScenarioSystem`

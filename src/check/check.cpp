@@ -3,6 +3,7 @@
 #include <chrono>
 #include <utility>
 
+#include "engine/checkpoint.hpp"
 #include "engine/parallel_explorer.hpp"
 #include "obs/trace.hpp"
 #include "sim/random_runner.hpp"
@@ -15,7 +16,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-engine::ParallelExplorer make_explorer(const CheckRequest& request) {
+engine::ParallelExplorerConfig explorer_config(const CheckRequest& request) {
   engine::ParallelExplorerConfig config;
   static_cast<Budget&>(config) = request.budget;
   config.properties = request.system.properties;
@@ -29,9 +30,12 @@ engine::ParallelExplorer make_explorer(const CheckRequest& request) {
   config.resume = request.resume;
   config.fault = request.fault;
   config.num_threads = request.num_threads;
-  config.shard_bits = request.shard_bits;
+  return config;
+}
+
+engine::ParallelExplorer make_explorer(const CheckRequest& request) {
   return engine::ParallelExplorer(request.system.memory, request.system.processes,
-                                  std::move(config));
+                                  explorer_config(request));
 }
 
 // The depth-first traversal reports as kSequentialDFS on one thread, the
@@ -164,6 +168,10 @@ const char* strategy_name(Strategy strategy) {
       return "replay";
   }
   return "unknown";
+}
+
+std::uint64_t checkpoint_config_hash(const CheckRequest& request) {
+  return engine::checkpoint_config_hash(explorer_config(request));
 }
 
 CheckReport check(CheckRequest request) {

@@ -101,7 +101,6 @@ struct CheckRequest {
 
   // kParallelBFS (and the kAuto escalation path):
   int num_threads = 0;  // 0 = hardware concurrency
-  int shard_bits = -1;  // -1 = auto-tune from thread count and max_visited
 
   // kRandomized:
   std::uint64_t seed = 1;
@@ -177,6 +176,12 @@ struct CheckReport {
 // Runs the request through the selected backend. The request is consumed;
 // strategies that execute several runs copy the pristine system per run.
 CheckReport check(CheckRequest request);
+
+// The config hash (engine::checkpoint_config_hash) a checkpoint written by
+// check(request) carries, from the same explorer config check() builds. A
+// resume whose checkpoint holds another hash would trip the engine's assert,
+// so callers compare first and reject the checkpoint as input.
+std::uint64_t checkpoint_config_hash(const CheckRequest& request);
 
 }  // namespace rcons::check
 

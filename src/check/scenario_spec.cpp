@@ -50,6 +50,17 @@ sim::PropertySet spec_properties(const ScenarioSpec& spec) {
   return set;
 }
 
+Budget ScenarioSpec::budget() const {
+  Budget out;
+  out.crash_model = crash_model;
+  out.crash_budget = crash_budget;
+  if (max_steps_per_run >= 0) out.max_steps_per_run = max_steps_per_run;
+  if (max_visited >= 0) out.max_visited = max_visited;
+  if (time_limit_ms >= 0) out.time_limit_ms = time_limit_ms;
+  if (mem_limit_mb >= 0) out.mem_limit_mb = mem_limit_mb;
+  return out;
+}
+
 // Parses one spec line already known to be non-blank / non-comment. Errors
 // accumulate in `errors` (a line can have several); returns the spec built
 // from the fields that did parse.
@@ -274,27 +285,6 @@ ScenarioParse load_scenario_file(const std::string& path) {
     return result;
   }
   return parse_scenario_specs(in);
-}
-
-const char* default_scenario_spec_text() {
-  return R"(
-type=Sn(2) n=2 model=independent budget=3
-type=Sn(2) n=2 model=simultaneous budget=3
-type=Sn(3) n=3 model=independent budget=2
-type=Sn(3) n=3 model=simultaneous budget=2
-type=Tn(4) n=2 model=independent budget=3
-type=Tn(4) n=2 model=simultaneous budget=3
-type=compare-and-swap n=2 model=independent budget=3
-type=compare-and-swap n=2 model=simultaneous budget=3
-type=compare-and-swap n=3 model=independent budget=2
-type=compare-and-swap n=3 model=simultaneous budget=2
-type=sticky-bit n=3 model=independent budget=2
-type=sticky-bit n=3 model=simultaneous budget=2
-type=consensus-object n=2 model=independent budget=3
-type=consensus-object n=2 model=simultaneous budget=3
-type=readable-stack n=3 model=independent budget=2
-type=readable-stack n=3 model=simultaneous budget=2
-)";
 }
 
 }  // namespace rcons::check

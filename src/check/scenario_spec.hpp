@@ -1,6 +1,6 @@
 // File-driven scenario specs: a line-oriented text format describing
-// model-checking scenarios, so portfolios sweep scenario sets without
-// recompiling.
+// model-checking scenarios, so check_cli (through the spec runner,
+// check/spec_runner.hpp) sweeps scenario sets without recompiling.
 //
 // Grammar (one scenario per line):
 //
@@ -72,13 +72,13 @@ enum class ScenarioAlgo {
 const char* scenario_algo_name(ScenarioAlgo algo);
 
 struct ScenarioSpec {
-  std::string name;  // empty = let the portfolio generate one
+  std::string name;  // empty = spec_display_name generates one
   std::string type;  // zoo type name, validated against typesys::make_type
   int n = 2;
   CrashModel crash_model = CrashModel::kIndependent;
   int crash_budget = 2;
-  std::int64_t max_steps_per_run = -1;  // -1 = inherit the sweep's budget
-  std::int64_t max_visited = -1;        // -1 = inherit the sweep's budget
+  std::int64_t max_steps_per_run = -1;  // -1 = inherit the Budget default
+  std::int64_t max_visited = -1;        // -1 = inherit the Budget default
   std::int64_t time_limit_ms = -1;      // -1 = inherit (0 would mean unlimited)
   std::int64_t mem_limit_mb = -1;       // -1 = inherit (0 would mean unlimited)
   ScenarioAlgo algo = ScenarioAlgo::kTeamConsensus;
@@ -88,6 +88,10 @@ struct ScenarioSpec {
   // sim::PropertySet.
   std::vector<sim::PropertyKind> properties;
   bool symmetry = false;  // attach the scenario's symmetry declaration
+
+  // The budget this line asks for: its crash model and budget, plus every
+  // override that is not -1 on top of a default Budget.
+  Budget budget() const;
 
   bool operator==(const ScenarioSpec&) const = default;
 };
@@ -120,12 +124,6 @@ std::string format_scenario_line(const ScenarioSpec& spec);
 // Reads and parses `path`; a file that cannot be opened is reported as a
 // parse error (specs empty).
 ScenarioParse load_scenario_file(const std::string& path);
-
-// The built-in default scenario set, in spec grammar. This is the single
-// source for the no-argument `portfolio_sweep` run, and
-// examples/scenarios/default.spec mirrors it (a test asserts they parse to
-// the same scenarios).
-const char* default_scenario_spec_text();
 
 }  // namespace rcons::check
 

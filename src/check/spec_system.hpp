@@ -1,7 +1,7 @@
 // Materializes the system a ScenarioSpec describes — the one place the spec
-// grammar's `algo=` field is interpreted, shared by engine::Portfolio,
-// check_cli, and the tests/corpus/ violation corpus so a spec line means the
-// same system everywhere.
+// grammar's `algo=` field is interpreted, shared by the spec runner
+// (check/spec_runner.hpp), check_cli's `.viol` replay, and the tests/corpus/
+// violation corpus so a spec line means the same system everywhere.
 //
 //   algo=team           — Figure 2 recoverable team consensus over the
 //                         spec's type (asserts the type is n-recording);

@@ -1,10 +1,10 @@
 // Non-owning bundle of observability sinks, threaded through every backend
-// config (sim::ExplorerConfig, sim::RandomRunConfig, check::CheckRequest,
-// engine::PortfolioConfig). Null members switch the corresponding
-// instrumentation off entirely: the backends guard every obs touch behind a
-// pointer check, and the hot loops additionally buffer their counters in the
-// plain per-worker locals they already keep and only flush deltas at batch
-// boundaries — so a default-constructed Hooks costs nothing on the hot path.
+// config (sim::ExplorerConfig, sim::RandomRunConfig, check::CheckRequest).
+// Null members switch the corresponding instrumentation off entirely: the
+// backends guard every obs touch behind a pointer check, and the hot loops
+// additionally buffer their counters in the plain per-worker locals they
+// already keep and only flush deltas at batch boundaries — so a
+// default-constructed Hooks costs nothing on the hot path.
 //
 // The sinks themselves (obs/metrics.hpp, obs/trace.hpp) are owned elsewhere —
 // typically by an obs::Session (obs/session.hpp) that outlives the check —

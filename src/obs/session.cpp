@@ -75,8 +75,8 @@ const std::vector<NameDoc>& metric_names() {
       {"engine.violation_edges", "violating edges found (>=1 edge per reported violation)"},
       {"engine.visited_cap", "gauge: the run's max_visited budget"},
       {"engine.visited_states", "deduplicated states inserted (== ExplorerStats.visited)"},
-      {"portfolio.scenario_index", "gauge: 1-based index of the scenario now checking"},
-      {"portfolio.scenarios_total", "gauge: scenarios in the running portfolio"},
+      {"portfolio.scenario_index", "gauge: 1-based index of the spec scenario now checking"},
+      {"portfolio.scenarios_total", "gauge: scenarios in the spec runner's sweep"},
       {"random.crashes", "crashes injected across random runs"},
       {"random.runs", "seeded random executions completed or stopped"},
       {"random.steps", "process steps taken across random runs"},
@@ -100,7 +100,7 @@ const std::vector<NameDoc>& span_names() {
       {"expand_batch", "one popped batch expanded by an engine worker"},
       {"explore", "the exhaustive backend's full exploration"},
       {"minimize", "check_cli --minimize: greedy schedule minimization of a violation"},
-      {"portfolio_scenario", "one portfolio scenario end-to-end (': <name>' suffixed)"},
+      {"portfolio_scenario", "one spec runner scenario end-to-end (': <name>' suffixed)"},
       {"probe", "the kAuto probe: the depth-first traversal up to auto_probe_limit states"},
       {"random_run", "one seeded random execution"},
       {"replay", "scripted schedule replay"},

@@ -169,7 +169,7 @@ class PropertySet {
 
   // Comma-joined property names in add() order, e.g.
   // "agreement,validity,wait-freedom" — the spec grammar's `properties=`
-  // value and the portfolio table label.
+  // value.
   std::string label() const {
     std::string out;
     for (const PropertySpec& spec : specs_) {

@@ -323,16 +323,29 @@ TEST(ScenarioSpecTest, RoundTripsAGridOverEveryGrammarField) {
   EXPECT_GT(covered, 5000);  // the grid really swept the grammar
 }
 
-TEST(ScenarioSpecTest, DefaultSpecFileMatchesBuiltInSet) {
-  // examples/scenarios/default.spec is the on-disk mirror of the library's
-  // built-in default set; the two must parse to identical scenarios.
-  const ScenarioParse built_in = parse_scenario_specs(default_scenario_spec_text());
-  ASSERT_TRUE(built_in.ok());
-  EXPECT_EQ(built_in.specs.size(), 16u);
-  const ScenarioParse file = load_scenario_file(
-      std::string(RCONS_SOURCE_DIR) + "/examples/scenarios/default.spec");
-  ASSERT_TRUE(file.ok()) << file.errors.front();
-  EXPECT_EQ(file.specs, built_in.specs);
+TEST(ScenarioSpecTest, BudgetKeepsDefaultsForUnsetOverrides) {
+  const ScenarioParse parse = parse_scenario_specs(
+      "type=Sn(2) model=simultaneous budget=3\n"
+      "type=Sn(2) budget=1 max_steps=40 max_visited=500 time_limit=7 mem_limit=9\n");
+  ASSERT_TRUE(parse.ok()) << parse.errors.front();
+  ASSERT_EQ(parse.specs.size(), 2u);
+
+  const Budget defaults;
+  const Budget inherited = parse.specs[0].budget();
+  EXPECT_EQ(inherited.crash_model, CrashModel::kSimultaneous);
+  EXPECT_EQ(inherited.crash_budget, 3);
+  EXPECT_EQ(inherited.max_steps_per_run, defaults.max_steps_per_run);
+  EXPECT_EQ(inherited.max_visited, defaults.max_visited);
+  EXPECT_EQ(inherited.time_limit_ms, defaults.time_limit_ms);
+  EXPECT_EQ(inherited.mem_limit_mb, defaults.mem_limit_mb);
+
+  const Budget overridden = parse.specs[1].budget();
+  EXPECT_EQ(overridden.crash_model, CrashModel::kIndependent);
+  EXPECT_EQ(overridden.crash_budget, 1);
+  EXPECT_EQ(overridden.max_steps_per_run, 40);
+  EXPECT_EQ(overridden.max_visited, 500);
+  EXPECT_EQ(overridden.time_limit_ms, 7);
+  EXPECT_EQ(overridden.mem_limit_mb, 9);
 }
 
 }  // namespace

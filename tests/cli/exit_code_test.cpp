@@ -88,6 +88,19 @@ TEST(CliExitCodeTest, InvalidInputExitsTwo) {
   EXPECT_EQ(run_cli(spec + " --fault-inject=explode@batch=1", "badfault").exit_code,
             2);
   EXPECT_EQ(run_cli(spec + " --checkpoint-every=10", "everynoout").exit_code, 2);
+  // Numeric flags take a plain non-negative decimal (--runs at least 1).
+  for (const char* flag : {"--threads=-3", "--threads=abc", "--threads=4x", "--threads=",
+                           "--runs=-5", "--runs=0", "--seed=xyz", "--seed=-1"}) {
+    EXPECT_EQ(run_cli(spec + " " + flag, "badnumber").exit_code, 2) << flag;
+  }
+}
+
+TEST(CliExitCodeTest, DefaultSpecFileRunsClean) {
+  const RunResult result = run_cli(
+      std::string(RCONS_SOURCE_DIR) + "/examples/scenarios/default.spec", "default");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("16/16 scenarios clean"), std::string::npos)
+      << result.output;
 }
 
 TEST(CliExitCodeTest, HaltingSpecsKeepTheExitContract) {
