@@ -107,7 +107,7 @@ struct RunOutcome {
   // count, so a "threads=0 (auto)" request still produces an honest row.
   int threads_used = 0;
   double seconds = 0.0;
-  sim::ExplorerStats stats;
+  engine::ExplorerStats stats;
 };
 
 RunOutcome timed(const Instance& instance, check::Strategy strategy, int threads,
@@ -129,6 +129,11 @@ RunOutcome timed(const Instance& instance, check::Strategy strategy, int threads
   }
   outcome.seconds = median_seconds(std::move(samples));
   return outcome;
+}
+
+// num / den, 0 when den is 0.
+double ratio(std::uint64_t num, std::uint64_t den) {
+  return den == 0 ? 0.0 : static_cast<double>(num) / static_cast<double>(den);
 }
 
 std::string fixed(double value, int precision) {
@@ -220,7 +225,11 @@ int main(int argc, char** argv) {
 
   auto emit = [&](const Instance& instance, const std::string& config_label,
                   const RunOutcome& outcome, double speedup) {
-    const sim::HotPathStats& hot = outcome.stats.hot;
+    const engine::ExplorerStats& stats = outcome.stats;
+    const double bytes_per_node = ratio(stats.store_bytes, stats.store_nodes);
+    const double avg_batch = ratio(stats.batched_items, stats.batches);
+    const double cache_hit_rate = ratio(stats.cache_hits, stats.cache_probes);
+    const double avg_probe = ratio(stats.probe_total, stats.probe_ops);
     const int threads = outcome.threads_used;
     // Running more workers than the machine has cores measures scheduler
     // thrash, not scaling: flag the row and withhold the speedup figure.
@@ -231,10 +240,8 @@ int main(int argc, char** argv) {
                    outcome.clean ? "clean" : "VIOLATION",
                    std::to_string(outcome.visited), fixed(outcome.seconds, 3),
                    fixed(states_per_sec(outcome), 0),
-                   fixed(outcome.stats.store.bytes_per_node(), 1),
-                   fixed(hot.avg_batch(), 1),
-                   fixed(100.0 * hot.cache_hit_rate(), 0),
-                   fixed(hot.avg_probe(), 2),
+                   fixed(bytes_per_node, 1), fixed(avg_batch, 1),
+                   fixed(100.0 * cache_hit_rate, 0), fixed(avg_probe, 2),
                    oversubscribed ? "-" : fixed(speedup, 3) + "x"});
     json.begin_object();
     json.key_value("instance", instance.label);
@@ -250,17 +257,17 @@ int main(int argc, char** argv) {
     json.key_value("seconds", outcome.seconds);
     json.key_value("states_per_sec", states_per_sec(outcome));
     json.key_value("speedup", speedup);
-    json.key_value("store_nodes", outcome.stats.store.nodes);
-    json.key_value("store_bytes_per_node", outcome.stats.store.bytes_per_node());
-    json.key_value("canonical_hit_rate", outcome.stats.store.canonical_hit_rate());
-    json.key_value("avg_push_batch", hot.avg_batch());
-    json.key_value("dedup_cache_hit_rate", hot.cache_hit_rate());
-    json.key_value("avg_probe_length", hot.avg_probe());
-    json.key_value("max_probe_length", hot.max_probe);
-    json.key_value("table_rehashes", hot.rehashes);
-    json.key_value("orbit_skipped", outcome.stats.orbit_skipped);
-    json.key_value("cas_retries", hot.cas_retries);
-    json.key_value("migration_stripes", hot.migration_stripes);
+    json.key_value("store_nodes", stats.store_nodes);
+    json.key_value("store_bytes_per_node", bytes_per_node);
+    json.key_value("canonical_hit_rate", ratio(stats.canonical_hits, stats.encodes));
+    json.key_value("avg_push_batch", avg_batch);
+    json.key_value("dedup_cache_hit_rate", cache_hit_rate);
+    json.key_value("avg_probe_length", avg_probe);
+    json.key_value("max_probe_length", stats.max_probe);
+    json.key_value("table_rehashes", stats.rehashes);
+    json.key_value("orbit_skipped", stats.orbit_skipped);
+    json.key_value("cas_retries", stats.cas_retries);
+    json.key_value("migration_stripes", stats.migration_stripes);
     json.end_object();
   };
 
@@ -322,7 +329,8 @@ int main(int argc, char** argv) {
                      ? 1.0 - static_cast<double>(reduced.visited) /
                                  static_cast<double>(plain.visited)
                      : 0.0);
-  json.key_value("canonical_hit_rate", reduced.stats.store.canonical_hit_rate());
+  json.key_value("canonical_hit_rate",
+                 ratio(reduced.stats.canonical_hits, reduced.stats.encodes));
   json.key_value("verdict_preserved", reduced.clean == plain.clean);
   json.end_object();
 

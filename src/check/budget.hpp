@@ -65,10 +65,6 @@ struct Budget {
   // process RSS (engine/sentinel.hpp), so the limit covers the whole
   // process, not just the explorer's tables.
   std::int64_t mem_limit_mb = 0;
-
-  // Whether crash events may hit a process that already decided in its
-  // current run (the paper's model allows it; some scenarios disable it).
-  bool crash_after_decide = true;
 };
 
 }  // namespace rcons::check

@@ -16,8 +16,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-engine::ParallelExplorerConfig explorer_config(const CheckRequest& request) {
-  engine::ParallelExplorerConfig config;
+sim::ExplorerConfig explorer_config(const CheckRequest& request) {
+  sim::ExplorerConfig config;
   static_cast<Budget&>(config) = request.budget;
   config.properties = request.system.properties;
   config.symmetry_classes = request.system.symmetry_classes;
@@ -48,7 +48,7 @@ CheckReport exhaustive_report(const engine::ParallelExplorer& explorer, bool par
   report.violation = std::move(violation);
   report.stats = explorer.stats();
   report.clean = !report.violation.has_value();
-  report.complete = !report.stats.truncated;
+  report.complete = !report.stats.truncated();
   return report;
 }
 

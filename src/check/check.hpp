@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "check/budget.hpp"
+#include "engine/obs_cells.hpp"
 #include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
 #include "sim/explorer_config.hpp"
@@ -135,17 +136,18 @@ struct CheckRequest {
   obs::Hooks obs;
 };
 
-// Merged superset of ExplorerStats / RandomRunReport / ReplayReport.
+// Merged superset of engine::ExplorerStats / RandomRunReport / ReplayReport.
 struct CheckReport {
   Strategy strategy = Strategy::kSequentialDFS;  // strategy actually executed
   bool clean = false;     // no violation found
   bool complete = false;  // exhaustive and untruncated: the verdict is a proof
   std::optional<sim::Violation> violation;
 
-  // Exhaustive strategies (sequential / parallel / auto). `stats.store`
-  // carries the node-store statistics — states interned, arena bytes per
-  // node, canonicalization hit rate.
-  sim::ExplorerStats stats;
+  // Exhaustive strategies (sequential / parallel / auto): the engine's
+  // counter record with the stop reason — every classified transition
+  // (visited, duplicates, violation_edges, orbit_skipped), the store's
+  // records and bytes, and the hot-path work.
+  engine::ExplorerStats stats;
 
   // Worker threads the executed backend actually resolved and ran with:
   // 1 for the sequential strategies (and the kAuto probe verdict), the

@@ -38,7 +38,7 @@ std::string verdict(const CheckReport& report) {
     return std::string("VIOLATION(") + sim::property_name(report.violation->property) +
            ")";
   }
-  if (report.stats.truncated) {
+  if (report.stats.truncated()) {
     return std::string("TRUNCATED(") + sim::stop_reason_name(report.stats.stop_reason) +
            ")";
   }
@@ -48,7 +48,7 @@ std::string verdict(const CheckReport& report) {
 bool ScenarioResult::violating() const { return real_violation(report); }
 
 bool ScenarioResult::truncated() const {
-  return !violating() && report.stats.truncated;
+  return !violating() && report.stats.truncated();
 }
 
 int SpecRun::exit_code() const {

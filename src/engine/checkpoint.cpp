@@ -108,7 +108,6 @@ std::uint64_t checkpoint_config_hash(const sim::ExplorerConfig& config) {
   fold(static_cast<std::uint64_t>(config.crash_budget));
   fold(static_cast<std::uint64_t>(config.max_steps_per_run));
   fold(static_cast<std::uint64_t>(config.max_visited));
-  fold(config.crash_after_decide ? 1 : 0);
   fold(config.symmetry_classes.size());
   for (const int cls : config.symmetry_classes) {
     fold(static_cast<std::uint64_t>(static_cast<std::int64_t>(cls)));
@@ -142,14 +141,14 @@ std::string serialize_checkpoint(const CheckpointData& data) {
   put_string(out, data.label);
   put_u64(out, data.root_fp.lo);
   put_u64(out, data.root_fp.hi);
-  put_u64(out, data.counts.visited);
-  put_u64(out, data.counts.transitions);
-  put_u64(out, data.counts.decisions);
-  put_u64(out, data.counts.terminal_states);
-  put_u64(out, data.counts.orbit_skipped);
-  put_u64(out, data.counts.encodes);
-  put_u64(out, data.counts.canonical_hits);
-  put_u64(out, data.checkpoints_written);
+  put_u64(out, data.stats.visited);
+  put_u64(out, data.stats.transitions);
+  put_u64(out, data.stats.decisions);
+  put_u64(out, data.stats.terminal_states);
+  put_u64(out, data.stats.orbit_skipped);
+  put_u64(out, data.stats.encodes);
+  put_u64(out, data.stats.canonical_hits);
+  put_u64(out, data.stats.checkpoints_written);
 
   out.push_back(data.has_violation ? 1 : 0);
   if (data.has_violation) {
@@ -262,14 +261,14 @@ CheckpointLoad load_checkpoint(const std::string& path, CheckpointData& data,
   loaded.label = r.str();
   loaded.root_fp.lo = r.u64();
   loaded.root_fp.hi = r.u64();
-  loaded.counts.visited = r.u64();
-  loaded.counts.transitions = r.u64();
-  loaded.counts.decisions = r.u64();
-  loaded.counts.terminal_states = r.u64();
-  loaded.counts.orbit_skipped = r.u64();
-  loaded.counts.encodes = r.u64();
-  loaded.counts.canonical_hits = r.u64();
-  loaded.checkpoints_written = r.u64();
+  loaded.stats.visited = r.u64();
+  loaded.stats.transitions = r.u64();
+  loaded.stats.decisions = r.u64();
+  loaded.stats.terminal_states = r.u64();
+  loaded.stats.orbit_skipped = r.u64();
+  loaded.stats.encodes = r.u64();
+  loaded.stats.canonical_hits = r.u64();
+  loaded.stats.checkpoints_written = r.u64();
 
   unsigned char has_violation = 0;
   r.take(&has_violation, 1);

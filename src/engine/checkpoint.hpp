@@ -59,11 +59,11 @@ struct CheckpointData {
   std::string label;  // e.g. the formatted scenario line; validated by the CLI
   util::U128 root_fp{};
 
-  // Counts at the cut, the resumed run's baseline. The file carries visited,
-  // transitions, decisions, terminal_states, orbit_skipped, encodes and
-  // canonical_hits; the other fields load as zero.
-  Tally counts;
-  std::uint64_t checkpoints_written = 0;
+  // Stats at the cut, the resumed run's baseline. The file carries visited,
+  // transitions, decisions, terminal_states, orbit_skipped, encodes,
+  // canonical_hits and checkpoints_written; the other fields load as zero
+  // (a resume recounts the store's records from `nodes`).
+  ExplorerStats stats;
 
   // Best violation found before the cut (empty when none): survives the
   // crash with its full root-rooted schedule.

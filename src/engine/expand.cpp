@@ -48,8 +48,8 @@ void enumerate_events(const Node& node, const sim::ExplorerConfig& config,
   if (config.crash_model == sim::CrashModel::kIndependent) {
     for (int i = 0; i < n; ++i) {
       const auto idx = static_cast<std::size_t>(i);
+      // A decided process may crash too, as in the paper's model.
       const bool is_done = node.done[idx] != 0;
-      if (is_done && !config.crash_after_decide) continue;
       // Crashing a process that has not taken a step in its current run
       // only burns budget; the resulting state is strictly weaker.
       if (!is_done && node.steps_in_run[idx] == 0) continue;

@@ -440,14 +440,12 @@ NodeStore::Intern NodeStore::intern(util::U128 fingerprint,
         header[0] = static_cast<Value>(length);
         std::memcpy(header + 1, record.data(), length * sizeof(Value));
         arena.cur = header + 1 + length;
-        arena.payload_values += length;
         return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(header));
       },
       stats);
 
   const Value* header =
       reinterpret_cast<const Value*>(static_cast<std::uintptr_t>(found.value));
-  if (!found.inserted) arena.duplicate_hits += 1;
   return Intern{found.value, found.inserted, header + 1,
                 static_cast<std::uint32_t>(header[0])};
 }
@@ -466,17 +464,10 @@ std::uint64_t NodeStore::size() const {
   return total;
 }
 
-NodeStore::Stats NodeStore::stats() const {
-  Stats stats;
-  for (const auto& shard : shards_) {
-    stats.nodes += shard->index.size();
-    stats.rehashes += shard->index.rehashes();
-  }
-  for (const auto& arena : arenas_) {
-    stats.value_bytes += arena->payload_values * sizeof(Value);
-    stats.duplicate_hits += arena->duplicate_hits;
-  }
-  return stats;
+std::uint64_t NodeStore::rehashes() const {
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) total += shard->index.rehashes();
+  return total;
 }
 
 void NodeStore::reshard(int shard_bits, int num_arenas) {
@@ -501,28 +492,6 @@ void NodeStore::reshard(int shard_bits, int num_arenas) {
       shards_[shard_index(key)]->index.insert(key, value);
     });
   }
-}
-
-NodeStore::LoadStats NodeStore::load_stats() const {
-  LoadStats stats;
-  stats.min_shard = ~0ULL;
-  for (const auto& shard : shards_) {
-    const std::uint64_t count = shard->index.size();
-    stats.total += count;
-    if (count < stats.min_shard) stats.min_shard = count;
-    if (count > stats.max_shard) stats.max_shard = count;
-    stats.rehashes += shard->index.rehashes();
-  }
-  for (const auto& arena : arenas_) stats.duplicate_inserts += arena->duplicate_hits;
-  if (stats.total == 0) {
-    stats.min_shard = 0;
-    stats.imbalance = 1.0;
-  } else {
-    const double even =
-        static_cast<double>(stats.total) / static_cast<double>(shards_.size());
-    stats.imbalance = even > 0 ? static_cast<double>(stats.max_shard) / even : 1.0;
-  }
-  return stats;
 }
 
 }  // namespace rcons::engine

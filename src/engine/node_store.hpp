@@ -66,7 +66,7 @@
 
 namespace rcons::engine {
 
-// Picks shard_bits for a parallel run's store instead of a fixed default.
+// Picks the shard bits of a parallel run's store.
 // Two forces:
 //
 //   * contention — with T workers inserting concurrently we want enough
@@ -74,8 +74,8 @@ namespace rcons::engine {
 //     at least 8×T shards (collision probability <= 1/8 per pair), rounded
 //     up to the next power of two;
 //   * occupancy — a state space of S states should not be spread over more
-//     than S/64 shards, or most shards sit empty and load stats (and cache
-//     locality) degrade.
+//     than S/64 shards, or most shards sit empty and cache locality
+//     degrades.
 //
 // The occupancy cap wins when they conflict (tiny spaces finish before
 // contention matters). `expected_states` of 0 means unknown — only the
@@ -306,13 +306,9 @@ class NodeStore {
   int num_shards() const { return static_cast<int>(shards_.size()); }
   int num_arenas() const { return static_cast<int>(arenas_.size()); }
 
-  struct Stats {
-    std::uint64_t nodes = 0;
-    std::uint64_t value_bytes = 0;     // payload bytes across all records
-    std::uint64_t duplicate_hits = 0;  // interns that found the key present
-    std::uint64_t rehashes = 0;        // index growth epochs across shards
-  };
-  Stats stats() const;
+  // Index growth epochs across the shards. The traversals count records
+  // and bytes themselves (engine::Tally).
+  std::uint64_t rehashes() const;
 
   // Rebuilds the index over 2^shard_bits shards, each pre-sized for its
   // share of the records interned so far, and adds arenas up to
@@ -321,20 +317,6 @@ class NodeStore {
   // becomes the worker loop's (ParallelExplorer::escalate). Caller contract:
   // no concurrent interns or reads.
   void reshard(int shard_bits, int num_arenas);
-
-  // Shard occupancy for tuning shard_bits: total entries, the
-  // fullest/emptiest shard, and the imbalance ratio max/(total/shards)
-  // (1.0 = perfectly even). `duplicate_inserts` counts interns that found
-  // their key present; `rehashes` counts growth epochs across the shards.
-  struct LoadStats {
-    std::uint64_t total = 0;
-    std::uint64_t min_shard = 0;
-    std::uint64_t max_shard = 0;
-    double imbalance = 1.0;
-    std::uint64_t duplicate_inserts = 0;
-    std::uint64_t rehashes = 0;
-  };
-  LoadStats load_stats() const;
 
   // Quiescent iteration over every interned record for checkpointing:
   // `fn(fingerprint, payload, length)` where `payload` points at the record
@@ -372,12 +354,10 @@ class NodeStore {
   static constexpr std::size_t kChunkValues = std::size_t{1} << 14;
 
   // One per interning worker; cache-line separated so two workers' bump
-  // pointers and tallies never false-share.
+  // pointers never false-share.
   struct alignas(64) Arena {
     typesys::Value* cur = nullptr;
     typesys::Value* end = nullptr;
-    std::uint64_t payload_values = 0;  // record values staged (excl. headers)
-    std::uint64_t duplicate_hits = 0;
   };
 
   struct alignas(64) Shard {

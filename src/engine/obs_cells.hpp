@@ -1,5 +1,6 @@
-// The counter record both traversals keep, and the resolved metric handles
-// of the engine taxonomy (obs/session.hpp) it flushes into.
+// The one counter record of the exhaustive engine — what each traversal
+// counts (Tally) and what a run reports (ExplorerStats) — and the resolved
+// metric handles of the engine taxonomy (obs/session.hpp) it flushes into.
 //
 // Handles are resolved once per run (the only locking moment); after that
 // every update is a relaxed atomic on a lane-private cell. The traversals
@@ -9,13 +10,16 @@
 // untouched and a null registry (inactive cells) costs one predicted branch
 // per batch.
 //
-// The counter names mirror sim::ExplorerStats field-for-field where a field
-// exists (engine.visited_states == stats.visited, and so on); the obs tests
-// pin that equality across all four check strategies.
+// kTallyFields names the registry counter of every additive field, so the
+// metric totals equal the reported stats field for field
+// (engine.visited_states == stats.visited, and so on); the obs tests pin
+// that equality across all four check strategies.
 #ifndef RCONS_ENGINE_OBS_CELLS_HPP
 #define RCONS_ENGINE_OBS_CELLS_HPP
 
+#include <array>
 #include <cstdint>
+#include <iterator>
 
 #include "engine/cas_table.hpp"
 #include "obs/metrics.hpp"
@@ -26,10 +30,17 @@ namespace rcons::engine {
 // Everything one traversal counts. The depth-first traversal keeps one, every
 // worker of the worker loop keeps its own, and a run's baseline (the root, a
 // resumed checkpoint, or the depth-first run kAuto escalates from) is one
-// more. Field meanings match the engine.* / store.* taxonomy in
-// obs/session.cpp; store_nodes/store_bytes count the records this traversal
-// interned.
-struct Tally {
+// more. store_nodes/store_bytes count the records this traversal interned.
+// The lock-free table work (probe lengths, lost claim CASes, migration
+// stripes helped) is the CasTable::OpStats base, accumulated caller-side so
+// the tables never bounce a shared stats cache line between workers.
+//
+// Every transition is classified exactly once:
+//   transitions == visited + duplicates + violation_edges + orbit_skipped,
+// where orbit_skipped counts the per-process events dropped because their
+// process was a non-representative member of a stabilizer orbit (symmetry
+// reduction only; see engine::Canonicalizer::orbit_mask).
+struct Tally : CasTable::OpStats {
   std::uint64_t visited = 0;
   std::uint64_t transitions = 0;
   std::uint64_t decisions = 0;
@@ -38,87 +49,88 @@ struct Tally {
   std::uint64_t duplicates = 0;
   std::uint64_t violation_edges = 0;
   std::uint64_t encodes = 0;
-  std::uint64_t canonical_hits = 0;
+  std::uint64_t canonical_hits = 0;  // encodings the canonicalizer permuted
   std::uint64_t store_nodes = 0;
-  std::uint64_t store_bytes = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t batched_items = 0;
-  std::uint64_t cache_probes = 0;
+  std::uint64_t store_bytes = 0;     // arena payload bytes of those records
+  std::uint64_t batches = 0;         // successor batches submitted to the frontier
+  std::uint64_t batched_items = 0;   // items across those batches
+  std::uint64_t cache_probes = 0;    // per-worker recently-inserted cache
   std::uint64_t cache_hits = 0;
-  // Lock-free table work (probe lengths, lost claim CASes, migration stripes
-  // helped), accumulated caller-side so the tables never bounce a shared
-  // stats cache line between workers.
-  CasTable::OpStats ops;
 
-  Tally& operator+=(const Tally& o) {
-    visited += o.visited;
-    transitions += o.transitions;
-    decisions += o.decisions;
-    terminal_states += o.terminal_states;
-    orbit_skipped += o.orbit_skipped;
-    duplicates += o.duplicates;
-    violation_edges += o.violation_edges;
-    encodes += o.encodes;
-    canonical_hits += o.canonical_hits;
-    store_nodes += o.store_nodes;
-    store_bytes += o.store_bytes;
-    batches += o.batches;
-    batched_items += o.batched_items;
-    cache_probes += o.cache_probes;
-    cache_hits += o.cache_hits;
-    ops.probe_total += o.ops.probe_total;
-    ops.probe_ops += o.ops.probe_ops;
-    if (o.ops.max_probe > ops.max_probe) ops.max_probe = o.ops.max_probe;
-    ops.cas_retries += o.ops.cas_retries;
-    ops.migration_stripes += o.ops.migration_stripes;
-    return *this;
+  // The transitions the classification above accounts for.
+  std::uint64_t classified() const {
+    return visited + duplicates + violation_edges + orbit_skipped;
   }
 
-  // The ExplorerStats counters this record owns. The store's own totals
-  // (nodes, value bytes, rehashes) and the stop reason come from elsewhere.
-  void write_to(sim::ExplorerStats& stats) const {
-    stats.visited = visited;
-    stats.transitions = transitions;
-    stats.decisions = decisions;
-    stats.terminal_states = terminal_states;
-    stats.orbit_skipped = orbit_skipped;
-    stats.store.encodes = encodes;
-    stats.store.canonical_hits = canonical_hits;
-    stats.hot.batches = batches;
-    stats.hot.batched_items = batched_items;
-    stats.hot.dedup_cache_probes = cache_probes;
-    stats.hot.dedup_cache_hits = cache_hits;
-    stats.hot.probe_total = ops.probe_total;
-    stats.hot.probe_ops = ops.probe_ops;
-    stats.hot.max_probe = ops.max_probe;
-    stats.hot.cas_retries = ops.cas_retries;
-    stats.hot.migration_stripes = ops.migration_stripes;
-  }
+  Tally& operator+=(const Tally& other);
+};
+
+// Every additive Tally field, with the registry counter it flushes into
+// (null: reported in the stats only). max_probe is the one field that merges
+// by max instead.
+struct TallyField {
+  const char* metric;
+  std::uint64_t Tally::*field;
+};
+inline constexpr TallyField kTallyFields[] = {
+    {"engine.visited_states", &Tally::visited},
+    {"engine.transitions", &Tally::transitions},
+    {"engine.decisions", &Tally::decisions},
+    {"engine.terminal_states", &Tally::terminal_states},
+    {"engine.orbit_skipped", &Tally::orbit_skipped},
+    {"engine.duplicates", &Tally::duplicates},
+    {"engine.violation_edges", &Tally::violation_edges},
+    {"store.encodes", &Tally::encodes},
+    {"store.canonical_hits", &Tally::canonical_hits},
+    {"store.nodes", &Tally::store_nodes},
+    {"store.value_bytes", &Tally::store_bytes},
+    {"engine.frontier_batches", &Tally::batches},
+    {"engine.frontier_batched_items", &Tally::batched_items},
+    {"engine.dedup_cache_probes", &Tally::cache_probes},
+    {"engine.dedup_cache_hits", &Tally::cache_hits},
+    {"engine.cas_retries", &Tally::cas_retries},
+    {"engine.migration_stripes", &Tally::migration_stripes},
+    {nullptr, &Tally::probe_total},
+    {nullptr, &Tally::probe_ops},
+};
+
+inline Tally& Tally::operator+=(const Tally& other) {
+  for (const TallyField& f : kTallyFields) this->*f.field += other.*f.field;
+  if (other.max_probe > max_probe) max_probe = other.max_probe;
+  return *this;
+}
+
+// What a run reports (ParallelExplorer::stats(), check::CheckReport::stats,
+// a checkpoint): the sum of its tallies plus what only the run knows.
+//
+// `visited`, `transitions` and `terminal_states` do not depend on traversal
+// order: every driver and thread count reports the same figures for a
+// complete run. With a symmetry declaration, `decisions` and `orbit_skipped`
+// do. The sidecar step counts lie outside the fingerprint, so the concrete
+// state that first reaches an orbit fixes them, and with them which sibling
+// events the orbit mask skips (a skipped event counts no decision). Measured
+// on Sn(3) n=3 c=2 with reduction (decisions/orbit_skipped): 1,541/873 under
+// kSequentialDFS, and 1,540/841 and 1,545/836 under kParallelBFS at 1 and 4
+// threads.
+struct ExplorerStats : Tally {
+  // Why the run stopped early; kNone when the verdict is exhaustive.
+  sim::StopReason stop_reason = sim::StopReason::kNone;
+  // Durable checkpoints written (0 when checkpointing is off or every write
+  // was faulted away), including those of the runs a resume continues.
+  std::uint64_t checkpoints_written = 0;
+  std::uint64_t rehashes = 0;  // growth epochs of the store's index
+
+  bool truncated() const { return stop_reason != sim::StopReason::kNone; }
 };
 
 struct ObsCells {
   bool active = false;
 
-  obs::Counter* visited_states = nullptr;
-  obs::Counter* transitions = nullptr;
-  obs::Counter* decisions = nullptr;
-  obs::Counter* terminal_states = nullptr;
-  obs::Counter* duplicates = nullptr;
-  obs::Counter* violation_edges = nullptr;
-  obs::Counter* orbit_skipped = nullptr;
-  obs::Counter* cas_retries = nullptr;
-  obs::Counter* migration_stripes = nullptr;
+  // One cell per kTallyFields entry (null where the entry names none).
+  std::array<obs::Counter*, std::size(kTallyFields)> tally{};
   obs::Counter* truncations = nullptr;
-  obs::Counter* dedup_cache_probes = nullptr;
-  obs::Counter* dedup_cache_hits = nullptr;
-  obs::Counter* frontier_batches = nullptr;
-  obs::Counter* frontier_batched_items = nullptr;
   obs::Counter* steals = nullptr;
   obs::Counter* stolen_items = nullptr;
-  obs::Counter* store_nodes = nullptr;
-  obs::Counter* store_value_bytes = nullptr;
-  obs::Counter* store_encodes = nullptr;
-  obs::Counter* store_canonical_hits = nullptr;
   obs::Counter* store_rehashes = nullptr;
 
   obs::Gauge* frontier_pending = nullptr;
@@ -131,26 +143,14 @@ struct ObsCells {
     ObsCells cells;
     if (registry == nullptr) return cells;
     cells.active = true;
-    cells.visited_states = &registry->counter("engine.visited_states");
-    cells.transitions = &registry->counter("engine.transitions");
-    cells.decisions = &registry->counter("engine.decisions");
-    cells.terminal_states = &registry->counter("engine.terminal_states");
-    cells.duplicates = &registry->counter("engine.duplicates");
-    cells.violation_edges = &registry->counter("engine.violation_edges");
-    cells.orbit_skipped = &registry->counter("engine.orbit_skipped");
-    cells.cas_retries = &registry->counter("engine.cas_retries");
-    cells.migration_stripes = &registry->counter("engine.migration_stripes");
+    for (std::size_t i = 0; i < cells.tally.size(); ++i) {
+      if (kTallyFields[i].metric != nullptr) {
+        cells.tally[i] = &registry->counter(kTallyFields[i].metric);
+      }
+    }
     cells.truncations = &registry->counter("engine.truncations");
-    cells.dedup_cache_probes = &registry->counter("engine.dedup_cache_probes");
-    cells.dedup_cache_hits = &registry->counter("engine.dedup_cache_hits");
-    cells.frontier_batches = &registry->counter("engine.frontier_batches");
-    cells.frontier_batched_items = &registry->counter("engine.frontier_batched_items");
     cells.steals = &registry->counter("engine.steals");
     cells.stolen_items = &registry->counter("engine.stolen_items");
-    cells.store_nodes = &registry->counter("store.nodes");
-    cells.store_value_bytes = &registry->counter("store.value_bytes");
-    cells.store_encodes = &registry->counter("store.encodes");
-    cells.store_canonical_hits = &registry->counter("store.canonical_hits");
     cells.store_rehashes = &registry->counter("store.rehashes");
     cells.frontier_pending = &registry->gauge("engine.frontier_pending");
     cells.visited_cap = &registry->gauge("engine.visited_cap");
@@ -164,26 +164,11 @@ struct ObsCells {
   // at every boundary.
   void flush(std::size_t lane, const Tally& now, Tally& flushed) const {
     if (!active) return;
-    auto add = [lane](obs::Counter* cell, std::uint64_t to, std::uint64_t from) {
-      if (to != from) cell->add(lane, to - from);
-    };
-    add(visited_states, now.visited, flushed.visited);
-    add(transitions, now.transitions, flushed.transitions);
-    add(decisions, now.decisions, flushed.decisions);
-    add(terminal_states, now.terminal_states, flushed.terminal_states);
-    add(orbit_skipped, now.orbit_skipped, flushed.orbit_skipped);
-    add(duplicates, now.duplicates, flushed.duplicates);
-    add(violation_edges, now.violation_edges, flushed.violation_edges);
-    add(store_encodes, now.encodes, flushed.encodes);
-    add(store_canonical_hits, now.canonical_hits, flushed.canonical_hits);
-    add(store_nodes, now.store_nodes, flushed.store_nodes);
-    add(store_value_bytes, now.store_bytes, flushed.store_bytes);
-    add(frontier_batches, now.batches, flushed.batches);
-    add(frontier_batched_items, now.batched_items, flushed.batched_items);
-    add(dedup_cache_probes, now.cache_probes, flushed.cache_probes);
-    add(dedup_cache_hits, now.cache_hits, flushed.cache_hits);
-    add(cas_retries, now.ops.cas_retries, flushed.ops.cas_retries);
-    add(migration_stripes, now.ops.migration_stripes, flushed.ops.migration_stripes);
+    for (std::size_t i = 0; i < tally.size(); ++i) {
+      const std::uint64_t to = now.*kTallyFields[i].field;
+      const std::uint64_t from = flushed.*kTallyFields[i].field;
+      if (tally[i] != nullptr && to != from) tally[i]->add(lane, to - from);
+    }
     flushed = now;
   }
 };

@@ -73,7 +73,7 @@ constexpr std::uint64_t kNever = ~std::uint64_t{0};
 
 ParallelExplorer::ParallelExplorer(sim::Memory initial,
                                    std::vector<sim::Process> processes,
-                                   ParallelExplorerConfig config)
+                                   sim::ExplorerConfig config)
     : initial_memory_(std::move(initial)),
       initial_processes_(std::move(processes)),
       config_(std::move(config)) {
@@ -81,8 +81,6 @@ ParallelExplorer::ParallelExplorer(sim::Memory initial,
   RCONS_ASSERT(config_.crash_budget >= 0);
   RCONS_ASSERT_MSG(config_.num_threads >= 0,
                    "num_threads must be >= 0 (0 selects hardware concurrency)");
-  RCONS_ASSERT_MSG(config_.shard_bits >= -1 && config_.shard_bits <= 16,
-                   "shard_bits must be in [0, 16], or -1 for auto");
   RCONS_ASSERT_MSG(config_.symmetry_classes.empty() ||
                        config_.symmetry_classes.size() == initial_processes_.size(),
                    "symmetry_classes must be empty or name every process");
@@ -98,14 +96,11 @@ void ParallelExplorer::resolve_threads() {
     num_threads_ = static_cast<int>(std::thread::hardware_concurrency());
     if (num_threads_ <= 0) num_threads_ = 1;
   }
-  shard_bits_ = config_.shard_bits >= 0 ? config_.shard_bits
-                                        : pick_shard_bits(num_threads_, config_.visited_cap());
+  shard_bits_ = pick_shard_bits(num_threads_, config_.visited_cap());
 }
 
 void ParallelExplorer::reset_run() {
-  stats_ = sim::ExplorerStats{};
-  visited_stats_ = NodeStore::LoadStats{};
-  frontier_stats_ = CompactFrontier::Stats{};
+  stats_ = ExplorerStats{};
   store_.reset();
   base_ = Tally{};
   cut_.clear();
@@ -191,17 +186,11 @@ std::string ParallelExplorer::truncation_description(sim::StopReason reason) con
 }
 
 void ParallelExplorer::finish_stats(const Tally& total, sim::StopReason reason) {
-  total.write_to(stats_);
-  if (store_ != nullptr) {
-    const NodeStore::Stats store_stats = store_->stats();
-    stats_.store.nodes = store_stats.nodes;
-    stats_.store.value_bytes = store_stats.value_bytes;
-    stats_.hot.rehashes = store_stats.rehashes;
-  }
+  static_cast<Tally&>(stats_) = total;
   stats_.stop_reason = reason;
-  stats_.truncated = reason != sim::StopReason::kNone;
-  if (obs_cells_.active && stats_.hot.rehashes != 0) {
-    obs_cells_.store_rehashes->add(0, stats_.hot.rehashes);
+  if (store_ != nullptr) stats_.rehashes = store_->rehashes();
+  if (obs_cells_.active && stats_.rehashes != 0) {
+    obs_cells_.store_rehashes->add(0, stats_.rehashes);
   }
 }
 
@@ -231,7 +220,7 @@ std::optional<sim::Violation> ParallelExplorer::run_dfs(std::uint64_t probe_cap)
     dfs_.encodes += 1;
     if (encoded.permuted) dfs_.canonical_hits += 1;
     const NodeStore::Intern root =
-        store_->intern(encoded.fingerprint, encode_scratch_, 0, &dfs_.ops);
+        store_->intern(encoded.fingerprint, encode_scratch_, 0, &dfs_);
     dfs_.store_nodes += 1;
     dfs_.store_bytes += static_cast<std::uint64_t>(root.length) * sizeof(typesys::Value);
     result = dfs(root.record, root.length);
@@ -246,6 +235,9 @@ std::optional<sim::Violation> ParallelExplorer::run_dfs(std::uint64_t probe_cap)
   } catch (const std::bad_alloc&) {
     // An allocation failure becomes the typed truncated verdict with whatever
     // partial stats accumulated — never an abort — and is never escalated.
+    // The event in flight was counted but never classified: reconcile, as
+    // the worker loop does.
+    dfs_.transitions = dfs_.classified();
     stop_reason_.store(static_cast<int>(sim::StopReason::kMemory), std::memory_order_relaxed);
     result = sim::Violation{truncation_description(sim::StopReason::kMemory),
                             sim::PropertyKind::kNone, 0, path_};
@@ -253,6 +245,7 @@ std::optional<sim::Violation> ParallelExplorer::run_dfs(std::uint64_t probe_cap)
     draining_ = false;
   }
 
+  dcheck_transitions_identity(dfs_);
   obs_cells_.flush(0, dfs_, dfs_flushed_);
   finish_stats(dfs_, static_cast<sim::StopReason>(stop_reason_.load(std::memory_order_relaxed)));
   codec_.reset();
@@ -262,6 +255,7 @@ std::optional<sim::Violation> ParallelExplorer::run_dfs(std::uint64_t probe_cap)
 
 std::optional<sim::Violation> ParallelExplorer::dfs_poll() {
   dfs_next_poll_ = dfs_.transitions + kPollTransitions;
+  dcheck_transitions_identity(dfs_);
   obs_cells_.flush(0, dfs_, dfs_flushed_);
   if (draining_ || !limits_.armed()) return std::nullopt;
   const sim::StopReason reason = limits_.sample();
@@ -298,14 +292,13 @@ std::optional<sim::Violation> ParallelExplorer::dfs(const typesys::Value* record
 
   int dirty = NodeCodec::kDirtyNone;
   for (const Event& event : events) {
+    // Poll before counting the event, so a stop leaves no transition
+    // unclassified.
+    if (dfs_.transitions >= dfs_next_poll_) {
+      if (auto truncated = dfs_poll()) return truncated;
+    }
     path_.push_back(event);
     dfs_.transitions += 1;
-    if (dfs_.transitions >= dfs_next_poll_) {
-      if (auto truncated = dfs_poll()) {
-        path_.pop_back();
-        return truncated;
-      }
-    }
     if (dirty != NodeCodec::kDirtyNone) codec_->restore(record, size, scratch_node_, dirty);
     dirty = event.kind == Event::Kind::kCrashAll ? NodeCodec::kDirtyAll : event.process;
     if (auto broken = apply_event(scratch_node_, event, config_)) {
@@ -329,7 +322,7 @@ std::optional<sim::Violation> ParallelExplorer::dfs(const typesys::Value* record
     dfs_.encodes += 1;
     if (encoded.permuted) dfs_.canonical_hits += 1;
     const NodeStore::Intern interned =
-        store_->intern(encoded.fingerprint, encode_scratch_, 0, &dfs_.ops);
+        store_->intern(encoded.fingerprint, encode_scratch_, 0, &dfs_);
     if (interned.inserted) {
       dfs_.store_nodes += 1;
       dfs_.store_bytes += static_cast<std::uint64_t>(interned.length) * sizeof(typesys::Value);
@@ -672,7 +665,7 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
         }
         if (fault != nullptr) fault->hit(FaultPlan::Site::kIntern);
         const NodeStore::Intern interned =
-            store.intern(encoded.fingerprint, child_record, id, &local.ops);
+            store.intern(encoded.fingerprint, child_record, id, &local);
         cache.remember(encoded.fingerprint);
         if (!interned.inserted) {
           local.duplicates += 1;
@@ -728,8 +721,7 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
     // by an interrupted expansion before their transition credit landed;
     // reconciling to the classified sum restores the law in both
     // directions.)
-    local.transitions =
-        local.visited + local.duplicates + local.violation_edges + local.orbit_skipped;
+    local.transitions = local.classified();
     request_stop(sim::StopReason::kMemory);
   }
 
@@ -813,13 +805,19 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
     static_assert(std::is_same_v<typesys::Value, std::int64_t>,
                   "checkpoint records are raw value vectors");
     store_ = std::make_unique<NodeStore>(shard_bits_, 0, num_threads_);
+    base_ = ckpt.stats;
+    resumed_checkpoints_ = ckpt.stats.checkpoints_written;
+    // The file carries no store counts: the records re-interned here are
+    // the store's, so store_nodes == visited + 1 holds on as before the cut.
+    base_.store_nodes = ckpt.nodes.size();
+    base_.store_bytes = 0;
     std::vector<NodeStore::Intern> interned;
     interned.reserve(ckpt.nodes.size());
     for (const CheckpointData::Node& node : ckpt.nodes) {
       interned.push_back(store_->intern(node.fp, node.values));
+      base_.store_bytes +=
+          static_cast<std::uint64_t>(interned.back().length) * sizeof(typesys::Value);
     }
-    base_ = ckpt.counts;
-    resumed_checkpoints_ = ckpt.checkpoints_written;
     if (ckpt.has_violation) {
       has_violation_ = true;
       best_violation_.description = ckpt.violation_description;
@@ -873,8 +871,8 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
     data.config_hash = config_hash;
     data.label = config_.checkpoint_label;
     data.root_fp = root_encoded.fingerprint;
-    data.counts = total();
-    data.checkpoints_written =
+    static_cast<Tally&>(data.stats) = total();
+    data.stats.checkpoints_written =
         resumed_checkpoints_ + checkpoints_written_.load(std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(violation_mu_);
@@ -961,8 +959,6 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
     }
   }
 
-  visited_stats_ = store_->load_stats();
-  frontier_stats_ = frontier.stats();
   const auto reason =
       static_cast<sim::StopReason>(stop_reason_.load(std::memory_order_relaxed));
   finish_stats(total(), reason);
@@ -972,9 +968,10 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
   if (obs_cells_.active) {
     // Steal totals live in the frontier internals; publish them once per run
     // rather than threading handles through that layer.
-    if (frontier_stats_.steals != 0) obs_cells_.steals->add(0, frontier_stats_.steals);
-    if (frontier_stats_.stolen_items != 0) {
-      obs_cells_.stolen_items->add(0, frontier_stats_.stolen_items);
+    const CompactFrontier::Stats frontier_stats = frontier.stats();
+    if (frontier_stats.steals != 0) obs_cells_.steals->add(0, frontier_stats.steals);
+    if (frontier_stats.stolen_items != 0) {
+      obs_cells_.stolen_items->add(0, frontier_stats.stolen_items);
     }
     obs_cells_.frontier_pending->set(0);
   }
@@ -983,7 +980,7 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
     return sim::Violation{best_violation_.description, best_violation_.property,
                           best_violation_.param, best_path_};
   }
-  if (stats_.truncated) {
+  if (stats_.truncated()) {
     // Typed truncated verdict: full partial stats, a reason-specific
     // description, and (for the visited-cap case) a best-effort partial
     // trace. Never an abort, never an empty report.

@@ -17,16 +17,18 @@
 // Both traversals stay because only the depth-first order reproduces the
 // pinned first violations: on algorithms whose steps can leave the encoding
 // unchanged (halting-TAS) the worker loop's lowest-trace violation differs
-// from the one the DFS meets first (ROADMAP, "Deterministic violations").
+// from the one the DFS meets first (ROADMAP, "Wait-freedom as a property of
+// the state graph").
 //
 // On runs that complete (no truncation) the verdict and the visited /
 // transition / terminal counts are independent of traversal and scheduling
 // (decisions and orbit_skipped are too without a symmetry declaration; see
-// ExplorerStats). Truncated worker-loop runs stop racily: counts then vary
-// run to run and `visited` can overshoot max_visited by up to one state per
-// worker. The worker loop keeps exploring after a violation until the
-// frontier drains and reports the lexicographically lowest trace among every
-// violation it found (same event order as the DFS).
+// ExplorerStats in engine/obs_cells.hpp). Truncated worker-loop runs stop
+// racily: counts then vary run to run and `visited` can overshoot
+// max_visited by up to one state per worker. The worker loop keeps exploring
+// after a violation until the frontier drains and reports the
+// lexicographically lowest trace among every violation it found (same event
+// order as the DFS).
 //
 // The worker hot path is allocation-free, batch-oriented, and mutex-free:
 // frontier items are stored inline and submitted/drained in batches
@@ -68,15 +70,10 @@
 
 namespace rcons::engine {
 
-struct ParallelExplorerConfig : sim::ExplorerConfig {
-  int num_threads = 0;  // 0 = std::thread::hardware_concurrency()
-  int shard_bits = -1;  // -1 = auto via pick_shard_bits(); valid fixed: [0, 16]
-};
-
 class ParallelExplorer {
  public:
   ParallelExplorer(sim::Memory initial, std::vector<sim::Process> processes,
-                   ParallelExplorerConfig config);
+                   sim::ExplorerConfig config);
 
   // Worker loop from the root (or from config.resume). Returns the lowest-
   // trace violation found, or nullopt if every execution satisfies the
@@ -109,32 +106,26 @@ class ParallelExplorer {
   // or resume.
   std::optional<sim::Violation> escalate();
 
-  const sim::ExplorerStats& stats() const { return stats_; }
+  const ExplorerStats& stats() const { return stats_; }
 
-  // Store shard occupancy and frontier steal/batch counts of the last
-  // worker-loop run.
-  const NodeStore::LoadStats& visited_stats() const { return visited_stats_; }
-  const CompactFrontier::Stats& frontier_stats() const { return frontier_stats_; }
-
-  // Resolved worker count and shard bits. With num_threads = 0 both resolve
-  // when the worker loop first starts (0 until then), so a depth-first run
-  // never queries the hardware.
+  // Resolved worker count. With num_threads = 0 it resolves when the worker
+  // loop first starts (0 until then), so a depth-first run never queries the
+  // hardware.
   int num_threads() const { return num_threads_; }
-  int shard_bits() const { return shard_bits_; }
 
   // Per-worker conservation law: every counted transition is classified
   // exactly once — it discovered a new state (visited), hit a duplicate, was
   // a violating edge (never expanded further), or was skipped whole by orbit
-  // reduction. The worker loop restores this identity at every obs-flush
-  // boundary and at worker exit; drift means a classification branch was
+  // reduction. Both traversals poll their limits before counting the next
+  // transition, so the identity holds at every obs-flush boundary, at worker
+  // exit and when run_dfs() returns; drift means a classification branch was
   // added without its tally (or a tally without its transition). Public so
   // the contract test can violate it on purpose and watch the DCHECK fire
   // under -DRCONS_FORCE_DCHECK=ON.
   static void dcheck_transitions_identity(const Tally& w) {
-    RCONS_DCHECK_MSG(
-        w.visited + w.duplicates + w.violation_edges + w.orbit_skipped == w.transitions,
-        "transitions identity violated: visited + duplicates + violation_edges + "
-        "orbit_skipped != transitions");
+    RCONS_DCHECK_MSG(w.classified() == w.transitions,
+                     "transitions identity violated: visited + duplicates + violation_edges + "
+                     "orbit_skipped != transitions");
   }
 
  private:
@@ -205,13 +196,11 @@ class ParallelExplorer {
 
   sim::Memory initial_memory_;
   std::vector<sim::Process> initial_processes_;
-  ParallelExplorerConfig config_;
+  sim::ExplorerConfig config_;
   int num_threads_ = 0;
   int shard_bits_ = 0;
 
-  sim::ExplorerStats stats_;
-  NodeStore::LoadStats visited_stats_;
-  CompactFrontier::Stats frontier_stats_;
+  ExplorerStats stats_;
 
   // Resolved metric handles for this run (inactive when config_.obs.metrics
   // is null). Resolved once per run; workers only touch lane-private cells.

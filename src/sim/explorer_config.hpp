@@ -1,11 +1,10 @@
 // Contract of the exhaustive explorer (`engine::ParallelExplorer`, whose
 // depth-first and worker-loop traversals back kSequentialDFS and
-// kParallelBFS): its configuration, the violation report and run statistics.
-// The tunable knobs live in `check::Budget` (check/budget.hpp), which the
-// config derives from so they cannot drift from the other backends'.
-//
-// These live under sim/ so the random runner, replay and the check facade
-// share the report types without depending on engine/.
+// kParallelBFS): its configuration, the violation report and why a run
+// stopped early. The tunable knobs live in `check::Budget`
+// (check/budget.hpp), which the config derives from so they cannot drift
+// from the other backends'. The run statistics are engine::ExplorerStats
+// (engine/obs_cells.hpp).
 #ifndef RCONS_SIM_EXPLORER_CONFIG_HPP
 #define RCONS_SIM_EXPLORER_CONFIG_HPP
 
@@ -29,7 +28,7 @@ namespace rcons::sim {
 // it did not stop early (the verdict is exhaustive). Every other reason
 // produces the typed truncated verdict: a sim::Violation with
 // PropertyKind::kNone whose description names the reason, full partial stats,
-// and ExplorerStats::stop_reason carrying the enum — never an abort.
+// and engine::ExplorerStats::stop_reason carrying the enum — never an abort.
 enum class StopReason {
   kNone,        // ran to completion (or to a property violation)
   kVisitedCap,  // Budget::max_visited exhausted
@@ -70,6 +69,10 @@ struct ExplorerConfig : check::Budget {
   // their plain per-worker locals either way, so a disabled sink costs
   // nothing per state.
   obs::Hooks obs;
+
+  // Worker-loop threads; 0 = std::thread::hardware_concurrency(), resolved
+  // when the worker loop first starts.
+  int num_threads = 0;
 
   // --- robustness layer (engine/sentinel.hpp, engine/checkpoint.hpp) ------
 
@@ -122,104 +125,6 @@ struct Violation {
 
   // Human-readable rendering of the schedule.
   std::string trace() const;
-};
-
-// Statistics of the interned node store (engine/node_store.hpp).
-struct NodeStoreStats {
-  std::uint64_t nodes = 0;        // unique states interned (incl. the root)
-  std::uint64_t value_bytes = 0;  // arena payload bytes across all records
-  std::uint64_t encodes = 0;      // node encodings produced during the run
-  std::uint64_t canonical_hits = 0;  // encodings the canonicalizer permuted
-
-  double bytes_per_node() const {
-    return nodes == 0 ? 0.0
-                      : static_cast<double>(value_bytes) / static_cast<double>(nodes);
-  }
-  double canonical_hit_rate() const {
-    return encodes == 0
-               ? 0.0
-               : static_cast<double>(canonical_hits) / static_cast<double>(encodes);
-  }
-};
-
-// Per-state cost counters of the batched, allocation-free hot path
-// (engine/frontier.hpp, engine/cas_table.hpp, engine/path_arena.hpp). The
-// worker loop fills all of them; the depth-first traversal fills the
-// probe-length and table counters (its store uses the same lock-free table)
-// and leaves the frontier/cache counters at zero.
-struct HotPathStats {
-  std::uint64_t batches = 0;        // successor batches submitted to the frontier
-  std::uint64_t batched_items = 0;  // items across those batches
-
-  // Per-worker recently-inserted fingerprint cache, consulted before the
-  // sharded store: a hit short-circuits the table probe entirely.
-  std::uint64_t dedup_cache_probes = 0;
-  std::uint64_t dedup_cache_hits = 0;
-
-  // Probing across the NodeStore's lock-free CasTable index, counted per
-  // worker.
-  std::uint64_t probe_total = 0;  // slots inspected
-  std::uint64_t probe_ops = 0;    // operations that probed
-  std::uint64_t max_probe = 0;    // longest single probe sequence
-  std::uint64_t rehashes = 0;     // table growth epochs
-
-  // Lock-free table contention (zero on the single-threaded paths):
-  // slot-claim CASes lost to a racing worker, and growth stripes migrated
-  // cooperatively while helping an epoch-based table resize.
-  std::uint64_t cas_retries = 0;
-  std::uint64_t migration_stripes = 0;
-
-  double avg_batch() const {
-    return batches == 0
-               ? 0.0
-               : static_cast<double>(batched_items) / static_cast<double>(batches);
-  }
-  double cache_hit_rate() const {
-    return dedup_cache_probes == 0 ? 0.0
-                                   : static_cast<double>(dedup_cache_hits) /
-                                         static_cast<double>(dedup_cache_probes);
-  }
-  double avg_probe() const {
-    return probe_ops == 0
-               ? 0.0
-               : static_cast<double>(probe_total) / static_cast<double>(probe_ops);
-  }
-};
-
-// Run counters. `visited`, `transitions` and `terminal_states` do not depend
-// on traversal order: every driver and thread count reports the same figures
-// for a complete run. With a symmetry declaration, `decisions` and
-// `orbit_skipped` do. The sidecar step counts lie outside the fingerprint, so
-// the concrete state that first reaches an orbit fixes them, and with them
-// which sibling events the orbit mask skips (a skipped event counts no
-// decision). Measured on Sn(3) n=3 c=2 with
-// reduction (decisions/orbit_skipped): 1,541/873 under kSequentialDFS, and
-// 1,540/841 and 1,545/836 under kParallelBFS at 1 and 4 threads.
-struct ExplorerStats {
-  std::uint64_t visited = 0;
-  std::uint64_t transitions = 0;
-  std::uint64_t decisions = 0;
-  std::uint64_t terminal_states = 0;
-
-  // Per-process events dropped because their process was a non-representative
-  // member of a stabilizer orbit (symmetry reduction only; see
-  // engine::Canonicalizer::orbit_mask). Counted as transitions, so
-  // transitions == visited + duplicates + violation_edges + orbit_skipped.
-  std::uint64_t orbit_skipped = 0;
-
-  bool truncated = false;  // stopped early — verdict incomplete
-
-  // Why the run stopped early (kNone when !truncated). The legacy boolean is
-  // kept in sync so existing callers keep working: truncated == (stop_reason
-  // != kNone).
-  StopReason stop_reason = StopReason::kNone;
-
-  // Durable checkpoints written during the run (0 when checkpointing is off
-  // or every write was faulted away).
-  std::uint64_t checkpoints_written = 0;
-
-  NodeStoreStats store;
-  HotPathStats hot;
 };
 
 }  // namespace rcons::sim

@@ -58,14 +58,12 @@ RandomRunReport run_random_impl(Memory& memory, std::vector<Process>& processes,
       }
       const int victim = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
       const auto idx = static_cast<std::size_t>(victim);
-      if (done[idx] == 0 || config.crash_after_decide) {
-        processes[idx].reset();
-        done[idx] = 0;
-        steps_in_run[idx] = 0;
-        report.crashes += 1;
-        report.schedule.push_back(ScheduleEvent::crash(victim));
-        continue;
-      }
+      processes[idx].reset();
+      done[idx] = 0;
+      steps_in_run[idx] = 0;
+      report.crashes += 1;
+      report.schedule.push_back(ScheduleEvent::crash(victim));
+      continue;
     }
 
     // Pick a runnable process uniformly.

@@ -35,7 +35,7 @@ const char* kSmall = "type=Sn(2) n=2 model=independent budget=2";
 const char* kLarge = "type=Sn(4) n=4 model=independent budget=2";
 
 void expect_typed_truncation(const CheckReport& report, sim::StopReason reason) {
-  EXPECT_TRUE(report.stats.truncated);
+  EXPECT_TRUE(report.stats.truncated());
   EXPECT_EQ(report.stats.stop_reason, reason);
   EXPECT_FALSE(report.complete);
   ASSERT_TRUE(report.violation.has_value());  // the truncation marker
@@ -117,7 +117,7 @@ TEST(RobustnessTest, SentinelsOffLeaveVerdictsComplete) {
   const CheckReport report = check(std::move(request));
   EXPECT_TRUE(report.clean);
   EXPECT_TRUE(report.complete);
-  EXPECT_FALSE(report.stats.truncated);
+  EXPECT_FALSE(report.stats.truncated());
   EXPECT_EQ(report.stats.stop_reason, sim::StopReason::kNone);
 }
 

@@ -34,14 +34,12 @@ TEST(SpecRunnerTest, VerdictLetsARealViolationWinOverTruncation) {
   // report both; a real property violation wins.
   CheckReport both;
   both.violation = sim::Violation{"agreement violated", sim::PropertyKind::kAgreement, 0, {}};
-  both.stats.truncated = true;
   both.stats.stop_reason = sim::StopReason::kDeadline;
   EXPECT_EQ(verdict(both), "VIOLATION(agreement)");
 
   // A truncation's own marker is not a violation.
   CheckReport cut;
   cut.violation = sim::Violation{"time limit exceeded", sim::PropertyKind::kNone, 0, {}};
-  cut.stats.truncated = true;
   cut.stats.stop_reason = sim::StopReason::kDeadline;
   EXPECT_EQ(verdict(cut), "TRUNCATED(deadline)");
 
@@ -51,11 +49,11 @@ TEST(SpecRunnerTest, VerdictLetsARealViolationWinOverTruncation) {
 TEST(SpecRunnerTest, ExitCodeLetsAViolationWinOverTruncation) {
   ScenarioResult clean;
   ScenarioResult truncated;
-  truncated.report.stats.truncated = true;
+  truncated.report.stats.stop_reason = sim::StopReason::kDeadline;
   ScenarioResult violating;
   violating.report.violation =
       sim::Violation{"agreement violated", sim::PropertyKind::kAgreement, 0, {}};
-  violating.report.stats.truncated = true;
+  violating.report.stats.stop_reason = sim::StopReason::kDeadline;
 
   EXPECT_EQ(SpecRun{}.exit_code(), 0);
   EXPECT_EQ((SpecRun{{clean, clean}, ""}).exit_code(), 0);

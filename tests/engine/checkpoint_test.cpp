@@ -33,14 +33,14 @@ CheckpointData sample_data() {
   data.config_hash = 0x1234'5678'9abc'def0ULL;
   data.label = "type=Sn(3) n=3 model=independent budget=2 algo=team";
   data.root_fp = {0xdeadbeefULL, 0xfeedfaceULL};
-  data.counts.visited = 6081;
-  data.counts.transitions = 40000;
-  data.counts.decisions = 123;
-  data.counts.terminal_states = 456;
-  data.counts.orbit_skipped = 7;
-  data.counts.encodes = 6100;
-  data.counts.canonical_hits = 19;
-  data.checkpoints_written = 3;
+  data.stats.visited = 6081;
+  data.stats.transitions = 40000;
+  data.stats.decisions = 123;
+  data.stats.terminal_states = 456;
+  data.stats.orbit_skipped = 7;
+  data.stats.encodes = 6100;
+  data.stats.canonical_hits = 19;
+  data.stats.checkpoints_written = 3;
   data.has_violation = true;
   data.violation_description = "agreement violated: outputs {1, 2}";
   data.violation_property = sim::PropertyKind::kAgreement;
@@ -59,14 +59,14 @@ void expect_equal(const CheckpointData& a, const CheckpointData& b) {
   EXPECT_EQ(a.label, b.label);
   EXPECT_EQ(a.root_fp.lo, b.root_fp.lo);
   EXPECT_EQ(a.root_fp.hi, b.root_fp.hi);
-  EXPECT_EQ(a.counts.visited, b.counts.visited);
-  EXPECT_EQ(a.counts.transitions, b.counts.transitions);
-  EXPECT_EQ(a.counts.decisions, b.counts.decisions);
-  EXPECT_EQ(a.counts.terminal_states, b.counts.terminal_states);
-  EXPECT_EQ(a.counts.orbit_skipped, b.counts.orbit_skipped);
-  EXPECT_EQ(a.counts.encodes, b.counts.encodes);
-  EXPECT_EQ(a.counts.canonical_hits, b.counts.canonical_hits);
-  EXPECT_EQ(a.checkpoints_written, b.checkpoints_written);
+  EXPECT_EQ(a.stats.visited, b.stats.visited);
+  EXPECT_EQ(a.stats.transitions, b.stats.transitions);
+  EXPECT_EQ(a.stats.decisions, b.stats.decisions);
+  EXPECT_EQ(a.stats.terminal_states, b.stats.terminal_states);
+  EXPECT_EQ(a.stats.orbit_skipped, b.stats.orbit_skipped);
+  EXPECT_EQ(a.stats.encodes, b.stats.encodes);
+  EXPECT_EQ(a.stats.canonical_hits, b.stats.canonical_hits);
+  EXPECT_EQ(a.stats.checkpoints_written, b.stats.checkpoints_written);
   EXPECT_EQ(a.has_violation, b.has_violation);
   EXPECT_EQ(a.violation_description, b.violation_description);
   EXPECT_EQ(a.violation_property, b.violation_property);
@@ -148,7 +148,7 @@ TEST(CheckpointTest, TornWriteFaultLeavesPreviousCheckpointIntact) {
   ASSERT_TRUE(write_checkpoint(path, first, nullptr, error)) << error;
 
   CheckpointData second = sample_data();
-  second.counts.visited = 99999;
+  second.stats.visited = 99999;
   FaultPlan fault(FaultPlan::Site::kCkptWrite, FaultPlan::Action::kTruncateWrite, 1);
   EXPECT_FALSE(write_checkpoint(path, second, &fault, error));
   EXPECT_TRUE(fault.fired());
@@ -158,7 +158,7 @@ TEST(CheckpointTest, TornWriteFaultLeavesPreviousCheckpointIntact) {
   // and still holds the first snapshot.
   CheckpointData loaded;
   ASSERT_EQ(load_checkpoint(path, loaded, error), CheckpointLoad::kOk) << error;
-  EXPECT_EQ(loaded.counts.visited, first.counts.visited);
+  EXPECT_EQ(loaded.stats.visited, first.stats.visited);
   std::remove(path.c_str());
 }
 
@@ -214,7 +214,7 @@ TEST(CheckpointTest, InterruptedRunResumesToIdenticalVisitedAndVerdict) {
   interrupted.checkpoint_label = line;
   interrupted.fault = &stop;
   const check::CheckReport partial = check::check(std::move(interrupted));
-  EXPECT_TRUE(partial.stats.truncated);
+  EXPECT_TRUE(partial.stats.truncated());
   EXPECT_EQ(partial.stats.stop_reason, sim::StopReason::kForcedStop);
   EXPECT_LT(partial.stats.visited, full.stats.visited);
 
@@ -222,15 +222,18 @@ TEST(CheckpointTest, InterruptedRunResumesToIdenticalVisitedAndVerdict) {
   CheckpointData snapshot;
   std::string error;
   ASSERT_EQ(load_checkpoint(path, snapshot, error), CheckpointLoad::kOk) << error;
-  EXPECT_EQ(snapshot.counts.visited, partial.stats.visited);
+  EXPECT_EQ(snapshot.stats.visited, partial.stats.visited);
   check::CheckRequest resumed = spec_request(line);
   resumed.checkpoint_path = path;
   resumed.checkpoint_label = line;
   resumed.resume = &snapshot;
   const check::CheckReport report = check::check(std::move(resumed));
   EXPECT_TRUE(report.clean);
-  EXPECT_FALSE(report.stats.truncated);
+  EXPECT_FALSE(report.stats.truncated());
   EXPECT_EQ(report.stats.visited, full.stats.visited);
+  // The re-interned checkpoint records count as the store's.
+  EXPECT_EQ(report.stats.store_nodes, report.stats.visited + 1);
+  EXPECT_EQ(report.stats.store_bytes, full.stats.store_bytes);
   std::remove(path.c_str());
 }
 

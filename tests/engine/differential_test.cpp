@@ -1,9 +1,11 @@
 // Differential test of the engine's two traversals against a naive reference
 // explorer (tests/support/reference_explorer.hpp) that shares none of their
 // hashing, dedup table, symmetry reduction or threads. With symmetry
-// reduction off, ParallelExplorer::run_dfs() and the worker loop (run()) at 1
-// and 4 threads must reach the oracle's verdict and exactly its visited /
-// transition / decision / terminal counts on clean instances, and on a
+// reduction off, ParallelExplorer::run_dfs(), the worker loop (run()) at 1
+// and 4 threads, and a depth-first probe escalated into the worker loop must
+// reach the oracle's verdict and exactly its visited / transition / decision
+// / terminal counts on clean instances — with every transition classified
+// once and the metrics registry equal to the report — and on a
 // violating instance report a violation of the same property — with the
 // oracle's schedule for the depth-first traversal, and with a schedule that
 // replays to that property for the worker loop. With symmetry reduction on,
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "engine/parallel_explorer.hpp"
+#include "obs/metrics.hpp"
 #include "rc/naive_register.hpp"
 #include "rc/team_consensus.hpp"
 #include "sim/replay.hpp"
@@ -30,11 +33,16 @@ namespace {
 constexpr typesys::Value kInputA = 101;
 constexpr typesys::Value kInputB = 202;
 constexpr int kThreadCounts[] = {1, 4};
+// Small enough that every seed case's probe stops at it and escalates.
+constexpr std::uint64_t kProbeCap = 50;
 
 struct Outcome {
   std::optional<sim::Violation> violation;
-  sim::ExplorerStats stats;
+  ExplorerStats stats;
+  obs::MetricsSnapshot metrics;
 };
+
+enum class Traversal { kDepthFirst, kWorkerLoop, kEscalated };
 
 struct System {
   sim::Memory memory;
@@ -46,34 +54,61 @@ test::ReferenceResult run_reference(const System& system, const sim::ExplorerCon
   return test::ReferenceExplorer(config).run(system.memory, system.processes);
 }
 
-Outcome run_engine(const System& system, const sim::ExplorerConfig& base, int threads,
-                   bool depth_first) {
-  ParallelExplorerConfig config;
-  static_cast<sim::ExplorerConfig&>(config) = base;
+Outcome run_engine(const System& system, sim::ExplorerConfig config, int threads,
+                   Traversal traversal) {
+  obs::MetricsRegistry registry;
   config.num_threads = threads;
+  config.obs.metrics = &registry;
   ParallelExplorer explorer(system.memory, system.processes, config);
   Outcome outcome;
-  outcome.violation = depth_first ? explorer.run_dfs() : explorer.run();
+  switch (traversal) {
+    case Traversal::kDepthFirst:
+      outcome.violation = explorer.run_dfs();
+      break;
+    case Traversal::kWorkerLoop:
+      outcome.violation = explorer.run();
+      break;
+    case Traversal::kEscalated:
+      outcome.violation = explorer.run_dfs(kProbeCap);
+      EXPECT_TRUE(explorer.can_escalate());
+      if (explorer.can_escalate()) outcome.violation = explorer.escalate();
+      break;
+  }
   outcome.stats = explorer.stats();
+  outcome.metrics = registry.snapshot();
   return outcome;
 }
 
 Outcome run_sequential(const System& system, const sim::ExplorerConfig& config) {
-  return run_engine(system, config, 0, /*depth_first=*/true);
+  return run_engine(system, config, 0, Traversal::kDepthFirst);
 }
 
 Outcome run_parallel(const System& system, const sim::ExplorerConfig& config, int threads) {
-  return run_engine(system, config, threads, /*depth_first=*/false);
+  return run_engine(system, config, threads, Traversal::kWorkerLoop);
 }
 
 void expect_oracle_counts(const test::ReferenceResult& oracle, const Outcome& outcome,
                           const std::string& label) {
   EXPECT_EQ(oracle.violation.has_value(), outcome.violation.has_value()) << label;
-  EXPECT_FALSE(outcome.stats.truncated) << label;
+  EXPECT_FALSE(outcome.stats.truncated()) << label;
   EXPECT_EQ(oracle.visited, outcome.stats.visited) << label;
   EXPECT_EQ(oracle.transitions, outcome.stats.transitions) << label;
   EXPECT_EQ(oracle.decisions, outcome.stats.decisions) << label;
   EXPECT_EQ(oracle.terminal_states, outcome.stats.terminal_states) << label;
+  // The report alone shows every transition classified exactly once, and the
+  // registry holds the report's counts, counter by counter.
+  EXPECT_EQ(outcome.stats.visited + outcome.stats.duplicates + outcome.stats.violation_edges +
+                outcome.stats.orbit_skipped,
+            outcome.stats.transitions)
+      << label;
+  for (const TallyField& field : kTallyFields) {
+    if (field.metric == nullptr) continue;
+    const obs::MetricSample* sample = obs::find_sample(outcome.metrics, field.metric);
+    ASSERT_NE(sample, nullptr) << label << ": " << field.metric;
+    EXPECT_EQ(sample->value, outcome.stats.*field.field) << label << ": " << field.metric;
+  }
+  // Interned nodes = visited states + the root.
+  EXPECT_EQ(outcome.stats.store_nodes, outcome.stats.visited + 1) << label;
 }
 
 System team_consensus_system(const std::string& type_name, int n) {
@@ -112,15 +147,15 @@ TEST_P(DifferentialSeedTest, DriversMatchTheReferenceExplorer) {
 
   const Outcome sequential = run_sequential(system, config);
   expect_oracle_counts(oracle, sequential, "sequential");
-  // Interned nodes = visited states + the root; every record costs bytes.
-  EXPECT_EQ(sequential.stats.store.nodes, sequential.stats.visited + 1);
-  EXPECT_GT(sequential.stats.store.bytes_per_node(), 0.0);
-  EXPECT_EQ(sequential.stats.store.canonical_hits, 0u);  // symmetry off
+  EXPECT_GT(sequential.stats.store_bytes, 0u);  // every record costs bytes
+  EXPECT_EQ(sequential.stats.canonical_hits, 0u);  // symmetry off
 
   for (const int threads : kThreadCounts) {
     expect_oracle_counts(oracle, run_parallel(system, config, threads),
                          "parallel t=" + std::to_string(threads));
   }
+  expect_oracle_counts(oracle, run_engine(system, config, 2, Traversal::kEscalated),
+                       "escalated t=2");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -204,7 +239,7 @@ TEST(DifferentialTest, CanonicalizationOnlyShrinksTheVisitedSet) {
     }
     if (largest >= 2) {
       EXPECT_LT(on.stats.visited, off.stats.visited) << type_name;
-      EXPECT_GT(on.stats.store.canonical_hits, 0u) << type_name;
+      EXPECT_GT(on.stats.canonical_hits, 0u) << type_name;
     }
 
     // The worker loop agrees with the depth-first traversal under

@@ -150,7 +150,7 @@ TEST(FaultMatrixTest, EveryInjectionEndsInATypedVerdictAcrossThreadCounts) {
       request.watchdog_stall_intervals = test.watchdog;
       const check::CheckReport report = check::check(std::move(request));
       SCOPED_TRACE(std::string(test.plan) + " threads=" + std::to_string(threads));
-      EXPECT_TRUE(report.stats.truncated);
+      EXPECT_TRUE(report.stats.truncated());
       EXPECT_EQ(report.stats.stop_reason, test.reason);
       EXPECT_FALSE(report.complete);
       ASSERT_TRUE(report.violation.has_value());  // the truncation marker

@@ -153,18 +153,15 @@ TEST(NodeStoreTest, DuplicateInternReturnsExistingId) {
   EXPECT_FALSE(second.inserted);
   EXPECT_EQ(first.id, second.id);
   EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.stats().duplicate_hits, 1u);
 }
 
-TEST(NodeStoreTest, StatsCountNodesAndBytes) {
+TEST(NodeStoreTest, InternViewsCarryRecordLengths) {
+  // The traversals count store bytes from these lengths (Tally::store_bytes).
   NodeStore store(1);
-  store.intern(key(1), record_of(1, 10));
-  store.intern(key(2), record_of(2, 6));
-  const NodeStore::Stats stats = store.stats();
-  EXPECT_EQ(stats.nodes, 2u);
-  EXPECT_EQ(stats.value_bytes, 16u * sizeof(typesys::Value));
-  const auto load = store.load_stats();
-  EXPECT_EQ(load.total, 2u);
+  EXPECT_EQ(store.intern(key(1), record_of(1, 10)).length, 10u);
+  EXPECT_EQ(store.intern(key(2), record_of(2, 6)).length, 6u);
+  EXPECT_EQ(store.intern(key(1), record_of(1, 10)).length, 10u);
+  EXPECT_EQ(store.size(), 2u);
 }
 
 TEST(NodeStoreTest, ConcurrentInternsAgreeOnWinners) {
@@ -174,17 +171,22 @@ TEST(NodeStoreTest, ConcurrentInternsAgreeOnWinners) {
   // explorers hand each worker its own index), so racing threads must not
   // share arena 0.
   NodeStore store(4, /*expected_states=*/0, /*num_arenas=*/kThreads);
+  std::vector<std::uint64_t> duplicates(kThreads, 0);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&store, t] {
+    threads.emplace_back([&store, &duplicates, t] {
       for (std::uint64_t i = 0; i < kKeys; ++i) {
-        store.intern(key(i), record_of(i, 3), t);
+        if (!store.intern(key(i), record_of(i, 3), t).inserted) {
+          duplicates[static_cast<std::size_t>(t)] += 1;
+        }
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(store.size(), kKeys);
-  EXPECT_EQ(store.stats().duplicate_hits, (kThreads - 1) * kKeys);
+  std::uint64_t total_duplicates = 0;
+  for (const std::uint64_t count : duplicates) total_duplicates += count;
+  EXPECT_EQ(total_duplicates, (kThreads - 1) * kKeys);
 
   std::vector<typesys::Value> fetched;
   const auto again = store.intern(key(123), record_of(123, 3));
@@ -398,7 +400,7 @@ TEST(CanonicalizerTest, SequentialDfsVisitedAndCanonicalHitsArePinned) {
     const check::CheckReport report = check::check(std::move(request));
     EXPECT_TRUE(report.clean);
     EXPECT_EQ(report.stats.visited, pin.visited);
-    EXPECT_EQ(report.stats.store.canonical_hits, pin.canonical_hits);
+    EXPECT_EQ(report.stats.canonical_hits, pin.canonical_hits);
   }
 }
 

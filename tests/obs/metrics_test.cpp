@@ -137,27 +137,24 @@ std::uint64_t counter_value(const MetricsSnapshot& snapshot, std::string_view na
 }
 
 // Pins the contract the doc comments promise: metric totals equal the
-// ExplorerStats values in the same report, and every transition of the
-// unreduced graph falls in exactly one of {new state, duplicate, violating
-// edge, orbit-skipped sibling} — the exactness invariant
+// ExplorerStats values in the same report, counter by counter, and the report
+// alone shows every transition of the unreduced graph in exactly one of {new
+// state, duplicate, violating edge, orbit-skipped sibling} — the exactness
+// invariant
 //   transitions == visited + duplicates + violation_edges + orbit_skipped.
 void expect_exhaustive_contract(const check::CheckReport& report) {
   const MetricsSnapshot& m = report.metrics;
   EXPECT_EQ(counter_value(m, "engine.visited_states"), report.stats.visited);
   EXPECT_EQ(counter_value(m, "engine.transitions"), report.stats.transitions);
-  EXPECT_EQ(counter_value(m, "engine.decisions"), report.stats.decisions);
-  EXPECT_EQ(counter_value(m, "engine.terminal_states"), report.stats.terminal_states);
-  EXPECT_EQ(counter_value(m, "engine.orbit_skipped"), report.stats.orbit_skipped);
-  EXPECT_EQ(counter_value(m, "engine.duplicates") +
-                counter_value(m, "engine.violation_edges") +
-                counter_value(m, "engine.orbit_skipped") + report.stats.visited,
+  for (const engine::TallyField& field : engine::kTallyFields) {
+    if (field.metric == nullptr) continue;
+    EXPECT_EQ(counter_value(m, field.metric), report.stats.*field.field) << field.metric;
+  }
+  EXPECT_EQ(report.stats.visited + report.stats.duplicates + report.stats.violation_edges +
+                report.stats.orbit_skipped,
             report.stats.transitions);
-  EXPECT_EQ(counter_value(m, "store.nodes"), report.stats.store.nodes);
-  EXPECT_EQ(counter_value(m, "store.value_bytes"), report.stats.store.value_bytes);
-  EXPECT_EQ(counter_value(m, "store.encodes"), report.stats.store.encodes);
-  EXPECT_EQ(counter_value(m, "store.canonical_hits"), report.stats.store.canonical_hits);
   // The store interns the root before exploration counts it as visited.
-  EXPECT_EQ(report.stats.store.nodes, report.stats.visited + 1);
+  EXPECT_EQ(report.stats.store_nodes, report.stats.visited + 1);
 }
 
 check::CheckReport run_with_registry(check::CheckRequest request,
@@ -183,7 +180,7 @@ TEST(MetricsContractTest, ParallelCountersEqualAcrossThreadCounts) {
   // deterministic state space. Every thread count must produce byte-identical
   // counter totals; a mismatch means a worker lost a flush.
   MetricsSnapshot baseline;
-  sim::ExplorerStats baseline_stats;
+  engine::ExplorerStats baseline_stats;
   for (const int threads : {1, 2, 4, 8}) {
     MetricsRegistry registry;
     const check::CheckReport report = run_with_registry(

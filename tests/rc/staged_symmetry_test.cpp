@@ -113,7 +113,7 @@ TEST(StagedSymmetryTest, StagedReductionShrinksVisitedSetAndPreservesVerdict) {
   // The declaration collapses permutations of interchangeable roles: the
   // visited set must shrink strictly, not just stay equal.
   EXPECT_LT(reduced_report.stats.visited, plain_report.stats.visited);
-  EXPECT_GT(reduced_report.stats.store.canonical_hits, 0u);
+  EXPECT_GT(reduced_report.stats.canonical_hits, 0u);
 }
 
 TEST(StagedSymmetryTest, TournamentDeclarationPreservesCleanVerdict) {

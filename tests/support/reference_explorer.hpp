@@ -48,8 +48,8 @@ class ReferenceExplorer {
   explicit ReferenceExplorer(sim::ExplorerConfig config) : config_(std::move(config)) {}
 
   // Explores the whole state space from the root (no visited cap, no
-  // limits). Only config's crash model and budget, crash_after_decide,
-  // properties and max_steps_per_run matter; symmetry_classes is ignored.
+  // limits). Only config's crash model and budget, properties and
+  // max_steps_per_run matter; symmetry_classes is ignored.
   ReferenceResult run(sim::Memory memory, std::vector<sim::Process> processes) {
     result_ = ReferenceResult{};
     seen_.clear();
