@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -159,7 +160,8 @@ TEST(DepthFirstTest, LimitStopLeavesNoTransitionUnclassified) {
       config.time_limit_ms = memory_limit ? 0 : 1;
       config.obs.metrics = &registry;
       ParallelExplorer explorer(system.memory, system.processes, config);
-      ASSERT_TRUE(explorer.run_dfs(probe_cap).has_value());
+      const std::optional<sim::Violation> stop = explorer.run_dfs(probe_cap);
+      ASSERT_TRUE(stop.has_value());
       const ExplorerStats& stats = explorer.stats();
       ASSERT_EQ(stats.stop_reason,
                 memory_limit ? sim::StopReason::kMemory : sim::StopReason::kDeadline);
@@ -172,6 +174,9 @@ TEST(DepthFirstTest, LimitStopLeavesNoTransitionUnclassified) {
                 counter("engine.transitions"));
       if (memory_limit) {
         EXPECT_EQ(stats.transitions, 1024u);
+        // The stop trace is the stack of applied events down to the state
+        // being expanded; the event the poll came before is not in it.
+        EXPECT_EQ(stop->schedule.size(), 12u);
       }
     }
   }

@@ -25,6 +25,7 @@
 #include "rc/team_consensus.hpp"
 #include "sim/replay.hpp"
 #include "support/reference_explorer.hpp"
+#include "support/stats_contract.hpp"
 #include "typesys/zoo.hpp"
 
 namespace rcons::engine {
@@ -101,12 +102,7 @@ void expect_oracle_counts(const test::ReferenceResult& oracle, const Outcome& ou
                 outcome.stats.orbit_skipped,
             outcome.stats.transitions)
       << label;
-  for (const TallyField& field : kTallyFields) {
-    if (field.metric == nullptr) continue;
-    const obs::MetricSample* sample = obs::find_sample(outcome.metrics, field.metric);
-    ASSERT_NE(sample, nullptr) << label << ": " << field.metric;
-    EXPECT_EQ(sample->value, outcome.stats.*field.field) << label << ": " << field.metric;
-  }
+  test::expect_registry_matches_stats(outcome.metrics, outcome.stats, label);
   // Interned nodes = visited states + the root.
   EXPECT_EQ(outcome.stats.store_nodes, outcome.stats.visited + 1) << label;
 }

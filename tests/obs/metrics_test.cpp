@@ -13,6 +13,7 @@
 #include "check/check.hpp"
 #include "rc/team_consensus.hpp"
 #include "support/programs.hpp"
+#include "support/stats_contract.hpp"
 #include "typesys/zoo.hpp"
 
 namespace rcons::obs {
@@ -143,13 +144,7 @@ std::uint64_t counter_value(const MetricsSnapshot& snapshot, std::string_view na
 // invariant
 //   transitions == visited + duplicates + violation_edges + orbit_skipped.
 void expect_exhaustive_contract(const check::CheckReport& report) {
-  const MetricsSnapshot& m = report.metrics;
-  EXPECT_EQ(counter_value(m, "engine.visited_states"), report.stats.visited);
-  EXPECT_EQ(counter_value(m, "engine.transitions"), report.stats.transitions);
-  for (const engine::TallyField& field : engine::kTallyFields) {
-    if (field.metric == nullptr) continue;
-    EXPECT_EQ(counter_value(m, field.metric), report.stats.*field.field) << field.metric;
-  }
+  test::expect_registry_matches_stats(report.metrics, report.stats);
   EXPECT_EQ(report.stats.visited + report.stats.duplicates + report.stats.violation_edges +
                 report.stats.orbit_skipped,
             report.stats.transitions);
