@@ -446,16 +446,7 @@ NodeStore::Intern NodeStore::intern(util::U128 fingerprint,
 
   const Value* header =
       reinterpret_cast<const Value*>(static_cast<std::uintptr_t>(found.value));
-  return Intern{found.value, found.inserted, header + 1,
-                static_cast<std::uint32_t>(header[0])};
-}
-
-void NodeStore::fetch(NodeId id, std::vector<Value>& out) const {
-  const Value* header =
-      reinterpret_cast<const Value*>(static_cast<std::uintptr_t>(id));
-  RCONS_ASSERT(header != nullptr);
-  const auto length = static_cast<std::size_t>(header[0]);
-  out.assign(header + 1, header + 1 + length);
+  return Intern{found.inserted, header + 1, static_cast<std::uint32_t>(header[0])};
 }
 
 std::uint64_t NodeStore::size() const {

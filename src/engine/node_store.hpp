@@ -5,10 +5,10 @@
 // record interned once in a per-worker bump arena, keyed by the node's
 // 128-bit fingerprint through a lock-free CAS-claimed slot index
 // (engine/cas_table.hpp). The store doubles as the visited set (interning
-// *is* deduplication), frontier items carry interned ids instead of owning
-// nodes, and expansion decodes a record into a reusable per-worker scratch
-// `Node` — no `Memory`/`Process` clones, no allocations and no locks per
-// successor on both the hit and the miss path.
+// *is* deduplication), frontier items carry interned record views instead of
+// owning nodes, and expansion decodes a record into a reusable per-worker
+// scratch `Node` — no `Memory`/`Process` clones, no allocations and no locks
+// per successor on both the hit and the miss path.
 //
 // Record layout (NodeCodec):
 //
@@ -267,8 +267,6 @@ class NodeCodec {
 // kChunkValues interned values per worker).
 class NodeStore {
  public:
-  using NodeId = std::uint64_t;
-
   // Valid shard_bits: 0 (single index shard — the sequential layout) through
   // 16. `expected_states` pre-sizes the shard indexes so a run of the
   // anticipated size never rehashes (0 = unknown, start minimal).
@@ -278,27 +276,23 @@ class NodeStore {
                      int num_arenas = 1);
 
   struct Intern {
-    NodeId id = 0;
     bool inserted = false;  // true when the fingerprint was new
 
     // Direct view of the interned payload in its arena chunk. Records are
     // immutable once written and chunks never move, so the pointer is stable
-    // for the store's lifetime; the index's publish/acquire tag protocol
-    // orders the payload writes before any reader that found the id, so
-    // expansion decodes in place — no lock, no copy per fetch.
+    // for the store's lifetime (one fingerprint, one pointer); the index's
+    // publish/acquire tag protocol orders the payload writes before any
+    // reader that found the record, so expansion decodes in place — no lock,
+    // no copy.
     const typesys::Value* record = nullptr;
     std::uint32_t length = 0;
   };
 
   // Interns `record` under `fingerprint` using the caller's arena; returns
-  // the (existing or new) id and the resident payload view. Probe/CAS
+  // the resident payload view of the (existing or new) record. Probe/CAS
   // counters accumulate into `stats` when non-null.
   Intern intern(util::U128 fingerprint, const std::vector<typesys::Value>& record,
                 int arena = 0, CasTable::OpStats* stats = nullptr);
-
-  // Copies record `id` into `out` (cleared first). Safe to call concurrently
-  // with intern().
-  void fetch(NodeId id, std::vector<typesys::Value>& out) const;
 
   // Unique records interned. Exact at quiescence.
   std::uint64_t size() const;
@@ -349,8 +343,9 @@ class NodeStore {
 
  private:
   // Fixed-capacity chunks keep record payloads contiguous without ever
-  // moving (ids and payload addresses are stable once written). A record is
-  // stored as [length][values...]; the id is the header's address.
+  // moving (payload addresses are stable once written). A record is stored
+  // as [length][values...]; the index maps its fingerprint to the header's
+  // address.
   static constexpr std::size_t kChunkValues = std::size_t{1} << 14;
 
   // One per interning worker; cache-line separated so two workers' bump

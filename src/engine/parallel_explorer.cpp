@@ -164,25 +164,29 @@ void ParallelExplorer::record_truncation(const PathLink* tail, const Event& even
   }
 }
 
-std::string ParallelExplorer::truncation_description(sim::StopReason reason) const {
+sim::Violation ParallelExplorer::truncated(sim::StopReason reason,
+                                           std::vector<Event> path) const {
+  auto verdict = [&](std::string description) {
+    return sim::Violation{std::move(description), sim::PropertyKind::kNone, 0, std::move(path)};
+  };
   switch (reason) {
     case sim::StopReason::kNone:
       break;
     case sim::StopReason::kVisitedCap:
-      return "state space exceeded max_visited; verdict incomplete";
+      return verdict("state space exceeded max_visited; verdict incomplete");
     case sim::StopReason::kDeadline:
-      return "time limit exceeded (time_limit_ms=" +
-             std::to_string(config_.time_limit_ms) + "); verdict incomplete";
+      return verdict("time limit exceeded (time_limit_ms=" +
+                     std::to_string(config_.time_limit_ms) + "); verdict incomplete");
     case sim::StopReason::kMemory:
-      return "memory limit exceeded or allocation failed (mem_limit_mb=" +
-             std::to_string(config_.mem_limit_mb) + "); verdict incomplete";
+      return verdict("memory limit exceeded or allocation failed (mem_limit_mb=" +
+                     std::to_string(config_.mem_limit_mb) + "); verdict incomplete");
     case sim::StopReason::kWatchdog:
-      return "watchdog: worker made no progress; verdict incomplete —" +
-             watchdog_dump_;
+      return verdict("watchdog: worker made no progress; verdict incomplete —" +
+                     watchdog_dump_);
     case sim::StopReason::kForcedStop:
-      return "run stopped by external request; verdict incomplete";
+      return verdict("run stopped by external request; verdict incomplete");
   }
-  return "run stopped; verdict incomplete";
+  return verdict("run stopped; verdict incomplete");
 }
 
 void ParallelExplorer::finish_stats(const Tally& total, sim::StopReason reason) {
@@ -192,6 +196,88 @@ void ParallelExplorer::finish_stats(const Tally& total, sim::StopReason reason) 
   if (obs_cells_.active && stats_.rehashes != 0) {
     obs_cells_.store_rehashes->add(0, stats_.rehashes);
   }
+}
+
+// --- the expansion step ------------------------------------------------------
+
+NodeCodec::Encoded ParallelExplorer::encode_root(Scratch& s, Tally& tally,
+                                                 NodeStore::Intern* interned) {
+  const NodeCodec::Encoded encoded = s.codec.encode(s.node, s.record);
+  tally.encodes += 1;
+  if (encoded.permuted) tally.canonical_hits += 1;
+  if (interned != nullptr) {
+    *interned = store_->intern(encoded.fingerprint, s.record, 0, &tally);
+    tally.store_nodes += 1;
+    tally.store_bytes += static_cast<std::uint64_t>(interned->length) * sizeof(typesys::Value);
+  }
+  return encoded;
+}
+
+template <typename Stop, typename Violating, typename Intern, typename Fresh>
+bool ParallelExplorer::expand(Scratch& s, const typesys::Value* record, std::uint32_t length,
+                              std::size_t depth, Tally& tally, Stop&& stop,
+                              Violating&& violating, Intern&& intern, Fresh&& fresh) {
+  // The parent is its interned record, read in place from the store arena.
+  // decode() also captures the record's layout for the restore and
+  // patch-encode fast paths below.
+  s.codec.decode(record, length, s.node);
+  while (s.events.size() <= depth) s.events.emplace_back();
+  std::vector<Event>& events = s.events[depth];
+  // Stabilizer orbits: enumerate one representative event per orbit of
+  // interchangeable processes; the skipped siblings still count as
+  // transitions (edges of the unreduced graph) plus orbit_skipped. The mask
+  // is consumed here, before a hook can reuse the buffer.
+  const std::uint64_t orbit_before = tally.orbit_skipped;
+  const int orbit_count =
+      s.codec.canonicalizing() ? s.codec.orbit_skip_mask(record, s.orbit_skip) : 0;
+  enumerate_events(s.node, config_, events, orbit_count > 0 ? &s.orbit_skip : nullptr,
+                   &tally.orbit_skipped);
+  tally.transitions += tally.orbit_skipped - orbit_before;
+  if (is_terminal(s.node)) tally.terminal_states += 1;
+  // Codec header layout: record[1] counts the distinct outputs so far.
+  const auto parent_decisions = static_cast<std::size_t>(record[1]);
+
+  // Between successors the scratch node diverges from the parent record only
+  // where the previous event touched it: the shared flat fields plus exactly
+  // one process (or all of them after a crash-all). restore() re-decodes just
+  // that — one program decode per successor instead of n.
+  int dirty = NodeCodec::kDirtyNone;
+  for (const Event& event : events) {
+    // Stop before counting the event, so a stop leaves no transition
+    // unclassified.
+    if (stop()) return false;
+    tally.transitions += 1;
+    if (dirty != NodeCodec::kDirtyNone) s.codec.restore(record, length, s.node, dirty);
+    dirty = event.kind == Event::Kind::kCrashAll ? NodeCodec::kDirtyAll : event.process;
+    if (auto broken = apply_event(s.node, event, config_)) {
+      tally.violation_edges += 1;
+      if (violating(event, *broken)) return false;
+      continue;  // a violating edge is never expanded further
+    }
+    if (s.node.decisions.size() > parent_decisions) tally.decisions += 1;
+    // Per-process events leave n-1 blocks byte-identical to the parent
+    // record: patch-encode copies them instead of re-encoding programs.
+    const NodeCodec::Encoded encoded =
+        event.kind == Event::Kind::kCrashAll
+            ? s.codec.encode(s.node, s.record)
+            : s.codec.encode_successor(record, length, s.node, event.process, s.record);
+    tally.encodes += 1;
+    if (encoded.permuted) tally.canonical_hits += 1;
+    const NodeStore::Intern interned = intern(encoded.fingerprint, s.record);
+    if (!interned.inserted) {
+      tally.duplicates += 1;
+      continue;
+    }
+    tally.store_nodes += 1;
+    tally.store_bytes += static_cast<std::uint64_t>(interned.length) * sizeof(typesys::Value);
+    tally.visited += 1;
+    const Next next = fresh(event, interned);
+    if (next == Next::kStop) return false;
+    // A hook that reused `s` re-pointed the codec's captured layout at other
+    // records; a full re-decode re-captures this one's before the next event.
+    if (next == Next::kRedecode) dirty = NodeCodec::kDirtyAll;
+  }
+  return true;
 }
 
 // --- depth-first traversal ----------------------------------------------------
@@ -213,23 +299,15 @@ std::optional<sim::Violation> ParallelExplorer::run_dfs(std::uint64_t probe_cap)
     // Single shard, single arena: no concurrent inserters (the lock-free
     // table degenerates to plain probes). escalate() re-shards it.
     store_ = std::make_unique<NodeStore>(0);
-    codec_ = std::make_unique<NodeCodec>(config_.symmetry_classes);
-    orbit_reduction_ = codec_->canonicalizing();
-    scratch_node_ = make_root(initial_memory_, initial_processes_, config_.properties);
-    const NodeCodec::Encoded encoded = codec_->encode(scratch_node_, encode_scratch_);
-    dfs_.encodes += 1;
-    if (encoded.permuted) dfs_.canonical_hits += 1;
-    const NodeStore::Intern root =
-        store_->intern(encoded.fingerprint, encode_scratch_, 0, &dfs_);
-    dfs_.store_nodes += 1;
-    dfs_.store_bytes += static_cast<std::uint64_t>(root.length) * sizeof(typesys::Value);
+    scratch_.emplace(*this);
+    NodeStore::Intern root;
+    encode_root(*scratch_, dfs_, &root);
     result = dfs(root.record, root.length);
     if (draining_) {
       // The drain never stops early, so the probe's own verdict is the plain
       // visited-cap truncation, traced to the state that tripped the cap.
       RCONS_ASSERT(!result.has_value() && !cut_.empty());
-      result = sim::Violation{truncation_description(sim::StopReason::kVisitedCap),
-                              sim::PropertyKind::kNone, 0, cut_.front().path};
+      result = truncated(sim::StopReason::kVisitedCap, cut_.front().path);
       draining_ = false;
     }
   } catch (const std::bad_alloc&) {
@@ -239,8 +317,7 @@ std::optional<sim::Violation> ParallelExplorer::run_dfs(std::uint64_t probe_cap)
     // the worker loop does.
     dfs_.transitions = dfs_.classified();
     stop_reason_.store(static_cast<int>(sim::StopReason::kMemory), std::memory_order_relaxed);
-    result = sim::Violation{truncation_description(sim::StopReason::kMemory),
-                            sim::PropertyKind::kNone, 0, path_};
+    result = truncated(sim::StopReason::kMemory, path_);
     cut_.clear();
     draining_ = false;
   }
@@ -248,116 +325,68 @@ std::optional<sim::Violation> ParallelExplorer::run_dfs(std::uint64_t probe_cap)
   dcheck_transitions_identity(dfs_);
   obs_cells_.flush(0, dfs_, dfs_flushed_);
   finish_stats(dfs_, static_cast<sim::StopReason>(stop_reason_.load(std::memory_order_relaxed)));
-  codec_.reset();
+  scratch_.reset();
   if (cut_.empty()) store_.reset();  // release the arena; stats survive in stats_
   return result;
 }
 
-std::optional<sim::Violation> ParallelExplorer::dfs_poll() {
-  dfs_next_poll_ = dfs_.transitions + kPollTransitions;
-  dcheck_transitions_identity(dfs_);
-  obs_cells_.flush(0, dfs_, dfs_flushed_);
-  if (draining_ || !limits_.armed()) return std::nullopt;
-  const sim::StopReason reason = limits_.sample();
-  if (reason == sim::StopReason::kNone) return std::nullopt;
-  request_stop(reason);
-  return sim::Violation{truncation_description(reason), sim::PropertyKind::kNone, 0, path_};
-}
-
 std::optional<sim::Violation> ParallelExplorer::dfs(const typesys::Value* record,
-                                                    std::size_t size) {
-  // The parent is its interned record, read in place from the store arena —
-  // no Memory/Process clones, no per-depth record copies. Between successors
-  // the one scratch node diverges from the record only where the previous
-  // event touched it, so restore() refills just that (one program decode per
-  // successor instead of n), and per-process successors patch-encode by
-  // copying the n-1 unchanged blocks from the parent record.
-  const std::size_t depth = path_.size();
-  while (events_pool_.size() <= depth) events_pool_.emplace_back();
-  std::vector<Event>& events = events_pool_[depth];
-
-  codec_->decode(record, size, scratch_node_);
-  // Stabilizer orbits: enumerate one representative event per orbit of
-  // interchangeable processes; skipped siblings still count as transitions
-  // (edges of the unreduced graph) plus orbit_skipped. The mask is consumed
-  // by enumerate_events here, before recursion can overwrite the buffer.
-  const std::uint64_t orbit_before = dfs_.orbit_skipped;
-  const int orbit_count = orbit_reduction_ ? codec_->orbit_skip_mask(record, orbit_skip_) : 0;
-  enumerate_events(scratch_node_, config_, events, orbit_count > 0 ? &orbit_skip_ : nullptr,
-                   &dfs_.orbit_skipped);
-  dfs_.transitions += dfs_.orbit_skipped - orbit_before;
-  if (is_terminal(scratch_node_)) dfs_.terminal_states += 1;
-  // Codec header layout: record[1] counts the distinct outputs so far.
-  const auto parent_decisions = static_cast<std::size_t>(record[1]);
-
-  int dirty = NodeCodec::kDirtyNone;
-  for (const Event& event : events) {
-    // Poll before counting the event, so a stop leaves no transition
-    // unclassified.
-    if (dfs_.transitions >= dfs_next_poll_) {
-      if (auto truncated = dfs_poll()) return truncated;
-    }
-    path_.push_back(event);
-    dfs_.transitions += 1;
-    if (dirty != NodeCodec::kDirtyNone) codec_->restore(record, size, scratch_node_, dirty);
-    dirty = event.kind == Event::Kind::kCrashAll ? NodeCodec::kDirtyAll : event.process;
-    if (auto broken = apply_event(scratch_node_, event, config_)) {
-      dfs_.violation_edges += 1;
-      if (draining_) {
-        offer_violation(path_, std::move(*broken));  // a candidate for escalate()
-        path_.pop_back();
-        continue;
-      }
-      sim::Violation violation{std::move(broken->description), broken->property,
-                               broken->param, path_};
-      path_.pop_back();
-      return violation;
-    }
-    if (scratch_node_.decisions.size() > parent_decisions) dfs_.decisions += 1;
-    const NodeCodec::Encoded encoded =
-        event.kind == Event::Kind::kCrashAll
-            ? codec_->encode(scratch_node_, encode_scratch_)
-            : codec_->encode_successor(record, size, scratch_node_, event.process,
-                                       encode_scratch_);
-    dfs_.encodes += 1;
-    if (encoded.permuted) dfs_.canonical_hits += 1;
-    const NodeStore::Intern interned =
-        store_->intern(encoded.fingerprint, encode_scratch_, 0, &dfs_);
-    if (interned.inserted) {
-      dfs_.store_nodes += 1;
-      dfs_.store_bytes += static_cast<std::uint64_t>(interned.length) * sizeof(typesys::Value);
-      dfs_.visited += 1;
-      if (dfs_.visited > dfs_cap_) {
-        if (!draining_) {
+                                                    std::uint32_t length) {
+  std::optional<sim::Violation> result;
+  expand(
+      *scratch_, record, length, path_.size(), dfs_,
+      [&] {
+        // Every kPollTransitions transitions: flush metrics, and sample the
+        // limits (not while draining).
+        if (dfs_.transitions < dfs_next_poll_) return false;
+        dfs_next_poll_ = dfs_.transitions + kPollTransitions;
+        dcheck_transitions_identity(dfs_);
+        obs_cells_.flush(0, dfs_, dfs_flushed_);
+        const sim::StopReason reason =
+            draining_ || !limits_.armed() ? sim::StopReason::kNone : limits_.sample();
+        if (reason == sim::StopReason::kNone) return false;
+        request_stop(reason);
+        result = truncated(reason, path_);
+        return true;
+      },
+      [&](const Event& event, sim::PropertyViolation& broken) {
+        std::vector<Event> path = path_;
+        path.push_back(event);
+        if (draining_) {
+          offer_violation(std::move(path), std::move(broken));  // a candidate for escalate()
+          return false;
+        }
+        result = sim::Violation{std::move(broken.description), broken.property, broken.param,
+                                std::move(path)};
+        return true;
+      },
+      [&](util::U128 fingerprint, const std::vector<typesys::Value>& successor) {
+        return store_->intern(fingerprint, successor, 0, &dfs_);
+      },
+      [&](const Event& event, const NodeStore::Intern& interned) {
+        path_.push_back(event);
+        Next next = Next::kContinue;
+        if (dfs_.visited <= dfs_cap_) {
+          result = dfs(interned.record, interned.length);
+          next = result.has_value() ? Next::kStop : Next::kRedecode;
+        } else if (!draining_ && dfs_cap_ == config_.visited_cap()) {
           request_stop(sim::StopReason::kVisitedCap);
-          if (dfs_cap_ == config_.visited_cap()) {
-            sim::Violation violation{truncation_description(sim::StopReason::kVisitedCap),
-                                     sim::PropertyKind::kNone, 0, path_};
-            path_.pop_back();
-            return violation;
+          result = truncated(sim::StopReason::kVisitedCap, path_);
+          next = Next::kStop;
+        } else {
+          if (!draining_) {
+            // A probe: finish the stack for escalate(). The drain is bounded
+            // by the events left on the stack and a cut is only useful whole,
+            // so the limits are not polled until it ends.
+            request_stop(sim::StopReason::kVisitedCap);
+            draining_ = true;
           }
-          // A probe: finish the stack for escalate(). The drain is bounded by
-          // the events left on the stack and a cut is only useful whole, so
-          // the limits are not polled until it ends.
-          draining_ = true;
+          cut_.push_back(Deferred{interned.record, interned.length, path_});
         }
-        cut_.push_back(Deferred{interned.record, interned.length, path_});
-      } else {
-        if (auto violation = dfs(interned.record, interned.length)) {
-          path_.pop_back();
-          return violation;
-        }
-        // Recursion re-pointed the codec's captured layout at descendant
-        // records; a full re-decode (restore with kDirtyAll) re-captures this
-        // record's layout before the next sibling.
-        dirty = NodeCodec::kDirtyAll;
-      }
-    } else {
-      dfs_.duplicates += 1;
-    }
-    path_.pop_back();
-  }
-  return std::nullopt;
+        path_.pop_back();
+        return next;
+      });
+  return result;
 }
 
 // --- pause barrier ----------------------------------------------------------
@@ -502,20 +531,13 @@ void ParallelExplorer::stop_monitor(std::thread& monitor) {
 
 void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& arena,
                               std::atomic<std::uint64_t>& pending, Tally& local) {
-  // Per-worker reusable state: one scratch node (restored from the parent's
-  // record between successors — no Node copies), the record/event buffers,
-  // the orbit mask, the popped and successor batches, and the
-  // recently-inserted cache. Zero allocations per successor after warmup.
-  NodeCodec codec(config_.symmetry_classes);
-  Node parent = make_root(initial_memory_, initial_processes_, config_.properties);
-  std::vector<Event> events;
-  std::vector<typesys::Value> child_record;
-  std::vector<std::uint8_t> orbit_skip;
+  // Per-worker reusable state: the expansion scratch, the popped and
+  // successor batches, and the recently-inserted cache. Zero allocations per
+  // successor after warmup.
+  Scratch scratch(*this);
   std::vector<CompactWorkItem> batch;
   std::vector<CompactWorkItem> successors;
   DedupCache cache;
-  const bool orbits = codec.canonicalizing();
-  NodeStore& store = *store_;
 
   // Observability: metrics flush at batch boundaries (obs_cells_ inactive =
   // one predicted branch per batch), spans on the tracer's worker lane.
@@ -603,89 +625,37 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
       const CompactWorkItem item = batch.back();
       batch.pop_back();
 
-      // The item's record view reads straight from the store arena — no
-      // fetch lock, no copy (see NodeStore::Intern). decode() also captures
-      // the record's layout for the restore/patch-encode fast paths below.
-      codec.decode(item.record, item.length, parent);
-      // Stabilizer orbits: enumerate one representative event per orbit of
-      // interchangeable processes; the skipped siblings still count as
-      // transitions (they are edges of the unreduced graph) plus
-      // orbit_skipped.
-      const std::uint64_t orbit_before = local.orbit_skipped;
-      const int orbit_count =
-          orbits ? codec.orbit_skip_mask(item.record, orbit_skip) : 0;
-      enumerate_events(parent, config_, events,
-                       orbit_count > 0 ? &orbit_skip : nullptr,
-                       &local.orbit_skipped);
-      local.transitions += local.orbit_skipped - orbit_before;
-      if (is_terminal(parent)) local.terminal_states += 1;
-      successors.clear();
-      bool incomplete = false;
-      // Codec header: record[1] counts the distinct outputs so far.
-      const auto parent_decisions = static_cast<std::size_t>(item.record[1]);
-
-      // Between successors the scratch node diverges from the parent record
-      // only where the previous event touched it: the shared flat fields
-      // plus exactly one process (or all of them after a crash-all). restore
-      // re-decodes just that — one program decode per successor instead of n.
-      int dirty = NodeCodec::kDirtyNone;
-      for (const Event& event : events) {
-        if (stop_.load(std::memory_order_relaxed)) {
-          incomplete = true;
-          break;
-        }
-        local.transitions += 1;
-        if (dirty != NodeCodec::kDirtyNone) {
-          codec.restore(item.record, item.length, parent, dirty);
-        }
-        dirty = event.kind == Event::Kind::kCrashAll ? NodeCodec::kDirtyAll
-                                                     : event.process;
-        if (auto broken = apply_event(parent, event, config_)) {
-          local.violation_edges += 1;
-          std::vector<Event> path = materialize_path(item.tail);
-          path.push_back(event);
-          offer_violation(std::move(path), std::move(*broken));
-          continue;  // a violating edge is never expanded further
-        }
-        if (parent.decisions.size() > parent_decisions) local.decisions += 1;
-        // Per-process events leave n-1 blocks byte-identical to the parent
-        // record: patch-encode copies them instead of re-encoding programs.
-        const NodeCodec::Encoded encoded =
-            event.kind == Event::Kind::kCrashAll
-                ? codec.encode(parent, child_record)
-                : codec.encode_successor(item.record, item.length, parent,
-                                         event.process, child_record);
-        local.encodes += 1;
-        if (encoded.permuted) local.canonical_hits += 1;
-        local.cache_probes += 1;
-        if (cache.seen(encoded.fingerprint)) {
-          local.cache_hits += 1;
-          local.duplicates += 1;
-          continue;  // guaranteed duplicate: skip the table probe entirely
-        }
-        if (fault != nullptr) fault->hit(FaultPlan::Site::kIntern);
-        const NodeStore::Intern interned =
-            store.intern(encoded.fingerprint, child_record, id, &local);
-        cache.remember(encoded.fingerprint);
-        if (!interned.inserted) {
-          local.duplicates += 1;
-          continue;
-        }
-        local.store_nodes += 1;
-        local.store_bytes +=
-            static_cast<std::uint64_t>(interned.length) * sizeof(typesys::Value);
-
-        const std::uint64_t count =
-            visited_count_.fetch_add(1, std::memory_order_relaxed) + 1;
-        local.visited += 1;
-        if (count > config_.visited_cap()) {
-          record_truncation(item.tail, event);
-          incomplete = true;
-          break;
-        }
-        successors.push_back(CompactWorkItem{interned.record, interned.length,
-                                             arena.add(event, item.tail)});
-      }
+      const bool incomplete = !expand(
+          scratch, item.record, item.length, 0, local,
+          [&] { return stop_.load(std::memory_order_relaxed); },
+          [&](const Event& event, sim::PropertyViolation& broken) {
+            std::vector<Event> path = materialize_path(item.tail);
+            path.push_back(event);
+            offer_violation(std::move(path), std::move(broken));
+            return false;
+          },
+          [&](util::U128 fingerprint, const std::vector<typesys::Value>& successor) {
+            local.cache_probes += 1;
+            if (cache.seen(fingerprint)) {
+              local.cache_hits += 1;
+              return NodeStore::Intern{};  // a sure duplicate: skip the table probe
+            }
+            if (fault != nullptr) fault->hit(FaultPlan::Site::kIntern);
+            const NodeStore::Intern interned = store_->intern(fingerprint, successor, id, &local);
+            cache.remember(fingerprint);
+            return interned;
+          },
+          [&](const Event& event, const NodeStore::Intern& interned) {
+            const std::uint64_t count =
+                visited_count_.fetch_add(1, std::memory_order_relaxed) + 1;
+            if (count > config_.visited_cap()) {
+              record_truncation(item.tail, event);
+              return Next::kStop;
+            }
+            successors.push_back(
+                CompactWorkItem{interned.record, interned.length, arena.add(event, item.tail)});
+            return Next::kContinue;
+          });
 
       if (!successors.empty()) {
         local.batches += 1;
@@ -711,16 +681,11 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
       }
     }
   } catch (const std::bad_alloc&) {
-    // An allocation failed mid-event (real exhaustion or an injected alloc
-    // fault): the in-flight event was already tallied as a transition but its
-    // classification never completed. Drop the half-counted transition so
-    // the conservation law stays exact at the flush/exit DCHECK below — the
-    // run is truncated (kMemory) either way, and an unclassified transition
-    // would overstate the explored edge count.
-    // (The deviation is the one unclassified event, or orbit skips recorded
-    // by an interrupted expansion before their transition credit landed;
-    // reconciling to the classified sum restores the law in both
-    // directions.)
+    // An allocation failed mid-expansion (real exhaustion or an injected
+    // alloc fault): the in-flight event was counted but never classified, or
+    // orbit skips were recorded before their transition credit landed.
+    // Reconciling to the classified sum keeps the conservation law exact at
+    // the DCHECK below; the run is truncated (kMemory) either way.
     local.transitions = local.classified();
     request_stop(sim::StopReason::kMemory);
   }
@@ -744,9 +709,6 @@ std::optional<sim::Violation> ParallelExplorer::escalate() {
   RCONS_ASSERT_MSG(can_escalate(), "escalate() continues a run_dfs() stopped at its probe cap");
   RCONS_ASSERT_MSG(config_.checkpoint_path.empty() && config_.resume == nullptr,
                    "an escalated probe cannot be combined with checkpoint or resume");
-  // The DFS's counts are part of this run's totals (its obs counters are
-  // already in the registry, so nothing is flushed for them here).
-  base_ = dfs_;
   return explore();
 }
 
@@ -787,10 +749,14 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
 
   // The root is always encoded — a resume checks its fingerprint against the
   // checkpoint's (same initial memory + programs) before trusting the file.
-  NodeCodec codec(config_.symmetry_classes);
-  Node root_node = make_root(initial_memory_, initial_processes_, config_.properties);
-  std::vector<typesys::Value> root_record;
-  const NodeCodec::Encoded root_encoded = codec.encode(root_node, root_record);
+  // Only a run from the root interns it and keeps its counts in base_; a
+  // resume or an escalation replaces base_ with the counts it continues.
+  const bool from_root = config_.resume == nullptr && cut_.empty();
+  if (cut_.empty()) store_ = std::make_unique<NodeStore>(shard_bits_, 0, num_threads_);
+  Scratch root_scratch(*this);
+  NodeStore::Intern root;
+  const NodeCodec::Encoded root_encoded =
+      encode_root(root_scratch, base_, from_root ? &root : nullptr);
 
   if (config_.resume != nullptr) {
     const CheckpointData& ckpt = *config_.resume;
@@ -804,7 +770,6 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
     // the resumed frontier re-reaches it.
     static_assert(std::is_same_v<typesys::Value, std::int64_t>,
                   "checkpoint records are raw value vectors");
-    store_ = std::make_unique<NodeStore>(shard_bits_, 0, num_threads_);
     base_ = ckpt.stats;
     resumed_checkpoints_ = ckpt.stats.checkpoints_written;
     // The file carries no store counts: the records re-interned here are
@@ -832,6 +797,9 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
       seed(i, node.record, node.length, nullptr);
     }
   } else if (!cut_.empty()) {
+    // The DFS's counts are part of this run's totals (its obs counters are
+    // already in the registry, so nothing is flushed for them here).
+    base_ = dfs_;
     store_->reshard(shard_bits_, num_threads_);
     // Arena paths from the root, so violations below a deferred state report
     // full schedules. The cut is small (tens of states at depth ~20 on Sn(5)
@@ -843,17 +811,11 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
     }
     cut_.clear();
   } else {
-    store_ = std::make_unique<NodeStore>(shard_bits_, 0, num_threads_);
-    const NodeStore::Intern interned = store_->intern(root_encoded.fingerprint, root_record);
     // The coordinator's root intern, flushed on lane 0, so store.* totals
     // match the store exactly (the workers account everything else live).
-    base_.encodes = 1;
-    base_.canonical_hits = root_encoded.permuted ? 1 : 0;
-    base_.store_nodes = 1;
-    base_.store_bytes = static_cast<std::uint64_t>(interned.length) * sizeof(typesys::Value);
     Tally unflushed;
     obs_cells_.flush(0, base_, unflushed);
-    seed(0, interned.record, interned.length, nullptr);
+    seed(0, root.record, root.length, nullptr);
   }
   visited_count_.store(base_.visited, std::memory_order_relaxed);
 
@@ -981,11 +943,9 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
                           best_violation_.param, best_path_};
   }
   if (stats_.truncated()) {
-    // Typed truncated verdict: full partial stats, a reason-specific
-    // description, and (for the visited-cap case) a best-effort partial
+    // Full partial stats and (for the visited-cap case) a best-effort partial
     // trace. Never an abort, never an empty report.
-    return sim::Violation{truncation_description(reason), sim::PropertyKind::kNone, 0,
-                          truncation_path_};
+    return truncated(reason, truncation_path_);
   }
   return std::nullopt;
 }

@@ -14,6 +14,11 @@
 //                from that cut in the worker loop — no state is explored
 //                twice.
 //
+// Both expand a state through one step, expand(), which classifies every
+// event; each traversal supplies only compile-time hooks for what differs
+// (when to stop, what a violating edge and a new state do, how a record is
+// interned).
+//
 // Both traversals stay because only the depth-first order reproduces the
 // pinned first violations: on algorithms whose steps can leave the encoding
 // unchanged (halting-TAS) the worker loop's lowest-trace violation differs
@@ -37,8 +42,8 @@
 // (engine/path_arena.hpp), and dedup probes hit lock-free CAS-claimed slot
 // tables (engine/cas_table.hpp) behind a small per-worker recently-inserted
 // fingerprint cache. Nodes are interned value records in a NodeStore, which
-// is also the visited set; each traversal decodes into a reusable scratch
-// node instead of cloning Memory + N Process objects per successor
+// is also the visited set; the step decodes into the traversal's reusable
+// scratch node instead of cloning Memory + N Process objects per successor
 // (engine/node_store.hpp). A symmetry declaration
 // (ExplorerConfig::symmetry_classes) makes the fingerprints canonical.
 // tests/engine/differential_test.cpp checks both traversals against a naive
@@ -113,15 +118,14 @@ class ParallelExplorer {
   // hardware.
   int num_threads() const { return num_threads_; }
 
-  // Per-worker conservation law: every counted transition is classified
+  // Per-traversal conservation law: every counted transition is classified
   // exactly once — it discovered a new state (visited), hit a duplicate, was
   // a violating edge (never expanded further), or was skipped whole by orbit
-  // reduction. Both traversals poll their limits before counting the next
-  // transition, so the identity holds at every obs-flush boundary, at worker
-  // exit and when run_dfs() returns; drift means a classification branch was
-  // added without its tally (or a tally without its transition). Public so
-  // the contract test can violate it on purpose and watch the DCHECK fire
-  // under -DRCONS_FORCE_DCHECK=ON.
+  // reduction. The expansion step checks its stop hook before counting the
+  // next transition, so the identity holds at every obs-flush boundary, at
+  // worker exit and when run_dfs() returns. Public so the contract test can
+  // violate it on purpose and watch the DCHECK fire under
+  // -DRCONS_FORCE_DCHECK=ON.
   static void dcheck_transitions_identity(const Tally& w) {
     RCONS_DCHECK_MSG(w.classified() == w.transitions,
                      "transitions identity violated: visited + duplicates + violation_edges + "
@@ -143,16 +147,57 @@ class ParallelExplorer {
     sim::StopReason sample() const;   // kNone, kDeadline or kMemory
   };
 
-  // The typed truncated verdict's description for `reason`.
-  std::string truncation_description(sim::StopReason reason) const;
+  // The typed truncated verdict: a reason-specific description, no property,
+  // and `path` as the best-effort partial trace.
+  sim::Violation truncated(sim::StopReason reason, std::vector<Event> path) const;
   // Fills stats_ from `total`, the store and the stop reason.
   void finish_stats(const Tally& total, sim::StopReason reason);
 
+  // --- the expansion step ------------------------------------------------------
+  //
+  // One traversal's expansion scratch (the DFS keeps one for the run, each
+  // worker its own): the codec, which captures the layout of the record it
+  // last decoded; the node each successor is built in, restored from the
+  // parent's record instead of cloned; the successor's record; the parent's
+  // orbit mask; and one event buffer per depth (a deque: deeper DFS frames
+  // grow it while shallower ones iterate theirs; the worker loop uses 0).
+  struct Scratch {
+    explicit Scratch(const ParallelExplorer& explorer)
+        : codec(explorer.config_.symmetry_classes),
+          node(make_root(explorer.initial_memory_, explorer.initial_processes_,
+                         explorer.config_.properties)) {}
+    NodeCodec codec;
+    Node node;
+    std::vector<typesys::Value> record;
+    std::vector<std::uint8_t> orbit_skip;
+    std::deque<std::vector<Event>> events;
+  };
+
+  // Encodes the root into `s`, counting the encode into `tally`. With
+  // `interned`, also interns it into store_ there, counting the record.
+  NodeCodec::Encoded encode_root(Scratch& s, Tally& tally,
+                                 NodeStore::Intern* interned = nullptr);
+
+  // What the step does after a state it interned first; kRedecode continues
+  // too, after the hook reused the scratch (the DFS recursed into it).
+  enum class Next { kContinue, kRedecode, kStop };
+
+  // Expands the interned `record`: decode, orbit mask, enumerate, then per
+  // event restore, apply, encode and intern, classifying each counted
+  // transition as exactly one of visited / duplicates / violation_edges. The
+  // traversals differ only in the hooks, resolved at compile time:
+  //   stop()                      — before each event is counted; true stops;
+  //   violating(event, broken)    — a violating edge; true stops;
+  //   intern(fingerprint, record) — interns the successor's record;
+  //   fresh(event, interned)      — a state interned first (counted visited).
+  // Returns false when a hook stopped it. `depth` picks the event buffer.
+  template <typename Stop, typename Violating, typename Intern, typename Fresh>
+  bool expand(Scratch& s, const typesys::Value* record, std::uint32_t length,
+              std::size_t depth, Tally& tally, Stop&& stop, Violating&& violating,
+              Intern&& intern, Fresh&& fresh);
+
   // --- depth-first traversal -------------------------------------------------
-  std::optional<sim::Violation> dfs(const typesys::Value* record, std::size_t size);
-  // Every kPollTransitions transitions: flush metrics, sample the limits
-  // (not while draining). Returns the truncated verdict when a limit tripped.
-  std::optional<sim::Violation> dfs_poll();
+  std::optional<sim::Violation> dfs(const typesys::Value* record, std::uint32_t length);
 
   // --- worker loop -------------------------------------------------------------
   //
@@ -217,20 +262,11 @@ class ParallelExplorer {
   // checkpoint's counts belong to the run that wrote it.
   Tally base_;
 
-  // Depth-first state. One scratch node shared by every depth (restored from
-  // the parent's record between successors — see NodeCodec::restore);
-  // parent records are read in place from the store arena, so recursion
-  // holds pointers instead of per-depth copies. events_pool_ holds per-depth
-  // event buffers, reused across siblings — a deque because deeper recursion
-  // grows it while shallower frames hold references into it. orbit_skip_ is
-  // fully consumed by enumerate_events before recursion can overwrite it.
-  std::unique_ptr<NodeCodec> codec_;
-  Node scratch_node_;
-  std::vector<typesys::Value> encode_scratch_;
-  std::vector<std::uint8_t> orbit_skip_;
+  // Depth-first state. One scratch shared by every depth; parent records are
+  // read in place from the store arena, so recursion holds pointers instead
+  // of per-depth copies.
+  std::optional<Scratch> scratch_;
   std::vector<Event> path_;
-  std::deque<std::vector<Event>> events_pool_;
-  bool orbit_reduction_ = false;
   std::uint64_t dfs_cap_ = 0;
   Tally dfs_;
   Tally dfs_flushed_;

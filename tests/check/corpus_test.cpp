@@ -119,25 +119,32 @@ TEST(CorpusTest, DepthFirstFindsThePinnedFirstViolation) {
 }
 
 TEST(ViolationIoTest, FormatParseRoundTrip) {
-  ViolationFile file;
-  file.scenario.type = "test-and-set";
-  file.scenario.n = 2;
-  file.scenario.crash_budget = 1;
-  file.scenario.algo = ScenarioAlgo::kHaltingTournament;
-  file.property = sim::PropertyKind::kAgreement;
-  file.description = "agreement violated: process 1 decided 2 but earlier was 1";
-  file.schedule = {sim::ScheduleEvent::step(0), sim::ScheduleEvent::crash(0),
-                   sim::ScheduleEvent::crash_all(), sim::ScheduleEvent::step(1)};
+  // One file per crash model: a schedule holds crash events or crash-all
+  // events, never both (the parser rejects the kind its model never takes).
+  for (const CrashModel model : {CrashModel::kIndependent, CrashModel::kSimultaneous}) {
+    ViolationFile file;
+    file.scenario.type = "test-and-set";
+    file.scenario.n = 2;
+    file.scenario.crash_model = model;
+    file.scenario.crash_budget = 2;
+    file.scenario.algo = ScenarioAlgo::kHaltingTournament;
+    file.property = sim::PropertyKind::kAgreement;
+    file.description = "agreement violated: process 1 decided 2 but earlier was 1";
+    const sim::ScheduleEvent crash = model == CrashModel::kIndependent
+                                         ? sim::ScheduleEvent::crash(0)
+                                         : sim::ScheduleEvent::crash_all();
+    file.schedule = {sim::ScheduleEvent::step(0), crash, crash, sim::ScheduleEvent::step(1)};
 
-  const std::string text = format_violation_file(file);
-  const ViolationParse parse = parse_violation_file(text);
-  ASSERT_TRUE(parse.ok()) << (parse.errors.empty() ? "" : parse.errors.front());
-  EXPECT_EQ(parse.file->scenario, file.scenario);
-  EXPECT_EQ(parse.file->property, file.property);
-  EXPECT_EQ(parse.file->description, file.description);
-  EXPECT_EQ(parse.file->schedule, file.schedule);
-  // Formatting the parse reproduces the text (canonical form).
-  EXPECT_EQ(format_violation_file(*parse.file), text);
+    const std::string text = format_violation_file(file);
+    const ViolationParse parse = parse_violation_file(text);
+    ASSERT_TRUE(parse.ok()) << (parse.errors.empty() ? "" : parse.errors.front());
+    EXPECT_EQ(parse.file->scenario, file.scenario);
+    EXPECT_EQ(parse.file->property, file.property);
+    EXPECT_EQ(parse.file->description, file.description);
+    EXPECT_EQ(parse.file->schedule, file.schedule);
+    // Formatting the parse reproduces the text (canonical form).
+    EXPECT_EQ(format_violation_file(*parse.file), text);
+  }
 }
 
 TEST(ViolationIoTest, LegacyFilesRecoverThePropertyFromTheDescription) {
@@ -200,6 +207,34 @@ TEST(ViolationIoTest, ParseReportsStructuralErrors) {
       "step 7\n");
   ASSERT_FALSE(out_of_range.ok());
   EXPECT_NE(out_of_range.errors.front().find("out of range"), std::string::npos);
+
+  // Replay applies any crash it is given; a schedule the scenario's crash
+  // model or budget cannot produce must not reproduce as a violation.
+  const struct {
+    const char* text;
+    const char* error;
+  } unreachable[] = {
+      {"scenario type=test-and-set n=2 model=independent budget=0 algo=halting\n"
+       "description agreement violated: x\n"
+       "step 0\n"
+       "crash 0\n",
+       "line 4: crash 1 exceeds budget=0"},
+      {"scenario type=test-and-set n=2 model=simultaneous budget=1 algo=halting\n"
+       "description agreement violated: x\n"
+       "step 0\n"
+       "crash 0\n",
+       "line 4: crash under model=simultaneous"},
+      {"scenario type=test-and-set n=2 model=independent budget=1 algo=halting\n"
+       "description agreement violated: x\n"
+       "step 0\n"
+       "crash-all\n",
+       "line 4: crash-all under model=independent"},
+  };
+  for (const auto& input : unreachable) {
+    const ViolationParse parse = parse_violation_file(input.text);
+    ASSERT_EQ(parse.errors.size(), 1u) << input.text;
+    EXPECT_EQ(parse.errors.front(), input.error);
+  }
 }
 
 TEST(ViolationIoTest, SaveAndLoadRoundTripsThroughDisk) {

@@ -19,6 +19,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -92,6 +93,21 @@ TEST(CliExitCodeTest, InvalidInputExitsTwo) {
   for (const char* flag : {"--threads=-3", "--threads=abc", "--threads=4x", "--threads=",
                            "--runs=-5", "--runs=0", "--seed=xyz", "--seed=-1"}) {
     EXPECT_EQ(run_cli(spec + " " + flag, "badnumber").exit_code, 2) << flag;
+  }
+  // A corpus schedule replayed under a scenario that cannot produce its
+  // crash: no crash budget, or the simultaneous model (crash-all only).
+  std::ifstream corpus(std::string(RCONS_SOURCE_DIR) + "/tests/corpus/halting-tas.viol");
+  std::ostringstream text;
+  text << corpus.rdbuf();
+  const std::string viol = text.str();
+  for (const auto& [from, to] : {std::pair<std::string, std::string>{"budget=1", "budget=0"},
+                                 {"model=independent", "model=simultaneous"}}) {
+    const std::size_t at = viol.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    const std::string path = temp_path("unreachable.viol");
+    write_file(path, std::string(viol).replace(at, from.size(), to));
+    const RunResult result = run_cli(path, "unreachable");
+    EXPECT_EQ(result.exit_code, 2) << to << "\n" << result.output;
   }
 }
 

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/parallel_explorer.hpp"
@@ -56,7 +57,7 @@ test::ReferenceResult run_reference(const System& system, const sim::ExplorerCon
 }
 
 Outcome run_engine(const System& system, sim::ExplorerConfig config, int threads,
-                   Traversal traversal) {
+                   Traversal traversal, std::uint64_t probe_cap = kProbeCap) {
   obs::MetricsRegistry registry;
   config.num_threads = threads;
   config.obs.metrics = &registry;
@@ -70,7 +71,7 @@ Outcome run_engine(const System& system, sim::ExplorerConfig config, int threads
       outcome.violation = explorer.run();
       break;
     case Traversal::kEscalated:
-      outcome.violation = explorer.run_dfs(kProbeCap);
+      outcome.violation = explorer.run_dfs(probe_cap);
       EXPECT_TRUE(explorer.can_escalate());
       if (explorer.can_escalate()) outcome.violation = explorer.escalate();
       break;
@@ -176,7 +177,8 @@ TEST(DifferentialTest, NaiveRegisterRaceMatchesTheReferenceViolation) {
   // The depth-first traversal stops at the first violation of the same DFS,
   // so it must report the oracle's schedule. The worker loop reports the
   // lowest trace among all it found, which must break the same property and
-  // replay to it from the root.
+  // replay to it from the root — also when it continues a probe. A probe cap
+  // of 1 escalates before the probe meets the violation (kProbeCap would not).
   rc::NaiveRegisterSystem built = rc::make_naive_register_system(2);
   const System system{std::move(built.memory), std::move(built.processes), {}};
 
@@ -194,13 +196,20 @@ TEST(DifferentialTest, NaiveRegisterRaceMatchesTheReferenceViolation) {
   EXPECT_EQ(sequential.violation->property, oracle.violation->property);
   EXPECT_EQ(sequential.violation->description, oracle.violation->description);
 
+  std::vector<std::pair<std::string, Outcome>> worker_loop;
   for (const int threads : kThreadCounts) {
-    SCOPED_TRACE("parallel t=" + std::to_string(threads));
-    const Outcome parallel = run_parallel(system, config, threads);
-    ASSERT_TRUE(parallel.violation.has_value());
-    EXPECT_EQ(parallel.violation->property, oracle.violation->property);
+    worker_loop.emplace_back("parallel t=" + std::to_string(threads),
+                             run_parallel(system, config, threads));
+  }
+  worker_loop.emplace_back("escalated t=2",
+                           run_engine(system, config, 2, Traversal::kEscalated, 1));
+  for (const auto& [label, outcome] : worker_loop) {
+    SCOPED_TRACE(label);
+    ASSERT_TRUE(outcome.violation.has_value());
+    EXPECT_EQ(outcome.violation->property, oracle.violation->property);
+    EXPECT_EQ(outcome.stats.classified(), outcome.stats.transitions);
     const sim::ReplayReport replayed =
-        sim::replay(system.memory, system.processes, parallel.violation->schedule,
+        sim::replay(system.memory, system.processes, outcome.violation->schedule,
                     config.properties, config.max_steps_per_run);
     ASSERT_TRUE(replayed.violation.has_value());
     EXPECT_EQ(replayed.violation->property, oracle.violation->property);

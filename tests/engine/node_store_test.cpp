@@ -1,6 +1,7 @@
-// Unit tests of the interned node representation: NodeStore intern/fetch
-// round trips, NodeCodec encode/decode inversion (including fingerprint
-// parity with engine::encode_node), the Canonicalizer's symmetry reduction
+// Unit tests of the interned node representation: NodeStore intern round
+// trips (through the resident record views), NodeCodec encode/decode
+// inversion (including fingerprint parity with engine::encode_node), the
+// Canonicalizer's symmetry reduction
 // (full sort and successor re-insertion, with pinned hit counts),
 // and pick_shard_bits.
 #include "engine/node_store.hpp"
@@ -130,18 +131,18 @@ check::ScenarioSystem spec_system(const std::string& line, sim::ExplorerConfig& 
 
 TEST(NodeStoreTest, InternRoundTripsRecords) {
   NodeStore store(2);
-  std::vector<NodeStore::NodeId> ids;
+  std::vector<NodeStore::Intern> views;
   for (std::uint64_t i = 0; i < 50; ++i) {
     const auto interned = store.intern(key(i), record_of(i, 5 + i % 7));
     EXPECT_TRUE(interned.inserted);
-    ids.push_back(interned.id);
+    views.push_back(interned);
   }
   EXPECT_EQ(store.size(), 50u);
 
-  std::vector<typesys::Value> fetched;
   for (std::uint64_t i = 0; i < 50; ++i) {
-    store.fetch(ids[i], fetched);
-    EXPECT_EQ(fetched, record_of(i, 5 + i % 7)) << "record " << i;
+    const std::vector<typesys::Value> resident(views[i].record,
+                                               views[i].record + views[i].length);
+    EXPECT_EQ(resident, record_of(i, 5 + i % 7)) << "record " << i;
   }
 }
 
@@ -151,7 +152,7 @@ TEST(NodeStoreTest, DuplicateInternReturnsExistingId) {
   const auto second = store.intern(key(7), record_of(7, 4));
   EXPECT_TRUE(first.inserted);
   EXPECT_FALSE(second.inserted);
-  EXPECT_EQ(first.id, second.id);
+  EXPECT_EQ(first.record, second.record);  // the resident record, not a copy
   EXPECT_EQ(store.size(), 1u);
 }
 
@@ -188,11 +189,10 @@ TEST(NodeStoreTest, ConcurrentInternsAgreeOnWinners) {
   for (const std::uint64_t count : duplicates) total_duplicates += count;
   EXPECT_EQ(total_duplicates, (kThreads - 1) * kKeys);
 
-  std::vector<typesys::Value> fetched;
   const auto again = store.intern(key(123), record_of(123, 3));
   EXPECT_FALSE(again.inserted);
-  store.fetch(again.id, fetched);
-  EXPECT_EQ(fetched, record_of(123, 3));
+  EXPECT_EQ(std::vector<typesys::Value>(again.record, again.record + again.length),
+            record_of(123, 3));
 }
 
 TEST(NodeStoreTest, ReshardKeepsEveryRecordInPlace) {
