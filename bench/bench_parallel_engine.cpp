@@ -1,12 +1,14 @@
 // Speedup benchmark: Strategy::kSequentialDFS vs Strategy::kParallelBFS at
 // 1/2/4/8 threads through the check:: facade, on exhaustive team-consensus
 // instances (the acceptance instance is Sn(3) with 3 processes and crash
-// budget 2), plus a Strategy::kAuto row showing what the facade picks.
-// Verifies that every configuration reports the same verdict and
-// visited-state count before trusting a timing.
+// budget 2; Sn(5) with 5 processes and crash budget 1, 528,349 states, is
+// the paper-scale instance whose rows give the multi-core scaling curve),
+// plus a Strategy::kAuto row showing what the facade picks. Verifies that
+// every configuration reports the same verdict and visited-state count
+// before trusting a timing.
 //
 // The rows also report states/sec and the interned bytes/node, and a final
-// section measures symmetry reduction: the team-consensus n=4 instance
+// section measures symmetry reduction: the team-consensus Sn(4) n=4 instance
 // re-checked with its symmetry declaration attached must shrink the visited
 // set without changing the verdict.
 //
@@ -14,8 +16,9 @@
 // and we want a speedup table, not per-iteration statistics. Every timed
 // configuration gets one untimed warmup run first (page cache, allocator
 // arenas, branch predictors), then `repeats` samples whose *median* is
-// reported. Results are also written machine-readably to
-// BENCH_parallel_engine.json so the perf trajectory accumulates across
+// reported with their quartiles (`seconds_q1`, `seconds_q3`; linear
+// interpolation between samples). Results are also written machine-readably
+// to BENCH_parallel_engine.json so the perf trajectory accumulates across
 // revisions; the rows carry the hot-path counters (batch sizes, dedup-cache
 // hit rate, probe lengths) introduced with the batched engine.
 //
@@ -33,6 +36,7 @@
 // runner is detectable (and such rows are flagged `oversubscribed`; the
 // table prints their speedup as "-" since a thread count above the core
 // count measures scheduler thrash, not parallel scaling).
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -42,7 +46,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "check/check.hpp"
@@ -76,13 +79,14 @@ Instance make_instance(const std::string& type_name, int n, int crash_budget) {
   return instance;
 }
 
-double median_seconds(std::vector<double> samples) {
-  for (std::size_t i = 1; i < samples.size(); ++i) {
-    for (std::size_t j = i; j > 0 && samples[j] < samples[j - 1]; --j) {
-      std::swap(samples[j], samples[j - 1]);
-    }
-  }
-  return samples[samples.size() / 2];
+// The `p`-quantile (0..1) of the ascending `sorted`, interpolating linearly
+// between the two nearest ranks.
+double quantile(const std::vector<double>& sorted, double p) {
+  const double rank = p * static_cast<double>(sorted.size() - 1);
+  const auto below = static_cast<std::size_t>(rank);
+  if (below + 1 >= sorted.size()) return sorted.back();
+  const double fraction = rank - static_cast<double>(below);
+  return sorted[below] + fraction * (sorted[below + 1] - sorted[below]);
 }
 
 check::CheckRequest make_request(const Instance& instance, check::Strategy strategy,
@@ -106,7 +110,9 @@ struct RunOutcome {
   // (CheckReport::threads_used) — rows report this, never the requested
   // count, so a "threads=0 (auto)" request still produces an honest row.
   int threads_used = 0;
-  double seconds = 0.0;
+  double seconds = 0.0;  // median of the timed samples
+  double seconds_q1 = 0.0;
+  double seconds_q3 = 0.0;
   engine::ExplorerStats stats;
 };
 
@@ -127,7 +133,10 @@ RunOutcome timed(const Instance& instance, check::Strategy strategy, int threads
     outcome.threads_used = report.threads_used;
     outcome.stats = report.stats;
   }
-  outcome.seconds = median_seconds(std::move(samples));
+  std::sort(samples.begin(), samples.end());
+  outcome.seconds = quantile(samples, 0.5);
+  outcome.seconds_q1 = quantile(samples, 0.25);
+  outcome.seconds_q3 = quantile(samples, 0.75);
   return outcome;
 }
 
@@ -190,12 +199,14 @@ int main(int argc, char** argv) {
             << "warmup run per configuration)\n\n";
 
   // 3-process, crash-budget-2 team-consensus instances (readable-stack has
-  // the largest state space of the 3-recording zoo types), plus a 4-process
-  // instance for a larger-state-space scaling read.
+  // the largest state space of the 3-recording zoo types), a 4-process
+  // instance (also the symmetry section's), and the 5-process paper-scale
+  // instance, the only one large enough for the thread counts to show.
   std::vector<Instance> instances;
   instances.push_back(make_instance("readable-stack", 3, 2));
   instances.push_back(make_instance("Sn(3)", 3, 2));
   instances.push_back(make_instance("Sn(4)", 4, 1));
+  instances.push_back(make_instance("Sn(5)", 5, 1));
   if (!filter.empty()) {
     std::erase_if(instances, [&](const Instance& instance) {
       return instance.label.find(filter) == std::string::npos;
@@ -206,7 +217,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  util::Table table({"instance", "config", "verdict", "visited", "time(s)",
+  util::Table table({"instance", "config", "verdict", "visited", "time(s)", "q1-q3(s)",
                      "states/s", "B/node", "batch", "cache%", "probe", "speedup"});
   bool verdicts_consistent = true;
 
@@ -239,6 +250,7 @@ int main(int argc, char** argv) {
                    oversubscribed ? config_label + " (oversub)" : config_label,
                    outcome.clean ? "clean" : "VIOLATION",
                    std::to_string(outcome.visited), fixed(outcome.seconds, 3),
+                   fixed(outcome.seconds_q1, 3) + "-" + fixed(outcome.seconds_q3, 3),
                    fixed(states_per_sec(outcome), 0),
                    fixed(bytes_per_node, 1), fixed(avg_batch, 1),
                    fixed(100.0 * cache_hit_rate, 0), fixed(avg_probe, 2),
@@ -255,6 +267,8 @@ int main(int argc, char** argv) {
     json.key_value("verdict", outcome.clean ? "clean" : "violation");
     json.key_value("visited", outcome.visited);
     json.key_value("seconds", outcome.seconds);
+    json.key_value("seconds_q1", outcome.seconds_q1);
+    json.key_value("seconds_q3", outcome.seconds_q3);
     json.key_value("states_per_sec", states_per_sec(outcome));
     json.key_value("speedup", speedup);
     json.key_value("store_nodes", stats.store_nodes);
@@ -305,48 +319,52 @@ int main(int argc, char** argv) {
   // declaration: interchangeable same-team roles canonicalize, so the
   // visited set must shrink (the verdict must not change). The row joins the
   // main array (emit writes into it); the summary gets its own object below.
-  const Instance& n4 = instances.back();
-  const RunOutcome plain = timed(n4, check::Strategy::kParallelBFS, 0, repeats);
-  const RunOutcome reduced =
-      timed(n4, check::Strategy::kParallelBFS, 0, repeats, /*symmetry=*/true);
-  const bool symmetry_ok =
-      reduced.clean == plain.clean && reduced.visited <= plain.visited;
-  verdicts_consistent = verdicts_consistent && symmetry_ok;
-  // Speedup baseline: the plain parallel run at the same resolved thread
-  // count, so the figure isolates what the reduction itself buys.
-  emit(n4, "parallel+symmetry", reduced,
-       plain.seconds > 0 ? plain.seconds / reduced.seconds : 0.0);
+  // Skipped when --filter drops the instance.
+  const auto n4 = std::find_if(instances.begin(), instances.end(), [](const Instance& i) {
+    return i.label.rfind("Sn(4) ", 0) == 0;
+  });
+  std::string symmetry_summary;
+  if (n4 != instances.end()) {
+    const RunOutcome plain = timed(*n4, check::Strategy::kParallelBFS, 0, repeats);
+    const RunOutcome reduced =
+        timed(*n4, check::Strategy::kParallelBFS, 0, repeats, /*symmetry=*/true);
+    const bool symmetry_ok =
+        reduced.clean == plain.clean && reduced.visited <= plain.visited;
+    verdicts_consistent = verdicts_consistent && symmetry_ok;
+    // Speedup baseline: the plain parallel run at the same resolved thread
+    // count, so the figure isolates what the reduction itself buys.
+    emit(*n4, "parallel+symmetry", reduced,
+         plain.seconds > 0 ? plain.seconds / reduced.seconds : 0.0);
+    json.end_array();
 
-  json.end_array();
-
-  json.key("canonicalization");
-  json.begin_object();
-  json.key_value("instance", n4.label);
-  json.key_value("visited_plain", plain.visited);
-  json.key_value("visited_reduced", reduced.visited);
-  json.key_value("reduction",
-                 plain.visited > 0
-                     ? 1.0 - static_cast<double>(reduced.visited) /
-                                 static_cast<double>(plain.visited)
-                     : 0.0);
-  json.key_value("canonical_hit_rate",
-                 ratio(reduced.stats.canonical_hits, reduced.stats.encodes));
-  json.key_value("verdict_preserved", reduced.clean == plain.clean);
-  json.end_object();
+    const double reduction =
+        plain.visited > 0
+            ? 1.0 - static_cast<double>(reduced.visited) / static_cast<double>(plain.visited)
+            : 0.0;
+    json.key("canonicalization");
+    json.begin_object();
+    json.key_value("instance", n4->label);
+    json.key_value("visited_plain", plain.visited);
+    json.key_value("visited_reduced", reduced.visited);
+    json.key_value("reduction", reduction);
+    json.key_value("canonical_hit_rate",
+                   ratio(reduced.stats.canonical_hits, reduced.stats.encodes));
+    json.key_value("verdict_preserved", reduced.clean == plain.clean);
+    json.end_object();
+    symmetry_summary = "\nSymmetry reduction on " + n4->label + ": " +
+                       std::to_string(plain.visited) + " -> " +
+                       std::to_string(reduced.visited) + " states (" +
+                       fixed(100.0 * reduction, 1) + "% fewer)\n";
+  } else {
+    json.end_array();
+  }
 
   json.key_value("verdicts_consistent", verdicts_consistent);
   json.end_object();
   json_file << "\n";
 
   table.print(std::cout);
-  std::cout << "\nSymmetry reduction on " << n4.label << ": " << plain.visited
-            << " -> " << reduced.visited << " states ("
-            << fixed(plain.visited > 0
-                         ? 100.0 * (1.0 - static_cast<double>(reduced.visited) /
-                                              static_cast<double>(plain.visited))
-                         : 0.0,
-                     1)
-            << "% fewer)\n";
+  std::cout << symmetry_summary;
   if (!verdicts_consistent) {
     std::cout << "\nERROR: configurations disagreed on verdict or visited-state "
                  "count (or symmetry reduction grew the visited set).\n";

@@ -11,11 +11,12 @@
 //                 another thread   probes walk past it)
 //                 owns the slot)
 //
-// An insert probes linearly over the tags; the key halves and the payload are
-// plain (non-atomic) fields written inside the CLAIMED window and made
-// visible by the release-publish of the tag, so readers that acquire-load a
-// PUBLISHED tag see a complete slot — no mutex anywhere on the insert path,
-// and TSan agrees.
+// An insert probes linearly over the tags; the key halves and the payload (a
+// 64-bit value and the 32-bit `meta` in the word beside the tag) are plain
+// (non-atomic) fields written inside the CLAIMED window and made visible by
+// the release-publish of the tag, so readers that acquire-load a PUBLISHED
+// tag see a complete slot — no mutex anywhere on the insert path, and TSan
+// agrees.
 //
 // Growth is epoch-based and cooperative. When occupancy crosses the load
 // threshold, one thread (under a mutex — growth is the cold path, a handful
@@ -46,7 +47,9 @@
 // of spinning on a table that can never accept its claim.
 //
 // Probe-length and contention counters accumulate into a caller-owned
-// OpStats (one per worker), never into shared cache lines.
+// OpStats (one per worker), never into shared cache lines. The one counter
+// every insert writes, `size_`, sits on its own cache line, away from the
+// `live_` pointer every probe loads.
 #ifndef RCONS_ENGINE_CAS_TABLE_HPP
 #define RCONS_ENGINE_CAS_TABLE_HPP
 
@@ -77,7 +80,8 @@ class CasTable {
 
   struct Found {
     std::uint64_t value = 0;
-    bool inserted = false;  // true when `key` was not present before
+    std::uint32_t meta = 0;  // stored beside `value`, read from the same slot
+    bool inserted = false;   // true when `key` was not present before
   };
 
   // Pre-sizes for `expected` keys so a run of the anticipated size never
@@ -90,19 +94,21 @@ class CasTable {
     arrays_.push_back(std::move(first));
   }
 
-  // Inserts `key -> value` if absent; returns the resident value (the
-  // existing one on a duplicate) and whether an insert happened. Thread-safe,
-  // lock-free except inside the (rare) growth allocation.
-  Found insert(util::U128 key, std::uint64_t value, OpStats* stats = nullptr) {
-    return insert_with(key, [value] { return value; }, stats);
+  // Inserts `key -> (value, meta)` if absent; returns the resident payload
+  // (the existing one on a duplicate) and whether an insert happened.
+  // Thread-safe, lock-free except inside the (rare) growth allocation.
+  Found insert(util::U128 key, std::uint64_t value, std::uint32_t meta = 0,
+               OpStats* stats = nullptr) {
+    return insert_with(key, meta, [value] { return value; }, stats);
   }
 
-  // Like insert, but the payload is materialized only when the key turns out
+  // Like insert, but the value is materialized only when the key turns out
   // to be absent: `make_value()` runs inside the claimed window, after the
   // duplicate check, exactly once per successful insert. This is what lets
   // the NodeStore stage a record copy only for genuinely new states.
   template <typename F>
-  Found insert_with(util::U128 key, F&& make_value, OpStats* stats = nullptr) {
+  Found insert_with(util::U128 key, std::uint32_t meta, F&& make_value,
+                    OpStats* stats = nullptr) {
     for (;;) {
       Array* head = live_.load(std::memory_order_acquire);
       if (head->prev.load(std::memory_order_acquire) != nullptr) {
@@ -113,15 +119,16 @@ class CasTable {
       // claim walk settles the race in the live array.
       for (Array* old = head->prev.load(std::memory_order_acquire); old != nullptr;
            old = old->prev.load(std::memory_order_acquire)) {
-        std::uint64_t existing = 0;
-        if (probe_published(*old, key, existing, stats)) return Found{existing, false};
+        Found existing;
+        if (probe_published(*old, key, existing, stats)) return existing;
       }
-      Claim claim = claim_or_find(*head, key, make_value, stats);
-      if (claim.outcome == Claim::kFound) return Found{claim.value, false};
+      Claim claim = claim_or_find(*head, key, meta, make_value, stats);
+      if (claim.outcome == Claim::kFound) return claim.found;
       if (claim.outcome == Claim::kInserted) {
         size_.fetch_add(1, std::memory_order_relaxed);
         maybe_grow(head);
-        return Found{claim.value, true};
+        claim.found.inserted = true;
+        return claim.found;
       }
       if (claim.outcome == Claim::kFull) {
         // The live array has no EMPTY slot left (a stalled migrator blocked
@@ -138,15 +145,16 @@ class CasTable {
 
   // True when `key` is present. Safe concurrently with inserts.
   bool contains(util::U128 key) const {
-    std::uint64_t ignored = 0;
+    Found ignored;
     return find(key, ignored);
   }
 
-  // Looks `key` up; fills `value` and returns true when present.
-  bool find(util::U128 key, std::uint64_t& value) const {
+  // Looks `key` up; fills `found` (value and meta) and returns true when
+  // present.
+  bool find(util::U128 key, Found& found) const {
     for (Array* a = live_.load(std::memory_order_acquire); a != nullptr;
          a = a->prev.load(std::memory_order_acquire)) {
-      if (probe_published(*a, key, value, nullptr)) return true;
+      if (probe_published(*a, key, found, nullptr)) return true;
     }
     return false;
   }
@@ -170,12 +178,13 @@ class CasTable {
   // Quiescent iteration for checkpointing and re-sharding: visits every
   // PUBLISHED slot of the arrays lookups still reach — the live array and
   // any sealed array whose sweep is pending (an array whose sweep completed
-  // holds only keys its successors already have) — calling `fn(key, value)`.
+  // holds only keys its successors already have) — calling
+  // `fn(key, value, meta)`.
   // Caller contract: no concurrent inserts (the engine calls this only while
   // every worker is parked at the pause barrier or after they joined). A key
   // carried over by a partial migration sweep appears in both its sealed and
-  // its destination array with the SAME value, so callers needing uniqueness
-  // dedup by value.
+  // its destination array with the SAME value and meta, so callers needing
+  // uniqueness dedup by value.
   template <typename F>
   void for_each_published(F&& fn) {
     // rcons-lint: allow(hot-path-no-mutex) enumeration runs offline (checkpoint, re-shard), never per-insert
@@ -185,7 +194,7 @@ class CasTable {
       for (std::size_t i = 0; i < array->capacity; ++i) {
         const Slot& slot = array->slots[i];
         if (slot.tag.load(std::memory_order_acquire) == kPublished) {
-          fn(util::U128{slot.key_lo, slot.key_hi}, slot.value);
+          fn(util::U128{slot.key_lo, slot.key_hi}, slot.value, slot.meta);
         }
       }
     }
@@ -210,13 +219,15 @@ class CasTable {
 
   struct Slot {
     std::atomic<std::uint32_t> tag{kEmpty};
-    std::uint32_t pad = 0;
     // Plain fields: written inside the CLAIMED window, released by the
     // PUBLISHED tag store, acquired by every tag load that reads them.
+    std::uint32_t meta = 0;
     std::uint64_t key_lo = 0;
     std::uint64_t key_hi = 0;
     std::uint64_t value = 0;
   };
+  // Two slots per cache line; `meta` rides in the word beside the tag.
+  static_assert(sizeof(Slot) == 32, "a slot must stay 32 bytes");
 
   struct Array {
     explicit Array(std::size_t cap)
@@ -263,7 +274,7 @@ class CasTable {
   // this array before it sealed are ordered before our load (see the seal
   // handshake in the header comment), so we never conclude "absent" while an
   // in-flight pre-seal claim is about to publish our key.
-  static bool probe_published(const Array& a, util::U128 key, std::uint64_t& value,
+  static bool probe_published(const Array& a, util::U128 key, Found& found,
                               OpStats* stats) {
     std::size_t index = bucket(key, a.mask);
     std::uint64_t probes = 0;
@@ -283,7 +294,7 @@ class CasTable {
         return false;
       }
       if (tag == kPublished && slot.key_lo == key.lo && slot.key_hi == key.hi) {
-        value = slot.value;
+        found = Found{slot.value, slot.meta, false};
         note_probe(stats, probes);
         return true;
       }
@@ -294,7 +305,7 @@ class CasTable {
   struct Claim {
     enum Outcome { kInserted, kFound, kSealed, kFull };
     Outcome outcome = kSealed;
-    std::uint64_t value = 0;
+    Found found;  // the resident payload (kInserted, kFound)
   };
 
   // Probes the live array for `key`, claiming the first EMPTY slot of the
@@ -305,14 +316,15 @@ class CasTable {
   // where a pending migration has deferred growth while inserts kept
   // landing; the caller must force a growth or the probe loop would spin.
   template <typename F>
-  Claim claim_or_find(Array& a, util::U128 key, F&& make_value, OpStats* stats) {
+  Claim claim_or_find(Array& a, util::U128 key, std::uint32_t meta, F&& make_value,
+                      OpStats* stats) {
     std::size_t index = bucket(key, a.mask);
     std::uint64_t probes = 0;
     for (;;) {
       Slot& slot = a.slots[index];
       if (probes >= a.capacity) {
         note_probe(stats, probes);
-        return Claim{Claim::kFull, 0};
+        return Claim{Claim::kFull, {}};
       }
       probes += 1;
       std::uint32_t tag = slot.tag.load(std::memory_order_acquire);
@@ -329,10 +341,11 @@ class CasTable {
                                "tombstone transition from a tag we do not own");
               slot.tag.store(kTombstone, std::memory_order_release);
               note_probe(stats, probes);
-              return Claim{Claim::kSealed, 0};
+              return Claim{Claim::kSealed, {}};
             }
             slot.key_lo = key.lo;
             slot.key_hi = key.hi;
+            slot.meta = meta;
             slot.value = make_value();
             // Only the claimer publishes: claimed -> published is the sole
             // legal transition out of a slot we won the CAS for.
@@ -340,7 +353,7 @@ class CasTable {
                              "publish transition from a tag we do not own");
             slot.tag.store(kPublished, std::memory_order_release);
             note_probe(stats, probes);
-            return Claim{Claim::kInserted, slot.value};
+            return Claim{Claim::kInserted, Found{slot.value, meta, false}};
           }
           if (stats != nullptr) stats->cas_retries += 1;
           tag = expected;  // the failed CAS loaded the current tag
@@ -354,7 +367,7 @@ class CasTable {
       }
       if (tag == kPublished && slot.key_lo == key.lo && slot.key_hi == key.hi) {
         note_probe(stats, probes);
-        return Claim{Claim::kFound, slot.value};
+        return Claim{Claim::kFound, Found{slot.value, slot.meta, false}};
       }
       index = (index + 1) & a.mask;
     }
@@ -365,22 +378,22 @@ class CasTable {
   // key lives in exactly one sealed array (fresh inserts always checked the
   // whole chain first), so older arrays cannot hold it, and stripe ownership
   // means no other migrator is moving this particular slot.
-  void migrate_insert(util::U128 key, std::uint64_t value, const Array* floor,
-                      OpStats* stats) {
+  void migrate_insert(util::U128 key, std::uint64_t value, std::uint32_t meta,
+                      const Array* floor, OpStats* stats) {
     for (;;) {
       Array* head = live_.load(std::memory_order_acquire);
       bool duplicate = false;
       for (Array* old = head->prev.load(std::memory_order_acquire);
            old != nullptr && old != floor;
            old = old->prev.load(std::memory_order_acquire)) {
-        std::uint64_t existing = 0;
+        Found existing;
         if (probe_published(*old, key, existing, stats)) {
           duplicate = true;
           break;
         }
       }
       if (duplicate) return;
-      Claim claim = claim_or_find(*head, key, [value] { return value; }, stats);
+      Claim claim = claim_or_find(*head, key, meta, [value] { return value; }, stats);
       if (claim.outcome == Claim::kInserted || claim.outcome == Claim::kFound) return;
       if (claim.outcome == Claim::kFull) {
         force_grow(head);
@@ -417,7 +430,8 @@ class CasTable {
       std::uint32_t tag = slot.tag.load(std::memory_order_seq_cst);
       tag = settle(slot, tag);
       if (tag != kPublished) continue;
-      migrate_insert(util::U128{slot.key_lo, slot.key_hi}, slot.value, oldest, stats);
+      migrate_insert(util::U128{slot.key_lo, slot.key_hi}, slot.value, slot.meta, oldest,
+                     stats);
     }
     if (stats != nullptr) stats->migration_stripes += 1;
     const std::size_t done =
@@ -477,7 +491,9 @@ class CasTable {
   }
 
   std::atomic<Array*> live_{nullptr};
-  std::atomic<std::uint64_t> size_{0};
+  // Bumped by every insert: its own cache line, so the bumps never evict
+  // `live_`, which every probe of every worker loads.
+  alignas(64) std::atomic<std::uint64_t> size_{0};
   std::atomic<std::uint64_t> rehashes_{0};
   // rcons-lint: allow(hot-path-no-mutex) serializes growth (cold); never taken by inserts
   std::mutex growth_mu_;

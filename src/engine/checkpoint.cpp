@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 
 #include "engine/fault_inject.hpp"
 #include "util/assert.hpp"
@@ -141,13 +142,9 @@ std::string serialize_checkpoint(const CheckpointData& data) {
   put_string(out, data.label);
   put_u64(out, data.root_fp.lo);
   put_u64(out, data.root_fp.hi);
-  put_u64(out, data.stats.visited);
-  put_u64(out, data.stats.transitions);
-  put_u64(out, data.stats.decisions);
-  put_u64(out, data.stats.terminal_states);
-  put_u64(out, data.stats.orbit_skipped);
-  put_u64(out, data.stats.encodes);
-  put_u64(out, data.stats.canonical_hits);
+  put_u32(out, static_cast<std::uint32_t>(std::size(kTallyFields)));
+  for (const TallyField& f : kTallyFields) put_u64(out, data.stats.*f.field);
+  put_u64(out, data.stats.max_probe);
   put_u64(out, data.stats.checkpoints_written);
 
   out.push_back(data.has_violation ? 1 : 0);
@@ -261,13 +258,9 @@ CheckpointLoad load_checkpoint(const std::string& path, CheckpointData& data,
   loaded.label = r.str();
   loaded.root_fp.lo = r.u64();
   loaded.root_fp.hi = r.u64();
-  loaded.stats.visited = r.u64();
-  loaded.stats.transitions = r.u64();
-  loaded.stats.decisions = r.u64();
-  loaded.stats.terminal_states = r.u64();
-  loaded.stats.orbit_skipped = r.u64();
-  loaded.stats.encodes = r.u64();
-  loaded.stats.canonical_hits = r.u64();
+  if (r.u32() != std::size(kTallyFields)) return corrupt("bad tally field count");
+  for (const TallyField& f : kTallyFields) loaded.stats.*f.field = r.u64();
+  loaded.stats.max_probe = r.u64();
   loaded.stats.checkpoints_written = r.u64();
 
   unsigned char has_violation = 0;

@@ -16,17 +16,17 @@
 // schedules (the verdict and its typed identity are unaffected; a violation
 // found *before* the checkpoint is carried whole).
 //
-// File format (version 1, all integers little-endian):
+// File format (version 2, all integers little-endian):
 //
 //   "RCKP"  magic
 //   u32     version
 //   u64     config_hash      engine::checkpoint_config_hash of the run config
 //   u32+b   label            caller-chosen identity line (the scenario spec)
 //   u64 x2  root fingerprint
-//   u64     visited          visited_count_ at the cut
-//   u64 x7  partial stats    transitions, decisions, terminal_states,
-//                            orbit_skipped, encodes, canonical_hits,
-//                            checkpoints_written
+//   u32     tally fields     F = the number of kTallyFields entries
+//   u64 xF  partial stats    every kTallyFields field, in table order (visited
+//                            first: visited_count_ at the cut)
+//   u64 x2  max_probe, checkpoints_written
 //   u8      has_violation    (+ description, property, param, schedule)
 //   u64     node count       then per node: fp.lo, fp.hi, u32 len, i64[len]
 //   u64     frontier count   then per item: u64 node index
@@ -53,16 +53,15 @@ namespace rcons::engine {
 class FaultPlan;
 
 struct CheckpointData {
-  static constexpr std::uint32_t kVersion = 1;
+  static constexpr std::uint32_t kVersion = 2;
 
   std::uint64_t config_hash = 0;
   std::string label;  // e.g. the formatted scenario line; validated by the CLI
   util::U128 root_fp{};
 
-  // Stats at the cut, the resumed run's baseline. The file carries visited,
-  // transitions, decisions, terminal_states, orbit_skipped, encodes,
-  // canonical_hits and checkpoints_written; the other fields load as zero
-  // (a resume recounts the store's records from `nodes`).
+  // Stats at the cut, the resumed run's baseline: every Tally field (through
+  // kTallyFields, so none can be left out) plus checkpoints_written. A
+  // resume recounts store_nodes/store_bytes from the records in `nodes`.
   ExplorerStats stats;
 
   // Best violation found before the cut (empty when none): survives the

@@ -67,8 +67,6 @@ class CompactFrontier {
       std::lock_guard<std::mutex> lock(deque.mu);
       deque.items.push_back(item);
     }
-    push_batches_.fetch_add(1, std::memory_order_relaxed);
-    pushed_items_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Moves every item of `batch` onto `worker`'s own deque under one lock
@@ -85,8 +83,6 @@ class CompactFrontier {
       std::lock_guard<std::mutex> lock(deque.mu);
       for (const CompactWorkItem& item : batch) deque.items.push_back(item);
     }
-    push_batches_.fetch_add(1, std::memory_order_relaxed);
-    pushed_items_.fetch_add(batch.size(), std::memory_order_relaxed);
   }
 
   // Moves up to `max` items into `out` (appended): the newest items of the
@@ -112,8 +108,6 @@ class CompactFrontier {
       if (avail != 0) {
         const std::size_t take = avail < max ? avail : max;
         own.take_back(take, out);
-        pop_batches_.fetch_add(1, std::memory_order_relaxed);
-        popped_items_.fetch_add(take, std::memory_order_relaxed);
         return take;
       }
     }
@@ -135,8 +129,6 @@ class CompactFrontier {
       if (stole != nullptr) *stole = true;
       steals_.fetch_add(1, std::memory_order_relaxed);
       stolen_items_.fetch_add(take, std::memory_order_relaxed);
-      pop_batches_.fetch_add(1, std::memory_order_relaxed);
-      popped_items_.fetch_add(take, std::memory_order_relaxed);
       return take;
     }
     // The whole frontier was (momentarily) dry: the steal-pressure signal
@@ -178,31 +170,17 @@ class CompactFrontier {
     }
   }
 
+  // Steal counters only: the workers count what they push and pop
+  // themselves (engine::Tally::batches, batched_items).
   struct Stats {
     std::uint64_t steals = 0;         // successful batch steals
     std::uint64_t stolen_items = 0;   // items moved by those steals
-    std::uint64_t failed_steals = 0;  // pops that found every deque empty
-    std::uint64_t push_batches = 0;   // push/push_batch lock acquisitions
-    std::uint64_t pushed_items = 0;   // items across those pushes
-    std::uint64_t pop_batches = 0;    // pop_batch calls that returned items
-    std::uint64_t popped_items = 0;   // items across those pops
-
-    double avg_push_batch() const {
-      return push_batches == 0 ? 0.0
-                               : static_cast<double>(pushed_items) /
-                                     static_cast<double>(push_batches);
-    }
   };
 
   Stats stats() const {
     Stats stats;
     stats.steals = steals_.load(std::memory_order_relaxed);
     stats.stolen_items = stolen_items_.load(std::memory_order_relaxed);
-    stats.failed_steals = failed_steals_.load(std::memory_order_relaxed);
-    stats.push_batches = push_batches_.load(std::memory_order_relaxed);
-    stats.pushed_items = pushed_items_.load(std::memory_order_relaxed);
-    stats.pop_batches = pop_batches_.load(std::memory_order_relaxed);
-    stats.popped_items = popped_items_.load(std::memory_order_relaxed);
     return stats;
   }
 
@@ -256,10 +234,6 @@ class CompactFrontier {
   std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> stolen_items_{0};
   std::atomic<std::uint64_t> failed_steals_{0};
-  std::atomic<std::uint64_t> push_batches_{0};
-  std::atomic<std::uint64_t> pushed_items_{0};
-  std::atomic<std::uint64_t> pop_batches_{0};
-  std::atomic<std::uint64_t> popped_items_{0};
 };
 
 }  // namespace rcons::engine

@@ -425,28 +425,30 @@ NodeStore::Intern NodeStore::intern(util::U128 fingerprint,
   Arena& arena = *arenas_[static_cast<std::size_t>(arena_index)];
   Shard& shard = *shards_[shard_index(fingerprint)];
   const std::size_t length = record.size();
+  // A non-empty record keeps every arena address distinct, which
+  // for_each_record relies on.
+  RCONS_DCHECK_MSG(length > 0, "interned records are never empty");
 
   // The record copy is staged from the caller's private arena only inside
   // the claimed window — after the lock-free duplicate check — so a
-  // duplicate intern never copies and never allocates.
+  // duplicate intern never copies and never allocates. Its length rides in
+  // the index slot, so a duplicate never reads the arena either.
   const CasTable::Found found = shard.index.insert_with(
-      fingerprint,
+      fingerprint, static_cast<std::uint32_t>(length),
       [&]() -> std::uint64_t {
-        Value* header = arena.cur;
-        if (header == nullptr ||
-            static_cast<std::size_t>(arena.end - header) < length + 1) {
-          header = arena_refill(arena, length + 1);
+        Value* values = arena.cur;
+        if (values == nullptr || static_cast<std::size_t>(arena.end - values) < length) {
+          values = arena_refill(arena, length);
         }
-        header[0] = static_cast<Value>(length);
-        std::memcpy(header + 1, record.data(), length * sizeof(Value));
-        arena.cur = header + 1 + length;
-        return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(header));
+        std::memcpy(values, record.data(), length * sizeof(Value));
+        arena.cur = values + length;
+        return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(values));
       },
       stats);
 
-  const Value* header =
-      reinterpret_cast<const Value*>(static_cast<std::uintptr_t>(found.value));
-  return Intern{found.inserted, header + 1, static_cast<std::uint32_t>(header[0])};
+  return Intern{found.inserted,
+                reinterpret_cast<const Value*>(static_cast<std::uintptr_t>(found.value)),
+                found.meta};
 }
 
 std::uint64_t NodeStore::size() const {
@@ -479,9 +481,10 @@ void NodeStore::reshard(int shard_bits, int num_arenas) {
   // A key a partial growth sweep carried over appears twice with the same
   // record address; the second insert finds it.
   for (const std::unique_ptr<Shard>& old : old_shards) {
-    old->index.for_each_published([&](util::U128 key, std::uint64_t value) {
-      shards_[shard_index(key)]->index.insert(key, value);
-    });
+    old->index.for_each_published(
+        [&](util::U128 key, std::uint64_t value, std::uint32_t length) {
+          shards_[shard_index(key)]->index.insert(key, value, length);
+        });
   }
 }
 

@@ -285,7 +285,7 @@ class NodeStore {
     // reader that found the record, so expansion decodes in place — no lock,
     // no copy.
     const typesys::Value* record = nullptr;
-    std::uint32_t length = 0;
+    std::uint32_t length = 0;  // from the index slot: a hit never reads the arena
   };
 
   // Interns `record` under `fingerprint` using the caller's arena; returns
@@ -314,38 +314,44 @@ class NodeStore {
 
   // Quiescent iteration over every interned record for checkpointing:
   // `fn(fingerprint, payload, length)` where `payload` points at the record
-  // values (the slice intern() copied, excluding the length header). Caller
-  // contract: no concurrent interns. Keys migrated by a partial index sweep
-  // appear in two epoch arrays with the same header address; they are
-  // deduplicated here (by that address) so each record is yielded once.
+  // values intern() copied. Caller contract: no concurrent interns. Keys
+  // migrated by a partial index sweep appear in two epoch arrays with the
+  // same record address; they are deduplicated here (by that address) so
+  // each record is yielded once.
   template <typename F>
   void for_each_record(F&& fn) {
-    std::vector<std::pair<util::U128, std::uint64_t>> entries;
+    struct Entry {
+      util::U128 key;
+      std::uint64_t address;
+      std::uint32_t length;
+    };
+    std::vector<Entry> entries;
     for (const std::unique_ptr<Shard>& shard : shards_) {
       entries.clear();
-      shard->index.for_each_published([&](util::U128 key, std::uint64_t value) {
-        entries.emplace_back(key, value);
-      });
+      shard->index.for_each_published(
+          [&](util::U128 key, std::uint64_t address, std::uint32_t length) {
+            entries.push_back(Entry{key, address, length});
+          });
       std::sort(entries.begin(), entries.end(),
-                [](const auto& a, const auto& b) { return a.second < b.second; });
+                [](const Entry& a, const Entry& b) { return a.address < b.address; });
       std::uint64_t last = 0;
       bool first = true;
-      for (const auto& [key, value] : entries) {
-        if (!first && value == last) continue;  // migrated duplicate
+      for (const Entry& entry : entries) {
+        if (!first && entry.address == last) continue;  // migrated duplicate
         first = false;
-        last = value;
-        const auto* header =
-            reinterpret_cast<const typesys::Value*>(static_cast<std::uintptr_t>(value));
-        fn(key, header + 1, static_cast<std::uint32_t>(header[0]));
+        last = entry.address;
+        fn(entry.key,
+           reinterpret_cast<const typesys::Value*>(static_cast<std::uintptr_t>(entry.address)),
+           entry.length);
       }
     }
   }
 
  private:
   // Fixed-capacity chunks keep record payloads contiguous without ever
-  // moving (payload addresses are stable once written). A record is stored
-  // as [length][values...]; the index maps its fingerprint to the header's
-  // address.
+  // moving (payload addresses are stable once written). The index maps a
+  // record's fingerprint to its first value's address and keeps its length
+  // in the same slot (CasTable's `meta`), so the arena holds only values.
   static constexpr std::size_t kChunkValues = std::size_t{1} << 14;
 
   // One per interning worker; cache-line separated so two workers' bump
@@ -357,7 +363,7 @@ class NodeStore {
 
   struct alignas(64) Shard {
     explicit Shard(std::uint64_t expected) : index(expected) {}
-    CasTable index;  // fingerprint -> record header address
+    CasTable index;  // fingerprint -> record address, with the length as meta
   };
 
   // Points the arena at a fresh chunk with >= `need` free values. Cold path:

@@ -33,14 +33,17 @@ namespace rcons::engine {
 // more. store_nodes/store_bytes count the records this traversal interned.
 // The lock-free table work (probe lengths, lost claim CASes, migration
 // stripes helped) is the CasTable::OpStats base, accumulated caller-side so
-// the tables never bounce a shared stats cache line between workers.
+// the tables never bounce a shared stats cache line between workers. The
+// record is cache-line aligned for the same reason: the worker loop keeps its
+// tallies in one array and writes them per successor, so neighbours must not
+// share a line.
 //
 // Every transition is classified exactly once:
 //   transitions == visited + duplicates + violation_edges + orbit_skipped,
 // where orbit_skipped counts the per-process events dropped because their
 // process was a non-representative member of a stabilizer orbit (symmetry
 // reduction only; see engine::Canonicalizer::orbit_mask).
-struct Tally : CasTable::OpStats {
+struct alignas(64) Tally : CasTable::OpStats {
   std::uint64_t visited = 0;
   std::uint64_t transitions = 0;
   std::uint64_t decisions = 0;
@@ -64,6 +67,7 @@ struct Tally : CasTable::OpStats {
 
   Tally& operator+=(const Tally& other);
 };
+static_assert(alignof(Tally) >= 64, "per-worker tallies must not share a cache line");
 
 // Every additive Tally field, with the registry counter it flushes into
 // (null: reported in the stats only). max_probe is the one field that merges

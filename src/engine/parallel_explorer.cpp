@@ -772,8 +772,8 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
                   "checkpoint records are raw value vectors");
     base_ = ckpt.stats;
     resumed_checkpoints_ = ckpt.stats.checkpoints_written;
-    // The file carries no store counts: the records re-interned here are
-    // the store's, so store_nodes == visited + 1 holds on as before the cut.
+    // The store counts are recounted from the records re-interned here, so
+    // store_nodes == visited + 1 holds on as before the cut.
     base_.store_nodes = ckpt.nodes.size();
     base_.store_bytes = 0;
     std::vector<NodeStore::Intern> interned;

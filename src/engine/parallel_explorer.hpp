@@ -283,9 +283,10 @@ class ParallelExplorer {
   std::vector<Deferred> cut_;
   bool draining_ = false;
 
-  // Worker-loop state.
-  std::atomic<std::uint64_t> visited_count_{0};
-  std::atomic<bool> stop_{false};
+  // Worker-loop state. visited_count_ is bumped per new state and stop_ is
+  // loaded before every event, so each gets its own cache line.
+  alignas(64) std::atomic<std::uint64_t> visited_count_{0};
+  alignas(64) std::atomic<bool> stop_{false};
   std::atomic<bool> truncated_{false};  // a truncation path was recorded
 
   // First stop reason wins (holds sim::StopReason as int; 0 = kNone).

@@ -12,6 +12,9 @@
 // Cross-arena safety: a link is fully written before the item carrying it is
 // published through the frontier's deque mutex, and all arenas outlive all
 // workers, so readers never see a torn or dangling link.
+//
+// The arenas of a run sit side by side in one array and each moves its bump
+// pointer per new state, so every arena gets its own cache line.
 #ifndef RCONS_ENGINE_PATH_ARENA_HPP
 #define RCONS_ENGINE_PATH_ARENA_HPP
 
@@ -23,7 +26,7 @@
 
 namespace rcons::engine {
 
-class PathArena {
+class alignas(64) PathArena {
  public:
   PathArena() = default;
   PathArena(const PathArena&) = delete;
@@ -40,19 +43,16 @@ class PathArena {
     used_ += 1;
     link->event = event;
     link->parent = parent;
-    links_ += 1;
     return link;
   }
-
-  std::uint64_t links() const { return links_; }
 
  private:
   static constexpr std::size_t kChunkLinks = std::size_t{1} << 12;
 
   std::vector<std::unique_ptr<PathLink[]>> chunks_;
   std::size_t used_ = kChunkLinks;
-  std::uint64_t links_ = 0;
 };
+static_assert(alignof(PathArena) >= 64, "per-worker arenas must not share a cache line");
 
 }  // namespace rcons::engine
 

@@ -25,9 +25,9 @@ TEST(CasTableTest, InsertFindAndDuplicates) {
   EXPECT_FALSE(dup.inserted);
   EXPECT_EQ(dup.value, 11u);
 
-  std::uint64_t value = 0;
-  EXPECT_TRUE(table.find(key(2), value));
-  EXPECT_EQ(value, 22u);
+  CasTable::Found found;
+  EXPECT_TRUE(table.find(key(2), found));
+  EXPECT_EQ(found.value, 22u);
   EXPECT_TRUE(table.contains(key(1)));
   EXPECT_FALSE(table.contains(key(3)));
   EXPECT_EQ(table.size(), 2u);
@@ -38,9 +38,9 @@ TEST(CasTableTest, AllZeroKeyIsAnOrdinaryKey) {
   // is carried by the tag, never by the key bytes.
   CasTable table;
   EXPECT_TRUE(table.insert(util::U128{0, 0}, 7).inserted);
-  std::uint64_t value = 0;
-  EXPECT_TRUE(table.find(util::U128{0, 0}, value));
-  EXPECT_EQ(value, 7u);
+  CasTable::Found found;
+  EXPECT_TRUE(table.find(util::U128{0, 0}, found));
+  EXPECT_EQ(found.value, 7u);
   EXPECT_FALSE(table.insert(util::U128{0, 0}, 8).inserted);
   EXPECT_EQ(table.size(), 1u);
 }
@@ -49,21 +49,23 @@ TEST(CasTableTest, GrowthKeepsEveryKeyAndValue) {
   CasTable table;  // minimal capacity: forces several growth epochs
   constexpr std::uint64_t kKeys = 20'000;
   for (std::uint64_t i = 0; i < kKeys; ++i) {
-    ASSERT_TRUE(table.insert(key(i), i).inserted) << i;
+    ASSERT_TRUE(table.insert(key(i), i, static_cast<std::uint32_t>(i * 3)).inserted) << i;
   }
   EXPECT_GT(table.rehashes(), 0u);
   EXPECT_EQ(table.size(), kKeys);
   // Every key survived every migration with its original payload.
   for (std::uint64_t i = 0; i < kKeys; ++i) {
-    std::uint64_t value = ~std::uint64_t{0};
-    ASSERT_TRUE(table.find(key(i), value)) << i;
-    ASSERT_EQ(value, i) << i;
+    CasTable::Found found;
+    ASSERT_TRUE(table.find(key(i), found)) << i;
+    ASSERT_EQ(found.value, i) << i;
+    ASSERT_EQ(found.meta, i * 3) << i;
   }
   // And duplicates still lose against the migrated originals.
   for (std::uint64_t i = 0; i < kKeys; i += 97) {
-    const CasTable::Found dup = table.insert(key(i), ~i);
+    const CasTable::Found dup = table.insert(key(i), ~i, 7);
     EXPECT_FALSE(dup.inserted);
     EXPECT_EQ(dup.value, i);
+    EXPECT_EQ(dup.meta, i * 3);
   }
 }
 
@@ -100,17 +102,23 @@ TEST(CasTableTest, InsertWithMaterializesThePayloadExactlyOnce) {
     calls += 1;
     return std::uint64_t{42};
   };
-  EXPECT_TRUE(table.insert_with(key(5), make).inserted);
+  const CasTable::Found first = table.insert_with(key(5), 9, make);
+  EXPECT_TRUE(first.inserted);
+  EXPECT_EQ(first.value, 42u);
+  EXPECT_EQ(first.meta, 9u);
   EXPECT_EQ(calls, 1);
-  // The duplicate path never materializes a payload.
-  EXPECT_FALSE(table.insert_with(key(5), make).inserted);
+  // The duplicate path never materializes a payload, and reports the
+  // resident meta rather than its own.
+  const CasTable::Found dup = table.insert_with(key(5), 10, make);
+  EXPECT_FALSE(dup.inserted);
+  EXPECT_EQ(dup.meta, 9u);
   EXPECT_EQ(calls, 1);
 }
 
 TEST(CasTableTest, OpStatsAccumulateCallerSide) {
   CasTable table;
   CasTable::OpStats ops;
-  for (std::uint64_t i = 0; i < 2'000; ++i) table.insert(key(i), i, &ops);
+  for (std::uint64_t i = 0; i < 2'000; ++i) table.insert(key(i), i, 0, &ops);
   EXPECT_GE(ops.probe_ops, 2'000u);  // growth helpers probe too
   EXPECT_GE(ops.probe_total, ops.probe_ops);
   EXPECT_GE(ops.max_probe, 1u);
@@ -133,7 +141,7 @@ TEST(CasTableTest, ConcurrentInsertersAgreeOnWinners) {
       const auto tag = static_cast<std::uint64_t>(t + 1) << 32;
       for (std::uint64_t i = 0; i < kKeys; ++i) {
         const CasTable::Found found =
-            table.insert(key(i), tag | i, &ops[static_cast<std::size_t>(t)]);
+            table.insert(key(i), tag | i, 0, &ops[static_cast<std::size_t>(t)]);
         if (found.inserted) {
           wins[static_cast<std::size_t>(t)] += 1;
         } else {
@@ -157,9 +165,9 @@ TEST(CasTableTest, ConcurrentInsertersAgreeOnWinners) {
   EXPECT_EQ(table.size(), kKeys);
   EXPECT_GE(total_probe_ops, kKeys * kThreads);
   for (std::uint64_t i = 0; i < kKeys; ++i) {
-    std::uint64_t value = 0;
-    ASSERT_TRUE(table.find(key(i), value)) << i;
-    ASSERT_EQ(value & 0xffff'ffffULL, i);
+    CasTable::Found found;
+    ASSERT_TRUE(table.find(key(i), found)) << i;
+    ASSERT_EQ(found.value & 0xffff'ffffULL, i);
   }
 }
 
@@ -178,7 +186,7 @@ TEST(CasTableTest, ConcurrentGrowthMigrationStress) {
       const std::uint64_t base = static_cast<std::uint64_t>(t) * kKeysPerThread;
       for (std::uint64_t i = 0; i < kKeysPerThread; ++i) {
         ASSERT_TRUE(
-            table.insert(key(base + i), base + i, &ops[static_cast<std::size_t>(t)])
+            table.insert(key(base + i), base + i, 0, &ops[static_cast<std::size_t>(t)])
                 .inserted);
       }
     });
@@ -193,10 +201,58 @@ TEST(CasTableTest, ConcurrentGrowthMigrationStress) {
   }
   EXPECT_GT(total_stripes, 0u);
   for (std::uint64_t i = 0; i < kThreads * kKeysPerThread; ++i) {
-    std::uint64_t value = 0;
-    ASSERT_TRUE(table.find(key(i), value)) << i;
-    ASSERT_EQ(value, i) << i;
+    CasTable::Found found;
+    ASSERT_TRUE(table.find(key(i), found)) << i;
+    ASSERT_EQ(found.value, i) << i;
   }
+}
+
+TEST(CasTableTest, ConcurrentInsertsUnderGrowthReturnTheMetaWrittenWithTheKey) {
+  // Threads race the same keys through many growth epochs from a minimal
+  // table, each writing a thread-distinct (value, meta) pair. Every Found —
+  // winner or loser, answered from the live array, a sealed one or a
+  // migrated copy — must carry the meta of the SAME write as its value: the
+  // meta rides in the slot, written in the claimed window and carried by the
+  // migration sweep.
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kKeys = 20'000;
+  const auto meta_of = [](std::uint64_t value) {
+    return static_cast<std::uint32_t>(util::mix64(value));
+  };
+  CasTable table;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &table, &meta_of] {
+      const auto writer = static_cast<std::uint64_t>(t + 1) << 32;
+      CasTable::OpStats ops;
+      for (std::uint64_t i = 0; i < kKeys; ++i) {
+        // Alternate the key order per thread so winners are mixed.
+        const std::uint64_t k = t % 2 == 0 ? i : kKeys - 1 - i;
+        const std::uint64_t value = writer | k;
+        const CasTable::Found found = table.insert(key(k), value, meta_of(value), &ops);
+        ASSERT_EQ(found.value & 0xffff'ffffULL, k);
+        ASSERT_EQ(found.meta, meta_of(found.value)) << "key " << k;
+        if (found.inserted) {
+          ASSERT_EQ(found.value, value);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(table.size(), kKeys);
+  EXPECT_GT(table.rehashes(), 0u);
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    CasTable::Found found;
+    ASSERT_TRUE(table.find(key(k), found)) << k;
+    ASSERT_EQ(found.meta, meta_of(found.value)) << k;
+  }
+  std::uint64_t published = 0;
+  table.for_each_published([&](util::U128, std::uint64_t value, std::uint32_t meta) {
+    published += 1;
+    EXPECT_EQ(meta, meta_of(value));
+  });
+  EXPECT_GE(published, kKeys);
 }
 
 }  // namespace

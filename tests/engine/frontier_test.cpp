@@ -41,7 +41,7 @@ TEST(FrontierTest, LocalPopIsLifo) {
   EXPECT_FALSE(frontier.pop(0, item));
 }
 
-TEST(FrontierTest, PushBatchSubmitsUnderOneLockAndPopBatchDrainsNewestFirst) {
+TEST(FrontierTest, PushBatchThenPopBatchDrainsNewestFirst) {
   PathArena arena;
   CompactFrontier frontier(1);
   std::vector<CompactWorkItem> batch;
@@ -49,9 +49,6 @@ TEST(FrontierTest, PushBatchSubmitsUnderOneLockAndPopBatchDrainsNewestFirst) {
     batch.push_back(item_with_depth(arena, depth));
   }
   frontier.push_batch(0, batch);
-  EXPECT_EQ(frontier.stats().push_batches, 1u);
-  EXPECT_EQ(frontier.stats().pushed_items, 6u);
-  EXPECT_DOUBLE_EQ(frontier.stats().avg_push_batch(), 6.0);
 
   // pop_batch takes the newest items; consuming `out` back-to-front yields
   // the LIFO order 6, 5, 4.
@@ -164,7 +161,6 @@ TEST(FrontierTest, ConcurrentBatchPushPopLosesNothing) {
   // Relaxed is enough: workers joined above, so all fetch_adds happened-before.
   EXPECT_EQ(popped.load(std::memory_order_relaxed),
             kWorkers * kBatchesPerWorker * static_cast<int>(kBatchSize));
-  EXPECT_EQ(frontier.stats().pushed_items, frontier.stats().popped_items);
 }
 
 }  // namespace

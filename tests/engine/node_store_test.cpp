@@ -219,6 +219,43 @@ TEST(NodeStoreTest, ReshardKeepsEveryRecordInPlace) {
   EXPECT_EQ(store.size(), kKeys + 1);
 }
 
+TEST(NodeStoreTest, DuplicateInternsReturnTheResidentLengthAcrossGrowthAndReshard) {
+  // Varied record lengths, interned into a minimal store (several index
+  // growth epochs), then re-sharded. A duplicate intern answers from the
+  // index slot alone: it must report the resident record's length even when
+  // the caller's record differs, and the view must still cover that record.
+  const auto length_of = [](std::uint64_t i) { return std::size_t{2} + i % 29; };
+  NodeStore store(0);
+  constexpr std::uint64_t kKeys = 5000;
+  for (std::uint64_t i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(store.intern(key(i), record_of(i, length_of(i))).inserted) << i;
+  }
+  EXPECT_GT(store.rehashes(), 0u);
+  const auto expect_resident = [&](int arena) {
+    for (std::uint64_t i = 0; i < kKeys; ++i) {
+      const NodeStore::Intern again = store.intern(key(i), record_of(i, 1), arena);
+      ASSERT_FALSE(again.inserted) << i;
+      ASSERT_EQ(again.length, length_of(i)) << i;
+      ASSERT_EQ(std::vector<typesys::Value>(again.record, again.record + again.length),
+                record_of(i, length_of(i)))
+          << i;
+    }
+  };
+  expect_resident(0);
+  store.reshard(3, 2);
+  expect_resident(1);
+
+  // The checkpoint walk reads the same lengths, each record once.
+  std::uint64_t records = 0;
+  store.for_each_record([&](util::U128 fp, const typesys::Value* values, std::uint32_t length) {
+    records += 1;
+    const auto i = static_cast<std::uint64_t>(values[0]) / 100;  // see record_of
+    EXPECT_EQ(fp.lo, key(i).lo);
+    EXPECT_EQ(length, length_of(i));
+  });
+  EXPECT_EQ(records, kKeys);
+}
+
 // Encode/decode must be mutually inverse, and the fingerprint must cover
 // exactly the encode_node() image of the same node (the record minus its
 // sidecar).
