@@ -35,7 +35,8 @@
 //       takes precedence over truncation
 //   2 = bad usage or invalid input (unparsable spec, unknown flag, a numeric
 //       flag that is not a plain decimal in range, corrupt or mismatched
-//       checkpoint without --resume-or-fresh, bad fault plan)
+//       checkpoint without --resume-or-fresh, bad fault plan, a .viol
+//       schedule with an event its scenario does not allow)
 //   3 = no violation, but at least one scenario was truncated (visited cap,
 //       time/memory sentinel, watchdog, or forced stop — the verdict names
 //       the reason); the verdict is incomplete, not a proof
@@ -314,9 +315,8 @@ void report_violation(const CliOptions& options, obs::Hooks hooks,
   // A corpus file must honour the replay contract; schedules found under
   // symmetry reduction are only valid up to a class permutation and may not
   // reproduce — verify before persisting.
-  const sim::ReplayReport replayed =
-      sim::replay(pristine.memory, pristine.processes, violation.schedule,
-                  pristine.properties, budget.max_steps_per_run);
+  const sim::ReplayReport replayed = sim::replay(
+      pristine.memory, pristine.processes, violation.schedule, pristine.properties, budget);
   if (!replayed.violation.has_value() ||
       replayed.violation->property != violation.property) {
     std::cerr << name << ": schedule does not replay (symmetry-reduced "
@@ -354,6 +354,12 @@ int replay_violation_file(const CliOptions& options, obs::Hooks hooks) {
   request.obs = hooks;
   const check::CheckReport report = check::check(std::move(request));
 
+  if (report.rejected.has_value()) {
+    std::cerr << options.input_file << ": event " << *report.rejected + 1 << ": "
+              << sim::format_schedule({file.schedule[*report.rejected]})
+              << "is not one the scenario allows at that point\n";
+    return 2;
+  }
   std::cout << check::spec_display_name(file.scenario) << ": ";
   if (report.violation.has_value() && report.violation->property == file.property) {
     std::cout << "violation reproduced (" << report.violation->description << ")\n";

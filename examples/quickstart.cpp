@@ -1,79 +1,40 @@
-// Quickstart: solve recoverable consensus among 4 crash-prone threads.
+// Quickstart: verify recoverable consensus among 4 crash-prone processes.
 //
-// Step 1 — verify: the check:: facade model-checks the S_4 protocol core
-// (the paper's Figure 2 algorithm) exhaustively, every interleaving and crash
-// placement, picking the execution backend automatically.
+// The check:: facade model-checks the S_4 protocol core (the paper's
+// Figure 2 algorithm) exhaustively, every interleaving and crash placement,
+// picking the execution backend automatically. The processes agree despite
+// crashes because the shared S_4 object records which team updated it
+// first.
 //
-// Step 2 — run: four worker threads propose different values; each may
-// "crash" (stack unwind + restart, losing all local state) multiple times
-// mid-protocol. They agree anyway, because the shared S_4 object records
-// which team updated it first — Figure 2 composed through the Proposition 30
-// tournament.
-//
-//   $ ./quickstart [seed]
-#include <cstdlib>
+//   $ ./quickstart
 #include <iostream>
 
 #include "check/check.hpp"
 #include "rc/team_consensus.hpp"
-#include "runtime/harness.hpp"
-#include "runtime/recoverable.hpp"
 #include "typesys/types/sn.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace rcons;
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2022;
-
-  constexpr int kProcesses = 4;
   // S_4 is 4-recording (Proposition 21), hence rcons(S_4) = 4: exactly enough
   // for 4 processes. Any type the checker proves 4-recording would do.
   typesys::SnType s4(4);
 
-  std::cout << "step 1: model-check the S_4 core (all interleavings, 1 crash)\n";
-  {
-    rc::TeamConsensusSystem core = rc::make_team_consensus_system(s4, 4, 1001, 2002);
-    check::CheckRequest request;
-    request.system.memory = std::move(core.memory);
-    request.system.processes = std::move(core.processes);
-    request.system.properties.valid_outputs = {1001, 2002};
-    request.budget.crash_budget = 1;
-    request.strategy = check::Strategy::kAuto;
-    const check::CheckReport report = check::check(std::move(request));
-    std::cout << "  " << report.stats.visited << " states via "
-              << check::strategy_name(report.strategy) << ": "
-              << (report.clean ? "clean" : report.violation->description) << "\n";
-    if (!report.clean) {
-      std::cout << "  schedule: " << report.violation->trace() << "\n";
-      return 1;
-    }
-  }
-
-  std::cout << "\nstep 2: run it on 4 real crash-prone threads\n";
-  runtime::RTournament consensus(s4, /*witness_n=*/4, /*participants=*/kProcesses);
-
-  const std::vector<typesys::Value> proposals = {1001, 1002, 1003, 1004};
-  std::cout << "  4 crash-prone threads propose: ";
-  for (const auto v : proposals) std::cout << v << " ";
-  std::cout << "\n";
-
-  const runtime::HarnessReport report = runtime::run_crashy_workers(
-      kProcesses,
-      [&](int role, runtime::CrashInjector& crash) {
-        // decide() throws CrashException at injected crash points; the
-        // harness restarts the call — the model's crash/recover loop.
-        return consensus.decide(role, proposals[static_cast<std::size_t>(role)], crash);
-      },
-      seed, /*crash_per_mille=*/250, /*max_crashes_per_worker=*/6);
-
-  std::cout << "  crashes injected: " << report.total_crashes << "\n";
-  for (int role = 0; role < kProcesses; ++role) {
-    std::cout << "  thread " << role << " decided "
-              << report.outputs[static_cast<std::size_t>(role)] << "\n";
-  }
-  if (!report.agreement || !report.valid_against(proposals)) {
-    std::cout << "ERROR: consensus violated!\n";
+  std::cout << "model-check the S_4 core (all interleavings, 1 crash)\n";
+  rc::TeamConsensusSystem core = rc::make_team_consensus_system(s4, 4, 1001, 2002);
+  check::CheckRequest request;
+  request.system.memory = std::move(core.memory);
+  request.system.processes = std::move(core.processes);
+  request.system.properties.valid_outputs = {1001, 2002};
+  request.budget.crash_budget = 1;
+  request.strategy = check::Strategy::kAuto;
+  const check::CheckReport report = check::check(std::move(request));
+  std::cout << "  " << report.stats.visited << " states via "
+            << check::strategy_name(report.strategy) << ": "
+            << (report.clean ? "clean" : report.violation->description) << "\n";
+  if (!report.clean) {
+    std::cout << "  schedule: " << report.violation->trace() << "\n";
     return 1;
   }
-  std::cout << "  agreement + validity hold despite crashes.\n";
+  std::cout << "  agreement, validity and recoverable wait-freedom hold.\n";
   return 0;
 }

@@ -17,9 +17,7 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 sim::ExplorerConfig explorer_config(const CheckRequest& request) {
-  sim::ExplorerConfig config;
-  static_cast<Budget&>(config) = request.budget;
-  config.properties = request.system.properties;
+  sim::ExplorerConfig config(request.budget, request.system.properties);
   config.symmetry_classes = request.system.symmetry_classes;
   config.obs = request.obs;
   config.sentinel_interval_ms = request.sentinel_interval_ms;
@@ -102,13 +100,13 @@ CheckReport run_randomized(const CheckRequest& request) {
 CheckReport run_replay(const CheckRequest& request) {
   sim::ReplayReport replay_report =
       sim::replay(request.system.memory, request.system.processes, request.schedule,
-                  request.system.properties, request.budget.max_steps_per_run,
-                  request.obs);
+                  request.system.properties, request.budget, request.obs);
   CheckReport report;
   report.strategy = Strategy::kReplay;
   report.complete = false;  // one schedule, not the whole graph
   report.outputs = std::move(replay_report.outputs);
   report.decisions = std::move(replay_report.decisions);
+  report.rejected = replay_report.rejected;
   if (replay_report.violation.has_value()) {
     report.violation = sim::Violation{std::move(replay_report.violation->description),
                                       replay_report.violation->property,

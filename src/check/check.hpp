@@ -18,7 +18,9 @@
 //                    ...). Sampling, not proof: `complete` stays false.
 //   kReplay        — sim::replay of `schedule`. Deterministic re-execution of
 //                    one schedule — e.g. a Violation::schedule from any other
-//                    strategy.
+//                    strategy — under the budget's crash model and crash
+//                    budget. It stops at the first violation or at the first
+//                    event the model does not allow (`rejected`).
 //   kAuto          — starts with a bounded sequential probe (up to
 //                    `auto_probe_limit` states). If the probe finishes, the
 //                    instance was small and the probe's verdict is returned
@@ -41,6 +43,7 @@
 #ifndef RCONS_CHECK_CHECK_HPP
 #define RCONS_CHECK_CHECK_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -165,6 +168,10 @@ struct CheckReport {
   // kReplay (and the violating/last run of kRandomized):
   std::vector<typesys::Value> outputs;
   std::vector<std::optional<typesys::Value>> decisions;
+  // kReplay: index of the first schedule event the scenario's model does not
+  // allow where it occurs (sim::ReplayReport::rejected). Replay stopped
+  // there, so `clean` then covers only the events before it.
+  std::optional<std::size_t> rejected;
 
   // Final aggregated state of the request's metrics registry (empty when no
   // registry was installed). Taken after the backend finished, so e.g.

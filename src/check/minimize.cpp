@@ -16,8 +16,7 @@ std::optional<sim::PropertyViolation> reproduces(
     const ScenarioSystem& system, const Budget& budget,
     const std::vector<sim::ScheduleEvent>& schedule, sim::PropertyKind property) {
   sim::ReplayReport report =
-      sim::replay(system.memory, system.processes, schedule, system.properties,
-                  budget.max_steps_per_run);
+      sim::replay(system.memory, system.processes, schedule, system.properties, budget);
   if (!report.violation.has_value()) return std::nullopt;
   if (report.violation->property != property) return std::nullopt;
   return std::move(report.violation);

@@ -37,10 +37,6 @@ ViolationParse parse_violation_file(std::istream& in) {
   ViolationFile file;
   bool saw_scenario = false;
   bool saw_description = false;
-  // Event lines can precede the scenario line; remember the line of each
-  // event so the ones the scenario cannot produce get a line diagnostic at
-  // the end.
-  std::vector<int> event_lines;  // parallel to file.schedule
 
   std::string line;
   int line_number = 0;
@@ -99,10 +95,8 @@ ViolationParse parse_violation_file(std::istream& in) {
       }
       file.schedule.push_back(keyword == "step" ? sim::ScheduleEvent::step(process)
                                                 : sim::ScheduleEvent::crash(process));
-      event_lines.push_back(line_number);
     } else if (keyword == "crash-all") {
       file.schedule.push_back(sim::ScheduleEvent::crash_all());
-      event_lines.push_back(line_number);
     } else {
       error("unknown keyword '" + keyword + "'");
     }
@@ -111,32 +105,6 @@ ViolationParse parse_violation_file(std::istream& in) {
   if (!saw_scenario) result.errors.push_back("missing scenario line");
   if (!saw_description) result.errors.push_back("missing description line");
   if (file.schedule.empty()) result.errors.push_back("schedule has no events");
-  if (saw_scenario) {
-    // Replay applies whatever it is given (and asserts on out-of-range
-    // indices), so a schedule the scenario cannot produce — a process out of
-    // range, more crashes than the budget, or a crash kind its crash model
-    // never takes — is a parse error, never a reproduced violation.
-    const ScenarioSpec& scenario = file.scenario;
-    const bool independent = scenario.crash_model == CrashModel::kIndependent;
-    int crashes = 0;
-    for (std::size_t i = 0; i < file.schedule.size(); ++i) {
-      const sim::ScheduleEvent& event = file.schedule[i];
-      const std::string at = "line " + std::to_string(event_lines[i]) + ": ";
-      if (event.kind != sim::ScheduleEvent::Kind::kCrashAll && event.process >= scenario.n) {
-        result.errors.push_back(at + "process " + std::to_string(event.process) +
-                                " out of range for n=" + std::to_string(scenario.n));
-      }
-      if (event.kind == sim::ScheduleEvent::Kind::kStep) continue;
-      if (++crashes > scenario.crash_budget) {
-        result.errors.push_back(at + "crash " + std::to_string(crashes) +
-                                " exceeds budget=" + std::to_string(scenario.crash_budget));
-      }
-      if (independent != (event.kind == sim::ScheduleEvent::Kind::kCrash)) {
-        result.errors.push_back(at + (independent ? "crash-all under model=independent"
-                                                  : "crash under model=simultaneous"));
-      }
-    }
-  }
   // Files written before violations were typed carry no property line;
   // recover the kind from the description's message prefix.
   if (file.property == sim::PropertyKind::kNone && saw_description) {

@@ -16,11 +16,15 @@
 // `scenario` reuses the scenario-spec grammar (check/scenario_spec.hpp), so
 // a violation file is self-contained: build_spec_system materializes the
 // system, Strategy::kReplay re-executes the schedule, and the violation must
-// reproduce with the same typed property. `property` carries the
-// sim::PropertyKind name (plus its parameter when non-zero, e.g.
-// `property k-set-agreement 2`); files written before the typed layer may
-// omit the line, in which case the kind is recovered from the description's
-// message prefix. check_cli writes these with --save-viol;
+// reproduce with the same typed property. The parser checks syntax only;
+// whether each event is one the scenario's model allows where it occurs
+// (process range, crash budget, crash model) is decided by replay
+// (sim/replay.hpp), which reports the first event it rejects.
+//
+// `property` carries the sim::PropertyKind name (plus its parameter when
+// non-zero, e.g. `property k-set-agreement 2`); files written before the
+// typed layer may omit the line, in which case the kind is recovered from
+// the description's message prefix. check_cli writes these with --save-viol;
 // tests/check/corpus_test.cpp replays every checked-in corpus file.
 #ifndef RCONS_CHECK_VIOLATION_IO_HPP
 #define RCONS_CHECK_VIOLATION_IO_HPP

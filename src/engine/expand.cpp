@@ -78,9 +78,11 @@ bool is_terminal(const Node& node) {
 namespace {
 
 std::optional<sim::PropertyViolation> apply_step(Node& node, int process,
-                                                 const sim::ExplorerConfig& config) {
+                                                 const sim::ExplorerConfig& config,
+                                                 sim::StepResult* step_result) {
   const auto idx = static_cast<std::size_t>(process);
   const sim::StepResult result = node.processes[idx].step(node.memory);
+  if (step_result != nullptr) *step_result = result;
   node.steps_in_run[idx] += 1;
   if (auto violation = sim::check_wait_freedom(config.properties, process,
                                                node.steps_in_run[idx],
@@ -112,10 +114,11 @@ void crash_process(Node& node, int process) {
 }  // namespace
 
 std::optional<sim::PropertyViolation> apply_event(Node& node, const Event& event,
-                                                  const sim::ExplorerConfig& config) {
+                                                  const sim::ExplorerConfig& config,
+                                                  sim::StepResult* step_result) {
   switch (event.kind) {
     case Event::Kind::kStep:
-      return apply_step(node, event.process, config);
+      return apply_step(node, event.process, config, step_result);
     case Event::Kind::kCrash:
       node.crashes_used += 1;
       crash_process(node, event.process);

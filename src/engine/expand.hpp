@@ -1,6 +1,8 @@
-// Node-expansion core shared by the two traversals of
+// The one definition of an event: node-expansion core shared by the two
 // rcons-lint: hot-path
-// `engine::ParallelExplorer` (the depth-first run_dfs and the worker loop).
+// traversals of `engine::ParallelExplorer` (the depth-first run_dfs and the
+// worker loop), by scripted replay (sim/replay.hpp) and by the random runner
+// (sim/random_runner.hpp).
 //
 // A `Node` is one deduplicatable global state: shared memory, every process's
 // local step machine, the per-process decided/steps-in-run bookkeeping, the
@@ -13,8 +15,10 @@
 // in sim/properties.hpp, with no virtual dispatch or allocation on the hot
 // path.
 //
-// Keeping this logic in one place is what makes the two traversals provably
-// explore the same deduplicated graph: they differ only in order.
+// Keeping this logic in one place is what makes every backend execute the
+// same model: the two traversals explore the same deduplicated graph (they
+// differ only in order), and an event is legal in a replayed or random
+// schedule iff enumerate_events() produces it at that node.
 // The test-only reference explorer (tests/support/reference_explorer.hpp)
 // uses these same step semantics over plain node clones.
 #ifndef RCONS_ENGINE_EXPAND_HPP
@@ -72,10 +76,13 @@ Node make_root(sim::Memory initial, std::vector<sim::Process> processes,
                const sim::PropertySet& properties = {});
 
 // Enumerates the events applicable at `node`, in the canonical order the
-// depth-first traversal uses: step(p0) < step(p1) < ... < crash moves. Crash
-// placements that only burn budget without changing reachability (crashing a
-// process that has not taken a step in its current run, or an all-crash when
-// nobody has progressed) are pruned here, identically for both traversals.
+// depth-first traversal uses: step(p0) < step(p1) < ... < crash moves. This
+// is the legality rule of the model: undecided processes step; while crash
+// budget remains, the crash model's kind of crash (kCrash under independent,
+// kCrashAll under simultaneous) is enabled. Crash placements that only burn
+// budget without changing reachability (crashing a process that has not
+// taken a step in its current run, or an all-crash when nobody has
+// progressed) are pruned here, identically for every backend.
 //
 // With an `orbit_skip` mask it additionally drops per-process events whose
 // process is marked there (a non-representative member of a same-class
@@ -97,9 +104,14 @@ bool is_terminal(const Node& node);
 // shared-memory access and evaluates config.properties (validity, agreement
 // or k-set agreement, at-most-once decide, and the per-run step bound); a
 // broken property is reported as a typed violation (the caller owns trace
-// formatting). Crash events discard the victims' local state.
+// formatting). Crash events discard the victims' local state. A non-null
+// `step_result` receives a step event's result (whether and what the process
+// decided), also when the step breaks a property; replay and the random
+// runner record outputs from it, the explorers pass nothing. `event` must be
+// one enumerate_events() produces at `node`.
 std::optional<sim::PropertyViolation> apply_event(Node& node, const Event& event,
-                                                  const sim::ExplorerConfig& config);
+                                                  const sim::ExplorerConfig& config,
+                                                  sim::StepResult* step_result = nullptr);
 
 // The canonical encoding is assembled from these two helpers, shared by
 // encode_node() below and the NodeCodec (engine/node_store.hpp), so the two

@@ -1,4 +1,5 @@
-// Crash injection for the real-thread runtime.
+// Crash injection for threaded executions of the universal construction
+// (universal/) and its examples.
 //
 // A worker thread simulates the paper's crash/recovery failures by calling
 // CrashInjector::point() between shared-memory accesses; with the configured

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/budget.hpp"
@@ -45,6 +46,12 @@ const char* stop_reason_name(StopReason reason);
 using CrashModel = check::CrashModel;
 
 struct ExplorerConfig : check::Budget {
+  ExplorerConfig() = default;
+  // The budget and the property set, everything else at its default. That is
+  // all event enumeration and application (engine/expand.hpp) read.
+  ExplorerConfig(const check::Budget& budget, PropertySet properties)
+      : check::Budget(budget), properties(std::move(properties)) {}
+
   // What counts as a correct outcome (sim/properties.hpp): the classic trio
   // by default. The validity set lives inside (properties.valid_outputs); the
   // wait-freedom property inherits Budget::max_steps_per_run unless it

@@ -2,12 +2,13 @@
 //
 // A `PropertySet` is a small enum-tagged vector of `PropertySpec{kind, param}`
 // entries plus the validity output set — the one description of "what counts
-// as correct" that every execution backend consumes. The explorers' expansion
-// core (engine/expand.cpp), the random runner, and scripted replay all
-// evaluate properties through the shared helpers below, so a violation found
-// by one backend carries the same typed identity and describes itself
-// identically when reproduced by another (the replay round-trip the check::
-// facade advertises).
+// as correct" that every execution backend consumes. Every backend (the
+// explorers, the random runner and scripted replay) applies events through
+// the engine's expansion core (engine/expand.cpp), which evaluates properties
+// through the shared helpers below, so a violation found by one backend
+// carries the same typed identity and describes itself identically when
+// reproduced by another (the replay round-trip the check:: facade
+// advertises).
 //
 // Properties:
 //   kAgreement        — all outputs ever produced are equal (consensus).
@@ -228,20 +229,20 @@ inline PropertyKind property_from_description(const std::string& description) {
 
 // --- shared evaluation helpers ----------------------------------------------
 //
-// Every backend funnels its property checks through these two functions, so
-// the typed identity and the message of a violation are byte-identical across
-// backends. The mutable tracking state lives with the caller: the explorers
-// keep it inside each Node (it is part of the deduplicated global state), the
-// random runner and replay keep per-execution vectors.
+// The engine's expansion core funnels every property check through these two
+// functions, so the typed identity and the message of a violation are
+// byte-identical across backends. The mutable tracking state lives with the
+// caller, inside each engine::Node (it is part of the deduplicated global
+// state).
 
-// Recoverable wait-freedom, checked after every step. `fallback_bound` is the
-// Budget's max_steps_per_run; a non-positive effective bound disables the
-// check (replay's historical "0 = unbounded" contract).
+// Recoverable wait-freedom, checked after every step; `run_steps` counts the
+// steps `process` took in its current run. `fallback_bound` is the Budget's
+// max_steps_per_run; a non-positive effective bound disables the check.
 inline std::optional<PropertyViolation> check_wait_freedom(
-    const PropertySet& properties, int process, std::int64_t steps_in_run,
+    const PropertySet& properties, int process, std::int64_t run_steps,
     std::int64_t fallback_bound) {
   const std::int64_t bound = properties.wait_bound(fallback_bound);
-  if (bound <= 0 || steps_in_run <= bound) return std::nullopt;
+  if (bound <= 0 || run_steps <= bound) return std::nullopt;
   return PropertyViolation{
       PropertyKind::kWaitFreedom, bound,
       "recoverable wait-freedom violated: process " + std::to_string(process) +
@@ -254,9 +255,9 @@ inline std::optional<PropertyViolation> check_wait_freedom(
 // `distinct_outputs` is the sorted set of distinct values output so far
 // (bounded by agreement_k(); untouched when no agreement property is set).
 // `ever_output` / `last_output` are the per-process stability memory for
-// kAtMostOnceDecide (pass empty vectors when the property is off — the
-// explorers size them from the PropertySet in make_root so crash events
-// cannot erase them). All three are updated in place when the checks pass.
+// kAtMostOnceDecide (pass empty vectors when the property is off —
+// engine::make_root sizes them from the PropertySet so crash events cannot
+// erase them). All three are updated in place when the checks pass.
 inline std::optional<PropertyViolation> check_output(
     const PropertySet& properties, int process, typesys::Value value,
     std::vector<typesys::Value>& distinct_outputs,

@@ -3,9 +3,11 @@
 // and every run records its schedule, so a violating run also replays exactly
 // through sim::replay (the two backends share the ScheduleEvent vocabulary).
 //
-// The run evaluates the configured `sim::PropertySet` through the same
-// helpers the explorers inline (sim/properties.hpp), so a violation carries
-// the identical typed property and description across backends.
+// The run drives an engine::Node (engine/expand.hpp): each slot picks one of
+// the events engine::enumerate_events enables and applies it with
+// engine::apply_event, so every random schedule is an execution of the same
+// model the explorers check, and a violation carries the identical typed
+// property and description across backends.
 #ifndef RCONS_SIM_RANDOM_RUNNER_HPP
 #define RCONS_SIM_RANDOM_RUNNER_HPP
 
@@ -37,10 +39,13 @@ struct RandomRunConfig : check::Budget {
   obs::Hooks obs;
 
   std::uint64_t seed = 1;
-  // Probability (numerator / 1000) that a scheduling slot injects a crash
-  // instead of a step, while crash budget remains. Must be in [0, 1000]
-  // (asserted by run_random): 0 never crashes, 1000 crashes every slot until
-  // the crash budget is spent.
+  // Probability (numerator / 1000) that a scheduling slot picks a crash
+  // instead of a step, in a slot where engine::enumerate_events enables one
+  // (crash budget remains and some process has stepped in its run or
+  // decided). The crash is uniform among the enabled ones, a step uniform
+  // among the undecided processes. Must be in [0, 1000] (asserted by
+  // run_random): 0 never crashes, 1000 crashes in every slot where a crash is
+  // enabled until the crash budget is spent.
   int crash_per_mille = 50;
   std::int64_t max_total_steps = 1'000'000;
 
@@ -57,8 +62,8 @@ struct RandomRunReport {
   std::vector<ScheduleEvent> schedule;
 };
 
-// Runs one randomly scheduled execution to completion (all processes decided)
-// or until max_total_steps.
+// Runs one randomly scheduled execution to completion (all processes decided),
+// to the first violation, or until max_total_steps.
 RandomRunReport run_random(Memory memory, std::vector<Process> processes,
                            const RandomRunConfig& config);
 

@@ -1,95 +1,48 @@
 #include "sim/replay.hpp"
 
+#include <algorithm>
+
+#include "engine/expand.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/assert.hpp"
 
 namespace rcons::sim {
 
-using typesys::Value;
-
 ReplayReport replay(Memory memory, std::vector<Process> processes,
                     const std::vector<ScheduleEvent>& schedule,
-                    const PropertySet& properties, std::int64_t max_steps_per_run,
+                    const PropertySet& properties, const check::Budget& budget,
                     obs::Hooks obs) {
   obs::Span span(obs.tracer, 0, "replay");
+  const ExplorerConfig config(budget, properties);
   ReplayReport report;
   report.decisions.assign(processes.size(), std::nullopt);
-  std::vector<std::uint8_t> done(processes.size(), 0);
-  std::vector<std::int64_t> steps_in_run(processes.size(), 0);
+  engine::Node node =
+      engine::make_root(std::move(memory), std::move(processes), properties);
 
-  // Property tracking state (sim/properties.hpp); the at-most-once memory is
-  // per-process and survives crash events.
-  std::vector<Value> distinct_outputs;
-  std::vector<std::uint8_t> ever_output;
-  std::vector<Value> last_output;
-  if (properties.at_most_once()) {
-    ever_output.assign(processes.size(), 0);
-    last_output.assign(processes.size(), 0);
-  }
-
-  for (const ScheduleEvent& event : schedule) {
-    switch (event.kind) {
-      case ScheduleEvent::Kind::kStep: {
-        RCONS_ASSERT(event.process >= 0 &&
-                     event.process < static_cast<int>(processes.size()));
-        const auto idx = static_cast<std::size_t>(event.process);
-        if (done[idx] != 0) break;
-        const StepResult result = processes[idx].step(memory);
-        steps_in_run[idx] += 1;
-        if (!report.violation) {
-          if (auto violation = check_wait_freedom(
-                  properties, event.process, steps_in_run[idx], max_steps_per_run)) {
-            report.violation = std::move(violation);
-          }
-        }
-        if (result.kind == StepResult::Kind::kDecided) {
-          steps_in_run[idx] = 0;
-          done[idx] = 1;
-          report.decisions[idx] = result.decision;
-          report.outputs.push_back(result.decision);
-          if (!report.violation) {
-            if (auto violation =
-                    check_output(properties, event.process, result.decision,
-                                 distinct_outputs, ever_output, last_output)) {
-              report.violation = std::move(violation);
-            }
-          } else {
-            // Keep the constraint state advancing past an already-reported
-            // violation so later decisions don't re-trip it spuriously.
-            check_output(properties, event.process, result.decision,
-                         distinct_outputs, ever_output, last_output);
-          }
-        }
-        break;
-      }
-      case ScheduleEvent::Kind::kCrash: {
-        RCONS_ASSERT(event.process >= 0 &&
-                     event.process < static_cast<int>(processes.size()));
-        const auto idx = static_cast<std::size_t>(event.process);
-        processes[idx].reset();
-        done[idx] = 0;
-        steps_in_run[idx] = 0;
-        report.decisions[idx] = std::nullopt;
-        break;
-      }
-      case ScheduleEvent::Kind::kCrashAll: {
-        for (std::size_t idx = 0; idx < processes.size(); ++idx) {
-          processes[idx].reset();
-          done[idx] = 0;
-          steps_in_run[idx] = 0;
-          report.decisions[idx] = std::nullopt;
-        }
-        break;
-      }
+  std::vector<ScheduleEvent> legal;
+  std::size_t applied = 0;
+  for (; applied < schedule.size() && !report.violation; ++applied) {
+    const ScheduleEvent& event = schedule[applied];
+    engine::enumerate_events(node, config, legal);
+    if (std::find(legal.begin(), legal.end(), event) == legal.end()) {
+      report.rejected = applied;
+      break;
+    }
+    StepResult result;
+    report.violation = engine::apply_event(node, event, config, &result);
+    if (event.kind == ScheduleEvent::Kind::kCrashAll) {
+      report.decisions.assign(report.decisions.size(), std::nullopt);
+    } else if (event.kind == ScheduleEvent::Kind::kCrash) {
+      report.decisions[static_cast<std::size_t>(event.process)] = std::nullopt;
+    } else if (result.kind == StepResult::Kind::kDecided) {
+      report.decisions[static_cast<std::size_t>(event.process)] = result.decision;
+      report.outputs.push_back(result.decision);
     }
   }
-  report.final_memory = std::move(memory);
+  report.final_memory = std::move(node.memory);
   if (obs.metrics != nullptr) {
     obs::MetricsRegistry& registry = *obs.metrics;
-    if (!schedule.empty()) {
-      registry.counter("replay.steps").add(0, schedule.size());
-    }
+    if (applied > 0) registry.counter("replay.steps").add(0, applied);
     if (!report.outputs.empty()) {
       registry.counter("replay.outputs").add(0, report.outputs.size());
     }

@@ -54,11 +54,17 @@ TEST(MinimizeTest, ShrinksAPaddedScheduleToAMinimalOne) {
   ASSERT_FALSE(found.clean);
   ASSERT_EQ(found.violation->property, sim::PropertyKind::kAgreement);
 
+  // Depth-first order: p0 writes and decides 1, then p1 writes and decides 2.
+  const std::vector<sim::ScheduleEvent> race = {
+      sim::ScheduleEvent::step(0), sim::ScheduleEvent::step(0),
+      sim::ScheduleEvent::step(1), sim::ScheduleEvent::step(1)};
+  ASSERT_EQ(found.violation->schedule, race);
+
+  // Redundant but legal padding: p0 crashes after deciding (its output
+  // stands) and re-writes its input before p1 runs.
   sim::Violation padded = *found.violation;
-  // Redundant prefix: a crash before anything ran is a no-op, and stepping a
-  // decided process is ignored by replay.
-  padded.schedule.insert(padded.schedule.begin(), sim::ScheduleEvent::crash(0));
-  padded.schedule.push_back(sim::ScheduleEvent::step(0));
+  padded.schedule.insert(padded.schedule.begin() + 2,
+                         {sim::ScheduleEvent::crash(0), sim::ScheduleEvent::step(0)});
 
   Budget budget;
   budget.crash_budget = 1;
@@ -75,7 +81,7 @@ TEST(MinimizeTest, ShrinksAPaddedScheduleToAMinimalOne) {
   // Still reproduces on a pristine copy, with the same typed property.
   const ScenarioSystem again = naive_register_system(2);
   const sim::ReplayReport replayed = sim::replay(
-      again.memory, again.processes, result.violation.schedule, again.properties);
+      again.memory, again.processes, result.violation.schedule, again.properties, budget);
   ASSERT_TRUE(replayed.violation.has_value());
   EXPECT_EQ(replayed.violation->property, sim::PropertyKind::kAgreement);
 
@@ -85,7 +91,7 @@ TEST(MinimizeTest, ShrinksAPaddedScheduleToAMinimalOne) {
     shorter.erase(shorter.begin() + static_cast<std::ptrdiff_t>(i));
     const ScenarioSystem copy = naive_register_system(2);
     const sim::ReplayReport report =
-        sim::replay(copy.memory, copy.processes, shorter, copy.properties);
+        sim::replay(copy.memory, copy.processes, shorter, copy.properties, budget);
     EXPECT_FALSE(report.violation.has_value() &&
                  report.violation->property == sim::PropertyKind::kAgreement)
         << "schedule not 1-minimal: event " << i << " is deletable";

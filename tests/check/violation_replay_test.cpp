@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "check/check.hpp"
+#include "check/spec_system.hpp"
+#include "check/violation_io.hpp"
 #include "rc/discerning_consensus.hpp"
 #include "sim/replay.hpp"
 #include "support/programs.hpp"
@@ -160,6 +162,80 @@ TEST(ViolationReplayTest, FacadeReplayStrategyReproducesToo) {
   ASSERT_FALSE(replayed.clean);
   EXPECT_NE(replayed.violation->description.find("agreement"), std::string::npos);
   EXPECT_EQ(replayed.violation->schedule, found.violation->schedule);
+}
+
+TEST(ViolationReplayTest, ReplayRejectsEventsTheModelDoesNotAllow) {
+  // One legality rule: replay takes an event iff engine::enumerate_events
+  // produces it at the node reached so far. Each file below parses (the
+  // parser checks syntax only) and holds one event its scenario does not
+  // allow. Replay stops there and reports the event's index, both directly
+  // and through check()'s kReplay, instead of reproducing a violation or
+  // aborting.
+  const struct {
+    const char* what;
+    const char* text;
+    std::size_t rejected;
+  } cases[] = {
+      {"out-of-range process",
+       "scenario type=register algo=naive-register n=2 budget=0\n"
+       "description agreement violated: x\n"
+       "step 0\n"
+       "step 7\n",
+       1},
+      {"step of a decided process",
+       "scenario type=register algo=naive-register n=2 budget=0\n"
+       "description agreement violated: x\n"
+       "step 0\n"
+       "step 0\n"
+       "step 0\n",
+       2},
+      {"crash over budget",
+       "scenario type=test-and-set n=2 model=independent budget=0 algo=halting\n"
+       "description agreement violated: x\n"
+       "step 0\n"
+       "crash 0\n",
+       1},
+      {"crash under model=simultaneous",
+       "scenario type=test-and-set n=2 model=simultaneous budget=1 algo=halting\n"
+       "description agreement violated: x\n"
+       "step 0\n"
+       "crash 0\n",
+       1},
+      {"crash-all under model=independent",
+       "scenario type=test-and-set n=2 model=independent budget=1 algo=halting\n"
+       "description agreement violated: x\n"
+       "step 0\n"
+       "crash-all\n",
+       1},
+      {"crash of a process that has not stepped in its run",
+       "scenario type=test-and-set n=2 model=independent budget=1 algo=halting\n"
+       "description agreement violated: x\n"
+       "step 0\n"
+       "crash 1\n",
+       1},
+  };
+  for (const auto& input : cases) {
+    SCOPED_TRACE(input.what);
+    const ViolationParse parse = parse_violation_file(input.text);
+    ASSERT_TRUE(parse.ok()) << parse.errors.front();
+    const ViolationFile& file = *parse.file;
+
+    const ScenarioSystem system = build_spec_system(file.scenario);
+    const sim::ReplayReport replayed =
+        sim::replay(system.memory, system.processes, file.schedule, system.properties,
+                    file.scenario.budget());
+    EXPECT_EQ(replayed.rejected, input.rejected);
+    EXPECT_FALSE(replayed.violation.has_value());
+
+    CheckRequest request;
+    request.system = build_spec_system(file.scenario);
+    request.budget = file.scenario.budget();
+    request.strategy = Strategy::kReplay;
+    request.schedule = file.schedule;
+    const CheckReport report = check(std::move(request));
+    EXPECT_EQ(report.rejected, input.rejected);
+    EXPECT_FALSE(report.violation.has_value());
+  }
 }
 
 }  // namespace

@@ -210,7 +210,7 @@ TEST(DifferentialTest, NaiveRegisterRaceMatchesTheReferenceViolation) {
     EXPECT_EQ(outcome.stats.classified(), outcome.stats.transitions);
     const sim::ReplayReport replayed =
         sim::replay(system.memory, system.processes, outcome.violation->schedule,
-                    config.properties, config.max_steps_per_run);
+                    config.properties, config);
     ASSERT_TRUE(replayed.violation.has_value());
     EXPECT_EQ(replayed.violation->property, oracle.violation->property);
   }

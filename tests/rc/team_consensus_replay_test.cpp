@@ -62,16 +62,16 @@ TEST(TeamConsensusReplayTest, CrashedWinnerRerunsAndStaysConsistent) {
       sim::ScheduleEvent::step(first),  // second read / update
       sim::ScheduleEvent::crash(first),
   };
-  // Re-run to completion.
-  for (int i = 0; i < 8; ++i) schedule.push_back(sim::ScheduleEvent::step(first));
-  // Everyone else runs to completion afterwards.
-  for (int p = 1; p < 3; ++p) {
-    for (int i = 0; i < 8; ++i) schedule.push_back(sim::ScheduleEvent::step(p));
+  // The re-run finds the object off q0 and decides in three accesses
+  // (announce, read object, read register); so does everyone else afterwards.
+  for (int p = 0; p < 3; ++p) {
+    for (int i = 0; i < 3; ++i) schedule.push_back(sim::ScheduleEvent::step(p));
   }
   const auto report =
       sim::replay(std::move(system.memory), std::move(system.processes), schedule);
+  EXPECT_FALSE(report.rejected.has_value());
   EXPECT_FALSE(report.violation.has_value()) << report.violation->description;
-  EXPECT_GE(report.outputs.size(), 3u);
+  EXPECT_EQ(report.outputs.size(), 3u);
   for (const typesys::Value out : report.outputs) {
     EXPECT_EQ(out, report.outputs.front());
   }
@@ -99,12 +99,15 @@ TEST(TeamConsensusReplayTest, ObjectAlreadyDecidedShortCircuits) {
   std::shared_ptr<const typesys::ObjectType> type = typesys::make_type("Sn(3)");
   TeamConsensusSystem system = make_team_consensus_system(*type, 3, kInputA, kInputB);
   std::vector<sim::ScheduleEvent> schedule;
-  for (int i = 0; i < 8; ++i) schedule.push_back(sim::ScheduleEvent::step(0));
+  // p0 runs alone to its decision in six accesses.
+  for (int i = 0; i < 6; ++i) schedule.push_back(sim::ScheduleEvent::step(0));
   schedule.push_back(sim::ScheduleEvent::step(1));  // announce
   schedule.push_back(sim::ScheduleEvent::step(1));  // read object (≠ q0)
   schedule.push_back(sim::ScheduleEvent::step(1));  // read winner register → decide
   const auto report =
       sim::replay(std::move(system.memory), std::move(system.processes), schedule);
+  EXPECT_FALSE(report.rejected.has_value());
+  ASSERT_TRUE(report.decisions[0].has_value());
   ASSERT_TRUE(report.decisions[1].has_value());
   EXPECT_EQ(*report.decisions[1], report.outputs.front());
 }

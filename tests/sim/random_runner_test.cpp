@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "rc/naive_register.hpp"
 #include "rc/race.hpp"
 #include "sim/replay.hpp"
 #include "typesys/types/rmw.hpp"
@@ -92,8 +93,9 @@ TEST(RandomRunnerTest, FullCrashRateCrashesEverySlotUntilBudgetSpent) {
   config.crash_per_mille = 1000;  // upper edge: crash whenever budget remains
   config.crash_budget = 6;
   const auto report = run_random(std::move(memory), std::move(processes), config);
-  // Every scheduling slot while budget remains injects a crash, so the
-  // budget is fully spent before the first uninterrupted step.
+  // Every slot where a crash is enabled (budget remains and some process has
+  // stepped in its run or decided) injects one, so the budget is spent by
+  // crashing each first step until it runs out.
   EXPECT_EQ(report.crashes, config.crash_budget);
   EXPECT_TRUE(report.all_decided);
   EXPECT_FALSE(report.violation.has_value());
@@ -109,19 +111,44 @@ TEST(RandomRunnerDeathTest, OutOfRangeCrashRateAsserts) {
 
 TEST(RandomRunnerTest, RecordedScheduleReplaysIdentically) {
   // Every random run records its schedule in the shared ScheduleEvent
-  // vocabulary; replaying it must reproduce the exact output sequence.
-  auto [memory, processes] = make_race_system(3);
-  auto [memory2, processes2] = make_race_system(3);
-  RandomRunConfig config;
-  config.seed = 21;
-  config.crash_per_mille = 250;
-  const auto report = run_random(std::move(memory), std::move(processes), config);
-  ASSERT_FALSE(report.schedule.empty());
-  EXPECT_EQ(report.schedule.size(),
-            static_cast<std::size_t>(report.steps + report.crashes));
-  const auto replayed =
-      replay(std::move(memory2), std::move(processes2), report.schedule);
-  EXPECT_EQ(replayed.outputs, report.outputs);
+  // vocabulary and picks only events the engine enables, so the schedule is
+  // an execution of the model: replay under the same budget takes every
+  // event and reproduces the exact output sequence and violation. The CAS
+  // race stays clean; the naive register breaks agreement on most seeds.
+  const auto naive_register_system = [] {
+    rc::NaiveRegisterSystem system = rc::make_naive_register_system(3);
+    return std::pair{std::move(system.memory), std::move(system.processes)};
+  };
+  int violations = 0;
+  for (const bool racy : {false, true}) {
+    for (const CrashModel model : {CrashModel::kIndependent, CrashModel::kSimultaneous}) {
+      for (const std::uint64_t seed : {3, 21, 42, 77, 1001}) {
+        SCOPED_TRACE(std::string(racy ? "naive-register" : "cas-race") + " model=" +
+                     std::to_string(static_cast<int>(model)) +
+                     " seed=" + std::to_string(seed));
+        auto [memory, processes] = racy ? naive_register_system() : make_race_system(3);
+        auto [memory2, processes2] = racy ? naive_register_system() : make_race_system(3);
+        RandomRunConfig config;
+        config.seed = seed;
+        config.crash_model = model;
+        config.crash_per_mille = 250;
+        config.crash_budget = 4;
+        config.properties.add({PropertyKind::kAtMostOnceDecide, 0});
+        const auto report = run_random(std::move(memory), std::move(processes), config);
+        ASSERT_FALSE(report.schedule.empty());
+        EXPECT_EQ(report.schedule.size(),
+                  static_cast<std::size_t>(report.steps + report.crashes));
+        EXPECT_EQ(report.violation.has_value(), racy && report.violation.has_value());
+        violations += report.violation.has_value() ? 1 : 0;
+        const auto replayed = replay(std::move(memory2), std::move(processes2),
+                                     report.schedule, config.properties, config);
+        EXPECT_FALSE(replayed.rejected.has_value());
+        EXPECT_EQ(replayed.outputs, report.outputs);
+        EXPECT_EQ(replayed.violation, report.violation);
+      }
+    }
+  }
+  EXPECT_GT(violations, 0);
 }
 
 TEST(RandomRunnerTest, SimultaneousModelRuns) {
