@@ -1,42 +1,20 @@
 // Experiment E12 — methodological: the cost of deciding the paper's
 // properties. Positive verdicts (witness exists) are found via the heuristic
 // pre-pass; negative verdicts require the exhaustive multiset enumeration and
-// dominate. Also benchmarks the model-checking facade (check::check with
-// Strategy::kAuto) on the Figure 2 algorithm, the repository's most expensive
-// verification, and writes the facade timings machine-readably to
-// BENCH_checker.json.
+// dominate. The model checker's own cost (check::check on the Figure 2
+// algorithm) is timed by perfbench's spec-sweep workload.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <ctime>
-#include <fstream>
 #include <iostream>
-#include <thread>
 
-#include "check/check.hpp"
 #include "hierarchy/discerning.hpp"
 #include "hierarchy/recording.hpp"
-#include "rc/team_consensus.hpp"
 #include "typesys/types/sn.hpp"
 #include "typesys/types/tn.hpp"
-#include "typesys/zoo.hpp"
-#include "util/json.hpp"
 
 namespace {
 
 using namespace rcons;
-
-check::CheckRequest make_team_request(int crash_budget) {
-  std::shared_ptr<const typesys::ObjectType> type = typesys::make_type("Sn(3)");
-  rc::TeamConsensusSystem system = rc::make_team_consensus_system(*type, 3, 1, 2);
-  check::CheckRequest request;
-  request.system.memory = std::move(system.memory);
-  request.system.processes = std::move(system.processes);
-  request.system.properties.valid_outputs = {1, 2};
-  request.budget.crash_budget = crash_budget;
-  request.strategy = check::Strategy::kAuto;
-  return request;
-}
 
 void BM_PositiveRecording(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -62,78 +40,19 @@ void BM_NegativeDiscerning(benchmark::State& state) {
   }
 }
 
-void BM_CheckTeamConsensus(benchmark::State& state) {
-  const int crash_budget = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const check::CheckReport report = check::check(make_team_request(crash_budget));
-    benchmark::DoNotOptimize(report.clean);
-    state.counters["states"] = static_cast<double>(report.stats.visited);
-  }
-}
-
-// UTC wall-clock for the JSON rows: comparing artifacts from different
-// machines/runs needs to know *when* and on *how many cores* each was made.
-std::string iso8601_now() {
-  const std::time_t now =
-      std::chrono::system_clock::to_time_t(std::chrono::system_clock::now());
-  std::tm utc{};
-  gmtime_r(&now, &utc);
-  char buffer[32];
-  std::strftime(buffer, sizeof(buffer), "%Y-%m-%dT%H:%M:%SZ", &utc);
-  return buffer;
-}
-
-// The facade path timed once per budget, written to BENCH_checker.json so the
-// perf trajectory accumulates without parsing benchmark text output. Every row
-// carries hardware_concurrency + wall_clock so artifacts produced on small CI
-// runners are detectable after the fact.
-void write_checker_json() {
-  const unsigned hardware_threads = std::thread::hardware_concurrency();
-  std::ofstream json_file("BENCH_checker.json");
-  util::JsonWriter json(json_file);
-  json.begin_object();
-  json.key_value("bench", "checker");
-  json.key_value("hardware_concurrency", static_cast<std::int64_t>(hardware_threads));
-  json.key_value("wall_clock", iso8601_now());
-  json.key("rows");
-  json.begin_array();
-  for (int crash_budget = 0; crash_budget <= 3; ++crash_budget) {
-    const check::CheckReport report = check::check(make_team_request(crash_budget));
-    json.begin_object();
-    json.key_value("type", "Sn(3)");
-    json.key_value("n", 3);
-    json.key_value("crash_budget", crash_budget);
-    json.key_value("strategy", check::strategy_name(report.strategy));
-    json.key_value("verdict", report.clean ? "clean" : "violation");
-    json.key_value("visited", report.stats.visited);
-    json.key_value("seconds", report.seconds);
-    json.key_value("hardware_concurrency",
-                   static_cast<std::int64_t>(hardware_threads));
-    json.key_value("wall_clock", iso8601_now());
-    json.end_object();
-  }
-  json.end_array();
-  json.end_object();
-  json_file << "\n";
-}
-
 }  // namespace
 
 BENCHMARK(BM_PositiveRecording)->DenseRange(2, 8);
 BENCHMARK(BM_NegativeRecording)->DenseRange(2, 8);
 BENCHMARK(BM_NegativeDiscerning)->DenseRange(4, 8);
-BENCHMARK(BM_CheckTeamConsensus)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   std::cout << "=== E12: decision-procedure cost ===\n"
             << "Positive checks short-circuit via the heuristic pre-pass;\n"
-            << "negative checks pay for exhaustive enumeration; facade cost\n"
-            << "grows with the crash budget.\n\n";
+            << "negative checks pay for exhaustive enumeration.\n\n";
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  write_checker_json();
-  std::cout << "\nMachine-readable facade timings: BENCH_checker.json\n";
   return 0;
 }

@@ -104,12 +104,8 @@ ViolationParse parse_violation_file(std::istream& in) {
 
   if (!saw_scenario) result.errors.push_back("missing scenario line");
   if (!saw_description) result.errors.push_back("missing description line");
+  if (file.property == sim::PropertyKind::kNone) result.errors.push_back("missing property line");
   if (file.schedule.empty()) result.errors.push_back("schedule has no events");
-  // Files written before violations were typed carry no property line;
-  // recover the kind from the description's message prefix.
-  if (file.property == sim::PropertyKind::kNone && saw_description) {
-    file.property = sim::property_from_description(file.description);
-  }
   if (result.errors.empty()) result.file = std::move(file);
   return result;
 }

@@ -22,9 +22,8 @@
 // (sim/replay.hpp), which reports the first event it rejects.
 //
 // `property` carries the sim::PropertyKind name (plus its parameter when
-// non-zero, e.g. `property k-set-agreement 2`); files written before the
-// typed layer may omit the line, in which case the kind is recovered from
-// the description's message prefix. check_cli writes these with --save-viol;
+// non-zero, e.g. `property k-set-agreement 2`); a file without it is a parse
+// error ("missing property line"). check_cli writes these with --save-viol;
 // tests/check/corpus_test.cpp replays every checked-in corpus file.
 #ifndef RCONS_CHECK_VIOLATION_IO_HPP
 #define RCONS_CHECK_VIOLATION_IO_HPP

@@ -180,8 +180,8 @@ class CasTable {
   // any sealed array whose sweep is pending (an array whose sweep completed
   // holds only keys its successors already have) — calling
   // `fn(key, value, meta)`.
-  // Caller contract: no concurrent inserts (the engine calls this only while
-  // every worker is parked at the pause barrier or after they joined). A key
+  // Caller contract: no concurrent inserts (the engine calls this only after
+  // every worker joined, or before any started). A key
   // carried over by a partial migration sweep appears in both its sealed and
   // its destination array with the SAME value and meta, so callers needing
   // uniqueness dedup by value.

@@ -1,5 +1,8 @@
 #include "engine/checkpoint.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
 #include <iterator>
@@ -192,11 +195,14 @@ bool write_checkpoint(const std::string& path, const CheckpointData& data,
     error = "checkpoint: cannot open '" + tmp + "' for writing";
     return false;
   }
+  // The data must reach the disk before the rename publishes it, or an OS
+  // crash or power loss could leave an empty or torn file at `path` after
+  // the previous checkpoint was already replaced.
   const std::size_t written = std::fwrite(bytes.data(), 1, write_size, file);
-  const bool flushed = std::fflush(file) == 0;
-  std::fclose(file);
-  if (written != write_size || !flushed) {
-    error = "checkpoint: short write to '" + tmp + "'";
+  const bool synced = std::fflush(file) == 0 && ::fsync(::fileno(file)) == 0;
+  const bool closed = std::fclose(file) == 0;
+  if (written != write_size || !synced || !closed) {
+    error = "checkpoint: write to '" + tmp + "' failed";
     return false;
   }
   if (truncate) {
@@ -205,6 +211,17 @@ bool write_checkpoint(const std::string& path, const CheckpointData& data,
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     error = "checkpoint: cannot rename '" + tmp + "' to '" + path + "'";
+    return false;
+  }
+  // The rename itself is durable once the directory entry is.
+  const std::size_t slash = path.rfind('/');
+  const std::string dir =
+      slash == std::string::npos ? "." : slash == 0 ? "/" : path.substr(0, slash);
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  const bool dir_synced = dir_fd >= 0 && ::fsync(dir_fd) == 0;
+  if (dir_fd >= 0) ::close(dir_fd);
+  if (!dir_synced) {
+    error = "checkpoint: cannot sync directory '" + dir + "'";
     return false;
   }
   return true;

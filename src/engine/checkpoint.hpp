@@ -1,7 +1,7 @@
 // Durable checkpoints for the parallel exhaustive engine.
 //
-// A checkpoint is a consistent cut of a run taken while every worker is
-// parked at a pause barrier (or after they joined): the interned node records
+// A checkpoint is a consistent cut of a run taken after every worker joined
+// (a periodic one then restarts them): the interned node records
 // (which double as the visited set), the frontier as node indices, the
 // visited counter, the partial statistics, and the best violation found so
 // far. Resuming re-interns the records, re-seeds the frontier, and
@@ -32,10 +32,12 @@
 //   u64     frontier count   then per item: u64 node index
 //   u32     CRC-32 of everything above
 //
-// Durability protocol: serialize to memory, write `path + ".tmp"`, flush,
-// rename over `path`. A crash mid-write leaves the previous checkpoint
-// intact; a torn or tampered file fails the CRC (or a bounds check) and the
-// loader reports kCorrupt with a precise error — it never half-loads.
+// Durability protocol: serialize to memory, write `path + ".tmp"`, fsync it,
+// rename over `path`, fsync the directory. A process death, OS crash or
+// power loss at any point leaves either the previous checkpoint or the new
+// one at `path`, whole; a torn or tampered file fails the CRC (or a bounds
+// check) and the loader reports kCorrupt with a precise error — it never
+// half-loads.
 #ifndef RCONS_ENGINE_CHECKPOINT_HPP
 #define RCONS_ENGINE_CHECKPOINT_HPP
 

@@ -156,13 +156,13 @@ class CompactFrontier {
   }
 
   // Copies every queued item into `out` (appended) for checkpointing.
-  // Caller contract: every worker is parked (no concurrent push/pop) — the
+  // Caller contract: every worker has joined (no concurrent push/pop) — the
   // per-deque locks are still taken so a racy caller corrupts nothing, but
   // the snapshot is only a consistent cut at quiescence. Items are copied,
   // not drained; the run continues unchanged afterwards.
   void snapshot(std::vector<CompactWorkItem>& out) const {
     for (const std::unique_ptr<Deque>& deque : deques_) {
-      // rcons-lint: allow(hot-path-no-mutex) checkpoint snapshot runs only at quiescence (workers parked)
+      // rcons-lint: allow(hot-path-no-mutex) checkpoint snapshot runs only at quiescence (workers joined)
       std::lock_guard<std::mutex> lock(deque->mu);
       for (std::size_t i = deque->head; i < deque->items.size(); ++i) {
         out.push_back(deque->items[i]);

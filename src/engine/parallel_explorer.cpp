@@ -1,5 +1,6 @@
 #include "engine/parallel_explorer.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <new>
@@ -145,10 +146,9 @@ void ParallelExplorer::request_stop(sim::StopReason reason) {
   stop_reason_.compare_exchange_strong(expected, static_cast<int>(reason),
                                        std::memory_order_relaxed);
   stop_.store(true, std::memory_order_relaxed);
-  // A stop must never leave anyone waiting: release fault-injected stalls
-  // and wake the monitor so it can skip straight to its exit check.
+  // A stop must never leave anyone waiting: release fault-injected stalls.
+  // The workers then exit, and the last one wakes the coordinator.
   if (config_.fault != nullptr) config_.fault->release_stalls();
-  monitor_cv_.notify_all();
 }
 
 void ParallelExplorer::record_truncation(const PathLink* tail, const Event& event) {
@@ -389,148 +389,41 @@ std::optional<sim::Violation> ParallelExplorer::dfs(const typesys::Value* record
   return result;
 }
 
-// --- pause barrier ----------------------------------------------------------
-
-bool ParallelExplorer::pause_workers() {
-  {
-    std::lock_guard<std::mutex> lock(pause_mu_);
-    pause_requested_ = true;
-    pause_flag_.store(true, std::memory_order_relaxed);
-  }
-  std::unique_lock<std::mutex> lock(pause_mu_);
-  // Grace period: a worker wedged by fault injection (or a real stall — the
-  // very condition the watchdog reports) must not deadlock checkpointing.
-  const auto grace = std::chrono::milliseconds(
-      config_.sentinel_interval_ms * 100 < 5000 ? 5000
-                                                : config_.sentinel_interval_ms * 100);
-  const bool parked = parked_cv_.wait_for(lock, grace, [&] {
-    return parked_ == live_workers_ || stop_.load(std::memory_order_relaxed);
-  });
-  if (!parked || stop_.load(std::memory_order_relaxed)) {
-    pause_requested_ = false;
-    pause_flag_.store(false, std::memory_order_relaxed);
-    lock.unlock();
-    pause_cv_.notify_all();
-    return false;
-  }
-  // Barrier postcondition: the predicate can only have passed via the parked
-  // count (the stop branch returned above), and parked workers cannot leave
-  // while we hold pause_mu_ with pause_requested_ still set.
-  RCONS_DCHECK_MSG(parked_ == live_workers_ && pause_requested_,
-                   "pause barrier reported success without full quiescence");
-  return true;  // every live worker is parked; frontier + store quiescent
-}
-
-void ParallelExplorer::resume_workers() {
-  {
-    std::lock_guard<std::mutex> lock(pause_mu_);
-    pause_requested_ = false;
-    pause_flag_.store(false, std::memory_order_relaxed);
-  }
-  pause_cv_.notify_all();
-}
-
-void ParallelExplorer::worker_pause_point() {
-  std::unique_lock<std::mutex> lock(pause_mu_);
-  if (!pause_requested_) return;  // raced with resume (or an aborted pause)
-  parked_ += 1;
-  parked_cv_.notify_all();
-  pause_cv_.wait(lock, [&] { return !pause_requested_; });
-  parked_ -= 1;
-}
+// --- worker loop ---------------------------------------------------------------
 
 void ParallelExplorer::worker_exit(int id) {
   heartbeats_[static_cast<std::size_t>(id)].beats.store(kHeartbeatExited,
                                                         std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(pause_mu_);
-    live_workers_ -= 1;
-  }
-  // A pause in flight may be waiting on this worker's park; its exit
-  // satisfies the barrier the same way.
-  parked_cv_.notify_all();
+  std::lock_guard<std::mutex> lock(exit_mu_);
+  if (--running_ == 0) exit_cv_.notify_all();
 }
 
-// --- monitor (watchdog, periodic checkpoints) ----------------------------------
-
-bool ParallelExplorer::monitor_needed() const {
-  return config_.watchdog_stall_intervals > 0 ||
-         (!config_.checkpoint_path.empty() && config_.checkpoint_every > 0);
-}
-
-void ParallelExplorer::monitor_loop(const std::function<bool()>& write_snapshot) {
-  const std::uint64_t ckpt_every =
-      write_snapshot != nullptr ? config_.checkpoint_every : 0;
-
-  std::vector<std::uint64_t> last_beats(static_cast<std::size_t>(num_threads_), 0);
-  std::vector<int> stalled(static_cast<std::size_t>(num_threads_), 0);
-  std::uint64_t last_ckpt_visited = base_.visited;
-
-  std::unique_lock<std::mutex> lock(monitor_mu_);
-  for (;;) {
-    monitor_cv_.wait_for(lock,
-                         std::chrono::milliseconds(config_.sentinel_interval_ms),
-                         [&] { return monitor_exit_; });
-    if (monitor_exit_) return;
-    if (stop_.load(std::memory_order_relaxed)) continue;  // wait for the join
-
-    if (config_.watchdog_stall_intervals > 0) {
-      std::string dump;
-      for (int i = 0; i < num_threads_; ++i) {
-        const auto slot = static_cast<std::size_t>(i);
-        const std::uint64_t beats = heartbeats_[slot].beats.load(std::memory_order_relaxed);
-        if (beats == kHeartbeatExited) {
-          stalled[slot] = 0;
-          continue;
-        }
-        if (beats == last_beats[slot]) {
-          stalled[slot] += 1;
-        } else {
-          stalled[slot] = 0;
-          last_beats[slot] = beats;
-        }
-        if (stalled[slot] >= config_.watchdog_stall_intervals) {
-          dump += " worker " + std::to_string(i) + ": no progress for " +
-                  std::to_string(stalled[slot]) + " intervals (heartbeat=" +
-                  std::to_string(beats) + ")";
-        }
-      }
-      if (!dump.empty()) {
-        {
-          std::lock_guard<std::mutex> vlock(violation_mu_);
-          watchdog_dump_ = dump;
-        }
-        request_stop(sim::StopReason::kWatchdog);
-        continue;
-      }
+bool ParallelExplorer::stalled(Watch& watch, std::string& dump) const {
+  for (int i = 0; i < num_threads_; ++i) {
+    const auto slot = static_cast<std::size_t>(i);
+    const std::uint64_t beats = heartbeats_[slot].beats.load(std::memory_order_relaxed);
+    if (beats == kHeartbeatExited) {
+      watch.stalled[slot] = 0;
+      continue;
     }
-    if (ckpt_every != 0) {
-      const std::uint64_t visited = visited_count_.load(std::memory_order_relaxed);
-      if (visited >= last_ckpt_visited + ckpt_every) {
-        // The snapshot pauses the workers itself; drop monitor_mu_ so
-        // request_stop (from a worker hitting the cap meanwhile) never
-        // queues behind the pause.
-        lock.unlock();
-        const bool written = write_snapshot();
-        lock.lock();
-        if (written) last_ckpt_visited = visited;
-      }
+    if (beats == watch.last_beats[slot]) {
+      watch.stalled[slot] += 1;
+    } else {
+      watch.stalled[slot] = 0;
+      watch.last_beats[slot] = beats;
+    }
+    if (watch.stalled[slot] >= config_.watchdog_stall_intervals) {
+      dump += " worker " + std::to_string(i) + ": no progress for " +
+              std::to_string(watch.stalled[slot]) + " intervals (heartbeat=" +
+              std::to_string(beats) + ")";
     }
   }
-}
-
-void ParallelExplorer::stop_monitor(std::thread& monitor) {
-  if (!monitor.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lock(monitor_mu_);
-    monitor_exit_ = true;
-  }
-  monitor_cv_.notify_all();
-  monitor.join();
+  return !dump.empty();
 }
 
 void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& arena,
-                              std::atomic<std::uint64_t>& pending, Tally& local) {
+                              std::atomic<std::uint64_t>& pending, Tally& local,
+                              Tally& flushed) {
   // Per-worker reusable state: the expansion scratch, the popped and
   // successor batches, and the recently-inserted cache. Zero allocations per
   // successor after warmup.
@@ -547,7 +440,6 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
   if (tracer != nullptr) {
     tracer->set_lane_name(trace_lane, "worker-" + std::to_string(id));
   }
-  Tally flushed;
   // Workers flush only at event-classification boundaries, where the
   // conservation law must hold exactly. The pending gauge is last-write-wins,
   // so any worker's relaxed sample is equally good.
@@ -578,14 +470,12 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
         if (reason != sim::StopReason::kNone) request_stop(reason);
       }
       if (batch.empty()) {
-        // Cooperative stop: exit immediately. Queued work stays queued (and
-        // pending-counted), so a checkpoint taken after the join still sees
-        // every outstanding item; every worker leaves through this check, so
-        // pending never reaching 0 cannot hang anyone.
-        if (stop_.load(std::memory_order_relaxed)) break;
-        if (pause_flag_.load(std::memory_order_relaxed)) {
-          worker_pause_point();
-          continue;
+        // Cooperative stop or yield: exit immediately. Queued work stays
+        // queued (and pending-counted), so the checkpoint taken after the
+        // join sees every outstanding item; every worker leaves through this
+        // check, so pending never reaching 0 cannot hang anyone.
+        if (stop_.load(std::memory_order_relaxed) || yield_.load(std::memory_order_relaxed)) {
+          break;
         }
         if (obs_cells_.active) flush_obs();
         // Adapt the batch size to observed steal pressure before popping.
@@ -614,10 +504,10 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
           if (stole) tracer->complete(trace_lane, "steal", pop_begin, batch_begin);
         }
       } else if (stop_.load(std::memory_order_relaxed) ||
-                 pause_flag_.load(std::memory_order_relaxed)) {
-        // Hand the unprocessed remainder back (still pending-counted) so a
-        // pause or post-stop checkpoint sees every outstanding item; the
-        // next iteration parks or exits.
+                 yield_.load(std::memory_order_relaxed)) {
+        // Hand the unprocessed remainder back (still pending-counted) so the
+        // checkpoint after the join sees every outstanding item; the next
+        // iteration exits.
         frontier.push_batch(id, batch);
         batch.clear();
         continue;
@@ -698,8 +588,6 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
   worker_exit(id);
 }
 
-// --- worker loop ---------------------------------------------------------------
-
 std::optional<sim::Violation> ParallelExplorer::run() {
   reset_run();
   return explore();
@@ -717,20 +605,10 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
   stop_.store(false, std::memory_order_relaxed);
   stop_reason_.store(static_cast<int>(sim::StopReason::kNone), std::memory_order_relaxed);
   truncated_.store(false, std::memory_order_relaxed);
-  checkpoints_written_.store(0, std::memory_order_relaxed);
+  yield_.store(false, std::memory_order_relaxed);
+  checkpoints_written_ = 0;
   resumed_checkpoints_ = 0;
   heartbeats_ = std::make_unique<Heartbeat[]>(static_cast<std::size_t>(num_threads_));
-  {
-    std::lock_guard<std::mutex> lock(pause_mu_);
-    pause_requested_ = false;
-    parked_ = 0;
-    live_workers_ = num_threads_;
-  }
-  pause_flag_.store(false, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(monitor_mu_);
-    monitor_exit_ = false;
-  }
   if (obs_cells_.active) {
     obs_cells_.visited_cap->set(static_cast<std::int64_t>(config_.visited_cap()));
     obs_cells_.num_threads->set(num_threads_);
@@ -740,6 +618,7 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
   std::vector<PathArena> arenas(static_cast<std::size_t>(num_threads_));
   std::atomic<std::uint64_t> pending{0};
   std::vector<Tally> tallies(static_cast<std::size_t>(num_threads_));
+  std::vector<Tally> flushed(static_cast<std::size_t>(num_threads_));
   auto seed = [&](std::size_t i, const typesys::Value* record, std::uint32_t length,
                   const PathLink* tail) {
     pending.fetch_add(1, std::memory_order_release);
@@ -827,15 +706,13 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
   const std::uint64_t config_hash = checkpoint_config_hash(config_);
 
   // Fills a checkpoint from the current state. Caller contract: the workers
-  // are parked at the pause barrier or have all joined (frontier + store
-  // quiescent, tallies stable).
+  // have all joined (frontier + store quiescent, tallies stable).
   auto gather = [&](CheckpointData& data) {
     data.config_hash = config_hash;
     data.label = config_.checkpoint_label;
     data.root_fp = root_encoded.fingerprint;
     static_cast<Tally&>(data.stats) = total();
-    data.stats.checkpoints_written =
-        resumed_checkpoints_ + checkpoints_written_.load(std::memory_order_relaxed);
+    data.stats.checkpoints_written = resumed_checkpoints_ + checkpoints_written_;
     {
       std::lock_guard<std::mutex> lock(violation_mu_);
       data.has_violation = has_violation_;
@@ -859,7 +736,7 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
         });
     std::vector<CompactWorkItem> items;
     frontier.snapshot(items);
-    // Quiescence invariant (PR 8): with every worker parked or joined, each
+    // Quiescence invariant (PR 8): with every worker joined, each
     // pending-counted item is physically in the frontier — none are buffered
     // worker-side or mid-expansion. A mismatch means the cut is not
     // consistent and the checkpoint would silently lose or duplicate work.
@@ -875,57 +752,77 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
     }
   };
 
-  // Periodic snapshot (monitor thread): park everyone, gather, resume, then
-  // write outside the barrier so a slow disk never blocks exploration.
-  auto write_snapshot = [&]() -> bool {
-    if (!pause_workers()) return false;  // stop in flight or a wedged worker
-    CheckpointData data;
-    gather(data);
-    resume_workers();
-    std::string error;
-    if (!write_checkpoint(config_.checkpoint_path, data, config_.fault, error)) {
-      return false;
+  std::vector<std::thread> threads;
+  auto start_workers = [&] {
+    running_ = num_threads_;  // no worker runs, so no lock is needed
+    threads.clear();
+    for (int id = 0; id < num_threads_; ++id) {
+      const auto slot = static_cast<std::size_t>(id);
+      threads.emplace_back([this, id, slot, &frontier, &arenas, &pending, &tallies, &flushed] {
+        worker(id, frontier, arenas[slot], pending, tallies[slot], flushed[slot]);
+      });
     }
-    checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
-    return true;
   };
 
-  std::thread monitor;
-  if (monitor_needed()) {
-    std::function<bool()> snapshot_fn;
-    if (!config_.checkpoint_path.empty() && config_.checkpoint_every > 0) {
-      snapshot_fn = write_snapshot;
+  // The coordinator: this thread waits for the workers to exit, and once per
+  // sentinel interval meanwhile runs the watchdog scan and the periodic
+  // checkpoint trigger. Each time every worker has exited it joins them and
+  // gathers a checkpoint — the only place one is taken. After a yield
+  // (neither a stop nor a drained frontier) it restarts the workers and
+  // writes the file while they run; otherwise the run is over and this is
+  // the final checkpoint, complete, truncated or violating alike.
+  const bool periodic = !config_.checkpoint_path.empty() && config_.checkpoint_every > 0;
+  const auto n = static_cast<std::size_t>(num_threads_);
+  Watch watch{std::vector<std::uint64_t>(n, 0), std::vector<int>(n, 0)};
+  std::uint64_t next_checkpoint = base_.visited + config_.checkpoint_every;
+  start_workers();
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(exit_mu_);
+      if (!exit_cv_.wait_for(lock, std::chrono::milliseconds(config_.sentinel_interval_ms),
+                             [&] { return running_ == 0; })) {
+        lock.unlock();
+        if (stop_.load(std::memory_order_relaxed)) continue;  // the workers are leaving
+        std::string dump;
+        if (config_.watchdog_stall_intervals > 0 && stalled(watch, dump)) {
+          {
+            std::lock_guard<std::mutex> vlock(violation_mu_);
+            watchdog_dump_ = dump;
+          }
+          request_stop(sim::StopReason::kWatchdog);
+        } else if (periodic && visited_count_.load(std::memory_order_relaxed) >= next_checkpoint) {
+          yield_.store(true, std::memory_order_relaxed);
+        }
+        continue;
+      }
     }
-    monitor = std::thread([this, snapshot_fn] { monitor_loop(snapshot_fn); });
-  }
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(num_threads_));
-  for (int id = 0; id < num_threads_; ++id) {
-    const auto slot = static_cast<std::size_t>(id);
-    threads.emplace_back([this, id, slot, &frontier, &arenas, &pending, &tallies] {
-      worker(id, frontier, arenas[slot], pending, tallies[slot]);
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  stop_monitor(monitor);
-
-  // Final checkpoint at exit — complete, truncated, or violating alike. The
-  // workers joined, so the cut is trivially consistent (no pause needed).
-  if (!config_.checkpoint_path.empty()) {
+    for (std::thread& thread : threads) thread.join();
+    const bool restart = yield_.load(std::memory_order_relaxed) &&
+                        !stop_.load(std::memory_order_relaxed) &&
+                        pending.load(std::memory_order_relaxed) != 0;
+    yield_.store(false, std::memory_order_relaxed);
     CheckpointData data;
-    gather(data);
-    std::string error;
-    if (write_checkpoint(config_.checkpoint_path, data, config_.fault, error)) {
-      checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
+    if (!config_.checkpoint_path.empty()) gather(data);
+    if (restart) {
+      // A restarted worker beats from 1 again: forget the old readings, so
+      // the time spent at the cut never counts as a stall.
+      std::fill(watch.stalled.begin(), watch.stalled.end(), 0);
+      std::fill(watch.last_beats.begin(), watch.last_beats.end(), 0);
+      start_workers();
+      next_checkpoint = data.stats.visited + config_.checkpoint_every;
     }
+    std::string error;
+    if (!config_.checkpoint_path.empty() &&
+        write_checkpoint(config_.checkpoint_path, data, config_.fault, error)) {
+      checkpoints_written_ += 1;
+    }
+    if (!restart) break;
   }
 
   const auto reason =
       static_cast<sim::StopReason>(stop_reason_.load(std::memory_order_relaxed));
   finish_stats(total(), reason);
-  stats_.checkpoints_written =
-      resumed_checkpoints_ + checkpoints_written_.load(std::memory_order_relaxed);
+  stats_.checkpoints_written = resumed_checkpoints_ + checkpoints_written_;
   store_.reset();
   if (obs_cells_.active) {
     // Steal totals live in the frontier internals; publish them once per run

@@ -35,6 +35,13 @@
 // lexicographically lowest trace among every violation it found (same event
 // order as the DFS).
 //
+// The worker loop runs on num_threads() threads while the thread that
+// called run() or escalate() coordinates: once per sentinel interval it scans
+// the heartbeats for the watchdog and checks whether a periodic checkpoint is
+// due. Every checkpoint, periodic or final, is gathered after the workers
+// joined; a periodic one restarts them on the same frontier and store (see
+// explore()).
+//
 // The worker hot path is allocation-free, batch-oriented, and mutex-free:
 // frontier items are stored inline and submitted/drained in batches
 // (engine/frontier.hpp) with pop-batch sizes adapted to observed steal
@@ -55,12 +62,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "engine/expand.hpp"
@@ -204,37 +209,38 @@ class ParallelExplorer {
   // Cooperative stop: request_stop records the first reason (CAS,
   // first-writer-wins) and flips stop_. Workers observe stop_ at their loop
   // top, hand any in-hand batch back to the frontier (still pending-counted,
-  // so a checkpoint sees every outstanding item) and exit; a worker stopped
-  // mid-expansion re-queues the partially-expanded item without releasing
-  // its pending slot — re-expansion after a resume only produces duplicate
-  // interns, so visited counts stay exact. Workers may therefore exit with
-  // pending > 0; every exit path is either "frontier drained" (pending == 0)
-  // or "stop observed".
+  // so the checkpoint taken after the join sees every outstanding item) and
+  // exit; a worker stopped mid-expansion re-queues the partially-expanded
+  // item without releasing its pending slot — re-expansion after a resume
+  // only produces duplicate interns, so visited counts stay exact. Workers
+  // may therefore exit with pending > 0; every exit path is "frontier
+  // drained" (pending == 0), "stop observed" or "yield observed".
+  //
+  // Consistent cut: a checkpoint is gathered only after every worker joined,
+  // when the frontier holds all pending items and the store is quiescent.
+  // For a periodic checkpoint the coordinator sets yield_; workers check it
+  // only between frontier items (never inside an expansion, so no item is
+  // expanded twice and `transitions` stays exact), hand their batches back
+  // and exit. The coordinator joins them, gathers, restarts them on the
+  // same frontier, store, arenas and per-slot tallies, and writes the file
+  // while they run.
   std::optional<sim::Violation> explore();
   void request_stop(sim::StopReason reason);
-
-  // Pause barrier for consistent checkpoints: the monitor sets
-  // pause_flag_, workers hand their batches back and park in
-  // worker_pause_point() until resume_workers(). When every live worker is
-  // parked the frontier holds ALL pending items and the store is quiescent —
-  // the consistent cut the checkpoint serializes. pause_workers() aborts
-  // (returning false) on a stop or if a worker fails to park within a grace
-  // period (e.g. wedged by fault injection) — a checkpoint is then skipped,
-  // never deadlocked on.
-  bool pause_workers();
-  void resume_workers();
-  void worker_pause_point();
   void worker_exit(int id);
 
-  // Watchdog / periodic-checkpoint monitor. Runs only when one of those is
-  // enabled (monitor_needed()). `write_snapshot` (null when periodic
-  // checkpointing is off) pauses the workers, gathers, resumes, and writes.
-  bool monitor_needed() const;
-  void monitor_loop(const std::function<bool()>& write_snapshot);
-  void stop_monitor(std::thread& monitor);
+  // One watchdog scan over the heartbeats (the coordinator calls it once per
+  // sentinel interval): true, with a per-worker dump, when a live worker's
+  // heartbeat stood still for watchdog_stall_intervals scans in a row.
+  struct Watch {
+    std::vector<std::uint64_t> last_beats;
+    std::vector<int> stalled;
+  };
+  bool stalled(Watch& watch, std::string& dump) const;
 
+  // `flushed` is the slot's last obs flush; it outlives a restart, so the
+  // registry's counters keep equalling the stats.
   void worker(int id, CompactFrontier& frontier, PathArena& arena,
-              std::atomic<std::uint64_t>& pending, Tally& local);
+              std::atomic<std::uint64_t>& pending, Tally& local, Tally& flushed);
 
   void offer_violation(std::vector<Event> path, sim::PropertyViolation broken);
   void record_truncation(const PathLink* tail, const Event& event);
@@ -283,39 +289,33 @@ class ParallelExplorer {
   std::vector<Deferred> cut_;
   bool draining_ = false;
 
-  // Worker-loop state. visited_count_ is bumped per new state and stop_ is
-  // loaded before every event, so each gets its own cache line.
+  // Worker-loop state. visited_count_ is bumped per new state; stop_ is
+  // loaded before every event and yield_ before every frontier item, and
+  // both are written rarely, so the counter gets a cache line and the flags
+  // share another.
   alignas(64) std::atomic<std::uint64_t> visited_count_{0};
   alignas(64) std::atomic<bool> stop_{false};
+  std::atomic<bool> yield_{false};      // a periodic checkpoint is due
   std::atomic<bool> truncated_{false};  // a truncation path was recorded
 
   // First stop reason wins (holds sim::StopReason as int; 0 = kNone).
   std::atomic<int> stop_reason_{0};
-  std::atomic<std::uint64_t> checkpoints_written_{0};
+  std::uint64_t checkpoints_written_ = 0;
   std::uint64_t resumed_checkpoints_ = 0;
 
   // Per-worker progress heartbeats, bumped once per frontier item; the
-  // monitor's watchdog samples them per sentinel interval. kHeartbeatExited
-  // marks a worker that returned (never a stall).
+  // coordinator's watchdog samples them per sentinel interval.
+  // kHeartbeatExited marks a worker that returned (never a stall).
   struct alignas(64) Heartbeat {
     std::atomic<std::uint64_t> beats{0};
   };
   static constexpr std::uint64_t kHeartbeatExited = ~std::uint64_t{0};
   std::unique_ptr<Heartbeat[]> heartbeats_;
 
-  // Pause barrier state (see pause_workers). pause_flag_ mirrors
-  // pause_requested_ for the workers' relaxed fast-path check.
-  std::mutex pause_mu_;
-  std::condition_variable pause_cv_;   // workers wait here while paused
-  std::condition_variable parked_cv_;  // coordinator waits for a full park
-  bool pause_requested_ = false;       // guarded by pause_mu_
-  int parked_ = 0;                     // guarded by pause_mu_
-  int live_workers_ = 0;               // guarded by pause_mu_
-  std::atomic<bool> pause_flag_{false};
-
-  std::mutex monitor_mu_;
-  std::condition_variable monitor_cv_;
-  bool monitor_exit_ = false;  // guarded by monitor_mu_
+  // Workers still running; the last one to exit wakes the coordinator.
+  std::mutex exit_mu_;
+  std::condition_variable exit_cv_;
+  int running_ = 0;  // guarded by exit_mu_
 
   std::mutex violation_mu_;
   bool has_violation_ = false;

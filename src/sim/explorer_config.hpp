@@ -83,11 +83,11 @@ struct ExplorerConfig : check::Budget {
 
   // --- robustness layer (engine/sentinel.hpp, engine/checkpoint.hpp) ------
 
-  // Watchdog and periodic-checkpoint period: the worker loop runs a monitor
-  // thread at this cadence when either is enabled. The time and memory
-  // limits are not sampled here: whichever traversal is running polls them
-  // inline every 1024 transitions. Hot paths with everything off never touch
-  // a clock.
+  // Watchdog and periodic-checkpoint period: while the workers run, the
+  // thread that started the worker loop checks both at this cadence when
+  // either is enabled. The time and memory limits are not sampled here:
+  // whichever traversal is running polls them inline every 1024
+  // transitions. Hot paths with everything off never touch a clock.
   int sentinel_interval_ms = 50;
 
   // Watchdog: fail the run (StopReason::kWatchdog, with a per-worker

@@ -62,11 +62,6 @@ const char* property_name(PropertyKind kind);
 // Inverse of property_name; kNone for unknown spellings.
 PropertyKind property_from_name(const std::string& name);
 
-// Classifies a violation description by its message prefix — the migration
-// path for artifacts written before violations carried a typed property
-// (old `.viol` files). kNone for non-property markers.
-PropertyKind property_from_description(const std::string& description);
-
 struct PropertySpec {
   PropertyKind kind = PropertyKind::kNone;
   // kKSetAgreement: k. kWaitFreedom: per-run bound (0 = inherit the budget).
@@ -212,18 +207,6 @@ inline PropertyKind property_from_name(const std::string& name) {
   if (name == "validity") return PropertyKind::kValidity;
   if (name == "wait-freedom") return PropertyKind::kWaitFreedom;
   if (name == "at-most-once") return PropertyKind::kAtMostOnceDecide;
-  return PropertyKind::kNone;
-}
-
-inline PropertyKind property_from_description(const std::string& description) {
-  const auto starts_with = [&](const char* prefix) {
-    return description.rfind(prefix, 0) == 0;
-  };
-  if (starts_with("agreement")) return PropertyKind::kAgreement;
-  if (starts_with("k-set agreement")) return PropertyKind::kKSetAgreement;
-  if (starts_with("validity")) return PropertyKind::kValidity;
-  if (starts_with("recoverable wait-freedom")) return PropertyKind::kWaitFreedom;
-  if (starts_with("at-most-once decide")) return PropertyKind::kAtMostOnceDecide;
   return PropertyKind::kNone;
 }
 

@@ -11,8 +11,8 @@
 //   RCONS_DCHECK / RCONS_DCHECK_MSG   compiled out in Release (NDEBUG)
 //       unless RCONS_FORCE_DCHECK is defined (cmake -DRCONS_FORCE_DCHECK=ON).
 //       These guard hot-path protocol invariants — slot-tag transition
-//       legality, the transitions identity at flush points, pause-barrier
-//       and checkpoint-frame consistency, codec fingerprint agreement —
+//       legality, the transitions identity at flush points, the quiescence
+//       of a checkpoint's cut, codec fingerprint agreement —
 //       that are too expensive or too frequent to verify on every Release
 //       operation. The static-analysis CI job runs the full ctest suite in
 //       a Debug+RCONS_FORCE_DCHECK build so every contract executes.

@@ -147,17 +147,6 @@ TEST(ViolationIoTest, FormatParseRoundTrip) {
   }
 }
 
-TEST(ViolationIoTest, LegacyFilesRecoverThePropertyFromTheDescription) {
-  // Files written before violations were typed have no `property` line; the
-  // parser classifies the description's message prefix instead.
-  const ViolationParse parse = parse_violation_file(
-      "scenario type=register algo=naive-register n=2\n"
-      "description agreement violated: process 1 decided 2\n"
-      "step 0\n");
-  ASSERT_TRUE(parse.ok()) << (parse.errors.empty() ? "" : parse.errors.front());
-  EXPECT_EQ(parse.file->property, sim::PropertyKind::kAgreement);
-}
-
 TEST(ViolationIoTest, PropertyLineCarriesTypedKindAndParam) {
   const ViolationParse parse = parse_violation_file(
       "scenario type=Sn(2) algo=k-set n=3 k=2 "
@@ -181,10 +170,21 @@ TEST(ViolationIoTest, PropertyLineCarriesTypedKindAndParam) {
 TEST(ViolationIoTest, ParseReportsStructuralErrors) {
   const ViolationParse missing = parse_violation_file("step 0\n");
   EXPECT_FALSE(missing.ok());
-  EXPECT_EQ(missing.errors.size(), 2u);  // no scenario, no description
+  EXPECT_EQ(missing.errors.size(), 3u);  // no scenario, no description, no property
+
+  // The property line is required: nothing recovers the kind from the
+  // description.
+  const ViolationParse untyped = parse_violation_file(
+      "scenario type=register algo=naive-register n=2\n"
+      "description agreement violated: process 1 decided 2\n"
+      "step 0\n");
+  EXPECT_FALSE(untyped.ok());
+  ASSERT_EQ(untyped.errors.size(), 1u);
+  EXPECT_EQ(untyped.errors.front(), "missing property line");
 
   const ViolationParse bad_event = parse_violation_file(
       "scenario type=register algo=naive-register n=2\n"
+      "property agreement\n"
       "description agreement violated: x\n"
       "step minus-one\n"
       "frobnicate\n"
@@ -194,6 +194,7 @@ TEST(ViolationIoTest, ParseReportsStructuralErrors) {
 
   const ViolationParse bad_scenario = parse_violation_file(
       "scenario type=no-such-type n=2\n"
+      "property agreement\n"
       "description agreement violated: x\n"
       "step 0\n");
   EXPECT_FALSE(bad_scenario.ok());
@@ -204,6 +205,7 @@ TEST(ViolationIoTest, SaveAndLoadRoundTripsThroughDisk) {
   file.scenario.type = "register";
   file.scenario.algo = ScenarioAlgo::kNaiveRegister;
   file.scenario.crash_budget = 0;
+  file.property = sim::PropertyKind::kAgreement;
   file.description = "agreement violated: round trip";
   file.schedule = {sim::ScheduleEvent::step(0), sim::ScheduleEvent::step(1)};
 

@@ -23,26 +23,6 @@ ScenarioSystem naive_register_system(int n) {
   return system;
 }
 
-TEST(MinimizeTest, DescriptionsClassifyToTypedProperties) {
-  // Legacy artifacts carry only descriptions; the typed layer recovers the
-  // kind from the message prefix.
-  EXPECT_EQ(sim::property_from_description("agreement violated: process 1 decided 2"),
-            sim::PropertyKind::kAgreement);
-  EXPECT_EQ(sim::property_from_description("validity violated: process 0 decided 99"),
-            sim::PropertyKind::kValidity);
-  EXPECT_EQ(
-      sim::property_from_description("recoverable wait-freedom violated: process 0"),
-      sim::PropertyKind::kWaitFreedom);
-  EXPECT_EQ(sim::property_from_description(
-                "k-set agreement violated (k=2): process 2 decided 303"),
-            sim::PropertyKind::kKSetAgreement);
-  EXPECT_EQ(sim::property_from_description(
-                "at-most-once decide violated: process 0 decided 7"),
-            sim::PropertyKind::kAtMostOnceDecide);
-  EXPECT_EQ(sim::property_from_description("state space exceeded max_visited"),
-            sim::PropertyKind::kNone);
-}
-
 TEST(MinimizeTest, ShrinksAPaddedScheduleToAMinimalOne) {
   // Find a real violation, then pad its schedule with redundant events the
   // minimizer must strip again.

@@ -178,12 +178,14 @@ TEST(ViolationReplayTest, ReplayRejectsEventsTheModelDoesNotAllow) {
   } cases[] = {
       {"out-of-range process",
        "scenario type=register algo=naive-register n=2 budget=0\n"
+       "property agreement\n"
        "description agreement violated: x\n"
        "step 0\n"
        "step 7\n",
        1},
       {"step of a decided process",
        "scenario type=register algo=naive-register n=2 budget=0\n"
+       "property agreement\n"
        "description agreement violated: x\n"
        "step 0\n"
        "step 0\n"
@@ -191,24 +193,28 @@ TEST(ViolationReplayTest, ReplayRejectsEventsTheModelDoesNotAllow) {
        2},
       {"crash over budget",
        "scenario type=test-and-set n=2 model=independent budget=0 algo=halting\n"
+       "property agreement\n"
        "description agreement violated: x\n"
        "step 0\n"
        "crash 0\n",
        1},
       {"crash under model=simultaneous",
        "scenario type=test-and-set n=2 model=simultaneous budget=1 algo=halting\n"
+       "property agreement\n"
        "description agreement violated: x\n"
        "step 0\n"
        "crash 0\n",
        1},
       {"crash-all under model=independent",
        "scenario type=test-and-set n=2 model=independent budget=1 algo=halting\n"
+       "property agreement\n"
        "description agreement violated: x\n"
        "step 0\n"
        "crash-all\n",
        1},
       {"crash of a process that has not stepped in its run",
        "scenario type=test-and-set n=2 model=independent budget=1 algo=halting\n"
+       "property agreement\n"
        "description agreement violated: x\n"
        "step 0\n"
        "crash 1\n",

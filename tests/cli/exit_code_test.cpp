@@ -109,6 +109,15 @@ TEST(CliExitCodeTest, InvalidInputExitsTwo) {
     const RunResult result = run_cli(path, "unreachable");
     EXPECT_EQ(result.exit_code, 2) << to << "\n" << result.output;
   }
+  // A file without its property line does not parse.
+  const std::string property_line = "property agreement\n";
+  const std::size_t at = viol.find(property_line);
+  ASSERT_NE(at, std::string::npos);
+  const std::string untyped = temp_path("untyped.viol");
+  write_file(untyped, std::string(viol).erase(at, property_line.size()));
+  const RunResult result = run_cli(untyped, "untyped");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("missing property line"), std::string::npos) << result.output;
 }
 
 TEST(CliExitCodeTest, DefaultSpecFileRunsClean) {
@@ -207,8 +216,8 @@ TEST(CliExitCodeTest, KillAndResumeReproducesVisitedAndVerdict) {
 
   // Die mid-run (the in-tree stand-in for SIGKILL: same "no cleanup runs"
   // semantics), with frequent periodic checkpoints. The death itself is
-  // deterministic in the hit-count domain, but whether the monitor's periodic
-  // write lands before it is scheduling-dependent — so retry a few times
+  // deterministic in the hit-count domain, but whether a periodic write
+  // lands before it is scheduling-dependent — so retry a few times
   // until a checkpoint survives a death.
   bool died_with_checkpoint = false;
   for (int attempt = 0; attempt < 5 && !died_with_checkpoint; ++attempt) {

@@ -15,6 +15,8 @@
 #include "check/scenario_spec.hpp"
 #include "check/spec_system.hpp"
 #include "engine/fault_inject.hpp"
+#include "obs/metrics.hpp"
+#include "support/stats_contract.hpp"
 
 namespace rcons::engine {
 namespace {
@@ -235,6 +237,45 @@ TEST(CheckpointTest, InterruptedRunResumesToIdenticalVisitedAndVerdict) {
   // The re-interned checkpoint records count as the store's.
   EXPECT_EQ(report.stats.store_nodes, report.stats.visited + 1);
   EXPECT_EQ(report.stats.store_bytes, full.stats.store_bytes);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, PeriodicCheckpointsLeaveTheRunUnchanged) {
+  // Each periodic checkpoint stops the workers between frontier items, joins
+  // them, gathers the cut and restarts them. No item is expanded twice, so
+  // the run reports exactly what it does without checkpoints, and the
+  // registry still equals the stats.
+  const std::string line = "type=Sn(4) n=4 model=independent budget=1";
+  const std::string path = temp_path("periodic.ckpt");
+  std::remove(path.c_str());
+  obs::MetricsRegistry registry;
+  check::CheckRequest request = spec_request(line);
+  request.checkpoint_path = path;
+  request.checkpoint_label = line;
+  request.checkpoint_every = 500;
+  request.sentinel_interval_ms = 1;
+  request.obs.metrics = &registry;
+  const check::CheckReport report = check::check(std::move(request));
+  EXPECT_TRUE(report.clean);
+  EXPECT_FALSE(report.stats.truncated());
+  EXPECT_EQ(report.stats.visited, 38837u);
+  EXPECT_EQ(report.stats.transitions, 170974u);
+  EXPECT_EQ(report.stats.duplicates, 132137u);
+  EXPECT_GE(report.stats.checkpoints_written, 2u);
+  test::expect_registry_matches_stats(report.metrics, report.stats);
+
+  // The file left at exit is the final cut: it resumes clean to the same
+  // count.
+  CheckpointData snapshot;
+  std::string error;
+  ASSERT_EQ(load_checkpoint(path, snapshot, error), CheckpointLoad::kOk) << error;
+  check::CheckRequest resumed = spec_request(line);
+  resumed.checkpoint_label = line;
+  resumed.resume = &snapshot;
+  const check::CheckReport again = check::check(std::move(resumed));
+  EXPECT_TRUE(again.clean);
+  EXPECT_FALSE(again.stats.truncated());
+  EXPECT_EQ(again.stats.visited, 38837u);
   std::remove(path.c_str());
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -130,6 +131,7 @@ struct MatrixCase {
   sim::StopReason reason;
   const char* description_marker;  // must appear in the truncation verdict
   int watchdog = 0;
+  std::uint64_t checkpoint_every = 0;  // periodic checkpoints to a temp file
 };
 
 TEST(FaultMatrixTest, EveryInjectionEndsInATypedVerdictAcrossThreadCounts) {
@@ -139,6 +141,11 @@ TEST(FaultMatrixTest, EveryInjectionEndsInATypedVerdictAcrossThreadCounts) {
       {"stop@batch=10", sim::StopReason::kForcedStop, "external request"},
       {"stall@batch=10:ms=30000", sim::StopReason::kWatchdog, "no progress",
        /*watchdog=*/3},
+      // A checkpoint falls due while a worker is stalled: the coordinator
+      // keeps scanning while it waits for the workers to yield, so the
+      // watchdog still ends the run.
+      {"stall@batch=10:ms=30000", sim::StopReason::kWatchdog, "no progress",
+       /*watchdog=*/3, /*checkpoint_every=*/100},
   };
   for (const MatrixCase& test : cases) {
     for (const int threads : {1, 4, 8}) {
@@ -148,6 +155,11 @@ TEST(FaultMatrixTest, EveryInjectionEndsInATypedVerdictAcrossThreadCounts) {
       check::CheckRequest request = matrix_request(threads);
       request.fault = &plan;
       request.watchdog_stall_intervals = test.watchdog;
+      const std::string path = testing::TempDir() + "rcons_matrix.ckpt";
+      if (test.checkpoint_every != 0) {
+        request.checkpoint_path = path;
+        request.checkpoint_every = test.checkpoint_every;
+      }
       const check::CheckReport report = check::check(std::move(request));
       SCOPED_TRACE(std::string(test.plan) + " threads=" + std::to_string(threads));
       EXPECT_TRUE(report.stats.truncated());
@@ -158,6 +170,7 @@ TEST(FaultMatrixTest, EveryInjectionEndsInATypedVerdictAcrossThreadCounts) {
       EXPECT_NE(report.violation->description.find(test.description_marker),
                 std::string::npos)
           << report.violation->description;
+      std::remove(path.c_str());
     }
   }
 }
