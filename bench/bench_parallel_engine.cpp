@@ -8,9 +8,9 @@
 // before trusting a timing.
 //
 // The rows also report states/sec and the interned bytes/node, and a final
-// section measures symmetry reduction: the team-consensus Sn(4) n=4 instance
-// re-checked with its symmetry declaration attached must shrink the visited
-// set without changing the verdict.
+// section times symmetry reduction at paper scale: Sn(5) n=5 with crash
+// budget 2 and its symmetry declaration (78,906 states), checked
+// depth-first, by the worker loop and by kAuto, which must all agree.
 //
 // Plain chrono timing rather than Google Benchmark: each run is seconds long
 // and we want a speedup table, not per-iteration statistics. Every timed
@@ -200,21 +200,23 @@ int main(int argc, char** argv) {
 
   // 3-process, crash-budget-2 team-consensus instances (readable-stack has
   // the largest state space of the 3-recording zoo types), a 4-process
-  // instance (also the symmetry section's), and the 5-process paper-scale
-  // instance, the only one large enough for the thread counts to show.
+  // instance, and the 5-process paper-scale instance, the only one large
+  // enough for the thread counts to show.
   std::vector<Instance> instances;
   instances.push_back(make_instance("readable-stack", 3, 2));
   instances.push_back(make_instance("Sn(3)", 3, 2));
   instances.push_back(make_instance("Sn(4)", 4, 1));
   instances.push_back(make_instance("Sn(5)", 5, 1));
-  if (!filter.empty()) {
-    std::erase_if(instances, [&](const Instance& instance) {
-      return instance.label.find(filter) == std::string::npos;
-    });
-    if (instances.empty()) {
-      std::cerr << "--filter '" << filter << "' matches no instance\n";
-      return 2;
-    }
+  // The symmetry section's instance; without its declaration it is too large
+  // to check here.
+  const Instance symmetric = make_instance("Sn(5)", 5, 2);
+  const auto selected = [&](const Instance& instance) {
+    return instance.label.find(filter) != std::string::npos;
+  };
+  std::erase_if(instances, [&](const Instance& instance) { return !selected(instance); });
+  if (instances.empty() && !selected(symmetric)) {
+    std::cerr << "--filter '" << filter << "' matches no instance\n";
+    return 2;
   }
 
   util::Table table({"instance", "config", "verdict", "visited", "time(s)", "q1-q3(s)",
@@ -313,48 +315,48 @@ int main(int argc, char** argv) {
          automatic, sequential.seconds / automatic.seconds);
   }
 
-  // --- Symmetry reduction on the n=4 acceptance instance ------------------
+  // --- Symmetry reduction at paper scale -----------------------------------
   //
-  // The Sn(4) n=4 team-consensus instance re-checked with its symmetry
-  // declaration: interchangeable same-team roles canonicalize, so the
-  // visited set must shrink (the verdict must not change). The row joins the
-  // main array (emit writes into it); the summary gets its own object below.
-  // Skipped when --filter drops the instance.
-  const auto n4 = std::find_if(instances.begin(), instances.end(), [](const Instance& i) {
-    return i.label.rfind("Sn(4) ", 0) == 0;
-  });
+  // Sn(5) n=5 crashes=2 with its symmetry declaration: interchangeable
+  // same-team roles canonicalize, so the reduced graph has 78,906 states.
+  // The depth-first run, the worker loop and kAuto must agree on its verdict
+  // and visited count (both are order-free, ExplorerStats). The rows join the
+  // main array; the summary gets its own object below. Skipped when --filter
+  // drops the instance.
   std::string symmetry_summary;
-  if (n4 != instances.end()) {
-    const RunOutcome plain = timed(*n4, check::Strategy::kParallelBFS, 0, repeats);
-    const RunOutcome reduced =
-        timed(*n4, check::Strategy::kParallelBFS, 0, repeats, /*symmetry=*/true);
-    const bool symmetry_ok =
-        reduced.clean == plain.clean && reduced.visited <= plain.visited;
-    verdicts_consistent = verdicts_consistent && symmetry_ok;
-    // Speedup baseline: the plain parallel run at the same resolved thread
-    // count, so the figure isolates what the reduction itself buys.
-    emit(*n4, "parallel+symmetry", reduced,
-         plain.seconds > 0 ? plain.seconds / reduced.seconds : 0.0);
+  if (selected(symmetric)) {
+    const RunOutcome sequential = timed(symmetric, check::Strategy::kSequentialDFS, 0,
+                                        repeats, /*symmetry=*/true);
+    emit(symmetric, "sequential+symmetry", sequential, 1.0);
+    const RunOutcome parallel =
+        timed(symmetric, check::Strategy::kParallelBFS, 0, repeats, /*symmetry=*/true);
+    emit(symmetric, "parallel+symmetry", parallel, sequential.seconds / parallel.seconds);
+    const RunOutcome automatic =
+        timed(symmetric, check::Strategy::kAuto, 0, repeats, /*symmetry=*/true);
+    emit(symmetric,
+         std::string("auto+symmetry -> ") + check::strategy_name(automatic.strategy),
+         automatic, sequential.seconds / automatic.seconds);
+    for (const RunOutcome* outcome : {&parallel, &automatic}) {
+      if (outcome->clean != sequential.clean || outcome->visited != sequential.visited) {
+        verdicts_consistent = false;
+      }
+    }
     json.end_array();
 
-    const double reduction =
-        plain.visited > 0
-            ? 1.0 - static_cast<double>(reduced.visited) / static_cast<double>(plain.visited)
-            : 0.0;
     json.key("canonicalization");
     json.begin_object();
-    json.key_value("instance", n4->label);
-    json.key_value("visited_plain", plain.visited);
-    json.key_value("visited_reduced", reduced.visited);
-    json.key_value("reduction", reduction);
+    json.key_value("instance", symmetric.label);
+    json.key_value("visited_reduced", sequential.visited);
     json.key_value("canonical_hit_rate",
-                   ratio(reduced.stats.canonical_hits, reduced.stats.encodes));
-    json.key_value("verdict_preserved", reduced.clean == plain.clean);
+                   ratio(sequential.stats.canonical_hits, sequential.stats.encodes));
+    json.key_value("orbit_skipped", sequential.stats.orbit_skipped);
     json.end_object();
-    symmetry_summary = "\nSymmetry reduction on " + n4->label + ": " +
-                       std::to_string(plain.visited) + " -> " +
-                       std::to_string(reduced.visited) + " states (" +
-                       fixed(100.0 * reduction, 1) + "% fewer)\n";
+    symmetry_summary = "\nSymmetry reduction on " + symmetric.label + ": " +
+                       std::to_string(sequential.visited) + " states, " +
+                       fixed(100.0 * ratio(sequential.stats.canonical_hits,
+                                           sequential.stats.encodes),
+                             1) +
+                       "% of encodings canonicalized\n";
   } else {
     json.end_array();
   }
@@ -367,7 +369,7 @@ int main(int argc, char** argv) {
   std::cout << symmetry_summary;
   if (!verdicts_consistent) {
     std::cout << "\nERROR: configurations disagreed on verdict or visited-state "
-                 "count (or symmetry reduction grew the visited set).\n";
+                 "count.\n";
     return 1;
   }
   std::cout << "\nAll configurations agree on verdict and visited-state count.\n"

@@ -36,7 +36,9 @@
 //   2 = bad usage or invalid input (unparsable spec, unknown flag, a numeric
 //       flag that is not a plain decimal in range, corrupt or mismatched
 //       checkpoint without --resume-or-fresh, bad fault plan, a .viol
-//       schedule with an event its scenario does not allow)
+//       schedule with an event its scenario does not allow), or a
+//       --checkpoint-out run whose final checkpoint could not be written
+//       (the write error is printed on stderr)
 //   3 = no violation, but at least one scenario was truncated (visited cap,
 //       time/memory sentinel, watchdog, or forced stop — the verdict names
 //       the reason); the verdict is incomplete, not a proof
@@ -443,6 +445,11 @@ int run_spec_file(const CliOptions& options, obs::Hooks hooks) {
     return 2;
   }
   run.print(std::cout);
+  for (const check::ScenarioResult& result : run.results) {
+    if (!result.report.stats.checkpoint_error.empty()) {
+      std::cerr << result.name << ": " << result.report.stats.checkpoint_error << "\n";
+    }
+  }
   return run.exit_code();
 }
 

@@ -22,16 +22,17 @@
 //                    budget. It stops at the first violation or at the first
 //                    event the model does not allow (`rejected`).
 //   kAuto          — starts with a bounded sequential probe (up to
-//                    `auto_probe_limit` states). If the probe finishes, the
-//                    instance was small and the probe's verdict is returned
-//                    as kSequentialDFS, as it is when the probe stops on the
-//                    real budget or a time/memory limit. A probe stopped on
-//                    its own visited cap finishes the frames on its DFS
-//                    stack, and the same explorer object escalates: its
-//                    worker loop continues from the probe's store and stack
-//                    cut with the probe's counters and under the deadline
-//                    taken when the probe started — no state is explored
-//                    twice.
+//                    `auto_probe_limit` states, 32,768 by default: every
+//                    checked-in spec and corpus scenario fits). If the
+//                    probe finishes, the instance was small and the probe's
+//                    verdict is returned as kSequentialDFS, as it is when
+//                    the probe stops on the real budget or a time/memory
+//                    limit. A probe stopped on its own visited cap finishes
+//                    the frames on its DFS stack, and the same explorer
+//                    object escalates: its worker loop continues from the
+//                    probe's store and stack cut with the probe's counters
+//                    and under the deadline taken when the probe started —
+//                    no state is explored twice.
 //
 // Every violation carries its typed schedule, so a counterexample found by
 // any strategy can be handed back to check() with kReplay (or sim::replay
@@ -100,8 +101,11 @@ struct CheckRequest {
 
   // kAuto: state spaces the bounded depth-first probe fully explores within
   // this many states stay sequential; larger ones continue in the worker
-  // loop.
-  std::uint64_t auto_probe_limit = 200'000;
+  // loop. Every checked-in spec and corpus scenario finishes within 8,836
+  // states, and from Sn(3) n=3 c=2 (6,081 states) on, the worker loop at
+  // two threads already beats the depth-first run (BENCH_parallel_engine.json),
+  // so the probe stops at 32,768 states.
+  std::uint64_t auto_probe_limit = 32'768;
 
   // kParallelBFS (and the kAuto escalation path):
   int num_threads = 0;  // 0 = hardware concurrency
@@ -149,7 +153,8 @@ struct CheckReport {
   // Exhaustive strategies (sequential / parallel / auto): the engine's
   // counter record with the stop reason — every classified transition
   // (visited, duplicates, violation_edges, orbit_skipped), the store's
-  // records and bytes, and the hot-path work.
+  // records and bytes, and the hot-path work. With a checkpoint path,
+  // `stats.checkpoint_error` says why the final checkpoint was not written.
   engine::ExplorerStats stats;
 
   // Worker threads the executed backend actually resolved and ran with:

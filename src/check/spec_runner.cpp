@@ -53,6 +53,9 @@ bool ScenarioResult::truncated() const {
 
 int SpecRun::exit_code() const {
   if (!error.empty()) return 2;
+  for (const ScenarioResult& result : results) {
+    if (!result.report.stats.checkpoint_error.empty()) return 2;
+  }
   bool any_truncated = false;
   for (const ScenarioResult& result : results) {
     if (result.violating()) return 1;

@@ -49,8 +49,9 @@ struct SpecRun {
   // Set when a resume checkpoint was rejected; the runner stopped there.
   std::string error;
 
-  // 2 on error, else 1 if any scenario violates (a found bug wins over a
-  // hit budget), else 3 if any was truncated, else 0.
+  // 2 on error or when a scenario's final checkpoint could not be written,
+  // else 1 if any scenario violates (a found bug wins over a hit budget),
+  // else 3 if any was truncated, else 0.
   int exit_code() const;
 
   // The verdict table (scenario, strategy, verdict, visited, runs, time(s))

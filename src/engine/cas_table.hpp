@@ -25,9 +25,26 @@
 // migrate one fixed *stripe* of the sealed array's slots per operation —
 // workers share the sweep via an atomic stripe cursor instead of any thread
 // stopping the world. Sealed arrays stay readable (their probe chains are
-// never broken) until every stripe is migrated, and their memory is retired
-// to the table and freed on destruction: bounded by the geometric capacity
-// series, i.e. less than one extra copy of the final array.
+// never broken) until every stripe is migrated; then the array is detached
+// from lookups.
+//
+// Memory of detached arrays. An array under kMapBytes (1 MiB) lives on the
+// heap and is retired to the table until destruction: the geometric series
+// of small arrays stays below 1 MiB in total. A larger array is mapped with
+// mmap, and the thread that detaches it returns its pages with
+// madvise(MADV_DONTNEED); the mapping itself is kept until destruction, so a
+// reader that loaded the array before the detach never touches unmapped
+// memory. Its reads of a released page see zeros: the kEmpty tag (a probe
+// ends, having found nothing) or an all-zero key with value 0. The latter is
+// why a key match re-reads the tag after the payload (`read_match`): a slot
+// still PUBLISHED then was read whole, a zeroed one is skipped. Nothing is
+// lost by skipping — the sweep finished before the detach, so every key of
+// the released array sits in a newer array with the same value and meta,
+// and every walk ends in the newest array it can reach (insert's claim walk,
+// find's retry when the live array moved under it). A late claimer (one
+// that loaded the array before it sealed) may still CAS a slot of a released
+// array; it sees `sealed`, tombstones the slot and retries, so at most a few
+// pages are faulted back in.
 //
 // The seal handshake is the subtle part. A claimer CASes EMPTY→CLAIMED and
 // then checks `sealed`; the grower stores `sealed = true` before publishing
@@ -53,10 +70,13 @@
 #ifndef RCONS_ENGINE_CAS_TABLE_HPP
 #define RCONS_ENGINE_CAS_TABLE_HPP
 
+#include <sys/mman.h>
+
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -90,6 +110,7 @@ class CasTable {
     std::size_t capacity = kMinCapacity;
     while (capacity < kMaxPresize && expected > capacity / 8 * 5) capacity <<= 1;
     auto first = std::make_unique<Array>(capacity);
+    retained_bytes_.store(first->bytes(), std::memory_order_relaxed);
     live_.store(first.get(), std::memory_order_release);
     arrays_.push_back(std::move(first));
   }
@@ -150,13 +171,21 @@ class CasTable {
   }
 
   // Looks `key` up; fills `found` (value and meta) and returns true when
-  // present.
+  // present. Walks the sealed arrays first and the live one last, as an
+  // insert does: a key whose sealed array was swept and released under the
+  // walk was carried into the live array before the release. Should a
+  // growth replace the live array meanwhile, the key may have been carried
+  // past it, so the walk starts again.
   bool find(util::U128 key, Found& found) const {
-    for (Array* a = live_.load(std::memory_order_acquire); a != nullptr;
-         a = a->prev.load(std::memory_order_acquire)) {
-      if (probe_published(*a, key, found, nullptr)) return true;
+    for (;;) {
+      Array* head = live_.load(std::memory_order_acquire);
+      for (Array* old = head->prev.load(std::memory_order_acquire); old != nullptr;
+           old = old->prev.load(std::memory_order_acquire)) {
+        if (probe_published(*old, key, found, nullptr)) return true;
+      }
+      if (probe_published(*head, key, found, nullptr)) return true;
+      if (live_.load(std::memory_order_acquire) == head) return false;
     }
-    return false;
   }
 
   // Keys inserted. Exact at quiescence; a racy snapshot while inserting.
@@ -174,6 +203,17 @@ class CasTable {
   std::size_t capacity() const {
     return live_.load(std::memory_order_acquire)->capacity;
   }
+
+  // Bytes of slot arrays that still hold memory: the live array, sealed
+  // arrays, and detached heap arrays. A released (mapped) array no longer
+  // counts.
+  std::uint64_t retained_bytes() const {
+    return retained_bytes_.load(std::memory_order_relaxed);
+  }
+
+  // Slot arrays of at least this many bytes are mapped, and released once
+  // their migration sweep completes.
+  static constexpr std::size_t kMapBytes = std::size_t{1} << 20;
 
   // Quiescent iteration for checkpointing and re-sharding: visits every
   // PUBLISHED slot of the arrays lookups still reach — the live array and
@@ -234,15 +274,51 @@ class CasTable {
         : capacity(cap),
           mask(cap - 1),
           num_stripes((cap + kStripeSlots - 1) / kStripeSlots),
-          slots(new Slot[cap]()) {}
+          mapped(cap * sizeof(Slot) >= kMapBytes),
+          slots(allocate(cap, mapped)) {}
+    ~Array() {
+      if (mapped) {
+        ::munmap(slots, bytes());
+      } else {
+        delete[] slots;
+      }
+    }
+    Array(const Array&) = delete;
+    Array& operator=(const Array&) = delete;
+
+    std::size_t bytes() const { return capacity * sizeof(Slot); }
+
+    // True once the sweep of a mapped array completed: its pages may be
+    // released.
+    bool swept_and_mapped() const {
+      return mapped && stripes_done.load(std::memory_order_acquire) == num_stripes;
+    }
+
+    // Returns the pages of a mapped array whose sweep completed; later reads
+    // see zeros (see the header comment). Heap arrays are kept as they are.
+    bool release() {
+      return mapped && ::madvise(slots, bytes(), MADV_DONTNEED) == 0;
+    }
+
+    static Slot* allocate(std::size_t cap, bool map) {
+      if (!map) return new Slot[cap]();
+      void* memory = ::mmap(nullptr, cap * sizeof(Slot), PROT_READ | PROT_WRITE,
+                            MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (memory == MAP_FAILED) throw std::bad_alloc();
+      Slot* slots = static_cast<Slot*>(memory);
+      std::uninitialized_value_construct_n(slots, cap);
+      return slots;
+    }
 
     const std::size_t capacity;
     const std::size_t mask;
     const std::size_t num_stripes;
-    std::unique_ptr<Slot[]> slots;
+    const bool mapped;
+    Slot* const slots;
     // The next-older array whose sweep feeds this chain; cleared (detached
-    // from lookups) when that sweep completes. Memory is retired to the
-    // table, not freed, so racing readers never chase a dangling pointer.
+    // from lookups) when that sweep completes. The Array itself is retired
+    // to the table, not freed, so racing readers never chase a dangling
+    // pointer.
     std::atomic<Array*> prev{nullptr};
     std::atomic<bool> sealed{false};
     std::atomic<std::size_t> stripe_cursor{0};  // next stripe to claim
@@ -270,6 +346,17 @@ class CasTable {
     return tag;
   }
 
+  // True when the slot, whose tag read PUBLISHED, holds `key`; fills `found`
+  // from it. The tag is read again after the payload: a slot of a released
+  // array may have been zeroed between the two, and then its key and payload
+  // are not the published ones (an all-zero key would match with value 0).
+  static bool read_match(const Slot& slot, util::U128 key, Found& found) {
+    if (slot.key_lo != key.lo || slot.key_hi != key.hi) return false;
+    found = Found{slot.value, slot.meta, false};
+    std::atomic_thread_fence(std::memory_order_acquire);
+    return slot.tag.load(std::memory_order_relaxed) == kPublished;
+  }
+
   // Read-only probe of one array. seq_cst tag loads: claims that landed in
   // this array before it sealed are ordered before our load (see the seal
   // handshake in the header comment), so we never conclude "absent" while an
@@ -293,8 +380,7 @@ class CasTable {
         note_probe(stats, probes);
         return false;
       }
-      if (tag == kPublished && slot.key_lo == key.lo && slot.key_hi == key.hi) {
-        found = Found{slot.value, slot.meta, false};
+      if (tag == kPublished && read_match(slot, key, found)) {
         note_probe(stats, probes);
         return true;
       }
@@ -336,8 +422,11 @@ class CasTable {
                                                std::memory_order_acquire)) {
             if (a.sealed.load(std::memory_order_seq_cst)) {
               // Claimed a slot in an array that sealed under us: kill the
-              // slot and retry in the replacement (see header comment).
-              RCONS_DCHECK_MSG(slot.tag.load(std::memory_order_relaxed) == kClaimed,
+              // slot and retry in the replacement (see header comment). If
+              // the array was swept and released meanwhile, the claim may
+              // have been zeroed away.
+              RCONS_DCHECK_MSG(slot.tag.load(std::memory_order_relaxed) == kClaimed ||
+                                   a.swept_and_mapped(),
                                "tombstone transition from a tag we do not own");
               slot.tag.store(kTombstone, std::memory_order_release);
               note_probe(stats, probes);
@@ -365,9 +454,10 @@ class CasTable {
         }
         break;  // kPublished or kTombstone
       }
-      if (tag == kPublished && slot.key_lo == key.lo && slot.key_hi == key.hi) {
+      Found found;
+      if (tag == kPublished && read_match(slot, key, found)) {
         note_probe(stats, probes);
-        return Claim{Claim::kFound, Found{slot.value, slot.meta, false}};
+        return Claim{Claim::kFound, found};
       }
       index = (index + 1) & a.mask;
     }
@@ -437,9 +527,13 @@ class CasTable {
     const std::size_t done =
         oldest->stripes_done.fetch_add(1, std::memory_order_acq_rel) + 1;
     if (done == oldest->num_stripes) {
-      // Every slot is carried over: detach the array from lookups. Its
-      // memory stays retired in arrays_ until destruction.
+      // Every slot is carried over: detach the array from lookups, then
+      // return a mapped array's pages. The Array stays retired in arrays_
+      // until destruction.
       successor->prev.store(nullptr, std::memory_order_release);
+      if (oldest->release()) {
+        retained_bytes_.fetch_sub(oldest->bytes(), std::memory_order_relaxed);
+      }
     }
   }
 
@@ -478,6 +572,7 @@ class CasTable {
   // Precondition: growth_mu_ held and `head` == live_.
   void grow_locked(Array* head) {
     auto next = std::make_unique<Array>(head->capacity * 2);
+    retained_bytes_.fetch_add(next->bytes(), std::memory_order_relaxed);
     next->prev.store(head, std::memory_order_relaxed);
     rehashes_.fetch_add(1, std::memory_order_relaxed);
     // Order matters: seal first, then publish. A claimer that slipped into
@@ -495,6 +590,7 @@ class CasTable {
   // `live_`, which every probe of every worker loads.
   alignas(64) std::atomic<std::uint64_t> size_{0};
   std::atomic<std::uint64_t> rehashes_{0};
+  std::atomic<std::uint64_t> retained_bytes_{0};
   // rcons-lint: allow(hot-path-no-mutex) serializes growth (cold); never taken by inserts
   std::mutex growth_mu_;
   std::vector<std::unique_ptr<Array>> arrays_;  // guarded by growth_mu_

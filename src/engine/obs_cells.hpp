@@ -20,6 +20,7 @@
 #include <array>
 #include <cstdint>
 #include <iterator>
+#include <string>
 
 #include "engine/cas_table.hpp"
 #include "obs/metrics.hpp"
@@ -123,6 +124,11 @@ struct ExplorerStats : Tally {
   // was faulted away), including those of the runs a resume continues.
   std::uint64_t checkpoints_written = 0;
   std::uint64_t rehashes = 0;  // growth epochs of the store's index
+  // Why the run's last checkpoint write failed (write_checkpoint's error);
+  // empty when checkpointing is off or the last write succeeded. The last
+  // write is the final checkpoint, so a non-empty error means the file at
+  // the checkpoint path does not hold the state this run ended in.
+  std::string checkpoint_error;
 
   bool truncated() const { return stop_reason != sim::StopReason::kNone; }
 };

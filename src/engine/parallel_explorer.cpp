@@ -681,8 +681,8 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
     base_ = dfs_;
     store_->reshard(shard_bits_, num_threads_);
     // Arena paths from the root, so violations below a deferred state report
-    // full schedules. The cut is small (tens of states at depth ~20 on Sn(5)
-    // n=5 with a 200k probe), so each path gets its own chain.
+    // full schedules. The cut is small (77 states on Sn(5) n=5 c=1 with the
+    // default 32,768-state probe), so each path gets its own chain.
     for (std::size_t i = 0; i < cut_.size(); ++i) {
       const PathLink* tail = nullptr;
       for (const Event& event : cut_[i].path) tail = arenas[0].add(event, tail);
@@ -775,6 +775,7 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
   const auto n = static_cast<std::size_t>(num_threads_);
   Watch watch{std::vector<std::uint64_t>(n, 0), std::vector<int>(n, 0)};
   std::uint64_t next_checkpoint = base_.visited + config_.checkpoint_every;
+  std::string checkpoint_error;
   start_workers();
   for (;;) {
     {
@@ -811,10 +812,11 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
       start_workers();
       next_checkpoint = data.stats.visited + config_.checkpoint_every;
     }
-    std::string error;
-    if (!config_.checkpoint_path.empty() &&
-        write_checkpoint(config_.checkpoint_path, data, config_.fault, error)) {
-      checkpoints_written_ += 1;
+    if (!config_.checkpoint_path.empty()) {
+      if (write_checkpoint(config_.checkpoint_path, data, config_.fault, checkpoint_error)) {
+        checkpoints_written_ += 1;
+        checkpoint_error.clear();
+      }
     }
     if (!restart) break;
   }
@@ -823,6 +825,7 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
       static_cast<sim::StopReason>(stop_reason_.load(std::memory_order_relaxed));
   finish_stats(total(), reason);
   stats_.checkpoints_written = resumed_checkpoints_ + checkpoints_written_;
+  stats_.checkpoint_error = std::move(checkpoint_error);
   store_.reset();
   if (obs_cells_.active) {
     // Steal totals live in the frontier internals; publish them once per run

@@ -5,6 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <map>
+#include <string>
+
+#include "check/scenario_spec.hpp"
+#include "check/spec_runner.hpp"
+#include "check/violation_io.hpp"
+#include "obs/metrics.hpp"
 #include "rc/naive_register.hpp"
 #include "rc/team_consensus.hpp"
 #include "support/programs.hpp"
@@ -121,6 +129,88 @@ TEST(CheckTest, AutoStaysSequentialOnSmallStateSpaces) {
   EXPECT_EQ(report.strategy, Strategy::kSequentialDFS);
   EXPECT_TRUE(report.clean);
   EXPECT_TRUE(report.complete);
+}
+
+TEST(CheckTest, DefaultAutoChecksEveryCheckedInScenarioOnTheProbe) {
+  // The default probe cap is chosen for this traffic: every line of the
+  // checked-in spec files and every corpus scenario fits in the probe, so
+  // kAuto reports the depth-first verdict with the visited counts (and, for
+  // the violating ones, the first violations) the benchmark's spec-sweep
+  // pins.
+  const std::map<std::string, std::uint64_t> pins = {
+      // examples/scenarios/default.spec
+      {"team/Sn(2)/n=2/independent/c=3", 792},
+      {"team/Sn(2)/n=2/simultaneous/c=3", 556},
+      {"team/Sn(3)/n=3/independent/c=2", 6'081},
+      {"team/Sn(3)/n=3/simultaneous/c=2", 3'383},
+      {"team/Tn(4)/n=2/independent/c=3", 744},
+      {"team/Tn(4)/n=2/simultaneous/c=3", 619},
+      {"team/compare-and-swap/n=2/independent/c=3", 496},
+      {"team/compare-and-swap/n=2/simultaneous/c=3", 421},
+      {"team/compare-and-swap/n=3/independent/c=2", 2'243},
+      {"team/compare-and-swap/n=3/simultaneous/c=2", 1'586},
+      {"team/sticky-bit/n=3/independent/c=2", 1'681},
+      {"team/sticky-bit/n=3/simultaneous/c=2", 1'214},
+      {"team/consensus-object/n=2/independent/c=3", 496},
+      {"team/consensus-object/n=2/simultaneous/c=3", 421},
+      {"team/readable-stack/n=3/independent/c=2", 8'836},
+      {"team/readable-stack/n=3/simultaneous/c=2", 5'681},
+      // examples/scenarios/k_set.spec; its second line is also a corpus file
+      {"kset-clean", 657},
+      {"kset-consensus-violates", 6},
+      // tests/corpus/*.viol
+      {"halting-tas", 12},
+      {"register-race", 3},
+  };
+  const std::filesystem::path root(RCONS_SOURCE_DIR);
+  std::vector<ScenarioSpec> specs;
+  for (const char* file : {"default.spec", "k_set.spec"}) {
+    const ScenarioParse parse =
+        load_scenario_file((root / "examples" / "scenarios" / file).string());
+    ASSERT_TRUE(parse.ok()) << file;
+    specs.insert(specs.end(), parse.specs.begin(), parse.specs.end());
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(root / "tests" / "corpus")) {
+    if (entry.path().extension() != ".viol") continue;
+    const ViolationParse parse = load_violation_file(entry.path().string());
+    ASSERT_TRUE(parse.ok()) << entry.path();
+    specs.push_back(parse.file->scenario);
+  }
+  ASSERT_EQ(specs.size(), 21u);  // 16 + 2 spec lines and 3 corpus files
+
+  CheckRequest request;
+  ASSERT_EQ(request.strategy, Strategy::kAuto);
+  request.num_threads = 2;
+  const SpecRun run = run_specs(specs, request);
+  ASSERT_EQ(run.results.size(), specs.size());
+  for (const ScenarioResult& result : run.results) {
+    SCOPED_TRACE(result.name);
+    const auto pin = pins.find(result.name);
+    ASSERT_NE(pin, pins.end());
+    EXPECT_EQ(result.report.strategy, Strategy::kSequentialDFS);
+    EXPECT_TRUE(result.report.complete);
+    EXPECT_EQ(result.report.stats.visited, pin->second);
+  }
+}
+
+TEST(CheckTest, DefaultAutoEscalatesSn4PastTheProbeCap) {
+  // Sn(4) n=4 c=1 has 38,837 states, more than the default probe takes: the
+  // probe stops at its cap and the worker loop finishes the graph.
+  obs::MetricsRegistry registry;
+  CheckRequest request = team_request("Sn(4)", 4, 1);
+  request.num_threads = 2;
+  request.obs.metrics = &registry;
+  const CheckReport report = check(std::move(request));
+  EXPECT_EQ(report.strategy, Strategy::kParallelBFS);
+  EXPECT_EQ(report.threads_used, 2);
+  EXPECT_TRUE(report.clean);
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.stats.visited, 38'837u);
+  EXPECT_EQ(report.stats.transitions, report.stats.classified());
+  const obs::MetricSample* probe = obs::find_sample(report.metrics, "check.probe_visited");
+  ASSERT_NE(probe, nullptr);
+  EXPECT_GT(probe->value, 0u);
+  EXPECT_LE(probe->value, 32'768u);
 }
 
 TEST(CheckTest, AutoEscalatesToParallelWhenProbeTruncates) {

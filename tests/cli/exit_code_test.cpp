@@ -3,7 +3,8 @@
 //
 //   exit 0  every scenario clean
 //   exit 1  at least one property violation (dominates truncation)
-//   exit 2  invalid input — bad flags, bad spec, unusable checkpoint
+//   exit 2  invalid input — bad flags, bad spec, unusable checkpoint — or
+//           a final checkpoint that could not be written
 //   exit 3  at least one scenario truncated (budget/sentinel), none violating
 //
 // plus the headline robustness story: the process dies mid-run (fault
@@ -118,6 +119,20 @@ TEST(CliExitCodeTest, InvalidInputExitsTwo) {
   const RunResult result = run_cli(untyped, "untyped");
   EXPECT_EQ(result.exit_code, 2) << result.output;
   EXPECT_NE(result.output.find("missing property line"), std::string::npos) << result.output;
+}
+
+TEST(CliExitCodeTest, UnwritableCheckpointExitsTwoAndNamesThePath) {
+  // A run asked for a durable checkpoint that it could not write: the
+  // verdict table still prints, the write error goes to stderr, and the
+  // exit code says the run has no checkpoint to resume from.
+  const std::string spec = temp_path("ckpt_dir.spec");
+  write_file(spec, "type=Sn(2) n=2 model=independent budget=2\n");
+  const std::string path = "/nonexistent/dir/x.ckpt";
+  const RunResult result =
+      run_cli(spec + " --threads=2 --checkpoint-out=" + path, "ckpt_dir");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("clean"), std::string::npos) << result.output;
+  EXPECT_NE(result.output.find(path), std::string::npos) << result.output;
 }
 
 TEST(CliExitCodeTest, DefaultSpecFileRunsClean) {

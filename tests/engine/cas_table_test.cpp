@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <map>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/hash.hpp"
@@ -253,6 +257,138 @@ TEST(CasTableTest, ConcurrentInsertsUnderGrowthReturnTheMetaWrittenWithTheKey) {
     EXPECT_EQ(meta, meta_of(value));
   });
   EXPECT_GE(published, kKeys);
+}
+
+
+// Bytes the slot arrays of a table grown from the minimal capacity keep once
+// no sweep is pending: every heap array (under CasTable::kMapBytes) plus the
+// live one. Detached mapped arrays have been released.
+std::uint64_t expected_retained(const CasTable& table) {
+  constexpr std::uint64_t kSlotBytes = 32;
+  std::uint64_t bytes = table.capacity() * kSlotBytes;
+  for (std::uint64_t capacity = 16;
+       capacity < table.capacity() && capacity * kSlotBytes < CasTable::kMapBytes;
+       capacity <<= 1) {
+    bytes += capacity * kSlotBytes;
+  }
+  return bytes;
+}
+
+void finish_sweeps(CasTable& table, util::U128 resident) {
+  // Duplicate inserts help the pending sweeps along without adding keys.
+  while (table.migrating()) table.insert(resident, 0);
+}
+
+TEST(CasTableTest, DetachedMappedArraysAreReleasedAndSmallOnesKept) {
+  CasTable table;
+  std::uint64_t inserted = 0;
+  // Grow until two arrays of at least 1 MiB (32 Ki and 64 Ki slots) have been
+  // sealed, swept and detached.
+  while (table.capacity() < (std::size_t{1} << 17)) {
+    table.insert(key(inserted), inserted);
+    inserted += 1;
+  }
+  finish_sweeps(table, key(0));
+  EXPECT_EQ(table.capacity(), std::size_t{1} << 17);
+  // Heap arrays: 16 .. 16 Ki slots, just under 1 MiB together; live: 4 MiB.
+  EXPECT_EQ(table.retained_bytes(), expected_retained(table));
+  EXPECT_EQ(table.retained_bytes(), (std::uint64_t{32'768} - 16) * 32 + (1u << 22));
+
+  // The released arrays are gone from lookups only in their memory: every
+  // key is still found, with its value, in the live array.
+  for (std::uint64_t i = 0; i < inserted; ++i) {
+    CasTable::Found found;
+    ASSERT_TRUE(table.find(key(i), found)) << i;
+    ASSERT_EQ(found.value, i) << i;
+  }
+  std::uint64_t published = 0;
+  table.for_each_published([&](util::U128, std::uint64_t, std::uint32_t) { published += 1; });
+  EXPECT_EQ(published, inserted);
+}
+
+TEST(CasTableTest, ReadersRaceReleasedArraysWithoutLosingKeys) {
+  // Inserters grow a minimal table past two mapped arrays while readers look
+  // up keys already inserted, the all-zero key most often. A reader may be
+  // inside a slot of an array whose pages are being released: it must still
+  // find every key with its own value and meta, never a zeroed payload. Each
+  // release is one short window, so the race runs on several fresh tables.
+  constexpr int kRounds = 6;
+  constexpr int kInserters = 2;
+  constexpr int kReaders = 2;
+  // 50,000 keys: the table grows to 128 Ki slots, releasing its 32 Ki- and
+  // 64 Ki-slot arrays (1 and 2 MiB) on the way.
+  constexpr std::uint64_t kKeysPerInserter = 25'000;
+  constexpr std::uint64_t kKeys = kInserters * kKeysPerInserter;
+  const auto value_of = [](std::uint64_t i) { return i * 2 + 1; };  // never 0
+  const auto meta_of = [](std::uint64_t i) {
+    return static_cast<std::uint32_t>(util::mix64(i)) | 1u;  // never 0
+  };
+  // Inserter 0's first key is the all-zero key.
+  const auto key_of = [](std::uint64_t i) { return i == 0 ? util::U128{0, 0} : key(i); };
+
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    CasTable table;
+    std::vector<std::atomic<std::uint64_t>> progress(kInserters);
+    for (auto& p : progress) p.store(0, std::memory_order_relaxed);
+    std::atomic<int> inserters_left{kInserters};
+    std::atomic<std::uint64_t> lookups{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kInserters; ++t) {
+      threads.emplace_back([&, t] {
+        const std::uint64_t base = static_cast<std::uint64_t>(t) * kKeysPerInserter;
+        CasTable::OpStats ops;
+        for (std::uint64_t i = 0; i < kKeysPerInserter; ++i) {
+          const std::uint64_t k = base + i;
+          ASSERT_TRUE(table.insert(key_of(k), value_of(k), meta_of(k), &ops).inserted) << k;
+          progress[static_cast<std::size_t>(t)].store(i + 1, std::memory_order_release);
+        }
+        inserters_left.fetch_sub(1, std::memory_order_release);
+      });
+    }
+    for (int r = 0; r < kReaders; ++r) {
+      threads.emplace_back([&, r] {
+        std::uint64_t rng = util::mix64(static_cast<std::uint64_t>(r + round * kReaders) + 1);
+        std::uint64_t done = 0;
+        while (inserters_left.load(std::memory_order_acquire) != 0) {
+          rng = util::mix64(rng);
+          const auto t = static_cast<std::size_t>(rng % kInserters);
+          const std::uint64_t ready = progress[t].load(std::memory_order_acquire);
+          if (ready == 0) continue;
+          // Three lookups in four ask for the all-zero key once it is in.
+          const std::uint64_t k =
+              (rng >> 8) % 4 != 0 && progress[0].load(std::memory_order_acquire) != 0
+                  ? 0
+                  : t * kKeysPerInserter + (rng >> 17) % ready;
+          CasTable::Found found;
+          ASSERT_TRUE(table.find(key_of(k), found)) << k;
+          ASSERT_EQ(found.value, value_of(k)) << k;
+          ASSERT_EQ(found.meta, meta_of(k)) << k;
+          done += 1;
+        }
+        lookups.fetch_add(done, std::memory_order_relaxed);
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    EXPECT_GT(lookups.load(std::memory_order_relaxed), 0u);
+
+    finish_sweeps(table, util::U128{0, 0});
+    EXPECT_EQ(table.size(), kKeys);
+    EXPECT_EQ(table.capacity(), std::size_t{1} << 17);
+    EXPECT_EQ(table.retained_bytes(), expected_retained(table));
+    // No key lost or duplicated: each key is published once, with its
+    // payload.
+    std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> seen;
+    table.for_each_published([&](util::U128 k, std::uint64_t value, std::uint32_t meta) {
+      EXPECT_TRUE(seen.emplace(std::make_pair(k.lo, k.hi), value).second);
+      EXPECT_EQ(meta, meta_of((value - 1) / 2));
+    });
+    ASSERT_EQ(seen.size(), kKeys);
+    for (std::uint64_t k = 0; k < kKeys; ++k) {
+      const util::U128 kk = key_of(k);
+      ASSERT_EQ(seen[std::make_pair(kk.lo, kk.hi)], value_of(k)) << k;
+    }
+  }
 }
 
 }  // namespace
