@@ -19,8 +19,8 @@
 // reported with their quartiles (`seconds_q1`, `seconds_q3`; linear
 // interpolation between samples). Results are also written machine-readably
 // to BENCH_parallel_engine.json so the perf trajectory accumulates across
-// revisions; the rows carry the hot-path counters (batch sizes, dedup-cache
-// hit rate, probe lengths) introduced with the batched engine.
+// revisions; the rows carry the hot-path counters (batch sizes, probe
+// lengths, growth epochs) introduced with the batched engine.
 //
 // Usage: bench_parallel_engine [--repeats N] [--filter SUBSTR] [N]
 //   --repeats N     timed samples per configuration (default 3, min 1)
@@ -31,13 +31,17 @@
 // visited-state count (verdicts_consistent:false in the JSON) — the CI bench
 // smoke job relies on this.
 //
-// Every JSON row carries `hardware_concurrency` and a `wall_clock` stamp so
-// an archived artifact is self-describing: a t=8 row produced on a 1-core
+// The JSON names the commit (`git rev-parse --short HEAD` in the source tree
+// the bench was built from, with "-dirty" when that tree has uncommitted
+// changes, or "unknown" outside a checkout) and the build type. Every row
+// carries `hardware_concurrency` and a `wall_clock` stamp so an archived
+// artifact is self-describing: a t=8 row produced on a 1-core
 // runner is detectable (and such rows are flagged `oversubscribed`; the
 // table prints their speedup as "-" since a thread count above the core
 // count measures scheduler thrash, not parallel scaling).
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
@@ -163,6 +167,29 @@ std::string iso8601_now() {
   return buffer;
 }
 
+// Runs `command` through the shell; its first output line, or "" when it
+// fails.
+std::string first_line_of(const std::string& command) {
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return "";
+  char buffer[128] = {};
+  const bool read = std::fgets(buffer, sizeof(buffer), pipe) != nullptr;
+  if (pclose(pipe) != 0 || !read) return "";
+  std::string line = buffer;
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) line.pop_back();
+  return line;
+}
+
+// The commit of the source tree this bench was built from.
+std::string source_commit() {
+  const std::string git = std::string("git -C '") + RCONS_SOURCE_DIR + "' ";
+  const std::string commit = first_line_of(git + "rev-parse --short HEAD 2>/dev/null");
+  if (commit.empty()) return "unknown";
+  const bool clean =
+      first_line_of(git + "diff --quiet HEAD 2>/dev/null && echo clean") == "clean";
+  return clean ? commit : commit + "-dirty";
+}
+
 double states_per_sec(const RunOutcome& outcome) {
   return outcome.seconds > 0.0
              ? static_cast<double>(outcome.visited) / outcome.seconds
@@ -220,7 +247,7 @@ int main(int argc, char** argv) {
   }
 
   util::Table table({"instance", "config", "verdict", "visited", "time(s)", "q1-q3(s)",
-                     "states/s", "B/node", "batch", "cache%", "probe", "speedup"});
+                     "states/s", "B/node", "batch", "probe", "speedup"});
   bool verdicts_consistent = true;
 
   const unsigned hardware_threads = std::thread::hardware_concurrency();
@@ -229,6 +256,8 @@ int main(int argc, char** argv) {
   util::JsonWriter json(json_file);
   json.begin_object();
   json.key_value("bench", "parallel_engine");
+  json.key_value("commit", source_commit());
+  json.key_value("build_type", RCONS_BUILD_TYPE);
   json.key_value("repeats", repeats);
   json.key_value("hardware_concurrency",
                  static_cast<std::uint64_t>(hardware_threads));
@@ -241,7 +270,6 @@ int main(int argc, char** argv) {
     const engine::ExplorerStats& stats = outcome.stats;
     const double bytes_per_node = ratio(stats.store_bytes, stats.store_nodes);
     const double avg_batch = ratio(stats.batched_items, stats.batches);
-    const double cache_hit_rate = ratio(stats.cache_hits, stats.cache_probes);
     const double avg_probe = ratio(stats.probe_total, stats.probe_ops);
     const int threads = outcome.threads_used;
     // Running more workers than the machine has cores measures scheduler
@@ -254,8 +282,7 @@ int main(int argc, char** argv) {
                    std::to_string(outcome.visited), fixed(outcome.seconds, 3),
                    fixed(outcome.seconds_q1, 3) + "-" + fixed(outcome.seconds_q3, 3),
                    fixed(states_per_sec(outcome), 0),
-                   fixed(bytes_per_node, 1), fixed(avg_batch, 1),
-                   fixed(100.0 * cache_hit_rate, 0), fixed(avg_probe, 2),
+                   fixed(bytes_per_node, 1), fixed(avg_batch, 1), fixed(avg_probe, 2),
                    oversubscribed ? "-" : fixed(speedup, 3) + "x"});
     json.begin_object();
     json.key_value("instance", instance.label);
@@ -277,7 +304,6 @@ int main(int argc, char** argv) {
     json.key_value("store_bytes_per_node", bytes_per_node);
     json.key_value("canonical_hit_rate", ratio(stats.canonical_hits, stats.encodes));
     json.key_value("avg_push_batch", avg_batch);
-    json.key_value("dedup_cache_hit_rate", cache_hit_rate);
     json.key_value("avg_probe_length", avg_probe);
     json.key_value("max_probe_length", stats.max_probe);
     json.key_value("table_rehashes", stats.rehashes);

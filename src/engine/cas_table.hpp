@@ -215,19 +215,17 @@ class CasTable {
   // their migration sweep completes.
   static constexpr std::size_t kMapBytes = std::size_t{1} << 20;
 
-  // Quiescent iteration for checkpointing and re-sharding: visits every
-  // PUBLISHED slot of the arrays lookups still reach — the live array and
-  // any sealed array whose sweep is pending (an array whose sweep completed
-  // holds only keys its successors already have) — calling
-  // `fn(key, value, meta)`.
+  // Quiescent iteration for checkpointing: visits every PUBLISHED slot of
+  // the arrays lookups still reach — the live array and any sealed array
+  // whose sweep is pending (an array whose sweep completed holds only keys
+  // its successors already have) — calling `fn(key, value, meta)`.
   // Caller contract: no concurrent inserts (the engine calls this only after
-  // every worker joined, or before any started). A key
-  // carried over by a partial migration sweep appears in both its sealed and
-  // its destination array with the SAME value and meta, so callers needing
-  // uniqueness dedup by value.
+  // every worker joined). A key carried over by a partial migration sweep
+  // appears in both its sealed and its destination array with the SAME
+  // value and meta, so callers needing uniqueness dedup by value.
   template <typename F>
   void for_each_published(F&& fn) {
-    // rcons-lint: allow(hot-path-no-mutex) enumeration runs offline (checkpoint, re-shard), never per-insert
+    // rcons-lint: allow(hot-path-no-mutex) enumeration runs offline (checkpoint), never per-insert
     std::lock_guard<std::mutex> lock(growth_mu_);
     for (const Array* array = live_.load(std::memory_order_acquire); array != nullptr;
          array = array->prev.load(std::memory_order_acquire)) {

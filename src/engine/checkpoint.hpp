@@ -16,7 +16,7 @@
 // schedules (the verdict and its typed identity are unaffected; a violation
 // found *before* the checkpoint is carried whole).
 //
-// File format (version 2, all integers little-endian):
+// File format (version 3, all integers little-endian):
 //
 //   "RCKP"  magic
 //   u32     version
@@ -55,7 +55,7 @@ namespace rcons::engine {
 class FaultPlan;
 
 struct CheckpointData {
-  static constexpr std::uint32_t kVersion = 2;
+  static constexpr std::uint32_t kVersion = 3;
 
   std::uint64_t config_hash = 0;
   std::string label;  // e.g. the formatted scenario line; validated by the CLI

@@ -10,30 +10,6 @@ namespace rcons::engine {
 
 using typesys::Value;
 
-int pick_shard_bits(int num_threads, std::uint64_t expected_states) {
-  if (num_threads <= 1) return 0;
-
-  // Smallest k with 2^k >= 8 * num_threads.
-  int contention_bits = 0;
-  while (contention_bits < 16 &&
-         (std::uint64_t{1} << contention_bits) <
-             8 * static_cast<std::uint64_t>(num_threads)) {
-    contention_bits += 1;
-  }
-
-  if (expected_states == 0) return contention_bits;
-
-  // Largest k with 2^k <= expected_states / 64 (0 when the quotient is 0 or
-  // 1 — the loop never advances).
-  int occupancy_bits = 0;
-  while (occupancy_bits < 16 &&
-         (std::uint64_t{1} << (occupancy_bits + 1)) <= expected_states / 64) {
-    occupancy_bits += 1;
-  }
-
-  return contention_bits < occupancy_bits ? contention_bits : occupancy_bits;
-}
-
 // --- Canonicalizer ----------------------------------------------------------
 
 Canonicalizer::Canonicalizer(const std::vector<int>& symmetry_classes)
@@ -388,19 +364,11 @@ int NodeCodec::orbit_skip_mask(const Value* record,
 
 // --- NodeStore --------------------------------------------------------------
 
-NodeStore::NodeStore(int shard_bits, std::uint64_t expected_states, int num_arenas)
-    : shard_bits_(shard_bits) {
-  RCONS_ASSERT_MSG(shard_bits >= 0 && shard_bits <= 16,
-                   "shard_bits must be in [0, 16]");
+NodeStore::NodeStore(int unused, std::uint64_t expected_states, int num_arenas)
+    : index_(expected_states) {
+  RCONS_ASSERT_MSG(unused == 0, "the store has one index; its first argument must be 0");
   RCONS_ASSERT_MSG(num_arenas >= 1, "need at least one arena");
-  const std::size_t count = std::size_t{1} << shard_bits;
-  const std::uint64_t expected_per_shard = expected_states / count;
-  shards_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    shards_.push_back(std::make_unique<Shard>(expected_per_shard));
-  }
-  arenas_.reserve(static_cast<std::size_t>(num_arenas));
-  for (int i = 0; i < num_arenas; ++i) arenas_.push_back(std::make_unique<Arena>());
+  add_arenas(num_arenas);
 }
 
 Value* NodeStore::arena_refill(Arena& arena, std::size_t need) {
@@ -423,7 +391,6 @@ NodeStore::Intern NodeStore::intern(util::U128 fingerprint,
   RCONS_ASSERT(arena_index >= 0 &&
                static_cast<std::size_t>(arena_index) < arenas_.size());
   Arena& arena = *arenas_[static_cast<std::size_t>(arena_index)];
-  Shard& shard = *shards_[shard_index(fingerprint)];
   const std::size_t length = record.size();
   // A non-empty record keeps every arena address distinct, which
   // for_each_record relies on.
@@ -433,7 +400,7 @@ NodeStore::Intern NodeStore::intern(util::U128 fingerprint,
   // the claimed window — after the lock-free duplicate check — so a
   // duplicate intern never copies and never allocates. Its length rides in
   // the index slot, so a duplicate never reads the arena either.
-  const CasTable::Found found = shard.index.insert_with(
+  const CasTable::Found found = index_.insert_with(
       fingerprint, static_cast<std::uint32_t>(length),
       [&]() -> std::uint64_t {
         Value* values = arena.cur;
@@ -451,40 +418,9 @@ NodeStore::Intern NodeStore::intern(util::U128 fingerprint,
                 found.meta};
 }
 
-std::uint64_t NodeStore::size() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->index.size();
-  return total;
-}
-
-std::uint64_t NodeStore::rehashes() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->index.rehashes();
-  return total;
-}
-
-void NodeStore::reshard(int shard_bits, int num_arenas) {
-  RCONS_ASSERT_MSG(shard_bits >= 0 && shard_bits <= 16, "shard_bits must be in [0, 16]");
+void NodeStore::add_arenas(int num_arenas) {
   while (arenas_.size() < static_cast<std::size_t>(num_arenas)) {
     arenas_.push_back(std::make_unique<Arena>());
-  }
-  if (shard_bits == shard_bits_) return;
-  const std::size_t count = std::size_t{1} << shard_bits;
-  const std::uint64_t expected_per_shard = size() / count;
-  std::vector<std::unique_ptr<Shard>> old_shards = std::move(shards_);
-  shards_.clear();
-  shards_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    shards_.push_back(std::make_unique<Shard>(expected_per_shard));
-  }
-  shard_bits_ = shard_bits;
-  // A key a partial growth sweep carried over appears twice with the same
-  // record address; the second insert finds it.
-  for (const std::unique_ptr<Shard>& old : old_shards) {
-    old->index.for_each_published(
-        [&](util::U128 key, std::uint64_t value, std::uint32_t length) {
-          shards_[shard_index(key)]->index.insert(key, value, length);
-        });
   }
 }
 

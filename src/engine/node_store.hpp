@@ -53,11 +53,9 @@
 #define RCONS_ENGINE_NODE_STORE_HPP
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "engine/cas_table.hpp"
@@ -65,24 +63,6 @@
 #include "util/hash.hpp"
 
 namespace rcons::engine {
-
-// Picks the shard bits of a parallel run's store.
-// Two forces:
-//
-//   * contention — with T workers inserting concurrently we want enough
-//     shards that two unrelated inserts rarely meet on one table's atomics:
-//     at least 8×T shards (collision probability <= 1/8 per pair), rounded
-//     up to the next power of two;
-//   * occupancy — a state space of S states should not be spread over more
-//     than S/64 shards, or most shards sit empty and cache locality
-//     degrades.
-//
-// The occupancy cap wins when they conflict (tiny spaces finish before
-// contention matters). `expected_states` of 0 means unknown — only the
-// contention bound applies. A single worker always gets 0 bits (the
-// sequential layout; no concurrent inserts to spread). Result is clamped to
-// the supported [0, 16] range.
-int pick_shard_bits(int num_threads, std::uint64_t expected_states);
 
 // Puts same-class per-process blocks of an encoded node into canonical
 // order. Built once per run from the symmetry declaration; copy one per
@@ -253,9 +233,10 @@ class NodeCodec {
 };
 
 // Interning store: record payloads live in per-worker chunked bump arenas,
-// keyed by fingerprint through lock-free CAS-claimed slot tables
-// (engine/cas_table.hpp). Interning an already-present fingerprint is the
-// deduplication hit that replaces the separate visited set.
+// keyed by fingerprint through one lock-free CAS-claimed slot index
+// (engine/cas_table.hpp) that every worker shares. Interning an
+// already-present fingerprint is the deduplication hit that replaces the
+// separate visited set.
 //
 // intern() is mutex-free on both the hit and the miss path: the duplicate
 // check is a lock-free probe, and a miss claims its index slot by CAS and
@@ -267,13 +248,13 @@ class NodeCodec {
 // kChunkValues interned values per worker).
 class NodeStore {
  public:
-  // Valid shard_bits: 0 (single index shard — the sequential layout) through
-  // 16. `expected_states` pre-sizes the shard indexes so a run of the
-  // anticipated size never rehashes (0 = unknown, start minimal).
+  // `unused` must be 0. It is left from a layout with several index shards
+  // and stays only because the benchmark's stage timings (perfbench/)
+  // construct stores with it. `expected_states` pre-sizes the index so a run
+  // of the anticipated size never rehashes (0 = unknown, start minimal).
   // `num_arenas` is the number of concurrent interning callers (one arena
   // per worker; arena i must only ever be used by one thread at a time).
-  explicit NodeStore(int shard_bits, std::uint64_t expected_states = 0,
-                     int num_arenas = 1);
+  explicit NodeStore(int unused, std::uint64_t expected_states = 0, int num_arenas = 1);
 
   struct Intern {
     bool inserted = false;  // true when the fingerprint was new
@@ -295,22 +276,19 @@ class NodeStore {
                 int arena = 0, CasTable::OpStats* stats = nullptr);
 
   // Unique records interned. Exact at quiescence.
-  std::uint64_t size() const;
+  std::uint64_t size() const { return index_.size(); }
 
-  int num_shards() const { return static_cast<int>(shards_.size()); }
   int num_arenas() const { return static_cast<int>(arenas_.size()); }
 
-  // Index growth epochs across the shards. The traversals count records
-  // and bytes themselves (engine::Tally).
-  std::uint64_t rehashes() const;
+  // Growth epochs of the index. The traversals count records and bytes
+  // themselves (engine::Tally).
+  std::uint64_t rehashes() const { return index_.rehashes(); }
 
-  // Rebuilds the index over 2^shard_bits shards, each pre-sized for its
-  // share of the records interned so far, and adds arenas up to
-  // `num_arenas`. Records stay where they are, so every Intern view stays
-  // valid. This is how a depth-first probe's store (one shard, one arena)
-  // becomes the worker loop's (ParallelExplorer::escalate). Caller contract:
-  // no concurrent interns or reads.
-  void reshard(int shard_bits, int num_arenas);
+  // Adds arenas up to `num_arenas`. Records and the index stay as they are,
+  // so every Intern view stays valid. This is how a depth-first probe's
+  // store (one arena) becomes the worker loop's (ParallelExplorer::escalate).
+  // Caller contract: no concurrent interns or reads.
+  void add_arenas(int num_arenas);
 
   // Quiescent iteration over every interned record for checkpointing:
   // `fn(fingerprint, payload, length)` where `payload` points at the record
@@ -326,24 +304,20 @@ class NodeStore {
       std::uint32_t length;
     };
     std::vector<Entry> entries;
-    for (const std::unique_ptr<Shard>& shard : shards_) {
-      entries.clear();
-      shard->index.for_each_published(
-          [&](util::U128 key, std::uint64_t address, std::uint32_t length) {
-            entries.push_back(Entry{key, address, length});
-          });
-      std::sort(entries.begin(), entries.end(),
-                [](const Entry& a, const Entry& b) { return a.address < b.address; });
-      std::uint64_t last = 0;
-      bool first = true;
-      for (const Entry& entry : entries) {
-        if (!first && entry.address == last) continue;  // migrated duplicate
-        first = false;
-        last = entry.address;
-        fn(entry.key,
-           reinterpret_cast<const typesys::Value*>(static_cast<std::uintptr_t>(entry.address)),
-           entry.length);
-      }
+    index_.for_each_published([&](util::U128 key, std::uint64_t address, std::uint32_t length) {
+      entries.push_back(Entry{key, address, length});
+    });
+    std::sort(entries.begin(), entries.end(),
+              [](const Entry& a, const Entry& b) { return a.address < b.address; });
+    std::uint64_t last = 0;
+    bool first = true;
+    for (const Entry& entry : entries) {
+      if (!first && entry.address == last) continue;  // migrated duplicate
+      first = false;
+      last = entry.address;
+      fn(entry.key,
+         reinterpret_cast<const typesys::Value*>(static_cast<std::uintptr_t>(entry.address)),
+         entry.length);
     }
   }
 
@@ -361,23 +335,11 @@ class NodeStore {
     typesys::Value* end = nullptr;
   };
 
-  struct alignas(64) Shard {
-    explicit Shard(std::uint64_t expected) : index(expected) {}
-    CasTable index;  // fingerprint -> record address, with the length as meta
-  };
-
   // Points the arena at a fresh chunk with >= `need` free values. Cold path:
   // takes chunk_mu_ once per kChunkValues interned values per worker.
   typesys::Value* arena_refill(Arena& arena, std::size_t need);
 
-  std::size_t shard_index(util::U128 key) const {
-    return shard_bits_ == 0
-               ? 0
-               : static_cast<std::size_t>(key.hi >> (64 - shard_bits_));
-  }
-
-  int shard_bits_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  CasTable index_;  // fingerprint -> record address, with the length as meta
   std::vector<std::unique_ptr<Arena>> arenas_;
   // rcons-lint: allow(hot-path-no-mutex) cold: guards chunk allocation, never per-intern
   std::mutex chunk_mu_;

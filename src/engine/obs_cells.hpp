@@ -34,7 +34,7 @@ namespace rcons::engine {
 // more. store_nodes/store_bytes count the records this traversal interned.
 // The lock-free table work (probe lengths, lost claim CASes, migration
 // stripes helped) is the CasTable::OpStats base, accumulated caller-side so
-// the tables never bounce a shared stats cache line between workers. The
+// the table never bounces a shared stats cache line between workers. The
 // record is cache-line aligned for the same reason: the worker loop keeps its
 // tallies in one array and writes them per successor, so neighbours must not
 // share a line.
@@ -58,8 +58,6 @@ struct alignas(64) Tally : CasTable::OpStats {
   std::uint64_t store_bytes = 0;     // arena payload bytes of those records
   std::uint64_t batches = 0;         // successor batches submitted to the frontier
   std::uint64_t batched_items = 0;   // items across those batches
-  std::uint64_t cache_probes = 0;    // per-worker recently-inserted cache
-  std::uint64_t cache_hits = 0;
 
   // The transitions the classification above accounts for.
   std::uint64_t classified() const {
@@ -91,8 +89,6 @@ inline constexpr TallyField kTallyFields[] = {
     {"store.value_bytes", &Tally::store_bytes},
     {"engine.frontier_batches", &Tally::batches},
     {"engine.frontier_batched_items", &Tally::batched_items},
-    {"engine.dedup_cache_probes", &Tally::cache_probes},
-    {"engine.dedup_cache_hits", &Tally::cache_hits},
     {"engine.cas_retries", &Tally::cas_retries},
     {"engine.migration_stripes", &Tally::migration_stripes},
     {nullptr, &Tally::probe_total},

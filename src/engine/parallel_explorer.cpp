@@ -33,38 +33,6 @@ constexpr std::size_t kMinPopBatch = 4;
 constexpr std::size_t kInitPopBatch = 16;
 constexpr std::size_t kMaxPopBatch = 128;
 
-// Per-worker recently-inserted fingerprint cache: direct-mapped, fixed size.
-// A hit proves the fingerprint is already interned (everything remembered
-// went through the store first), so the table probe can be skipped
-// entirely. Duplicate successors cluster in time — siblings reaching the same
-// state, diamond interleavings — which is exactly what a small recency cache
-// captures.
-class DedupCache {
- public:
-  DedupCache() : keys_(kEntries), valid_(kEntries, 0) {}
-
-  bool seen(util::U128 key) const {
-    const std::size_t index = slot(key);
-    return valid_[index] != 0 && keys_[index] == key;
-  }
-
-  void remember(util::U128 key) {
-    const std::size_t index = slot(key);
-    keys_[index] = key;
-    valid_[index] = 1;
-  }
-
- private:
-  static constexpr std::size_t kEntries = std::size_t{1} << 12;
-
-  static std::size_t slot(util::U128 key) {
-    return static_cast<std::size_t>(util::U128Hash{}(key)) & (kEntries - 1);
-  }
-
-  std::vector<util::U128> keys_;
-  std::vector<std::uint8_t> valid_;
-};
-
 // Transitions between inline polls of the time/memory limits (both
 // traversals) and between the depth-first traversal's metric flushes.
 constexpr std::uint64_t kPollTransitions = 1024;
@@ -97,7 +65,6 @@ void ParallelExplorer::resolve_threads() {
     num_threads_ = static_cast<int>(std::thread::hardware_concurrency());
     if (num_threads_ <= 0) num_threads_ = 1;
   }
-  shard_bits_ = pick_shard_bits(num_threads_, config_.visited_cap());
 }
 
 void ParallelExplorer::reset_run() {
@@ -190,11 +157,13 @@ sim::Violation ParallelExplorer::truncated(sim::StopReason reason,
 }
 
 void ParallelExplorer::finish_stats(const Tally& total, sim::StopReason reason) {
+  // An escalated probe already published the growth of the index it hands on.
+  const std::uint64_t published = stats_.rehashes;
   static_cast<Tally&>(stats_) = total;
   stats_.stop_reason = reason;
   if (store_ != nullptr) stats_.rehashes = store_->rehashes();
-  if (obs_cells_.active && stats_.rehashes != 0) {
-    obs_cells_.store_rehashes->add(0, stats_.rehashes);
+  if (obs_cells_.active && stats_.rehashes > published) {
+    obs_cells_.store_rehashes->add(0, stats_.rehashes - published);
   }
 }
 
@@ -296,8 +265,8 @@ std::optional<sim::Violation> ParallelExplorer::run_dfs(std::uint64_t probe_cap)
 
   std::optional<sim::Violation> result;
   try {
-    // Single shard, single arena: no concurrent inserters (the lock-free
-    // table degenerates to plain probes). escalate() re-shards it.
+    // One arena: no concurrent inserters (the lock-free table degenerates
+    // to plain probes). escalate() adds the workers' arenas.
     store_ = std::make_unique<NodeStore>(0);
     scratch_.emplace(*this);
     NodeStore::Intern root;
@@ -424,13 +393,11 @@ bool ParallelExplorer::stalled(Watch& watch, std::string& dump) const {
 void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& arena,
                               std::atomic<std::uint64_t>& pending, Tally& local,
                               Tally& flushed) {
-  // Per-worker reusable state: the expansion scratch, the popped and
-  // successor batches, and the recently-inserted cache. Zero allocations per
-  // successor after warmup.
+  // Per-worker reusable state: the expansion scratch and the popped and
+  // successor batches. Zero allocations per successor after warmup.
   Scratch scratch(*this);
   std::vector<CompactWorkItem> batch;
   std::vector<CompactWorkItem> successors;
-  DedupCache cache;
 
   // Observability: metrics flush at batch boundaries (obs_cells_ inactive =
   // one predicted branch per batch), spans on the tracer's worker lane.
@@ -525,15 +492,8 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
             return false;
           },
           [&](util::U128 fingerprint, const std::vector<typesys::Value>& successor) {
-            local.cache_probes += 1;
-            if (cache.seen(fingerprint)) {
-              local.cache_hits += 1;
-              return NodeStore::Intern{};  // a sure duplicate: skip the table probe
-            }
             if (fault != nullptr) fault->hit(FaultPlan::Site::kIntern);
-            const NodeStore::Intern interned = store_->intern(fingerprint, successor, id, &local);
-            cache.remember(fingerprint);
-            return interned;
+            return store_->intern(fingerprint, successor, id, &local);
           },
           [&](const Event& event, const NodeStore::Intern& interned) {
             const std::uint64_t count =
@@ -631,7 +591,7 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
   // Only a run from the root interns it and keeps its counts in base_; a
   // resume or an escalation replaces base_ with the counts it continues.
   const bool from_root = config_.resume == nullptr && cut_.empty();
-  if (cut_.empty()) store_ = std::make_unique<NodeStore>(shard_bits_, 0, num_threads_);
+  if (cut_.empty()) store_ = std::make_unique<NodeStore>(0, 0, num_threads_);
   Scratch root_scratch(*this);
   NodeStore::Intern root;
   const NodeCodec::Encoded root_encoded =
@@ -679,7 +639,7 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
     // The DFS's counts are part of this run's totals (its obs counters are
     // already in the registry, so nothing is flushed for them here).
     base_ = dfs_;
-    store_->reshard(shard_bits_, num_threads_);
+    store_->add_arenas(num_threads_);
     // Arena paths from the root, so violations below a deferred state report
     // full schedules. The cut is small (77 states on Sn(5) n=5 c=1 with the
     // default 32,768-state probe), so each path gets its own chain.

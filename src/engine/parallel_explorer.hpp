@@ -46,12 +46,12 @@
 // frontier items are stored inline and submitted/drained in batches
 // (engine/frontier.hpp) with pop-batch sizes adapted to observed steal
 // pressure, path backlinks come from per-worker append-only arenas
-// (engine/path_arena.hpp), and dedup probes hit lock-free CAS-claimed slot
-// tables (engine/cas_table.hpp) behind a small per-worker recently-inserted
-// fingerprint cache. Nodes are interned value records in a NodeStore, which
-// is also the visited set; the step decodes into the traversal's reusable
-// scratch node instead of cloning Memory + N Process objects per successor
-// (engine/node_store.hpp). A symmetry declaration
+// (engine/path_arena.hpp), and every worker interns straight into one
+// lock-free CAS-claimed slot index (engine/cas_table.hpp). Nodes are interned
+// value records in a NodeStore, which is also the visited set; the step
+// decodes into the traversal's reusable scratch node instead of cloning
+// Memory + N Process objects per successor (engine/node_store.hpp). A
+// symmetry declaration
 // (ExplorerConfig::symmetry_classes) makes the fingerprints canonical.
 // tests/engine/differential_test.cpp checks both traversals against a naive
 // reference explorer.
@@ -107,7 +107,7 @@ class ParallelExplorer {
   std::size_t deferred() const { return cut_.size(); }
 
   // Continues the last run_dfs() from its cut in the worker loop: the store
-  // is re-sharded for the workers (records stay in place), the deferred
+  // gains an arena per worker (records and index stay in place), the deferred
   // states are seeded with arena paths from the root (violation traces stay
   // full replayable schedules), counters carry on from the DFS totals, the
   // DFS's violation candidate stands unless a lower trace turns up, and the
@@ -249,7 +249,6 @@ class ParallelExplorer {
   std::vector<sim::Process> initial_processes_;
   sim::ExplorerConfig config_;
   int num_threads_ = 0;
-  int shard_bits_ = 0;
 
   ExplorerStats stats_;
 

@@ -58,8 +58,6 @@ const std::vector<NameDoc>& metric_names() {
       {"engine.batch_size", "histogram of successor batch sizes pushed per expansion"},
       {"engine.cas_retries", "lock-free slot claims lost to a racing worker and retried"},
       {"engine.decisions", "decide transitions taken (== ExplorerStats.decisions)"},
-      {"engine.dedup_cache_hits", "duplicate probes answered by the per-worker cache"},
-      {"engine.dedup_cache_probes", "lookups in the per-worker recently-inserted cache"},
       {"engine.duplicates", "successor states that were already visited"},
       {"engine.frontier_batched_items", "items across those batches"},
       {"engine.frontier_batches", "successor batches submitted to the frontier"},
@@ -87,7 +85,7 @@ const std::vector<NameDoc>& metric_names() {
       {"store.canonical_hits", "encodings the symmetry canonicalizer permuted"},
       {"store.encodes", "node encodings produced"},
       {"store.nodes", "unique states interned in the node store"},
-      {"store.rehashes", "growth epochs of the store's lock-free index across shards"},
+      {"store.rehashes", "growth epochs of the store's lock-free index"},
       {"store.value_bytes", "arena payload bytes across interned records"},
   };
   return kNames;

@@ -88,6 +88,7 @@ class PropertySet {
  public:
   // The classic trio: agreement, validity, recoverable wait-freedom.
   PropertySet() {
+    specs_.reserve(3);
     add({PropertyKind::kAgreement, 0});
     add({PropertyKind::kValidity, 0});
     add({PropertyKind::kWaitFreedom, 0});

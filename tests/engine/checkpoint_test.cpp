@@ -44,7 +44,7 @@ CheckpointData sample_data() {
   data.stats.canonical_hits = 19;
   data.stats.duplicates = 33000;
   data.stats.violation_edges = 912;
-  data.stats.cache_hits = 17;
+  data.stats.migration_stripes = 17;
   data.stats.max_probe = 41;
   data.stats.checkpoints_written = 3;
   data.has_violation = true;

@@ -2,8 +2,7 @@
 // trips (through the resident record views), NodeCodec encode/decode
 // inversion (including fingerprint parity with engine::encode_node), the
 // Canonicalizer's symmetry reduction
-// (full sort and successor re-insertion, with pinned hit counts),
-// and pick_shard_bits.
+// (full sort and successor re-insertion, with pinned hit counts).
 #include "engine/node_store.hpp"
 
 #include <gtest/gtest.h>
@@ -130,7 +129,7 @@ check::ScenarioSystem spec_system(const std::string& line, sim::ExplorerConfig& 
 }
 
 TEST(NodeStoreTest, InternRoundTripsRecords) {
-  NodeStore store(2);
+  NodeStore store(0);
   std::vector<NodeStore::Intern> views;
   for (std::uint64_t i = 0; i < 50; ++i) {
     const auto interned = store.intern(key(i), record_of(i, 5 + i % 7));
@@ -158,7 +157,7 @@ TEST(NodeStoreTest, DuplicateInternReturnsExistingId) {
 
 TEST(NodeStoreTest, InternViewsCarryRecordLengths) {
   // The traversals count store bytes from these lengths (Tally::store_bytes).
-  NodeStore store(1);
+  NodeStore store(0);
   EXPECT_EQ(store.intern(key(1), record_of(1, 10)).length, 10u);
   EXPECT_EQ(store.intern(key(2), record_of(2, 6)).length, 6u);
   EXPECT_EQ(store.intern(key(1), record_of(1, 10)).length, 10u);
@@ -171,7 +170,7 @@ TEST(NodeStoreTest, ConcurrentInternsAgreeOnWinners) {
   // One bump arena per thread: arenas are single-owner by contract (the
   // explorers hand each worker its own index), so racing threads must not
   // share arena 0.
-  NodeStore store(4, /*expected_states=*/0, /*num_arenas=*/kThreads);
+  NodeStore store(0, /*expected_states=*/0, /*num_arenas=*/kThreads);
   std::vector<std::uint64_t> duplicates(kThreads, 0);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -195,35 +194,43 @@ TEST(NodeStoreTest, ConcurrentInternsAgreeOnWinners) {
             record_of(123, 3));
 }
 
-TEST(NodeStoreTest, ReshardKeepsEveryRecordInPlace) {
-  // A single-shard probe store re-sharded for parallel workers: every record
-  // keeps its address, lookups find it through the new shards, and the new
-  // arenas intern new records.
+TEST(NodeStoreTest, AddedArenasKeepEveryRecordInPlace) {
+  // A one-arena probe store given arenas for parallel workers: every record
+  // keeps its address and is still found, the index keeps its growth epochs,
+  // and the new arenas intern new records.
   NodeStore store(0);
   constexpr std::uint64_t kKeys = 3000;  // past several growth epochs
   std::vector<NodeStore::Intern> interned;
   for (std::uint64_t i = 0; i < kKeys; ++i) {
     interned.push_back(store.intern(key(i), record_of(i, 3)));
   }
-  store.reshard(4, 2);
-  EXPECT_EQ(store.num_shards(), 16);
-  EXPECT_EQ(store.num_arenas(), 2);
+  const std::uint64_t rehashes = store.rehashes();
+  store.add_arenas(3);
+  EXPECT_EQ(store.num_arenas(), 3);
   EXPECT_EQ(store.size(), kKeys);
+  EXPECT_EQ(store.rehashes(), rehashes);
   for (std::uint64_t i = 0; i < kKeys; ++i) {
     const NodeStore::Intern again = store.intern(key(i), record_of(i, 3), 1);
     ASSERT_FALSE(again.inserted) << i;
     ASSERT_EQ(again.record, interned[i].record) << i;
   }
-  const NodeStore::Intern fresh = store.intern(key(kKeys), record_of(kKeys, 4), 1);
-  EXPECT_TRUE(fresh.inserted);
-  EXPECT_EQ(store.size(), kKeys + 1);
+  for (const int arena : {1, 2}) {
+    const std::uint64_t k = kKeys + static_cast<std::uint64_t>(arena);
+    const NodeStore::Intern fresh = store.intern(key(k), record_of(k, 4), arena);
+    EXPECT_TRUE(fresh.inserted) << arena;
+    EXPECT_EQ(std::vector<typesys::Value>(fresh.record, fresh.record + fresh.length),
+              record_of(k, 4));
+    EXPECT_EQ(store.intern(key(k), record_of(k, 4), 0).record, fresh.record) << arena;
+  }
+  EXPECT_EQ(store.size(), kKeys + 2);
 }
 
-TEST(NodeStoreTest, DuplicateInternsReturnTheResidentLengthAcrossGrowthAndReshard) {
+TEST(NodeStoreTest, DuplicateInternsReturnTheResidentLengthAcrossGrowthAndNewArenas) {
   // Varied record lengths, interned into a minimal store (several index
-  // growth epochs), then re-sharded. A duplicate intern answers from the
-  // index slot alone: it must report the resident record's length even when
-  // the caller's record differs, and the view must still cover that record.
+  // growth epochs), which then gains an arena. A duplicate intern answers
+  // from the index slot alone: it must report the resident record's length
+  // even when the caller's record differs, and the view must still cover
+  // that record.
   const auto length_of = [](std::uint64_t i) { return std::size_t{2} + i % 29; };
   NodeStore store(0);
   constexpr std::uint64_t kKeys = 5000;
@@ -242,7 +249,7 @@ TEST(NodeStoreTest, DuplicateInternsReturnTheResidentLengthAcrossGrowthAndReshar
     }
   };
   expect_resident(0);
-  store.reshard(3, 2);
+  store.add_arenas(2);
   expect_resident(1);
 
   // The checkpoint walk reads the same lengths, each record once.
@@ -460,49 +467,6 @@ TEST(NodeCodecTest, TeamConsensusSystemsDeclareUsableSymmetry) {
   int largest = 0;
   for (const int size : class_sizes) largest = std::max(largest, size);
   EXPECT_GE(largest, 2) << "no interchangeable roles — canonicalization inert";
-}
-
-TEST(PickShardBitsTest, SingleWorkerGetsSequentialLayout) {
-  EXPECT_EQ(pick_shard_bits(1, 0), 0);
-  EXPECT_EQ(pick_shard_bits(1, 1'000'000'000), 0);
-  EXPECT_EQ(pick_shard_bits(0, 1'000'000), 0);
-}
-
-TEST(PickShardBitsTest, ContentionBoundScalesWithThreads) {
-  // Unknown state space: shards >= 8 * threads, rounded up to a power of two.
-  EXPECT_EQ(pick_shard_bits(2, 0), 4);    // 16 shards
-  EXPECT_EQ(pick_shard_bits(4, 0), 5);    // 32 shards
-  EXPECT_EQ(pick_shard_bits(8, 0), 6);    // 64 shards
-  EXPECT_EQ(pick_shard_bits(16, 0), 7);   // 128 shards
-  EXPECT_EQ(pick_shard_bits(64, 0), 9);   // 512 shards
-  // Monotone in the thread count.
-  int previous = 0;
-  for (int threads = 1; threads <= 128; threads *= 2) {
-    const int bits = pick_shard_bits(threads, 0);
-    EXPECT_GE(bits, previous) << threads;
-    previous = bits;
-  }
-}
-
-TEST(PickShardBitsTest, OccupancyCapShrinksSmallStateSpaces) {
-  // A 1000-state space should not be spread over more than ~1000/64 shards.
-  EXPECT_LE(pick_shard_bits(8, 1000), 4);
-  // A tiny space degenerates to very few shards no matter the thread count.
-  EXPECT_EQ(pick_shard_bits(64, 100), 0);
-  // A huge space leaves the contention bound in charge.
-  EXPECT_EQ(pick_shard_bits(8, 100'000'000), 6);
-}
-
-TEST(PickShardBitsTest, ResultAlwaysWithinSupportedRange) {
-  for (const int threads : {1, 2, 7, 33, 1000, 100'000}) {
-    for (const std::uint64_t states : {std::uint64_t{0}, std::uint64_t{1},
-                                       std::uint64_t{1'000'000},
-                                       ~std::uint64_t{0}}) {
-      const int bits = pick_shard_bits(threads, states);
-      EXPECT_GE(bits, 0) << threads << " " << states;
-      EXPECT_LE(bits, 16) << threads << " " << states;
-    }
-  }
 }
 
 }  // namespace
