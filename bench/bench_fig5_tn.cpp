@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <string>
 
 #include "hierarchy/discerning.hpp"
 #include "hierarchy/recording.hpp"
@@ -39,10 +40,11 @@ void print_sweep() {
     const bool disc_n = hierarchy::is_discerning(tn, n);
     const bool rec_n1 = hierarchy::is_recording(tn, n - 1);
     const bool rec_n2 = hierarchy::is_recording(tn, n - 2);
+    const std::string lo = std::to_string(n - 2);
+    const std::string hi = std::to_string(n - 1);
     table.add_row({std::to_string(n), disc_n ? "yes" : "NO",
                    rec_n1 ? "YES (unexpected)" : "no", rec_n2 ? "yes" : "NO",
-                   std::to_string(n),
-                   "[" + std::to_string(n - 2) + "," + std::to_string(n - 1) + "]"});
+                   std::to_string(n), "[" + lo + "," + hi + "]"});
   }
   std::cout << "=== Proposition 19 sweep: rcons(Tn) < cons(Tn) = n ===\n\n";
   table.print(std::cout);

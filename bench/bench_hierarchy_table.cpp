@@ -32,7 +32,9 @@ void print_table() {
     if (entry.type->readable()) {
       const hierarchy::HierarchyBounds b = hierarchy::bounds_for_readable(disc, rec);
       cons = bound_str(b.cons);
-      rcons_range = "[" + bound_str(b.rcons_lo) + "," + bound_str(b.rcons_hi) + "]";
+      const std::string lo = bound_str(b.rcons_lo);
+      const std::string hi = bound_str(b.rcons_hi);
+      rcons_range = "[" + lo + "," + hi + "]";
     }
     table.add_row({entry.type->name(), entry.type->readable() ? "yes" : "no",
                    disc.format(), rec.format(), cons, rcons_range, entry.provenance});

@@ -82,13 +82,17 @@ struct PropertyViolation {
 };
 
 class PropertySet {
+  // add() admits at most one spec per kind, so a set built by the
+  // constructors and add() never outgrows this and never reallocates.
+  static constexpr std::size_t kMaxSpecs = 5;
+
   struct EmptyTag {};
-  explicit PropertySet(EmptyTag) {}
+  explicit PropertySet(EmptyTag) { specs_.reserve(kMaxSpecs); }
 
  public:
   // The classic trio: agreement, validity, recoverable wait-freedom.
   PropertySet() {
-    specs_.reserve(3);
+    specs_.reserve(kMaxSpecs);
     add({PropertyKind::kAgreement, 0});
     add({PropertyKind::kValidity, 0});
     add({PropertyKind::kWaitFreedom, 0});

@@ -34,8 +34,7 @@ std::vector<StateRepr> FetchAndIncrementType::initial_states(int /*n*/) const {
 Transition FetchAndIncrementType::apply(const StateRepr& state,
                                         const Operation& /*op*/) const {
   RCONS_ASSERT(state.size() == 1);
-  const Value next = modulus_ > 0 ? (state[0] + 1) % modulus_ : state[0] + 1;
-  return Transition{{next}, state[0]};
+  return Transition{{state[0] + 1}, state[0]};
 }
 
 // --- Swap ---

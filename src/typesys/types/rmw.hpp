@@ -22,20 +22,13 @@ class TestAndSetType final : public ObjectType {
 
 // State: {counter}. FetchAndIncrement returns the old counter value.
 // cons = 2; the state only counts operations (commutative), so not 2-recording.
-// A non-zero `modulus` wraps the counter, making the state space finite (as
-// required by the lock-free runtime's precomputed transition closure).
 class FetchAndIncrementType final : public ObjectType {
  public:
-  explicit FetchAndIncrementType(Value modulus = 0) : modulus_(modulus) {}
-
   std::string name() const override { return "fetch-and-increment"; }
   bool readable() const override { return true; }
   std::vector<Operation> operations(int n) const override;
   std::vector<StateRepr> initial_states(int n) const override;
   Transition apply(const StateRepr& state, const Operation& op) const override;
-
- private:
-  Value modulus_;
 };
 
 // State: {value}. Swap(v) returns the old value and installs v.

@@ -1,8 +1,8 @@
 // Deterministic pseudo-random number generation.
 //
-// Every randomized component in this repository (random schedules, crash
-// injection, workload generators) takes an explicit seed and uses these
-// generators, so that any failing execution can be replayed exactly.
+// The random runner (sim/random_runner) draws its schedules, crashes
+// included, from an explicitly seeded Rng, so that any failing execution can
+// be replayed exactly.
 #ifndef RCONS_UTIL_RNG_HPP
 #define RCONS_UTIL_RNG_HPP
 
@@ -56,11 +56,6 @@ class Rng {
   bool chance(std::uint64_t numer, std::uint64_t denom) {
     RCONS_ASSERT(denom > 0);
     return below(denom) < numer;
-  }
-
-  // Uniform double in [0, 1).
-  double uniform01() {
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
   }
 
  private:

@@ -53,6 +53,30 @@ TEST(TransitionCacheTest, InitialStatesPreInterned) {
   }
 }
 
+TEST(TransitionCacheTest, SnCandidateStatesAreClosedUnderOps) {
+  // S_5's 2n candidate states are all it can reach: applying every operation
+  // to every one of them discovers no further state.
+  SnType sn(5);
+  TransitionCache cache(sn, 5);
+  ASSERT_EQ(cache.discovered_states(), 10u);
+  for (const StateId q : cache.initial_states()) {
+    for (OpId op = 0; op < cache.num_ops(); ++op) cache.apply(q, op);
+  }
+  EXPECT_EQ(cache.discovered_states(), 10u);
+}
+
+TEST(TransitionCacheTest, ResultsUseTheCallersStateIds) {
+  // A state interned by the caller and the successor apply() returns share
+  // one id space: CAS(⊥,1) from the interned ⊥ lands on the state {1}.
+  CompareAndSwapType cas;
+  TransitionCache cache(cas, 3);
+  const StateId bottom = cache.intern({kBottom});
+  const auto step = cache.apply(bottom, 0);
+  EXPECT_EQ(step.response, kBottom);
+  EXPECT_EQ(cache.repr(step.next), StateRepr{1});
+  EXPECT_EQ(step.next, cache.intern({1}));
+}
+
 TEST(TransitionCacheTest, DiscoversOnlyReachableStates) {
   TestAndSetType tas;
   TransitionCache cache(tas, 2);

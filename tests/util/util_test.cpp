@@ -45,15 +45,6 @@ TEST(RngTest, ChanceExtremes) {
   }
 }
 
-TEST(RngTest, Uniform01InRange) {
-  Rng rng(11);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform01();
-    EXPECT_GE(x, 0.0);
-    EXPECT_LT(x, 1.0);
-  }
-}
-
 TEST(HashTest, RangeHashSensitiveToOrderAndLength) {
   const std::int64_t a[] = {1, 2, 3};
   const std::int64_t b[] = {3, 2, 1};
