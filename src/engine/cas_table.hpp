@@ -64,9 +64,20 @@
 // of spinning on a table that can never accept its claim.
 //
 // Probe-length and contention counters accumulate into a caller-owned
-// OpStats (one per worker), never into shared cache lines. The one counter
-// every insert writes, `size_`, sits on its own cache line, away from the
+// OpStats (one per worker), never into shared cache lines. So do inserts: a
+// caller's OpStats holds its inserts until kFoldInserts of them have landed,
+// then folds them into the shared `size_` at once and checks the growth
+// threshold (fold() hands over the remainder; a caller without OpStats folds
+// every insert). So `size_` is exact at quiescence and the threshold lags by
+// under kFoldInserts inserts per caller — far inside the 3/8 of an array
+// between the threshold and full, since arrays under kFoldMinCapacity slots
+// fold every insert. `size_` sits on its own cache line, away from the
 // `live_` pointer every probe loads.
+//
+// Mapped arrays are advised MADV_HUGEPAGE: a probe is one random read of an
+// array larger than the caches, and on 4 KiB pages most probes also miss
+// the TLB. The advice is a hint; where transparent huge pages are off it
+// changes nothing.
 #ifndef RCONS_ENGINE_CAS_TABLE_HPP
 #define RCONS_ENGINE_CAS_TABLE_HPP
 
@@ -96,6 +107,7 @@ class CasTable {
     std::uint64_t max_probe = 0;          // longest single probe sequence
     std::uint64_t cas_retries = 0;        // slot claims lost to another thread
     std::uint64_t migration_stripes = 0;  // growth stripes this caller migrated
+    std::uint64_t unfolded_inserts = 0;   // inserts not yet added to size()
   };
 
   struct Found {
@@ -146,8 +158,7 @@ class CasTable {
       Claim claim = claim_or_find(*head, key, meta, make_value, stats);
       if (claim.outcome == Claim::kFound) return claim.found;
       if (claim.outcome == Claim::kInserted) {
-        size_.fetch_add(1, std::memory_order_relaxed);
-        maybe_grow(head);
+        count_insert(head, stats);
         claim.found.inserted = true;
         return claim.found;
       }
@@ -188,7 +199,24 @@ class CasTable {
     }
   }
 
-  // Keys inserted. Exact at quiescence; a racy snapshot while inserting.
+  // Adds the inserts `stats` still holds to size(). Each caller that passes
+  // OpStats to insert() calls this once it stops inserting.
+  void fold(OpStats& stats) {
+    if (stats.unfolded_inserts == 0) return;
+    size_.fetch_add(stats.unfolded_inserts, std::memory_order_relaxed);
+    stats.unfolded_inserts = 0;
+  }
+
+  // Pulls the home slot of `key` in the live array toward the cache, so that
+  // an insert or find of `key` issued a little later starts on a cached
+  // line. A hint: it changes no state, and the live array stays mapped.
+  void prefetch(util::U128 key) const {
+    const Array* head = live_.load(std::memory_order_acquire);
+    __builtin_prefetch(&head->slots[bucket(key, head->mask)]);
+  }
+
+  // Keys inserted, once every caller folded its inserts. Exact at
+  // quiescence; a racy snapshot while inserting.
   std::uint64_t size() const { return size_.load(std::memory_order_relaxed); }
 
   // Growth epochs started (table doublings).
@@ -254,6 +282,10 @@ class CasTable {
   // inserts — well before the ~0.6*C fresh inserts that would trigger the
   // next growth.
   static constexpr std::size_t kStripeSlots = 32;
+  // Inserts a caller holds before it folds them into size_, and the array
+  // size below which it folds every insert (see the header comment).
+  static constexpr std::uint64_t kFoldInserts = 16;
+  static constexpr std::size_t kFoldMinCapacity = std::size_t{1} << 12;
 
   struct Slot {
     std::atomic<std::uint32_t> tag{kEmpty};
@@ -303,6 +335,11 @@ class CasTable {
       void* memory = ::mmap(nullptr, cap * sizeof(Slot), PROT_READ | PROT_WRITE,
                             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
       if (memory == MAP_FAILED) throw std::bad_alloc();
+#ifdef MADV_HUGEPAGE
+      // Before the slots are written, so the first touch can fault in huge
+      // pages. A hint: its failure leaves the 4 KiB pages.
+      (void)::madvise(memory, cap * sizeof(Slot), MADV_HUGEPAGE);
+#endif
       Slot* slots = static_cast<Slot*>(memory);
       std::uninitialized_value_construct_n(slots, cap);
       return slots;
@@ -535,6 +572,22 @@ class CasTable {
     }
   }
 
+  // Counts one insert that landed in `claimed_in`: held in `stats`, or
+  // folded with those held into size_, followed by the growth check.
+  void count_insert(Array* claimed_in, OpStats* stats) {
+    std::uint64_t inserts = 1;
+    if (stats != nullptr) {
+      inserts += stats->unfolded_inserts;
+      if (inserts < kFoldInserts && claimed_in->capacity >= kFoldMinCapacity) {
+        stats->unfolded_inserts = inserts;
+        return;
+      }
+      stats->unfolded_inserts = 0;
+    }
+    size_.fetch_add(inserts, std::memory_order_relaxed);
+    maybe_grow(claimed_in);
+  }
+
   void maybe_grow(Array* claimed_in) {
     if (size_.load(std::memory_order_relaxed) <= claimed_in->capacity / 8 * 5) return;
     // rcons-lint: allow(hot-path-no-mutex) growth only; inserts reach here after the lock-free size gate
@@ -584,8 +637,8 @@ class CasTable {
   }
 
   std::atomic<Array*> live_{nullptr};
-  // Bumped by every insert: its own cache line, so the bumps never evict
-  // `live_`, which every probe of every worker loads.
+  // Bumped once per kFoldInserts inserts of a caller: its own cache line, so
+  // the bumps never evict `live_`, which every probe of every worker loads.
   alignas(64) std::atomic<std::uint64_t> size_{0};
   std::atomic<std::uint64_t> rehashes_{0};
   std::atomic<std::uint64_t> retained_bytes_{0};

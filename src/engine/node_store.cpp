@@ -386,7 +386,7 @@ Value* NodeStore::arena_refill(Arena& arena, std::size_t need) {
 }
 
 NodeStore::Intern NodeStore::intern(util::U128 fingerprint,
-                                    const std::vector<Value>& record, int arena_index,
+                                    std::span<const Value> record, int arena_index,
                                     CasTable::OpStats* stats) {
   RCONS_ASSERT(arena_index >= 0 &&
                static_cast<std::size_t>(arena_index) < arenas_.size());

@@ -56,6 +56,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "engine/cas_table.hpp"
@@ -271,11 +272,20 @@ class NodeStore {
 
   // Interns `record` under `fingerprint` using the caller's arena; returns
   // the resident payload view of the (existing or new) record. Probe/CAS
-  // counters accumulate into `stats` when non-null.
-  Intern intern(util::U128 fingerprint, const std::vector<typesys::Value>& record,
+  // counters and inserts accumulate into `stats` when non-null; the caller
+  // fold()s them once it stops interning.
+  Intern intern(util::U128 fingerprint, std::span<const typesys::Value> record,
                 int arena = 0, CasTable::OpStats* stats = nullptr);
 
-  // Unique records interned. Exact at quiescence.
+  // Starts loading the index slot an intern of `fingerprint` probes first
+  // (CasTable::prefetch).
+  void prefetch(util::U128 fingerprint) const { index_.prefetch(fingerprint); }
+
+  // Adds the inserts `stats` holds to size() (CasTable::fold).
+  void fold(CasTable::OpStats& stats) { index_.fold(stats); }
+
+  // Unique records interned. Exact at quiescence, once every caller that
+  // passed OpStats folded them.
   std::uint64_t size() const { return index_.size(); }
 
   int num_arenas() const { return static_cast<int>(arenas_.size()); }

@@ -34,7 +34,9 @@ namespace rcons::engine {
 // more. store_nodes/store_bytes count the records this traversal interned.
 // The lock-free table work (probe lengths, lost claim CASes, migration
 // stripes helped) is the CasTable::OpStats base, accumulated caller-side so
-// the table never bounces a shared stats cache line between workers. The
+// the table never bounces a shared stats cache line between workers. Its
+// inserts not yet folded into the table's size are not a count: every
+// traversal folds them before it ends. The
 // record is cache-line aligned for the same reason: the worker loop keeps its
 // tallies in one array and writes them per successor, so neighbours must not
 // share a line.

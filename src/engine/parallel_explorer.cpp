@@ -4,6 +4,7 @@
 #include <chrono>
 #include <memory>
 #include <new>
+#include <span>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -176,19 +177,21 @@ NodeCodec::Encoded ParallelExplorer::encode_root(Scratch& s, Tally& tally,
   if (encoded.permuted) tally.canonical_hits += 1;
   if (interned != nullptr) {
     *interned = store_->intern(encoded.fingerprint, s.record, 0, &tally);
+    store_->fold(tally);
     tally.store_nodes += 1;
     tally.store_bytes += static_cast<std::uint64_t>(interned->length) * sizeof(typesys::Value);
   }
   return encoded;
 }
 
-template <typename Stop, typename Violating, typename Intern, typename Fresh>
+template <ParallelExplorer::Order order, typename Stop, typename Violating, typename Intern,
+          typename Fresh>
 bool ParallelExplorer::expand(Scratch& s, const typesys::Value* record, std::uint32_t length,
                               std::size_t depth, Tally& tally, Stop&& stop,
                               Violating&& violating, Intern&& intern, Fresh&& fresh) {
   // The parent is its interned record, read in place from the store arena.
   // decode() also captures the record's layout for the restore and
-  // patch-encode fast paths below.
+  // patch-encode fast paths of the build step.
   s.codec.decode(record, length, s.node);
   while (s.events.size() <= depth) s.events.emplace_back();
   std::vector<Event>& events = s.events[depth];
@@ -206,45 +209,100 @@ bool ParallelExplorer::expand(Scratch& s, const typesys::Value* record, std::uin
   // Codec header layout: record[1] counts the distinct outputs so far.
   const auto parent_decisions = static_cast<std::size_t>(record[1]);
 
-  // Between successors the scratch node diverges from the parent record only
-  // where the previous event touched it: the shared flat fields plus exactly
-  // one process (or all of them after a crash-all). restore() re-decodes just
-  // that — one program decode per successor instead of n.
+  // The build step: applies `event` to the scratch node and returns the
+  // property it breaks, or else encodes the successor into s.record and
+  // fills `built` (offset 0). It counts nothing. Between successors the
+  // scratch node diverges from the parent record only where the previous
+  // event touched it: the shared flat fields plus exactly one process (or
+  // all of them after a crash-all). restore() re-decodes just that — one
+  // program decode per successor instead of n.
   int dirty = NodeCodec::kDirtyNone;
-  for (const Event& event : events) {
-    // Stop before counting the event, so a stop leaves no transition
-    // unclassified.
-    if (stop()) return false;
-    tally.transitions += 1;
+  const auto build = [&](const Event& event,
+                         Successor& built) -> std::optional<sim::PropertyViolation> {
     if (dirty != NodeCodec::kDirtyNone) s.codec.restore(record, length, s.node, dirty);
     dirty = event.kind == Event::Kind::kCrashAll ? NodeCodec::kDirtyAll : event.process;
-    if (auto broken = apply_event(s.node, event, config_)) {
-      tally.violation_edges += 1;
-      if (violating(event, *broken)) return false;
-      continue;  // a violating edge is never expanded further
-    }
-    if (s.node.decisions.size() > parent_decisions) tally.decisions += 1;
+    if (auto broken = apply_event(s.node, event, config_)) return broken;
+    built.decided = s.node.decisions.size() > parent_decisions;
     // Per-process events leave n-1 blocks byte-identical to the parent
     // record: patch-encode copies them instead of re-encoding programs.
     const NodeCodec::Encoded encoded =
         event.kind == Event::Kind::kCrashAll
             ? s.codec.encode(s.node, s.record)
             : s.codec.encode_successor(record, length, s.node, event.process, s.record);
+    built.fingerprint = encoded.fingerprint;
+    built.length = static_cast<std::uint32_t>(s.record.size());
+    built.permuted = encoded.permuted;
+    return std::nullopt;
+  };
+  // The classify step: counts the transition and runs the hooks, on
+  // `broken` when the event breaks a property, else on `built`, whose
+  // record is `successor`.
+  const auto classify = [&](const Event& event, const Successor& built,
+                            sim::PropertyViolation* broken,
+                            std::span<const typesys::Value> successor) {
+    tally.transitions += 1;
+    if (broken != nullptr) {
+      tally.violation_edges += 1;
+      // A violating edge is never expanded further.
+      return violating(event, *broken) ? Next::kStop : Next::kContinue;
+    }
+    if (built.decided) tally.decisions += 1;
     tally.encodes += 1;
-    if (encoded.permuted) tally.canonical_hits += 1;
-    const NodeStore::Intern interned = intern(encoded.fingerprint, s.record);
+    if (built.permuted) tally.canonical_hits += 1;
+    const NodeStore::Intern interned = intern(built.fingerprint, successor);
     if (!interned.inserted) {
       tally.duplicates += 1;
-      continue;
+      return Next::kContinue;
     }
     tally.store_nodes += 1;
     tally.store_bytes += static_cast<std::uint64_t>(interned.length) * sizeof(typesys::Value);
     tally.visited += 1;
-    const Next next = fresh(event, interned);
-    if (next == Next::kStop) return false;
-    // A hook that reused `s` re-pointed the codec's captured layout at other
-    // records; a full re-decode re-captures this one's before the next event.
-    if (next == Next::kRedecode) dirty = NodeCodec::kDirtyAll;
+    return fresh(event, interned);
+  };
+
+  if constexpr (order == Order::kInterleaved) {
+    for (const Event& event : events) {
+      // Stop before counting the event, so a stop leaves no transition
+      // unclassified.
+      if (stop()) return false;
+      Successor built;
+      auto broken = build(event, built);
+      const Next next = classify(event, built, broken ? &*broken : nullptr, s.record);
+      if (next == Next::kStop) return false;
+      // A hook that reused `s` re-pointed the codec's captured layout at
+      // other records; a full re-decode re-captures this one's before the
+      // next event.
+      if (next == Next::kRedecode) dirty = NodeCodec::kDirtyAll;
+    }
+  } else {
+    // Build every successor first, starting the load of each one's index
+    // slot, so the classify pass finds most of them in cache. Violations
+    // wait in s.violations, in event order.
+    s.values.clear();
+    s.successors.clear();
+    s.violations.clear();
+    for (const Event& event : events) {
+      Successor& built = s.successors.emplace_back();
+      if (auto broken = build(event, built)) {
+        built.broken = true;
+        s.violations.push_back(std::move(*broken));
+        continue;
+      }
+      built.offset = static_cast<std::uint32_t>(s.values.size());
+      s.values.insert(s.values.end(), s.record.begin(), s.record.end());
+      store_->prefetch(built.fingerprint);
+    }
+    const std::span<const typesys::Value> values(s.values);
+    sim::PropertyViolation* broken = s.violations.data();
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (stop()) return false;
+      const Successor& built = s.successors[i];
+      const Next next = classify(events[i], built, built.broken ? broken++ : nullptr,
+                                 values.subspan(built.offset, built.length));
+      if (next == Next::kStop) return false;
+      RCONS_DCHECK_MSG(next == Next::kContinue,
+                       "the batched order's hooks must leave the scratch alone");
+    }
   }
   return true;
 }
@@ -291,6 +349,7 @@ std::optional<sim::Violation> ParallelExplorer::run_dfs(std::uint64_t probe_cap)
     draining_ = false;
   }
 
+  if (store_ != nullptr) store_->fold(dfs_);
   dcheck_transitions_identity(dfs_);
   obs_cells_.flush(0, dfs_, dfs_flushed_);
   finish_stats(dfs_, static_cast<sim::StopReason>(stop_reason_.load(std::memory_order_relaxed)));
@@ -302,7 +361,7 @@ std::optional<sim::Violation> ParallelExplorer::run_dfs(std::uint64_t probe_cap)
 std::optional<sim::Violation> ParallelExplorer::dfs(const typesys::Value* record,
                                                     std::uint32_t length) {
   std::optional<sim::Violation> result;
-  expand(
+  expand<Order::kInterleaved>(
       *scratch_, record, length, path_.size(), dfs_,
       [&] {
         // Every kPollTransitions transitions: flush metrics, and sample the
@@ -329,7 +388,7 @@ std::optional<sim::Violation> ParallelExplorer::dfs(const typesys::Value* record
                                 std::move(path)};
         return true;
       },
-      [&](util::U128 fingerprint, const std::vector<typesys::Value>& successor) {
+      [&](util::U128 fingerprint, std::span<const typesys::Value> successor) {
         return store_->intern(fingerprint, successor, 0, &dfs_);
       },
       [&](const Event& event, const NodeStore::Intern& interned) {
@@ -482,7 +541,7 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
       const CompactWorkItem item = batch.back();
       batch.pop_back();
 
-      const bool incomplete = !expand(
+      const bool incomplete = !expand<Order::kBatched>(
           scratch, item.record, item.length, 0, local,
           [&] { return stop_.load(std::memory_order_relaxed); },
           [&](const Event& event, sim::PropertyViolation& broken) {
@@ -491,8 +550,11 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
             offer_violation(std::move(path), std::move(broken));
             return false;
           },
-          [&](util::U128 fingerprint, const std::vector<typesys::Value>& successor) {
-            if (fault != nullptr) fault->hit(FaultPlan::Site::kIntern);
+          [&](util::U128 fingerprint, std::span<const typesys::Value> successor) {
+            if (fault != nullptr &&
+                fault->hit(FaultPlan::Site::kIntern) == FaultPlan::Action::kStop) {
+              request_stop(sim::StopReason::kForcedStop);
+            }
             return store_->intern(fingerprint, successor, id, &local);
           },
           [&](const Event& event, const NodeStore::Intern& interned) {
@@ -540,6 +602,7 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
     request_stop(sim::StopReason::kMemory);
   }
 
+  store_->fold(local);  // size() is exact once every worker exited
   dcheck_transitions_identity(local);  // holds even when obs flushing is off
   if (obs_cells_.active) flush_obs();
   if (tracer != nullptr) {

@@ -14,10 +14,23 @@
 //                from that cut in the worker loop — no state is explored
 //                twice.
 //
-// Both expand a state through one step, expand(), which classifies every
-// event; each traversal supplies only compile-time hooks for what differs
-// (when to stop, what a violating edge and a new state do, how a record is
-// interned).
+// Both expand a state through one step, expand(), which builds the successor
+// of every event and classifies it; each traversal supplies only
+// compile-time hooks for what differs (when to stop, what a violating edge
+// and a new state do, how a record is interned). The two differ in one more
+// way, the order of those two steps:
+//
+//   interleaved — run_dfs(): build and classify one event, then the next.
+//                 The DFS recurses into a new state before it builds the
+//                 next event, so its successors cannot wait in one buffer.
+//   batched     — the worker loop: build every event's successor into the
+//                 worker's successor buffer, prefetching each one's index
+//                 slot, then classify them in event order. The index is
+//                 larger than the caches, so an intern is mostly a wait on
+//                 memory; the batch lets those waits overlap.
+//
+// Classification is in event order either way, so every counter, the
+// transitions identity and the lowest-trace rule are the same in both.
 //
 // Both traversals stay because only the depth-first order reproduces the
 // pinned first violations: on algorithms whose steps can leave the encoding
@@ -160,12 +173,29 @@ class ParallelExplorer {
 
   // --- the expansion step ------------------------------------------------------
   //
+  // What the build step leaves for the classify step about one event that
+  // breaks no property: the successor's fingerprint and where its record
+  // lies (the batched order's successor buffer, or the scratch record),
+  // whether the canonicalizer permuted it and whether it decided a new
+  // value. In the batched order, `broken` marks an event whose violation
+  // waits in the scratch instead.
+  struct Successor {
+    util::U128 fingerprint;
+    std::uint32_t offset = 0;
+    std::uint32_t length = 0;
+    bool permuted = false;
+    bool decided = false;
+    bool broken = false;
+  };
+
   // One traversal's expansion scratch (the DFS keeps one for the run, each
   // worker its own): the codec, which captures the layout of the record it
   // last decoded; the node each successor is built in, restored from the
   // parent's record instead of cloned; the successor's record; the parent's
-  // orbit mask; and one event buffer per depth (a deque: deeper DFS frames
-  // grow it while shallower ones iterate theirs; the worker loop uses 0).
+  // orbit mask; one event buffer per depth (a deque: deeper DFS frames grow
+  // it while shallower ones iterate theirs; the worker loop uses 0); and the
+  // batched order's successor buffer: every successor's record, flat, one
+  // Successor per event, and the violations in event order.
   struct Scratch {
     explicit Scratch(const ParallelExplorer& explorer)
         : codec(explorer.config_.symmetry_classes),
@@ -176,6 +206,9 @@ class ParallelExplorer {
     std::vector<typesys::Value> record;
     std::vector<std::uint8_t> orbit_skip;
     std::deque<std::vector<Event>> events;
+    std::vector<typesys::Value> values;
+    std::vector<Successor> successors;
+    std::vector<sim::PropertyViolation> violations;
   };
 
   // Encodes the root into `s`, counting the encode into `tally`. With
@@ -187,16 +220,21 @@ class ParallelExplorer {
   // too, after the hook reused the scratch (the DFS recursed into it).
   enum class Next { kContinue, kRedecode, kStop };
 
+  // The order of build and classify steps (see the header comment).
+  enum class Order { kInterleaved, kBatched };
+
   // Expands the interned `record`: decode, orbit mask, enumerate, then per
-  // event restore, apply, encode and intern, classifying each counted
-  // transition as exactly one of visited / duplicates / violation_edges. The
-  // traversals differ only in the hooks, resolved at compile time:
+  // event the build step (restore, apply, encode) and the classify step
+  // (intern), in `order`. Each counted transition is classified as exactly
+  // one of visited / duplicates / violation_edges. The traversals differ
+  // only in the hooks, resolved at compile time:
   //   stop()                      — before each event is counted; true stops;
   //   violating(event, broken)    — a violating edge; true stops;
   //   intern(fingerprint, record) — interns the successor's record;
   //   fresh(event, interned)      — a state interned first (counted visited).
-  // Returns false when a hook stopped it. `depth` picks the event buffer.
-  template <typename Stop, typename Violating, typename Intern, typename Fresh>
+  // Only the build step runs ahead of a stop; it counts nothing. Returns
+  // false when a hook stopped it. `depth` picks the event buffer.
+  template <Order order, typename Stop, typename Violating, typename Intern, typename Fresh>
   bool expand(Scratch& s, const typesys::Value* record, std::uint32_t length,
               std::size_t depth, Tally& tally, Stop&& stop, Violating&& violating,
               Intern&& intern, Fresh&& fresh);

@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -158,6 +160,7 @@ TEST(CasTableTest, ConcurrentInsertersAgreeOnWinners) {
     });
   }
   for (auto& thread : threads) thread.join();
+  for (CasTable::OpStats& stats : ops) table.fold(stats);
 
   std::uint64_t total_wins = 0;
   std::uint64_t total_probe_ops = 0;
@@ -172,6 +175,49 @@ TEST(CasTableTest, ConcurrentInsertersAgreeOnWinners) {
     CasTable::Found found;
     ASSERT_TRUE(table.find(key(i), found)) << i;
     ASSERT_EQ(found.value & 0xffff'ffffULL, i);
+  }
+}
+
+TEST(CasTableTest, RacingInsertersCountExactlyOnceTheyFold) {
+  // Each thread counts its inserts in its own OpStats and folds them into
+  // size() in batches. Threads race overlapping key ranges through many
+  // growth epochs; once they joined and folded their remainders, size() is
+  // the number of distinct keys, and the batched count still drove growth.
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kKeysPerThread = 30'000;
+  constexpr std::uint64_t kStride = kKeysPerThread / 2;  // half of each range is shared
+  constexpr std::uint64_t kKeys = kStride * (kThreads + 1);
+  CasTable table;
+  std::vector<CasTable::OpStats> ops(kThreads);
+  std::vector<std::uint64_t> wins(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &table, &ops, &wins] {
+      const auto slot = static_cast<std::size_t>(t);
+      const std::uint64_t base = static_cast<std::uint64_t>(t) * kStride;
+      for (std::uint64_t i = 0; i < kKeysPerThread; ++i) {
+        if (table.insert(key(base + i), base + i, 0, &ops[slot]).inserted) wins[slot] += 1;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  std::uint64_t held = 0;
+  std::uint64_t total_wins = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    held += ops[static_cast<std::size_t>(t)].unfolded_inserts;
+    total_wins += wins[static_cast<std::size_t>(t)];
+  }
+  EXPECT_EQ(total_wins, kKeys);
+  EXPECT_EQ(table.size() + held, kKeys);
+  for (CasTable::OpStats& stats : ops) table.fold(stats);
+  EXPECT_EQ(table.size(), kKeys);
+  for (const CasTable::OpStats& stats : ops) EXPECT_EQ(stats.unfolded_inserts, 0u);
+  // Growth kept the load at most 5/8, give or take the batches in flight.
+  EXPECT_GE(table.capacity() / 8 * 5 + kThreads * 16, kKeys);
+  for (std::uint64_t i = 0; i < kKeys; ++i) {
+    CasTable::Found found;
+    ASSERT_TRUE(table.find(key(i), found)) << i;
+    ASSERT_EQ(found.value, i) << i;
   }
 }
 
@@ -196,6 +242,7 @@ TEST(CasTableTest, ConcurrentGrowthMigrationStress) {
     });
   }
   for (auto& thread : threads) thread.join();
+  for (CasTable::OpStats& stats : ops) table.fold(stats);
 
   EXPECT_EQ(table.size(), kThreads * kKeysPerThread);
   EXPECT_GT(table.rehashes(), 0u);
@@ -240,6 +287,7 @@ TEST(CasTableTest, ConcurrentInsertsUnderGrowthReturnTheMetaWrittenWithTheKey) {
           ASSERT_EQ(found.value, value);
         }
       }
+      table.fold(ops);
     });
   }
   for (auto& thread : threads) thread.join();
@@ -343,6 +391,7 @@ TEST(CasTableTest, ReadersRaceReleasedArraysWithoutLosingKeys) {
           ASSERT_TRUE(table.insert(key_of(k), value_of(k), meta_of(k), &ops).inserted) << k;
           progress[static_cast<std::size_t>(t)].store(i + 1, std::memory_order_release);
         }
+        table.fold(ops);
         inserters_left.fetch_sub(1, std::memory_order_release);
       });
     }
@@ -389,6 +438,71 @@ TEST(CasTableTest, ReadersRaceReleasedArraysWithoutLosingKeys) {
       ASSERT_EQ(seen[std::make_pair(kk.lo, kk.hi)], value_of(k)) << k;
     }
   }
+}
+
+// The selected mode of transparent huge pages ("always", "madvise" or
+// "never"); empty where the kernel does not say.
+std::string huge_page_mode() {
+  std::ifstream in("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string line;
+  std::getline(in, line);
+  const std::size_t open = line.find('[');
+  const std::size_t close = line.find(']');
+  if (open == std::string::npos || close == std::string::npos || close < open) return "";
+  return line.substr(open + 1, close - open - 1);
+}
+
+// The mappings of this process, by start address, with their size and
+// THPeligible flag from /proc/self/smaps.
+struct Mapping {
+  std::uint64_t bytes = 0;
+  bool huge_page_eligible = false;
+};
+std::map<std::uint64_t, Mapping> read_mappings() {
+  std::map<std::uint64_t, Mapping> mappings;
+  std::ifstream in("/proc/self/smaps");
+  Mapping* current = nullptr;
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    std::string first;
+    fields >> first;
+    const std::size_t dash = first.find('-');
+    if (dash != std::string::npos && first.back() != ':') {
+      const std::uint64_t begin = std::stoull(first.substr(0, dash), nullptr, 16);
+      const std::uint64_t end = std::stoull(first.substr(dash + 1), nullptr, 16);
+      current = &mappings[begin];
+      current->bytes = end - begin;
+    } else if (first == "THPeligible:" && current != nullptr) {
+      int flag = 0;
+      fields >> flag;
+      current->huge_page_eligible = flag == 1;
+    }
+  }
+  return mappings;
+}
+
+TEST(CasTableTest, MappedArraysAreHugePageEligible) {
+  const std::string mode = huge_page_mode();
+  if (mode.empty() || mode == "never") {
+    GTEST_SKIP() << "transparent huge pages are off or not reported";
+  }
+  const std::map<std::uint64_t, Mapping> before = read_mappings();
+  ASSERT_FALSE(before.empty()) << "/proc/self/smaps is not readable";
+  // 300,000 expected keys pre-size 2^19 slots: one 16 MiB mapped array.
+  CasTable table(300'000);
+  const std::uint64_t bytes = table.retained_bytes();
+  ASSERT_EQ(bytes, std::uint64_t{16} << 20);
+  // The array is the mapping of its size that was not there before it.
+  int found = 0;
+  for (const auto& [begin, mapping] : read_mappings()) {
+    if (mapping.bytes != bytes) continue;
+    const auto old = before.find(begin);
+    if (old != before.end() && old->second.bytes == bytes) continue;
+    found += 1;
+    EXPECT_TRUE(mapping.huge_page_eligible) << std::hex << begin;
+  }
+  EXPECT_EQ(found, 1);
 }
 
 }  // namespace

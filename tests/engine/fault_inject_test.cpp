@@ -139,6 +139,7 @@ TEST(FaultMatrixTest, EveryInjectionEndsInATypedVerdictAcrossThreadCounts) {
       {"alloc@batch=10", sim::StopReason::kMemory, "allocation failed"},
       {"alloc@intern=50", sim::StopReason::kMemory, "allocation failed"},
       {"stop@batch=10", sim::StopReason::kForcedStop, "external request"},
+      {"stop@intern=50", sim::StopReason::kForcedStop, "external request"},
       {"stall@batch=10:ms=30000", sim::StopReason::kWatchdog, "no progress",
        /*watchdog=*/3},
       // A checkpoint falls due while a worker is stalled: the coordinator
