@@ -15,10 +15,14 @@
 // Plain chrono timing rather than Google Benchmark: each run is seconds long
 // and we want a speedup table, not per-iteration statistics. Every timed
 // configuration gets one untimed warmup run first (page cache, allocator
-// arenas, branch predictors), then `repeats` samples whose *median* is
-// reported with their quartiles (`seconds_q1`, `seconds_q3`; linear
-// interpolation between samples). Results are also written machine-readably
-// to BENCH_parallel_engine.json so the perf trajectory accumulates across
+// arenas, branch predictors). Then an instance's configurations are timed
+// round-robin, one sample each per round for `repeats` rounds, so host
+// contention falls on all of them alike rather than on the back-to-back
+// repeats of one. Each row reports the *median* of its samples beside their
+// quartiles (`seconds_q1`, `seconds_q3`, and the rates they give,
+// `states_per_sec_q1`, `states_per_sec_q3`; linear interpolation between
+// samples). Results are also written machine-readably to
+// BENCH_parallel_engine.json so the perf trajectory accumulates across
 // revisions; the rows carry the hot-path counters (batch sizes, probe
 // lengths, growth epochs) introduced with the batched engine.
 //
@@ -120,28 +124,43 @@ struct RunOutcome {
   engine::ExplorerStats stats;
 };
 
-RunOutcome timed(const Instance& instance, check::Strategy strategy, int threads,
-                 int repeats, bool symmetry = false) {
-  RunOutcome outcome;
-  // One untimed warmup run, then `repeats` timed samples; the median is
-  // reported so a single noisy sample cannot fake (or hide) a regression.
-  check::check(make_request(instance, strategy, threads, symmetry));
-  std::vector<double> samples;
-  for (int i = 0; i < repeats; ++i) {
-    const check::CheckReport report =
-        check::check(make_request(instance, strategy, threads, symmetry));
-    samples.push_back(report.seconds);
-    outcome.clean = report.clean;
-    outcome.visited = report.stats.visited;
-    outcome.strategy = report.strategy;
-    outcome.threads_used = report.threads_used;
-    outcome.stats = report.stats;
+// One configuration of an instance: a strategy and a requested thread
+// count (0 = the facade's default).
+struct Config {
+  check::Strategy strategy;
+  int threads;
+};
+
+// Times every configuration of `instance` round-robin for `repeats` rounds,
+// after one warmup run each (see the file comment): the outcomes, in
+// `configs` order, carry each one's median and quartiles.
+std::vector<RunOutcome> timed(const Instance& instance, const std::vector<Config>& configs,
+                              int repeats, bool symmetry = false) {
+  for (const Config& config : configs) {
+    check::check(make_request(instance, config.strategy, config.threads, symmetry));
   }
-  std::sort(samples.begin(), samples.end());
-  outcome.seconds = quantile(samples, 0.5);
-  outcome.seconds_q1 = quantile(samples, 0.25);
-  outcome.seconds_q3 = quantile(samples, 0.75);
-  return outcome;
+  std::vector<RunOutcome> outcomes(configs.size());
+  std::vector<std::vector<double>> samples(configs.size());
+  for (int round = 0; round < repeats; ++round) {
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      const check::CheckReport report = check::check(
+          make_request(instance, configs[i].strategy, configs[i].threads, symmetry));
+      samples[i].push_back(report.seconds);
+      RunOutcome& outcome = outcomes[i];
+      outcome.clean = report.clean;
+      outcome.visited = report.stats.visited;
+      outcome.strategy = report.strategy;
+      outcome.threads_used = report.threads_used;
+      outcome.stats = report.stats;
+    }
+  }
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    std::sort(samples[i].begin(), samples[i].end());
+    outcomes[i].seconds = quantile(samples[i], 0.5);
+    outcomes[i].seconds_q1 = quantile(samples[i], 0.25);
+    outcomes[i].seconds_q3 = quantile(samples[i], 0.75);
+  }
+  return outcomes;
 }
 
 // num / den, 0 when den is 0.
@@ -190,10 +209,10 @@ std::string source_commit() {
   return clean ? commit : commit + "-dirty";
 }
 
-double states_per_sec(const RunOutcome& outcome) {
-  return outcome.seconds > 0.0
-             ? static_cast<double>(outcome.visited) / outcome.seconds
-             : 0.0;
+// States per second at a run time of `seconds`: pass the median for the
+// median rate, the third quartile of the times for its first quartile.
+double states_per_sec(const RunOutcome& outcome, double seconds) {
+  return seconds > 0.0 ? static_cast<double>(outcome.visited) / seconds : 0.0;
 }
 
 }  // namespace
@@ -247,7 +266,7 @@ int main(int argc, char** argv) {
   }
 
   util::Table table({"instance", "config", "verdict", "visited", "time(s)", "q1-q3(s)",
-                     "states/s", "B/node", "batch", "probe", "speedup"});
+                     "states/s", "q1-q3(states/s)", "B/node", "batch", "probe", "speedup"});
   bool verdicts_consistent = true;
 
   const unsigned hardware_threads = std::thread::hardware_concurrency();
@@ -281,7 +300,9 @@ int main(int argc, char** argv) {
                    outcome.clean ? "clean" : "VIOLATION",
                    std::to_string(outcome.visited), fixed(outcome.seconds, 3),
                    fixed(outcome.seconds_q1, 3) + "-" + fixed(outcome.seconds_q3, 3),
-                   fixed(states_per_sec(outcome), 0),
+                   fixed(states_per_sec(outcome, outcome.seconds), 0),
+                   fixed(states_per_sec(outcome, outcome.seconds_q3), 0) + "-" +
+                       fixed(states_per_sec(outcome, outcome.seconds_q1), 0),
                    fixed(bytes_per_node, 1), fixed(avg_batch, 1), fixed(avg_probe, 2),
                    oversubscribed ? "-" : fixed(speedup, 3) + "x"});
     json.begin_object();
@@ -298,7 +319,9 @@ int main(int argc, char** argv) {
     json.key_value("seconds", outcome.seconds);
     json.key_value("seconds_q1", outcome.seconds_q1);
     json.key_value("seconds_q3", outcome.seconds_q3);
-    json.key_value("states_per_sec", states_per_sec(outcome));
+    json.key_value("states_per_sec", states_per_sec(outcome, outcome.seconds));
+    json.key_value("states_per_sec_q1", states_per_sec(outcome, outcome.seconds_q3));
+    json.key_value("states_per_sec_q3", states_per_sec(outcome, outcome.seconds_q1));
     json.key_value("speedup", speedup);
     json.key_value("store_nodes", stats.store_nodes);
     json.key_value("store_bytes_per_node", bytes_per_node);
@@ -314,31 +337,28 @@ int main(int argc, char** argv) {
   };
 
   for (const Instance& instance : instances) {
-    const RunOutcome sequential =
-        timed(instance, check::Strategy::kSequentialDFS, 0, repeats);
+    const std::vector<Config> configs = {{check::Strategy::kSequentialDFS, 0},
+                                         {check::Strategy::kParallelBFS, 1},
+                                         {check::Strategy::kParallelBFS, 2},
+                                         {check::Strategy::kParallelBFS, 4},
+                                         {check::Strategy::kParallelBFS, 8},
+                                         {check::Strategy::kAuto, 0}};
+    const std::vector<RunOutcome> outcomes = timed(instance, configs, repeats);
+    const RunOutcome& sequential = outcomes.front();
     emit(instance, "sequential", sequential, 1.0);
-
-    for (const int threads : {1, 2, 4, 8}) {
-      const RunOutcome parallel =
-          timed(instance, check::Strategy::kParallelBFS, threads, repeats);
-      if (parallel.clean != sequential.clean ||
-          parallel.visited != sequential.visited) {
+    for (std::size_t i = 1; i < outcomes.size(); ++i) {
+      const RunOutcome& outcome = outcomes[i];
+      if (outcome.clean != sequential.clean || outcome.visited != sequential.visited) {
         verdicts_consistent = false;
       }
-      emit(instance, "parallel t=" + std::to_string(threads), parallel,
-           sequential.seconds / parallel.seconds);
+      // What does kAuto do with this instance? (Probe + escalation included
+      // in its wall time.)
+      const std::string label =
+          configs[i].strategy == check::Strategy::kAuto
+              ? std::string("auto -> ") + check::strategy_name(outcome.strategy)
+              : "parallel t=" + std::to_string(configs[i].threads);
+      emit(instance, label, outcome, sequential.seconds / outcome.seconds);
     }
-
-    // What does kAuto do with this instance? (Probe + escalation included in
-    // its wall time.)
-    const RunOutcome automatic = timed(instance, check::Strategy::kAuto, 0, repeats);
-    if (automatic.clean != sequential.clean ||
-        automatic.visited != sequential.visited) {
-      verdicts_consistent = false;
-    }
-    emit(instance,
-         std::string("auto -> ") + check::strategy_name(automatic.strategy),
-         automatic, sequential.seconds / automatic.seconds);
   }
 
   // --- Symmetry reduction at paper scale -----------------------------------
@@ -351,14 +371,17 @@ int main(int argc, char** argv) {
   // drops the instance.
   std::string symmetry_summary;
   if (selected(symmetric)) {
-    const RunOutcome sequential = timed(symmetric, check::Strategy::kSequentialDFS, 0,
-                                        repeats, /*symmetry=*/true);
+    const std::vector<RunOutcome> outcomes =
+        timed(symmetric,
+              {{check::Strategy::kSequentialDFS, 0},
+               {check::Strategy::kParallelBFS, 0},
+               {check::Strategy::kAuto, 0}},
+              repeats, /*symmetry=*/true);
+    const RunOutcome& sequential = outcomes[0];
+    const RunOutcome& parallel = outcomes[1];
+    const RunOutcome& automatic = outcomes[2];
     emit(symmetric, "sequential+symmetry", sequential, 1.0);
-    const RunOutcome parallel =
-        timed(symmetric, check::Strategy::kParallelBFS, 0, repeats, /*symmetry=*/true);
     emit(symmetric, "parallel+symmetry", parallel, sequential.seconds / parallel.seconds);
-    const RunOutcome automatic =
-        timed(symmetric, check::Strategy::kAuto, 0, repeats, /*symmetry=*/true);
     emit(symmetric,
          std::string("auto+symmetry -> ") + check::strategy_name(automatic.strategy),
          automatic, sequential.seconds / automatic.seconds);

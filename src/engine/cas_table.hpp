@@ -1,7 +1,8 @@
 // Lock-free open-addressing fingerprint table: the NodeStore intern index.
 // rcons-lint: hot-path
 //
-// Every slot carries a 32-bit atomic tag driving a small state machine:
+// Every slot carries a 32-bit tag, always accessed atomically
+// (std::atomic_ref), driving a small state machine:
 //
 //          CAS (claim)            store-release (publish)
 //   EMPTY ------------> CLAIMED ------------------------> PUBLISHED
@@ -77,7 +78,11 @@
 // Mapped arrays are advised MADV_HUGEPAGE: a probe is one random read of an
 // array larger than the caches, and on 4 KiB pages most probes also miss
 // the TLB. The advice is a hint; where transparent huge pages are off it
-// changes nothing.
+// changes nothing. Nor is a new mapped array written: its zero pages are
+// already EMPTY slots (Slot is a trivial type whose tag is a plain word), so
+// a growth costs the grower one mmap under growth_mu_, not a 4-32 MiB
+// zero-fill that every inserter folding its count would wait out, and the
+// pages fault in as inserts and the migration sweep first touch them.
 #ifndef RCONS_ENGINE_CAS_TABLE_HPP
 #define RCONS_ENGINE_CAS_TABLE_HPP
 
@@ -89,6 +94,7 @@
 #include <mutex>
 #include <new>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -259,7 +265,7 @@ class CasTable {
          array = array->prev.load(std::memory_order_acquire)) {
       for (std::size_t i = 0; i < array->capacity; ++i) {
         const Slot& slot = array->slots[i];
-        if (slot.tag.load(std::memory_order_acquire) == kPublished) {
+        if (tag_of(slot).load(std::memory_order_acquire) == kPublished) {
           fn(util::U128{slot.key_lo, slot.key_hi}, slot.value, slot.meta);
         }
       }
@@ -287,17 +293,27 @@ class CasTable {
   static constexpr std::uint64_t kFoldInserts = 16;
   static constexpr std::size_t kFoldMinCapacity = std::size_t{1} << 12;
 
+  // Trivial, so a zeroed mapping already is an array of EMPTY slots; the
+  // tag is a plain word accessed only through tag_of().
   struct Slot {
-    std::atomic<std::uint32_t> tag{kEmpty};
+    std::uint32_t tag;
     // Plain fields: written inside the CLAIMED window, released by the
     // PUBLISHED tag store, acquired by every tag load that reads them.
-    std::uint32_t meta = 0;
-    std::uint64_t key_lo = 0;
-    std::uint64_t key_hi = 0;
-    std::uint64_t value = 0;
+    std::uint32_t meta;
+    std::uint64_t key_lo;
+    std::uint64_t key_hi;
+    std::uint64_t value;
   };
   // Two slots per cache line; `meta` rides in the word beside the tag.
   static_assert(sizeof(Slot) == 32, "a slot must stay 32 bytes");
+  static_assert(std::is_trivial_v<Slot>, "a zeroed mapping must be a valid slot array");
+  static_assert(alignof(Slot) >= std::atomic_ref<std::uint32_t>::required_alignment,
+                "the tag must be atomically accessible in place");
+
+  // Every access to a slot's tag is atomic. const: a probe only loads.
+  static std::atomic_ref<std::uint32_t> tag_of(const Slot& slot) {
+    return std::atomic_ref<std::uint32_t>(const_cast<std::uint32_t&>(slot.tag));
+  }
 
   struct Array {
     explicit Array(std::size_t cap)
@@ -330,19 +346,19 @@ class CasTable {
       return mapped && ::madvise(slots, bytes(), MADV_DONTNEED) == 0;
     }
 
+    // A heap array is value-initialized (zeroed); a mapped one is not
+    // written at all (see the header comment).
     static Slot* allocate(std::size_t cap, bool map) {
       if (!map) return new Slot[cap]();
       void* memory = ::mmap(nullptr, cap * sizeof(Slot), PROT_READ | PROT_WRITE,
                             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
       if (memory == MAP_FAILED) throw std::bad_alloc();
 #ifdef MADV_HUGEPAGE
-      // Before the slots are written, so the first touch can fault in huge
+      // Before the slots are touched, so the first touch can fault in huge
       // pages. A hint: its failure leaves the 4 KiB pages.
       (void)::madvise(memory, cap * sizeof(Slot), MADV_HUGEPAGE);
 #endif
-      Slot* slots = static_cast<Slot*>(memory);
-      std::uninitialized_value_construct_n(slots, cap);
-      return slots;
+      return static_cast<Slot*>(memory);
     }
 
     const std::size_t capacity;
@@ -376,7 +392,7 @@ class CasTable {
   static std::uint32_t settle(const Slot& slot, std::uint32_t tag) {
     while (tag == kClaimed) {
       std::this_thread::yield();
-      tag = slot.tag.load(std::memory_order_seq_cst);
+      tag = tag_of(slot).load(std::memory_order_seq_cst);
     }
     return tag;
   }
@@ -389,7 +405,7 @@ class CasTable {
     if (slot.key_lo != key.lo || slot.key_hi != key.hi) return false;
     found = Found{slot.value, slot.meta, false};
     std::atomic_thread_fence(std::memory_order_acquire);
-    return slot.tag.load(std::memory_order_relaxed) == kPublished;
+    return tag_of(slot).load(std::memory_order_relaxed) == kPublished;
   }
 
   // Read-only probe of one array. seq_cst tag loads: claims that landed in
@@ -409,7 +425,7 @@ class CasTable {
         return false;
       }
       probes += 1;
-      std::uint32_t tag = slot.tag.load(std::memory_order_seq_cst);
+      std::uint32_t tag = tag_of(slot).load(std::memory_order_seq_cst);
       tag = settle(slot, tag);
       if (tag == kEmpty) {
         note_probe(stats, probes);
@@ -448,11 +464,11 @@ class CasTable {
         return Claim{Claim::kFull, {}};
       }
       probes += 1;
-      std::uint32_t tag = slot.tag.load(std::memory_order_acquire);
+      std::uint32_t tag = tag_of(slot).load(std::memory_order_acquire);
       for (;;) {
         if (tag == kEmpty) {
           std::uint32_t expected = kEmpty;
-          if (slot.tag.compare_exchange_strong(expected, kClaimed,
+          if (tag_of(slot).compare_exchange_strong(expected, kClaimed,
                                                std::memory_order_seq_cst,
                                                std::memory_order_acquire)) {
             if (a.sealed.load(std::memory_order_seq_cst)) {
@@ -460,10 +476,10 @@ class CasTable {
               // slot and retry in the replacement (see header comment). If
               // the array was swept and released meanwhile, the claim may
               // have been zeroed away.
-              RCONS_DCHECK_MSG(slot.tag.load(std::memory_order_relaxed) == kClaimed ||
+              RCONS_DCHECK_MSG(tag_of(slot).load(std::memory_order_relaxed) == kClaimed ||
                                    a.swept_and_mapped(),
                                "tombstone transition from a tag we do not own");
-              slot.tag.store(kTombstone, std::memory_order_release);
+              tag_of(slot).store(kTombstone, std::memory_order_release);
               note_probe(stats, probes);
               return Claim{Claim::kSealed, {}};
             }
@@ -473,9 +489,9 @@ class CasTable {
             slot.value = make_value();
             // Only the claimer publishes: claimed -> published is the sole
             // legal transition out of a slot we won the CAS for.
-            RCONS_DCHECK_MSG(slot.tag.load(std::memory_order_relaxed) == kClaimed,
+            RCONS_DCHECK_MSG(tag_of(slot).load(std::memory_order_relaxed) == kClaimed,
                              "publish transition from a tag we do not own");
-            slot.tag.store(kPublished, std::memory_order_release);
+            tag_of(slot).store(kPublished, std::memory_order_release);
             note_probe(stats, probes);
             return Claim{Claim::kInserted, Found{slot.value, meta, false}};
           }
@@ -552,7 +568,7 @@ class CasTable {
     if (end > oldest->capacity) end = oldest->capacity;
     for (std::size_t i = begin; i < end; ++i) {
       Slot& slot = oldest->slots[i];
-      std::uint32_t tag = slot.tag.load(std::memory_order_seq_cst);
+      std::uint32_t tag = tag_of(slot).load(std::memory_order_seq_cst);
       tag = settle(slot, tag);
       if (tag != kPublished) continue;
       migrate_insert(util::U128{slot.key_lo, slot.key_hi}, slot.value, slot.meta, oldest,

@@ -12,7 +12,7 @@
 // The hot path is allocation-free and batch-oriented: items are stored
 // *inline* (no unique_ptr wrapper, no per-item heap allocation once the
 // backing vectors reach steady-state capacity), `push_batch` submits every
-// successor of an expansion under one lock, and `pop_batch` drains work in
+// successor of a popped batch under one lock, and `pop_batch` drains work in
 // chunks. A successful steal moves the stolen batch straight into the
 // thief's output buffer — the thief's own deque is never touched, which both
 // removes the historical double-lock (steal used to enqueue into the thief's
@@ -70,18 +70,18 @@ class CompactFrontier {
   }
 
   // Moves every item of `batch` onto `worker`'s own deque under one lock
-  // acquisition — the per-expansion submit path.
+  // acquisition — the workers' hand-over path, once per popped batch.
   void push_batch(int worker, std::span<CompactWorkItem> batch) {
     if (batch.empty()) return;
     Deque& deque = *deques_[static_cast<std::size_t>(worker)];
     {
-      // No reserve: an exact-size reserve would defeat the vector's
-      // geometric growth and reallocate on every submit while the frontier
-      // ramps up; amortized push_back keeps steady-state pushes
-      // allocation-free.
+      // One range insert: it grows the vector geometrically (steady-state
+      // pushes allocate nothing), and a growth that fails leaves the deque
+      // as it was, so a caller that catches the bad_alloc still holds every
+      // item of `batch` exactly once.
       // rcons-lint: allow(hot-path-no-mutex) one acquisition per pushed batch, amortized over batch size
       std::lock_guard<std::mutex> lock(deque.mu);
-      for (const CompactWorkItem& item : batch) deque.items.push_back(item);
+      deque.items.insert(deque.items.end(), batch.begin(), batch.end());
     }
   }
 

@@ -1,8 +1,11 @@
 // rcons-lint: hot-path
 #include "engine/node_store.hpp"
 
+#include <sys/mman.h>
+
 #include <cstring>
 #include <map>
+#include <new>
 
 #include "util/assert.hpp"
 
@@ -371,18 +374,51 @@ NodeStore::NodeStore(int unused, std::uint64_t expected_states, int num_arenas)
   add_arenas(num_arenas);
 }
 
-Value* NodeStore::arena_refill(Arena& arena, std::size_t need) {
+void NodeStore::ChunkFree::operator()(Value* chunk) const {
+  if (values == kMaxChunkValues) {
+    ::munmap(chunk, values * sizeof(Value));
+  } else {
+    delete[] chunk;
+  }
+}
+
+NodeStore::Chunk NodeStore::allocate_chunk(std::size_t values) {
+  // Neither kind is zero-filled: `new Value[]` default-initializes.
+  if (values < kMaxChunkValues) return Chunk(new Value[values], ChunkFree{values});
+  void* memory = ::mmap(nullptr, values * sizeof(Value), PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (memory == MAP_FAILED) throw std::bad_alloc();
+#ifdef MADV_HUGEPAGE
+  // A hint, before the first touch; its failure leaves the 4 KiB pages.
+  (void)::madvise(memory, values * sizeof(Value), MADV_HUGEPAGE);
+#endif
+  return Chunk(static_cast<Value*>(memory), ChunkFree{values});
+}
+
+void NodeStore::arena_refill(Arena& arena, std::size_t need) {
   RCONS_ASSERT_MSG(need <= kChunkValues, "node record exceeds chunk size");
-  // Cold path: one lock per kChunkValues interned values per worker, the
-  // arena analogue of the index's growth mutex. The bump pointer handoff to
-  // readers stays lock-free — records become visible through the index
-  // slot's release-publish, never through this lock.
-  // rcons-lint: allow(hot-path-no-mutex) one lock per kChunkValues interned values, arena refill only
+  // Cold path: one lock per chunk, the arena analogue of the index's growth
+  // mutex. The bump pointer handoff to readers stays lock-free — records
+  // become visible through the index slot's release-publish, never through
+  // this lock.
+  // rcons-lint: allow(hot-path-no-mutex) one lock per record chunk, arena refill only
   std::lock_guard<std::mutex> lock(chunk_mu_);
-  chunks_.push_back(std::make_unique<Value[]>(kChunkValues));
+  std::size_t values = kChunkValues;
+  for (std::size_t i = kSmallChunks; i <= chunks_.size() && values < kMaxChunkValues; ++i) {
+    values *= 2;
+  }
+  Chunk chunk = allocate_chunk(values);
+  chunks_.push_back(std::move(chunk));
   arena.cur = chunks_.back().get();
-  arena.end = arena.cur + kChunkValues;
-  return arena.cur;
+  arena.end = arena.cur + values;
+}
+
+std::vector<std::size_t> NodeStore::chunk_bytes() const {
+  // rcons-lint: allow(hot-path-no-mutex) quiescent inspection, never per-intern
+  std::lock_guard<std::mutex> lock(chunk_mu_);
+  std::vector<std::size_t> bytes;
+  for (const Chunk& chunk : chunks_) bytes.push_back(chunk.get_deleter().values * sizeof(Value));
+  return bytes;
 }
 
 NodeStore::Intern NodeStore::intern(util::U128 fingerprint,
@@ -398,15 +434,14 @@ NodeStore::Intern NodeStore::intern(util::U128 fingerprint,
 
   // The record copy is staged from the caller's private arena only inside
   // the claimed window — after the lock-free duplicate check — so a
-  // duplicate intern never copies and never allocates. Its length rides in
-  // the index slot, so a duplicate never reads the arena either.
+  // duplicate intern never copies. Its length rides in the index slot, so a
+  // duplicate never reads the arena either. The arena makes room first: an
+  // allocation that failed inside the window would leave the slot CLAIMED.
+  if (static_cast<std::size_t>(arena.end - arena.cur) < length) arena_refill(arena, length);
   const CasTable::Found found = index_.insert_with(
       fingerprint, static_cast<std::uint32_t>(length),
       [&]() -> std::uint64_t {
         Value* values = arena.cur;
-        if (values == nullptr || static_cast<std::size_t>(arena.end - values) < length) {
-          values = arena_refill(arena, length);
-        }
         std::memcpy(values, record.data(), length * sizeof(Value));
         arena.cur = values + length;
         return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(values));

@@ -244,9 +244,17 @@ class NodeCodec {
 // bump-allocates the record copy from the calling worker's private arena
 // *inside the claimed window* (CasTable::insert_with), so duplicates never
 // pay a record copy and new records are published to concurrent readers by
-// the slot's release-store. The only locks left are cold: index growth
-// (CasTable's epoch migration) and fresh chunk allocation (once per
-// kChunkValues interned values per worker).
+// the slot's release-store. The arena is refilled before the probe, so
+// nothing inside the claimed window can fail. The only locks left are cold:
+// index growth (CasTable's epoch migration) and fresh chunk allocation.
+//
+// Record chunks grow geometrically per store: kSmallChunks chunks of
+// kChunkValues (128 KiB), then doubling up to kMaxChunkValues (2 MiB), so a
+// small check keeps 128 KiB chunks and a large one takes a lock per 2 MiB.
+// No chunk is zero-filled — a record is written whole before it is
+// published — so a chunk's pages are faulted in only as records reach them.
+// Chunks of 2 MiB are mapped and advised MADV_HUGEPAGE, like the index's
+// mapped arrays: expansion reads parent records from all over the arena.
 class NodeStore {
  public:
   // `unused` must be 0. It is left from a layout with several index shards
@@ -290,6 +298,10 @@ class NodeStore {
 
   int num_arenas() const { return static_cast<int>(arenas_.size()); }
 
+  // Bytes of each record chunk, in the order they were allocated. Caller
+  // contract: no concurrent interns.
+  std::vector<std::size_t> chunk_bytes() const;
+
   // Growth epochs of the index. The traversals count records and bytes
   // themselves (engine::Tally).
   std::uint64_t rehashes() const { return index_.rehashes(); }
@@ -332,11 +344,23 @@ class NodeStore {
   }
 
  private:
-  // Fixed-capacity chunks keep record payloads contiguous without ever
-  // moving (payload addresses are stable once written). The index maps a
-  // record's fingerprint to its first value's address and keeps its length
-  // in the same slot (CasTable's `meta`), so the arena holds only values.
+  // Chunks keep record payloads contiguous without ever moving (payload
+  // addresses are stable once written). The index maps a record's
+  // fingerprint to its first value's address and keeps its length in the
+  // same slot (CasTable's `meta`), so the arena holds only values. Sizes:
+  // see the class comment; kChunkValues is also the longest record.
   static constexpr std::size_t kChunkValues = std::size_t{1} << 14;
+  static constexpr std::size_t kSmallChunks = 4;
+  static constexpr std::size_t kMaxChunkValues = std::size_t{1} << 18;
+
+  // Frees a chunk of `values` values: mapped ones (kMaxChunkValues) are
+  // unmapped, the others deleted.
+  struct ChunkFree {
+    std::size_t values = 0;
+    void operator()(typesys::Value* chunk) const;
+  };
+  using Chunk = std::unique_ptr<typesys::Value[], ChunkFree>;
+  static Chunk allocate_chunk(std::size_t values);
 
   // One per interning worker; cache-line separated so two workers' bump
   // pointers never false-share.
@@ -346,14 +370,14 @@ class NodeStore {
   };
 
   // Points the arena at a fresh chunk with >= `need` free values. Cold path:
-  // takes chunk_mu_ once per kChunkValues interned values per worker.
-  typesys::Value* arena_refill(Arena& arena, std::size_t need);
+  // takes chunk_mu_ once per chunk.
+  void arena_refill(Arena& arena, std::size_t need);
 
   CasTable index_;  // fingerprint -> record address, with the length as meta
   std::vector<std::unique_ptr<Arena>> arenas_;
   // rcons-lint: allow(hot-path-no-mutex) cold: guards chunk allocation, never per-intern
-  std::mutex chunk_mu_;
-  std::vector<std::unique_ptr<typesys::Value[]>> chunks_;
+  mutable std::mutex chunk_mu_;
+  std::vector<Chunk> chunks_;
 };
 
 }  // namespace rcons::engine

@@ -475,6 +475,30 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
     obs_cells_.frontier_pending->set(
         static_cast<std::int64_t>(pending.load(std::memory_order_relaxed)));
   };
+
+  // The frontier hand-over, once per popped batch (and when the worker
+  // leaves). Until then the popped items stay pending-counted and the new
+  // states wait in `successors`, so one RMW settles both: `gained` new states
+  // in, `finished` items expanded whole out (modular, so a net loss
+  // subtracts). Items handed back unfinished — an expansion a stop cut short,
+  // the unexpanded remainder — ride in `successors` still counted. The RMW
+  // precedes the push, so `pending` never reads 0 while an item exists.
+  std::uint64_t gained = 0;
+  std::uint64_t finished = 0;
+  auto hand_over = [&] {
+    if (gained != finished) pending.fetch_add(gained - finished, std::memory_order_release);
+    if (gained != 0) {
+      local.batches += 1;
+      local.batched_items += gained;
+      if (obs_cells_.active) obs_cells_.batch_size->record(obs_lane, gained);
+    }
+    gained = 0;
+    finished = 0;
+    // All or nothing: a push that fails leaves `successors` for the catch.
+    frontier.push_batch(id, successors);
+    successors.clear();
+  };
+
   const std::uint64_t worker_begin = tracer != nullptr ? tracer->now_us() : 0;
   std::uint64_t batch_begin = 0;
   std::size_t pop_batch = kInitPopBatch;
@@ -483,6 +507,8 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
   std::uint64_t beats = 0;
   FaultPlan* const fault = config_.fault;
   std::uint64_t next_poll = limits_.armed() ? kPollTransitions : kNever;
+  CompactWorkItem item;
+  bool in_flight = false;  // `item` is popped but neither finished nor handed back
 
   // Any allocation failure — fault-injected at the batch/intern sites or a
   // real bad_alloc out of index/arena/deque growth — lands here and becomes
@@ -529,19 +555,12 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
           batch_begin = tracer->now_us();
           if (stole) tracer->complete(trace_lane, "steal", pop_begin, batch_begin);
         }
-      } else if (stop_.load(std::memory_order_relaxed) ||
-                 yield_.load(std::memory_order_relaxed)) {
-        // Hand the unprocessed remainder back (still pending-counted) so the
-        // checkpoint after the join sees every outstanding item; the next
-        // iteration exits.
-        frontier.push_batch(id, batch);
-        batch.clear();
-        continue;
       }
-      const CompactWorkItem item = batch.back();
+      item = batch.back();
       batch.pop_back();
+      in_flight = true;
 
-      const bool incomplete = !expand<Order::kBatched>(
+      const bool complete = expand<Order::kBatched>(
           scratch, item.record, item.length, 0, local,
           [&] { return stop_.load(std::memory_order_relaxed); },
           [&](const Event& event, sim::PropertyViolation& broken) {
@@ -555,6 +574,13 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
                 fault->hit(FaultPlan::Site::kIntern) == FaultPlan::Action::kStop) {
               request_stop(sim::StopReason::kForcedStop);
             }
+            // A state interned first must reach `successors`: its slot and
+            // path link are reserved before the intern, so nothing between
+            // the two can fail.
+            if (successors.size() == successors.capacity()) {
+              successors.reserve(2 * successors.size() + kMaxPopBatch);
+            }
+            arena.reserve();
             return store_->intern(fingerprint, successor, id, &local);
           },
           [&](const Event& event, const NodeStore::Intern& interned) {
@@ -566,30 +592,32 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
             }
             successors.push_back(
                 CompactWorkItem{interned.record, interned.length, arena.add(event, item.tail)});
+            gained += 1;
             return Next::kContinue;
           });
 
-      if (!successors.empty()) {
-        local.batches += 1;
-        local.batched_items += successors.size();
-        if (obs_cells_.active) {
-          obs_cells_.batch_size->record(obs_lane, successors.size());
-        }
-        pending.fetch_add(successors.size(), std::memory_order_release);
-        frontier.push_batch(id, successors);
-        successors.clear();
-      }
-      if (incomplete) {
-        // A stop interrupted this expansion: re-queue the item WITHOUT
+      if (complete) {
+        finished += 1;
+      } else {
+        // A stop interrupted this expansion: hand the item back WITHOUT
         // releasing its pending slot. A resumed run re-expands it and the
         // already-interned successors dedup away, so nothing is lost and
         // visited counts stay exact.
-        frontier.push(id, item);
-      } else {
-        pending.fetch_sub(1, std::memory_order_release);
+        successors.push_back(item);
       }
-      if (tracer != nullptr && batch.empty()) {
-        tracer->complete(trace_lane, "expand_batch", batch_begin, tracer->now_us());
+      in_flight = false;
+      if (stop_.load(std::memory_order_relaxed) || yield_.load(std::memory_order_relaxed)) {
+        // Leaving: the unexpanded remainder goes back with the successors
+        // (still pending-counted), so the checkpoint after the join sees
+        // every outstanding item; the next iteration exits.
+        successors.insert(successors.end(), batch.begin(), batch.end());
+        batch.clear();
+      }
+      if (batch.empty()) {
+        hand_over();
+        if (tracer != nullptr) {
+          tracer->complete(trace_lane, "expand_batch", batch_begin, tracer->now_us());
+        }
       }
     }
   } catch (const std::bad_alloc&) {
@@ -600,6 +628,20 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
     // the DCHECK below; the run is truncated (kMemory) either way.
     local.transitions = local.classified();
     request_stop(sim::StopReason::kMemory);
+    // Hand back everything the worker holds, as a stop does: the collected
+    // successors, the in-flight item (still counted, like a stopped
+    // expansion) and the unexpanded remainder, so the final checkpoint
+    // resumes to the exact count.
+    try {
+      if (in_flight) successors.push_back(item);
+      successors.insert(successors.end(), batch.begin(), batch.end());
+      batch.clear();
+      hand_over();
+    } catch (const std::bad_alloc&) {
+      // The frontier could not take the items back: no consistent cut is
+      // left, so explore() writes no further checkpoint.
+      work_lost_.store(true, std::memory_order_relaxed);
+    }
   }
 
   store_->fold(local);  // size() is exact once every worker exited
@@ -629,6 +671,7 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
   stop_reason_.store(static_cast<int>(sim::StopReason::kNone), std::memory_order_relaxed);
   truncated_.store(false, std::memory_order_relaxed);
   yield_.store(false, std::memory_order_relaxed);
+  work_lost_.store(false, std::memory_order_relaxed);
   checkpoints_written_ = 0;
   resumed_checkpoints_ = 0;
   heartbeats_ = std::make_unique<Heartbeat[]>(static_cast<std::size_t>(num_threads_));
@@ -825,8 +868,15 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
                         !stop_.load(std::memory_order_relaxed) &&
                         pending.load(std::memory_order_relaxed) != 0;
     yield_.store(false, std::memory_order_relaxed);
+    // A worker that could not hand its items back leaves no consistent cut:
+    // the last checkpoint written stays the one to resume from.
+    const bool cut =
+        !config_.checkpoint_path.empty() && !work_lost_.load(std::memory_order_relaxed);
+    if (!config_.checkpoint_path.empty() && !cut) {
+      checkpoint_error = "an allocation failure lost queued work; no checkpoint written";
+    }
     CheckpointData data;
-    if (!config_.checkpoint_path.empty()) gather(data);
+    if (cut) gather(data);
     if (restart) {
       // A restarted worker beats from 1 again: forget the old readings, so
       // the time spent at the cut never counts as a stall.
@@ -835,7 +885,7 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
       start_workers();
       next_checkpoint = data.stats.visited + config_.checkpoint_every;
     }
-    if (!config_.checkpoint_path.empty()) {
+    if (cut) {
       if (write_checkpoint(config_.checkpoint_path, data, config_.fault, checkpoint_error)) {
         checkpoints_written_ += 1;
         checkpoint_error.clear();

@@ -32,13 +32,18 @@ class alignas(64) PathArena {
   PathArena(const PathArena&) = delete;
   PathArena& operator=(const PathArena&) = delete;
 
-  // One new immutable link; amortizes to one heap allocation per kChunkLinks
-  // links.
-  const PathLink* add(const Event& event, const PathLink* parent) {
-    if (used_ == kChunkLinks || chunks_.empty()) {
+  // Makes room for one more link; amortizes to one heap allocation per
+  // kChunkLinks links. After it, the next add() cannot fail.
+  void reserve() {
+    if (used_ == kChunkLinks) {
       chunks_.push_back(std::make_unique<PathLink[]>(kChunkLinks));
       used_ = 0;
     }
+  }
+
+  // One new immutable link.
+  const PathLink* add(const Event& event, const PathLink* parent) {
+    reserve();
     PathLink* link = &chunks_.back()[used_];
     used_ += 1;
     link->event = event;

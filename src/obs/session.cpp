@@ -55,7 +55,7 @@ bool Session::finish(std::string* error) {
 const std::vector<NameDoc>& metric_names() {
   static const std::vector<NameDoc> kNames = {
       {"check.probe_visited", "states the kAuto probe expanded before escalating"},
-      {"engine.batch_size", "histogram of successor batch sizes pushed per expansion"},
+      {"engine.batch_size", "histogram of successor batch sizes handed over per popped batch"},
       {"engine.cas_retries", "lock-free slot claims lost to a racing worker and retried"},
       {"engine.decisions", "decide transitions taken (== ExplorerStats.decisions)"},
       {"engine.duplicates", "successor states that were already visited"},

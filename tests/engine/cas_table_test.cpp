@@ -4,14 +4,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "support/smaps.hpp"
 #include "util/hash.hpp"
 
 namespace rcons::engine {
@@ -258,6 +257,44 @@ TEST(CasTableTest, ConcurrentGrowthMigrationStress) {
   }
 }
 
+TEST(CasTableTest, ConcurrentGrowthThroughUnwrittenMappedArraysKeepsEveryKey) {
+  // A mapped array is never written before use: its zero pages are its
+  // EMPTY slots. Four threads grow a minimal table through several mapped
+  // arrays (the last 16 MiB) with disjoint keys; each key must come back
+  // with the value and meta written with it, and size() must be exact once
+  // every thread folded.
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kKeysPerThread = 80'000;
+  CasTable table;
+  std::vector<CasTable::OpStats> ops(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &table, &ops] {
+      CasTable::OpStats& stats = ops[static_cast<std::size_t>(t)];
+      const std::uint64_t base = static_cast<std::uint64_t>(t) * kKeysPerThread;
+      for (std::uint64_t i = base; i < base + kKeysPerThread; ++i) {
+        ASSERT_TRUE(
+            table.insert(key(i), i * 3, static_cast<std::uint32_t>(i ^ 0x5a5a), &stats)
+                .inserted);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (CasTable::OpStats& stats : ops) table.fold(stats);
+
+  EXPECT_EQ(table.size(), kThreads * kKeysPerThread);
+  EXPECT_GE(table.capacity() * 32, std::size_t{16} << 20);
+  for (std::uint64_t i = 0; i < kThreads * kKeysPerThread; ++i) {
+    CasTable::Found found;
+    ASSERT_TRUE(table.find(key(i), found)) << i;
+    ASSERT_EQ(found.value, i * 3) << i;
+    ASSERT_EQ(found.meta, static_cast<std::uint32_t>(i ^ 0x5a5a)) << i;
+  }
+  std::uint64_t published = 0;
+  table.for_each_published([&](util::U128, std::uint64_t, std::uint32_t) { published += 1; });
+  EXPECT_GE(published, kThreads * kKeysPerThread);
+}
+
 TEST(CasTableTest, ConcurrentInsertsUnderGrowthReturnTheMetaWrittenWithTheKey) {
   // Threads race the same keys through many growth epochs from a minimal
   // table, each writing a thread-distinct (value, meta) pair. Every Found —
@@ -440,54 +477,12 @@ TEST(CasTableTest, ReadersRaceReleasedArraysWithoutLosingKeys) {
   }
 }
 
-// The selected mode of transparent huge pages ("always", "madvise" or
-// "never"); empty where the kernel does not say.
-std::string huge_page_mode() {
-  std::ifstream in("/sys/kernel/mm/transparent_hugepage/enabled");
-  std::string line;
-  std::getline(in, line);
-  const std::size_t open = line.find('[');
-  const std::size_t close = line.find(']');
-  if (open == std::string::npos || close == std::string::npos || close < open) return "";
-  return line.substr(open + 1, close - open - 1);
-}
-
-// The mappings of this process, by start address, with their size and
-// THPeligible flag from /proc/self/smaps.
-struct Mapping {
-  std::uint64_t bytes = 0;
-  bool huge_page_eligible = false;
-};
-std::map<std::uint64_t, Mapping> read_mappings() {
-  std::map<std::uint64_t, Mapping> mappings;
-  std::ifstream in("/proc/self/smaps");
-  Mapping* current = nullptr;
-  std::string line;
-  while (std::getline(in, line)) {
-    std::istringstream fields(line);
-    std::string first;
-    fields >> first;
-    const std::size_t dash = first.find('-');
-    if (dash != std::string::npos && first.back() != ':') {
-      const std::uint64_t begin = std::stoull(first.substr(0, dash), nullptr, 16);
-      const std::uint64_t end = std::stoull(first.substr(dash + 1), nullptr, 16);
-      current = &mappings[begin];
-      current->bytes = end - begin;
-    } else if (first == "THPeligible:" && current != nullptr) {
-      int flag = 0;
-      fields >> flag;
-      current->huge_page_eligible = flag == 1;
-    }
-  }
-  return mappings;
-}
-
 TEST(CasTableTest, MappedArraysAreHugePageEligible) {
-  const std::string mode = huge_page_mode();
+  const std::string mode = test::huge_page_mode();
   if (mode.empty() || mode == "never") {
     GTEST_SKIP() << "transparent huge pages are off or not reported";
   }
-  const std::map<std::uint64_t, Mapping> before = read_mappings();
+  const std::map<std::uint64_t, test::Mapping> before = test::read_mappings();
   ASSERT_FALSE(before.empty()) << "/proc/self/smaps is not readable";
   // 300,000 expected keys pre-size 2^19 slots: one 16 MiB mapped array.
   CasTable table(300'000);
@@ -495,7 +490,7 @@ TEST(CasTableTest, MappedArraysAreHugePageEligible) {
   ASSERT_EQ(bytes, std::uint64_t{16} << 20);
   // The array is the mapping of its size that was not there before it.
   int found = 0;
-  for (const auto& [begin, mapping] : read_mappings()) {
+  for (const auto& [begin, mapping] : test::read_mappings()) {
     if (mapping.bytes != bytes) continue;
     const auto old = before.find(begin);
     if (old != before.end() && old->second.bytes == bytes) continue;

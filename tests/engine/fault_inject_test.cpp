@@ -1,6 +1,7 @@
 // The deterministic fault harness: grammar, hit-count semantics, stall
 // release, and the matrix contract — every injected failure mode ends in a
-// clean typed verdict (never a hang, never an abort) across thread counts.
+// clean typed verdict (never a hang, never an abort) across thread counts,
+// and an allocation failure's final checkpoint resumes to every state.
 #include "engine/fault_inject.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "check/check.hpp"
 #include "check/scenario_spec.hpp"
 #include "check/spec_system.hpp"
+#include "engine/checkpoint.hpp"
 
 namespace rcons::engine {
 namespace {
@@ -132,12 +134,15 @@ struct MatrixCase {
   const char* description_marker;  // must appear in the truncation verdict
   int watchdog = 0;
   std::uint64_t checkpoint_every = 0;  // periodic checkpoints to a temp file
+  // A final checkpoint to a temp file, which must resume to the full count.
+  bool resume = false;
 };
+
+// Every state of matrix_request()'s scenario.
+constexpr std::uint64_t kMatrixStates = 6081;
 
 TEST(FaultMatrixTest, EveryInjectionEndsInATypedVerdictAcrossThreadCounts) {
   const MatrixCase cases[] = {
-      {"alloc@batch=10", sim::StopReason::kMemory, "allocation failed"},
-      {"alloc@intern=50", sim::StopReason::kMemory, "allocation failed"},
       {"stop@batch=10", sim::StopReason::kForcedStop, "external request"},
       {"stop@intern=50", sim::StopReason::kForcedStop, "external request"},
       {"stall@batch=10:ms=30000", sim::StopReason::kWatchdog, "no progress",
@@ -147,6 +152,13 @@ TEST(FaultMatrixTest, EveryInjectionEndsInATypedVerdictAcrossThreadCounts) {
       // watchdog still ends the run.
       {"stall@batch=10:ms=30000", sim::StopReason::kWatchdog, "no progress",
        /*watchdog=*/3, /*checkpoint_every=*/100},
+      // An allocation failure hands back everything the worker held — its
+      // collected successors, the item in flight and the rest of its popped
+      // batch — so the final checkpoint resumes to every state.
+      {"alloc@intern=50", sim::StopReason::kMemory, "allocation failed", 0, 0,
+       /*resume=*/true},
+      {"alloc@batch=10", sim::StopReason::kMemory, "allocation failed", 0, 0,
+       /*resume=*/true},
   };
   for (const MatrixCase& test : cases) {
     for (const int threads : {1, 4, 8}) {
@@ -157,7 +169,7 @@ TEST(FaultMatrixTest, EveryInjectionEndsInATypedVerdictAcrossThreadCounts) {
       request.fault = &plan;
       request.watchdog_stall_intervals = test.watchdog;
       const std::string path = testing::TempDir() + "rcons_matrix.ckpt";
-      if (test.checkpoint_every != 0) {
+      if (test.checkpoint_every != 0 || test.resume) {
         request.checkpoint_path = path;
         request.checkpoint_every = test.checkpoint_every;
       }
@@ -171,6 +183,17 @@ TEST(FaultMatrixTest, EveryInjectionEndsInATypedVerdictAcrossThreadCounts) {
       EXPECT_NE(report.violation->description.find(test.description_marker),
                 std::string::npos)
           << report.violation->description;
+      if (test.resume) {
+        EXPECT_LT(report.stats.visited, kMatrixStates);
+        CheckpointData snapshot;
+        ASSERT_EQ(load_checkpoint(path, snapshot, error), CheckpointLoad::kOk) << error;
+        check::CheckRequest resumed = matrix_request(threads);
+        resumed.resume = &snapshot;
+        const check::CheckReport again = check::check(std::move(resumed));
+        EXPECT_TRUE(again.complete);
+        EXPECT_TRUE(again.clean);
+        EXPECT_EQ(again.stats.visited, kMatrixStates);
+      }
       std::remove(path.c_str());
     }
   }

@@ -19,6 +19,7 @@
 #include "rc/naive_register.hpp"
 #include "rc/team_consensus.hpp"
 #include "support/programs.hpp"
+#include "support/smaps.hpp"
 #include "typesys/zoo.hpp"
 
 namespace rcons::engine {
@@ -192,6 +193,58 @@ TEST(NodeStoreTest, ConcurrentInternsAgreeOnWinners) {
   EXPECT_FALSE(again.inserted);
   EXPECT_EQ(std::vector<typesys::Value>(again.record, again.record + again.length),
             record_of(123, 3));
+}
+
+TEST(NodeStoreTest, SmallStoresKeepSmallRecordChunks) {
+  // Chunks grow only after the first four: a check of a few thousand states
+  // keeps 128 KiB chunks.
+  NodeStore store(0);
+  for (std::uint64_t i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(store.intern(key(i), record_of(i, 8)).inserted);
+  }
+  const std::vector<std::size_t> chunks = store.chunk_bytes();
+  ASSERT_FALSE(chunks.empty());
+  EXPECT_LE(chunks.size(), 4u);
+  for (const std::size_t bytes : chunks) EXPECT_EQ(bytes, std::size_t{128} << 10);
+  const auto again = store.intern(key(4321), record_of(4321, 8));
+  EXPECT_FALSE(again.inserted);
+  EXPECT_EQ(std::vector<typesys::Value>(again.record, again.record + again.length),
+            record_of(4321, 8));
+}
+
+TEST(NodeStoreTest, LargeStoresMapHugePageEligibleRecordChunks) {
+  // Past 8 MiB of records the chunks are 2 MiB, mapped and advised
+  // MADV_HUGEPAGE, and records written into them read back whole.
+  const std::string mode = test::huge_page_mode();
+  if (mode.empty() || mode == "never") {
+    GTEST_SKIP() << "transparent huge pages are off or not reported";
+  }
+  NodeStore store(0);
+  constexpr std::uint64_t kRecords = 70'000;
+  constexpr std::size_t kLength = 16;  // 70,000 records of 128 B: 8.5 MiB
+  NodeStore::Intern last;
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    last = store.intern(key(i), record_of(i, kLength));
+    ASSERT_TRUE(last.inserted);
+  }
+  const std::vector<std::size_t> chunks = store.chunk_bytes();
+  std::size_t total = 0;
+  for (const std::size_t bytes : chunks) total += bytes;
+  EXPECT_GT(total, std::size_t{8} << 20);
+  ASSERT_EQ(chunks.back(), std::size_t{2} << 20);
+  EXPECT_EQ(std::count(chunks.begin(), chunks.end(), std::size_t{128} << 10), 4);
+
+  // The last record lies in the last chunk, a mapping of its own.
+  const auto [begin, mapping] = test::mapping_of(last.record);
+  ASSERT_NE(begin, 0u) << "/proc/self/smaps is not readable";
+  EXPECT_GE(mapping.bytes, std::size_t{2} << 20);
+  EXPECT_TRUE(mapping.huge_page_eligible) << std::hex << begin;
+  for (const std::uint64_t i : {std::uint64_t{0}, kRecords / 2, kRecords - 1}) {
+    const auto again = store.intern(key(i), record_of(i, kLength));
+    EXPECT_FALSE(again.inserted);
+    EXPECT_EQ(std::vector<typesys::Value>(again.record, again.record + again.length),
+              record_of(i, kLength));
+  }
 }
 
 TEST(NodeStoreTest, AddedArenasKeepEveryRecordInPlace) {
