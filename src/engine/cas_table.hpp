@@ -12,6 +12,11 @@
 //                 another thread   probes walk past it)
 //                 owns the slot)
 //
+// Keys must already be avalanched — every bit of a key depends on every bit
+// of what it identifies, as with the node fingerprints (engine/expand.hpp) —
+// because a key's home slot is its low word under the array mask, with no
+// further mixing.
+//
 // An insert probes linearly over the tags; the key halves and the payload (a
 // 64-bit value and the 32-bit `meta` in the word beside the tag) are plain
 // (non-atomic) fields written inside the CLAIMED window and made visible by
@@ -58,11 +63,14 @@
 // boundary and no key is ever published twice.
 //
 // Liveness at the threshold: while a sweep is pending the threshold growth
-// defers, so a stalled migrator (e.g. descheduled on an oversubscribed box)
-// can let inserts fill the live array completely. A probe that inspects
-// every slot without finding EMPTY reports the array full, and the inserter
-// *forces* a growth — stacking a second epoch on the pending one — instead
-// of spinning on a table that can never accept its claim.
+// (5/8 of the live array) defers, so a stalled migrator (e.g. descheduled on
+// an oversubscribed box, holding a claimed stripe) keeps the sweep pending
+// while inserts keep landing. Past a second threshold (7/8) the growth
+// happens anyway, stacking a second epoch on the pending one, so probes stay
+// short instead of walking an almost full array. A probe that still
+// inspects every slot without finding EMPTY reports the array full, and the
+// inserter *forces* a growth the same way instead of spinning on a table
+// that can never accept its claim.
 //
 // Probe-length and contention counters accumulate into a caller-owned
 // OpStats (one per worker), never into shared cache lines. So do inserts: a
@@ -273,6 +281,10 @@ class CasTable {
   }
 
  private:
+  // Test-only access (tests/engine/cas_table_test.cpp): holds a migration
+  // stripe claimed, as a descheduled migrator does.
+  friend struct CasTableTestSeam;
+
   // Slot tag states. 32-bit so the CAS is narrow and the slot stays 32 bytes.
   static constexpr std::uint32_t kEmpty = 0;
   static constexpr std::uint32_t kClaimed = 1;
@@ -376,8 +388,9 @@ class CasTable {
     std::atomic<std::size_t> stripes_done{0};
   };
 
+  // Keys are avalanched (see the header comment): the low word is the hash.
   static std::size_t bucket(util::U128 key, std::size_t mask) {
-    return static_cast<std::size_t>(util::U128Hash{}(key)) & mask;
+    return static_cast<std::size_t>(key.lo) & mask;
   }
 
   static void note_probe(OpStats* stats, std::uint64_t probes) {
@@ -545,45 +558,57 @@ class CasTable {
     }
   }
 
-  // Claims and migrates one stripe of the oldest pending sealed array; the
-  // last stripe detaches that array from lookups. Called by inserts while a
-  // sweep is pending — the cooperative, no-stop-the-world growth path.
-  void help_migrate(OpStats* stats) {
-    // Walk to the oldest pending array (chains longer than one are rare —
-    // they need a growth to trigger before the previous sweep finishes).
-    Array* successor = live_.load(std::memory_order_acquire);
+  // The oldest sealed array whose sweep is pending, or nullptr; `successor`
+  // is the array whose prev it is. Chains longer than one are rare — they
+  // need a growth while the previous sweep is pending.
+  Array* oldest_pending(Array*& successor) const {
+    successor = live_.load(std::memory_order_acquire);
     Array* oldest = successor->prev.load(std::memory_order_acquire);
-    if (oldest == nullptr) return;
+    if (oldest == nullptr) return nullptr;
     for (;;) {
       Array* older = oldest->prev.load(std::memory_order_acquire);
-      if (older == nullptr) break;
+      if (older == nullptr) return oldest;
       successor = oldest;
       oldest = older;
     }
+  }
+
+  // Claims and migrates one stripe of the oldest pending sealed array. Called
+  // by inserts while a sweep is pending — the cooperative,
+  // no-stop-the-world growth path.
+  void help_migrate(OpStats* stats) {
+    Array* successor = nullptr;
+    Array* oldest = oldest_pending(successor);
+    if (oldest == nullptr) return;
     const std::size_t stripe =
         oldest->stripe_cursor.fetch_add(1, std::memory_order_relaxed);
     if (stripe >= oldest->num_stripes) return;  // sweep fully claimed
+    migrate_stripe(*oldest, *successor, stripe, stats);
+  }
+
+  // Migrates claimed `stripe` of sealed array `oldest` (`successor`'s prev);
+  // the last stripe detaches `oldest` from lookups.
+  void migrate_stripe(Array& oldest, Array& successor, std::size_t stripe, OpStats* stats) {
     const std::size_t begin = stripe * kStripeSlots;
     std::size_t end = begin + kStripeSlots;
-    if (end > oldest->capacity) end = oldest->capacity;
+    if (end > oldest.capacity) end = oldest.capacity;
     for (std::size_t i = begin; i < end; ++i) {
-      Slot& slot = oldest->slots[i];
+      Slot& slot = oldest.slots[i];
       std::uint32_t tag = tag_of(slot).load(std::memory_order_seq_cst);
       tag = settle(slot, tag);
       if (tag != kPublished) continue;
-      migrate_insert(util::U128{slot.key_lo, slot.key_hi}, slot.value, slot.meta, oldest,
+      migrate_insert(util::U128{slot.key_lo, slot.key_hi}, slot.value, slot.meta, &oldest,
                      stats);
     }
     if (stats != nullptr) stats->migration_stripes += 1;
-    const std::size_t done =
-        oldest->stripes_done.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (done == oldest->num_stripes) {
+    const std::size_t done = oldest.stripes_done.fetch_add(1, std::memory_order_acq_rel) + 1;
+    if (done == oldest.num_stripes) {
       // Every slot is carried over: detach the array from lookups, then
       // return a mapped array's pages. The Array stays retired in arrays_
       // until destruction.
-      successor->prev.store(nullptr, std::memory_order_release);
-      if (oldest->release()) {
-        retained_bytes_.fetch_sub(oldest->bytes(), std::memory_order_relaxed);
+      successor.prev.store(nullptr, std::memory_order_release);
+      if (oldest.release()) {
+        retained_bytes_.fetch_sub(oldest.bytes(), std::memory_order_relaxed);
       }
     }
   }
@@ -610,13 +635,15 @@ class CasTable {
     std::lock_guard<std::mutex> lock(growth_mu_);  // cold path: growth only
     Array* head = live_.load(std::memory_order_relaxed);
     if (head != claimed_in) return;  // someone else already grew
-    if (size_.load(std::memory_order_relaxed) <= head->capacity / 8 * 5) return;
-    if (head->prev.load(std::memory_order_acquire) != nullptr) {
+    const std::uint64_t size = size_.load(std::memory_order_relaxed);
+    if (size <= head->capacity / 8 * 5) return;
+    if (head->prev.load(std::memory_order_acquire) != nullptr &&
+        size <= head->capacity / 8 * 7) {
       // The previous sweep is still pending; inserts keep helping it along
       // and the next threshold crossing re-attempts the growth. Probing
-      // stays correct at the (briefly) higher load factor; should the array
-      // fill completely before the sweep finishes, the kFull path forces the
-      // growth this branch deferred.
+      // stays short at the (briefly) higher load factor. A stalled migrator
+      // can keep the sweep pending for good, so past 7/8 the growth stacks
+      // an epoch on the pending one, as force_grow does.
       return;
     }
     grow_locked(head);
@@ -624,7 +651,8 @@ class CasTable {
 
   // Growth demanded by a kFull probe: the live array has no EMPTY slots, so
   // no insert can succeed until a new epoch exists. Unlike maybe_grow this
-  // ignores the load threshold AND a pending prev sweep — stacking a second
+  // ignores the load thresholds, and like it past 7/8 it ignores a pending
+  // prev sweep — stacking a second
   // epoch is safe (help_migrate walks to the oldest pending array, lookups
   // traverse the whole chain, and migrate_insert dedups against every array
   // newer than its floor); refusing to stack would spin forever.

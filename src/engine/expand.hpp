@@ -144,45 +144,60 @@ inline void encode_process_block(const Node& node, std::size_t i,
 // (cleared first).
 void encode_node(const Node& node, std::vector<typesys::Value>& scratch);
 
-// Streaming form of the node fingerprint: both 64-bit hash lanes absorb
-// values as they are appended to the encoding (the NodeCodec feeds each
-// record segment right after writing it, while it is still cache-hot), and
-// the encoded length is folded in only at finish(). One pass produces
-// record + hash with no separate fingerprint sweep.
-struct FpStream {
-  std::uint64_t lo = 0x2545f4914f6cdd1dULL;
-  std::uint64_t hi = 0x6a09e667f3bcc909ULL;
+// The node fingerprint is two-level. A record's canonical prefix is a
+// sequence of segments: the header with the memory, then one block per
+// process. Each segment has a 128-bit digest (segment_digest) that folds in
+// its length, so moving a value across a block boundary changes it; the
+// fingerprint absorbs the segment digests in record order (FpStream) and is
+// avalanched once, at finish(). A successor that changes one process block
+// therefore digests only its new header and that block, and reuses its
+// parent's other block digests, in their new order when the canonicalizer
+// re-inserts the block (NodeCodec::encode_delta; incremental state hashing,
+// Nguyen and Ruys, "Incremental Hashing for SPIN", SPIN 2008). Every word of
+// a fingerprint depends on every value, so CasTable takes its bucket from
+// the low word as it is.
+//
+// Both levels use the same two independent multiply-accumulate lanes:
+// polynomial hashes with distinct odd multipliers and distinct injection ops
+// (add vs xor), one add/xor and one multiply per lane per word, with no
+// dependency between the lanes, so both chains pipeline. A cross-lane
+// collision needs one difference annihilated by powers of BOTH multipliers
+// mod 2^64.
+inline constexpr std::uint64_t kFpLoMul = 0xff51afd7ed558ccdULL;
+inline constexpr std::uint64_t kFpHiMul = 0x9e3779b97f4a7c15ULL;
 
-  void absorb(const typesys::Value* data, std::size_t count) {
-    // Two independent multiply-accumulate lanes: polynomial hashes with
-    // distinct odd multipliers and distinct injection ops (add vs xor). One
-    // add/xor + one multiply per lane per value, and the lanes carry no
-    // dependency on each other, so both chains pipeline; all avalanche is
-    // deferred to finish(). A cross-lane collision needs one value
-    // difference annihilated by powers of BOTH multipliers mod 2^64.
-    std::uint64_t l = lo;
-    std::uint64_t h = hi;
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto v = static_cast<std::uint64_t>(data[i]);
-      l = (l + v) * 0xff51afd7ed558ccdULL;
-      h = (h ^ v) * 0x9e3779b97f4a7c15ULL;
-    }
-    lo = l;
-    hi = h;
+inline util::U128 segment_digest(const typesys::Value* data, std::size_t size) {
+  const auto length = static_cast<std::uint64_t>(size);
+  std::uint64_t l = (0x2545f4914f6cdd1dULL + length) * kFpLoMul;
+  std::uint64_t h = (0x6a09e667f3bcc909ULL ^ length) * kFpHiMul;
+  for (std::size_t i = 0; i < size; ++i) {
+    const auto v = static_cast<std::uint64_t>(data[i]);
+    l = (l + v) * kFpLoMul;
+    h = (h ^ v) * kFpHiMul;
+  }
+  return util::U128{l, h};
+}
+
+// Absorbs segment digests in record order; finish() crosses the lanes and
+// avalanches each output word.
+struct FpStream {
+  std::uint64_t lo = 0x510e527fade682d1ULL;
+  std::uint64_t hi = 0x9b05688c2b3e6c1fULL;
+
+  void absorb(util::U128 digest) {
+    lo = (lo + digest.lo) * kFpLoMul;
+    hi = (hi ^ digest.hi) * kFpHiMul;
   }
 
-  util::U128 finish(std::size_t size) const {
-    // Cross the lanes while folding in the encoded length, then avalanche
-    // each output word so every absorbed value diffuses into both halves.
-    const auto s = static_cast<std::uint64_t>(size);
-    return util::U128{util::mix64(lo ^ (hi >> 29) ^ s),
-                      util::mix64(hi + (lo << 31) + s * 0x9e3779b97f4a7c15ULL)};
+  util::U128 finish() const {
+    return util::U128{util::mix64(lo ^ (hi >> 29)), util::mix64(hi + (lo << 31))};
   }
 };
 
-// Fingerprint of an already-encoded canonical prefix (== FpStream absorbing
-// the whole prefix). The NodeCodec (engine/node_store.hpp) uses it for
-// records the canonicalizer permuted and as its DCHECK reference sweep.
+// Fingerprint of a canonical prefix that is one segment. The codec never
+// calls it (a node has n + 1 segments); it stays for the benchmark's stage
+// timings (perfbench/), which time it as the cost of fingerprinting a
+// re-sorted record.
 util::U128 fingerprint_values(const typesys::Value* data, std::size_t size);
 
 // Deterministic total order on events / event paths, matching the enumeration

@@ -110,10 +110,10 @@ bool Canonicalizer::canonicalize(std::vector<Value>& record,
   return true;
 }
 
-bool Canonicalizer::reinsert(const Value* parent,
-                             const std::vector<std::size_t>& block_offsets, int process,
-                             const Value* block, std::size_t block_size, Value steps,
-                             std::vector<int>& order) const {
+std::size_t Canonicalizer::reinsert(const Value* parent,
+                                    const std::vector<std::size_t>& block_offsets,
+                                    int process, const Value* block, std::size_t block_size,
+                                    Value steps) const {
   const std::size_t n = num_processes_;
   RCONS_ASSERT(block_offsets.size() == n + 1);
   RCONS_ASSERT(has_peers(process));
@@ -138,18 +138,26 @@ bool Canonicalizer::reinsert(const Value* parent,
   if (to == from) {
     while (to + 1 < group.size() && versus(to + 1) > 0) ++to;
   }
+  return to;
+}
 
+void Canonicalizer::reinsert_order(int process, std::size_t rank,
+                                   std::vector<int>& order) const {
+  const std::size_t n = num_processes_;
+  const Member member = members_[static_cast<std::size_t>(process)];
+  RCONS_ASSERT(member.group >= 0);
+  const std::vector<int>& group = groups_[static_cast<std::size_t>(member.group)];
+  const auto from = static_cast<std::size_t>(member.index);
   order.resize(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<int>(i);
   // Members between the two slots shift by one toward the vacated slot.
-  for (std::size_t j = to; j < from; ++j) {
+  for (std::size_t j = rank; j < from; ++j) {
     order[static_cast<std::size_t>(group[j + 1])] = group[j];
   }
-  for (std::size_t j = from; j < to; ++j) {
+  for (std::size_t j = from; j < rank; ++j) {
     order[static_cast<std::size_t>(group[j])] = group[j + 1];
   }
-  order[static_cast<std::size_t>(group[to])] = process;
-  return to != from;
+  order[static_cast<std::size_t>(group[rank])] = process;
 }
 
 int Canonicalizer::orbit_mask(const Value* record,
@@ -180,18 +188,18 @@ int Canonicalizer::orbit_mask(const Value* record,
 
 NodeCodec::Encoded NodeCodec::encode(const Node& node, std::vector<Value>& record) {
   record.clear();
-  FpStream fp;
   encode_node_header(node, record);
-  fp.absorb(record.data(), record.size());
+  const util::U128 header = segment_digest(record.data(), record.size());
 
   const std::size_t n = node.processes.size();
   offsets_.clear();
+  digests_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     offsets_.push_back(record.size());
     encode_process_block(node, i, record);
-    // Absorb the block while it is still cache-hot — by the end of the loop
-    // the fingerprint is done without a second sweep over the record.
-    fp.absorb(record.data() + offsets_.back(), record.size() - offsets_.back());
+    // Digest the block while it is still cache-hot.
+    digests_.push_back(segment_digest(record.data() + offsets_.back(),
+                                      record.size() - offsets_.back()));
   }
   offsets_.push_back(record.size());
   for (std::size_t i = 0; i < n; ++i) record.push_back(node.steps_in_run[i]);
@@ -199,94 +207,141 @@ NodeCodec::Encoded NodeCodec::encode(const Node& node, std::vector<Value>& recor
   Encoded encoded;
   encoded.permuted = canonicalizer_.canonicalize(record, offsets_);
   encoded.fingerprint_length = record.size() - n;
-  // A canonical permutation reorders the absorbed blocks, so only then is a
-  // fresh sweep over the (now canonical) prefix needed.
-  encoded.fingerprint =
-      encoded.permuted ? fingerprint_values(record.data(), encoded.fingerprint_length)
-                       : fp.finish(encoded.fingerprint_length);
-  // Codec round-trip contract: the fused absorb-during-encode stream must
-  // agree with a reference sweep over the finished record. Divergence means
-  // an encode path mutated values after absorbing them.
-  RCONS_DCHECK_MSG(
-      encoded.permuted ||
-          encoded.fingerprint ==
-              fingerprint_values(record.data(), encoded.fingerprint_length),
-      "fused fingerprint diverged from reference sweep");
+  // A canonical permutation moved whole blocks, so their digests are
+  // absorbed in the order the blocks now have.
+  FpStream fp;
+  fp.absorb(header);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t source =
+        encoded.permuted ? static_cast<std::size_t>(canonicalizer_.order()[i]) : i;
+    fp.absorb(digests_[source]);
+  }
+  encoded.fingerprint = fp.finish();
   return encoded;
 }
 
-NodeCodec::Encoded NodeCodec::encode_successor(const Value* parent,
-                                               std::size_t parent_size,
-                                               const Node& node, int changed_process,
-                                               std::vector<Value>& record) {
+NodeCodec::Delta NodeCodec::encode_delta(const Node& node, int changed_process,
+                                         std::vector<Value>& pieces) {
+  Delta delta;
+  delta.offset = static_cast<std::uint32_t>(pieces.size());
+  if (changed_process == kWhole) {
+    const Encoded encoded = encode(node, whole_);
+    pieces.insert(pieces.end(), whole_.begin(), whole_.end());
+    delta.fingerprint = encoded.fingerprint;
+    delta.length = static_cast<std::uint32_t>(whole_.size());
+    delta.header = delta.length;
+    delta.permuted = encoded.permuted;
+    return delta;
+  }
   const std::size_t n = node.processes.size();
   RCONS_ASSERT_MSG(block_offsets_.size() == n + 1,
-                   "encode_successor needs the parent's captured layout");
-  RCONS_ASSERT(parent_size == block_offsets_[n] + n);
+                   "encode_delta needs the parent's captured layout");
   RCONS_ASSERT(changed_process >= 0 && static_cast<std::size_t>(changed_process) < n);
   const auto changed = static_cast<std::size_t>(changed_process);
 
-  record.clear();
-  FpStream fp;
-  encode_node_header(node, record);
-  fp.absorb(record.data(), record.size());
+  encode_node_header(node, pieces);
+  const std::size_t block_begin = pieces.size();
+  encode_process_block(node, changed, pieces);
+  delta.header = static_cast<std::uint32_t>(block_begin - delta.offset);
+  delta.block = static_cast<std::uint32_t>(pieces.size() - block_begin);
+  delta.process = changed_process;
+  delta.steps = node.steps_in_run[changed];
+  const std::size_t parent_blocks = block_offsets_[n] - header_end_;
+  const std::size_t parent_block = block_offsets_[changed + 1] - block_offsets_[changed];
+  delta.length = static_cast<std::uint32_t>(delta.header + parent_blocks - parent_block +
+                                            delta.block + n);
 
-  Encoded encoded;
-  if (!canonicalizer_.has_peers(changed_process)) {
-    // Every class keeps the parent's canonical order, so the parent's
-    // process order is canonical: patch the changed block in place.
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t begin = record.size();
-      if (i == changed) {
-        encode_process_block(node, i, record);
-      } else {
-        // Unchanged process: its block is byte-identical to the parent's.
-        record.insert(record.end(), parent + block_offsets_[i],
-                      parent + block_offsets_[i + 1]);
-      }
-      fp.absorb(record.data() + begin, record.size() - begin);
-    }
-    for (std::size_t i = 0; i < n; ++i) record.push_back(node.steps_in_run[i]);
+  const Value* block = pieces.data() + block_begin;
+  const util::U128 block_digest = segment_digest(block, delta.block);
+  FpStream fp;
+  fp.absorb(segment_digest(pieces.data() + delta.offset, delta.header));
+  if (canonicalizer_.has_peers(changed_process)) {
+    const std::size_t rank = canonicalizer_.reinsert(parent_, block_offsets_, changed_process,
+                                                     block, delta.block, delta.steps);
+    delta.rank = static_cast<std::uint32_t>(rank);
+    delta.permuted = rank != canonicalizer_.position(changed_process);
+  }
+  if (!delta.permuted) {
+    // Every class keeps the parent's canonical order: the changed block
+    // keeps its position.
+    for (std::size_t i = 0; i < n; ++i) fp.absorb(i == changed ? block_digest : block_digests_[i]);
   } else {
-    // Re-insert the changed block at its rank among its class, then write
-    // the blocks and sidecar in that order, absorbing each block as written.
-    block_.clear();
-    encode_process_block(node, changed, block_);
-    encoded.permuted =
-        canonicalizer_.reinsert(parent, block_offsets_, changed_process, block_.data(),
-                                block_.size(), node.steps_in_run[changed], order_);
+    canonicalizer_.reinsert_order(changed_process, delta.rank, order_);
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t begin = record.size();
-      const auto src = static_cast<std::size_t>(order_[i]);
-      if (src == changed) {
-        record.insert(record.end(), block_.begin(), block_.end());
-      } else {
-        record.insert(record.end(), parent + block_offsets_[src],
-                      parent + block_offsets_[src + 1]);
-      }
-      fp.absorb(record.data() + begin, record.size() - begin);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      record.push_back(node.steps_in_run[static_cast<std::size_t>(order_[i])]);
+      const auto source = static_cast<std::size_t>(order_[i]);
+      fp.absorb(source == changed ? block_digest : block_digests_[source]);
     }
   }
-  encoded.fingerprint_length = record.size() - n;
-  encoded.fingerprint = fp.finish(encoded.fingerprint_length);
-  // Successor contract: patching or re-inserting against the canonical
-  // parent must give exactly what encoding the node from scratch and
-  // sorting it gives — record, fingerprint and hit flag alike.
-  RCONS_DCHECK_MSG(matches_encode(node, record, encoded),
-                   "successor encode diverged from encode() + canonicalize()");
-  return encoded;
+  delta.fingerprint = fp.finish();
+  // Successor contract: the pieces against the canonical parent must give
+  // exactly what encoding the node from scratch and sorting it gives —
+  // record, fingerprint and hit flag alike.
+  RCONS_DCHECK_MSG(matches_encode(node, pieces.data(), delta),
+                   "successor pieces diverged from encode() + canonicalize()");
+  return delta;
 }
 
-bool NodeCodec::matches_encode(const Node& node, const std::vector<Value>& record,
-                               const Encoded& encoded) {
+void NodeCodec::materialize(const Value* pieces, const Delta& delta, Value* out) {
+  const Value* const at = pieces + delta.offset;
+  if (delta.process == kWhole) {
+    std::memcpy(out, at, delta.length * sizeof(Value));
+    return;
+  }
+  const std::size_t n = block_offsets_.size() - 1;
+  const auto changed = static_cast<std::size_t>(delta.process);
+  const auto copy = [&](const Value* from, std::size_t count) {
+    std::memcpy(out, from, count * sizeof(Value));
+    out += count;
+  };
+  copy(at, delta.header);
+  const Value* block = at + delta.header;
+  const std::size_t sidecar = block_offsets_[n];
+  if (!delta.permuted) {
+    // The blocks before the changed one, the changed block, then the blocks
+    // after it with the sidecar, whose changed entry is patched.
+    copy(parent_ + header_end_, block_offsets_[changed] - header_end_);
+    copy(block, delta.block);
+    copy(parent_ + block_offsets_[changed + 1], sidecar + n - block_offsets_[changed + 1]);
+    *(out - n + changed) = delta.steps;
+    return;
+  }
+  canonicalizer_.reinsert_order(delta.process, delta.rank, order_);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto source = static_cast<std::size_t>(order_[i]);
+    if (source == changed) {
+      copy(block, delta.block);
+    } else {
+      copy(parent_ + block_offsets_[source], block_offsets_[source + 1] - block_offsets_[source]);
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto source = static_cast<std::size_t>(order_[i]);
+    *out++ = source == changed ? delta.steps : parent_[sidecar + source];
+  }
+}
+
+NodeCodec::Encoded NodeCodec::encode_successor(const Value* parent, std::size_t parent_size,
+                                               const Node& node, int changed_process,
+                                               std::vector<Value>& record) {
+  const std::size_t n = node.processes.size();
+  RCONS_ASSERT_MSG(parent == parent_ && block_offsets_.size() == n + 1 &&
+                       parent_size == block_offsets_[n] + n,
+                   "encode_successor needs the parent's captured layout");
+  pieces_.clear();
+  const Delta delta = encode_delta(node, changed_process, pieces_);
+  record.resize(delta.length);
+  materialize(pieces_.data(), delta, record.data());
+  return Encoded{delta.fingerprint, delta.length - n, delta.permuted};
+}
+
+bool NodeCodec::matches_encode(const Node& node, const Value* pieces, const Delta& delta) {
+  std::vector<Value> record(delta.length);
+  materialize(pieces, delta, record.data());
   std::vector<Value> reference;
+  // encode() leaves the parent's layout, digests and order_ scratch alone.
   const Encoded expected = encode(node, reference);
-  return reference == record && expected.fingerprint == encoded.fingerprint &&
-         expected.fingerprint_length == encoded.fingerprint_length &&
-         expected.permuted == encoded.permuted;
+  return reference == record && expected.fingerprint == delta.fingerprint &&
+         expected.permuted == delta.permuted;
 }
 
 void NodeCodec::decode(const Value* record, std::size_t size, Node& out) {
@@ -304,7 +359,9 @@ void NodeCodec::decode(const Value* record, std::size_t size, Node& out) {
   // invariant reflected in the root-shaped scratch node.
   const std::size_t n = out.processes.size();
   const bool track_outputs = !out.ever_output.empty();
+  parent_ = record;
   block_offsets_.clear();
+  block_digests_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     block_offsets_.push_back(at);
     RCONS_ASSERT_MSG(at < size, "truncated node record");
@@ -315,6 +372,10 @@ void NodeCodec::decode(const Value* record, std::size_t size, Node& out) {
       out.last_output[i] = record[at++];
     }
     at += out.processes[i].decode(record + at, size - at);
+    // Digested once per expansion: every per-process successor reuses the
+    // digests of the blocks it keeps (encode_delta).
+    block_digests_.push_back(segment_digest(record + block_offsets_.back(),
+                                            at - block_offsets_.back()));
   }
   block_offsets_.push_back(at);
   for (std::size_t i = 0; i < n; ++i) {
@@ -419,38 +480,6 @@ std::vector<std::size_t> NodeStore::chunk_bytes() const {
   std::vector<std::size_t> bytes;
   for (const Chunk& chunk : chunks_) bytes.push_back(chunk.get_deleter().values * sizeof(Value));
   return bytes;
-}
-
-NodeStore::Intern NodeStore::intern(util::U128 fingerprint,
-                                    std::span<const Value> record, int arena_index,
-                                    CasTable::OpStats* stats) {
-  RCONS_ASSERT(arena_index >= 0 &&
-               static_cast<std::size_t>(arena_index) < arenas_.size());
-  Arena& arena = *arenas_[static_cast<std::size_t>(arena_index)];
-  const std::size_t length = record.size();
-  // A non-empty record keeps every arena address distinct, which
-  // for_each_record relies on.
-  RCONS_DCHECK_MSG(length > 0, "interned records are never empty");
-
-  // The record copy is staged from the caller's private arena only inside
-  // the claimed window — after the lock-free duplicate check — so a
-  // duplicate intern never copies. Its length rides in the index slot, so a
-  // duplicate never reads the arena either. The arena makes room first: an
-  // allocation that failed inside the window would leave the slot CLAIMED.
-  if (static_cast<std::size_t>(arena.end - arena.cur) < length) arena_refill(arena, length);
-  const CasTable::Found found = index_.insert_with(
-      fingerprint, static_cast<std::uint32_t>(length),
-      [&]() -> std::uint64_t {
-        Value* values = arena.cur;
-        std::memcpy(values, record.data(), length * sizeof(Value));
-        arena.cur = values + length;
-        return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(values));
-      },
-      stats);
-
-  return Intern{found.inserted,
-                reinterpret_cast<const Value*>(static_cast<std::uintptr_t>(found.value)),
-                found.meta};
 }
 
 void NodeStore::add_arenas(int num_arenas) {

@@ -24,9 +24,19 @@
 // covers — byte-for-byte the same prefix `engine::encode_node` produces. The
 // sidecar (per-run step counts for the recoverable-wait-freedom bound) is
 // intentionally outside the fingerprint: the first path to reach a state
-// fixes its step counts. The fingerprint is computed *during* encoding
-// (engine::FpStream): each record segment is absorbed right after it is
-// written, so the separate fingerprint sweep of the record is gone.
+// fixes its step counts. The fingerprint is two-level (engine/expand.hpp):
+// a digest per segment of the canonical prefix — the header with the
+// memory, then each process block — absorbed in record order and avalanched
+// once. decode() digests the parent's blocks once per expansion, so a
+// per-process successor digests only its new header and its changed block.
+//
+// A successor is first kept as the pieces in which it differs from its
+// parent (NodeCodec::Delta: header, changed block, its sidecar entry and the
+// rank of a re-inserted block), which is all its fingerprint needs. Its
+// record is written only when it is new: NodeStore::intern takes a writer
+// that assembles the record from the parent record and the pieces straight
+// into the arena, inside the index slot's claimed window, so a duplicate —
+// most successors — writes no record at all.
 //
 // Symmetry reduction: a `Canonicalizer` built from a symmetry declaration
 // (ExplorerConfig::symmetry_classes) sorts the per-process blocks of each
@@ -35,9 +45,10 @@
 // processes then intern to one record, shrinking visited sets combinatorially
 // for team-consensus and tournament scenarios. Only whole-node encodes (the
 // root, crash-all, checkpoint re-seeds) sort; a per-process successor of a
-// canonical parent differs from it in one block, so encode_successor()
-// re-inserts that block at its rank within its class while writing the
-// record, fingerprinting it in the same pass. The canonical representative
+// canonical parent differs from it in one block, so encode_delta() ranks
+// that block within its class (Canonicalizer::reinsert), absorbs the
+// parent's block digests in the new order, and the record is written in that
+// order only if it is new. The canonical representative
 // is what exploration continues from; since class members are behaviourally
 // identical this preserves every verdict, but a violating schedule found
 // under reduction is a schedule of representatives — valid up to a class
@@ -54,6 +65,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -61,6 +73,7 @@
 
 #include "engine/cas_table.hpp"
 #include "engine/expand.hpp"
+#include "util/assert.hpp"
 #include "util/hash.hpp"
 
 namespace rcons::engine {
@@ -105,17 +118,30 @@ class Canonicalizer {
   bool canonicalize(std::vector<typesys::Value>& record,
                     const std::vector<std::size_t>& block_offsets);
 
-  // Canonical order of a successor of the *canonical* record `parent` in
+  // After a canonicalize() that returned true: the process whose block it put
+  // at each position.
+  const std::vector<int>& order() const { return order_; }
+
+  // Canonical rank of a successor of the *canonical* record `parent` in
   // which only `process` changed: its block to [block, block + block_size)
   // and its sidecar entry to `steps`. Requires has_peers(process). Walks the
   // new block from its old slot to its rank among the class with at most
-  // (class size - 1) compare() calls, and fills `order` (n entries) with the
-  // process whose block — the new one for `process` — belongs at each
-  // position. Returns true when that order is not the identity, exactly when
-  // canonicalize() of the successor in the parent's order would return true.
-  bool reinsert(const typesys::Value* parent, const std::vector<std::size_t>& block_offsets,
-                int process, const typesys::Value* block, std::size_t block_size,
-                typesys::Value steps, std::vector<int>& order) const;
+  // (class size - 1) compare() calls and returns that rank: the position in
+  // the class, in process-index order of its members, the block takes. The
+  // rank differs from the process's own position exactly when canonicalize()
+  // of the successor in the parent's order would return true.
+  std::size_t reinsert(const typesys::Value* parent, const std::vector<std::size_t>& block_offsets,
+                       int process, const typesys::Value* block, std::size_t block_size,
+                       typesys::Value steps) const;
+
+  // `process`'s position in its class (its rank when its block stays put).
+  std::size_t position(int process) const {
+    return static_cast<std::size_t>(members_[static_cast<std::size_t>(process)].index);
+  }
+
+  // Fills `order` (n entries) with the process whose block belongs at each
+  // position once `process`'s block moved to class position `rank`.
+  void reinsert_order(int process, std::size_t rank, std::vector<int>& order) const;
 
   // Stabilizer orbits of a *canonical* record: marks skip[p] = 1 for every
   // same-class process whose block and sidecar step count equal those of an
@@ -148,16 +174,21 @@ class Canonicalizer {
 // buffers); all codecs of a run must share the same symmetry declaration.
 //
 // decode() additionally captures the record's *layout* (per-process block
-// offsets), which unlocks two per-successor fast paths against that record:
+// offsets) and the digest of each of its process blocks, which unlocks the
+// per-successor fast paths against that record:
 //   * restore() — refill only the shared header/memory/sidecar plus the one
 //     process block a previous event dirtied, instead of decoding all n
 //     process programs again;
-//   * encode_successor() — build a successor's record by memcpy-ing the n-1
-//     unchanged process blocks straight from the parent record, encoding
-//     only the stepped/crashed process, and keeping the record canonical by
-//     re-inserting that one block (Canonicalizer::reinsert) instead of
-//     sorting the record again.
-// Both are pure record-level optimizations: the resulting records and
+//   * encode_delta() — keep a per-process successor as the pieces in which
+//     it differs from the parent (its header, its changed block, that
+//     block's sidecar entry and rank) and fingerprint it from the new
+//     header's and block's digests and the parent's other block digests,
+//     keeping it canonical by ranking that one block (Canonicalizer::
+//     reinsert) instead of sorting the record again;
+//   * materialize() — write the successor's record from the parent record
+//     and its pieces (three copies and a patch when the block keeps its
+//     position), once the store found it new.
+// All are pure record-level optimizations: the resulting records and
 // fingerprints are identical to full decode()+encode().
 class NodeCodec {
  public:
@@ -165,6 +196,9 @@ class NodeCodec {
   // all of them do (also refreshes the captured layout via full decode()).
   static constexpr int kDirtyNone = -1;
   static constexpr int kDirtyAll = -2;
+  // `changed_process` of encode_delta() when every process block may have
+  // changed (a crash-all): the pieces are then the whole record.
+  static constexpr int kWhole = -1;
 
   NodeCodec() = default;
   explicit NodeCodec(const std::vector<int>& symmetry_classes)
@@ -176,27 +210,54 @@ class NodeCodec {
     bool permuted = false;               // canonicalizer applied a permutation
   };
 
+  // A successor of the record last decode()d, as the pieces in which it
+  // differs from it. The pieces lie in the caller's buffer from `offset`:
+  // the header (crashes, decisions, memory), then the changed block. With
+  // process == kWhole they are the whole record instead.
+  struct Delta {
+    util::U128 fingerprint;
+    std::uint32_t length = 0;  // values of the materialized record
+    std::uint32_t offset = 0;  // first piece in the caller's buffer
+    std::uint32_t header = 0;  // header values
+    std::uint32_t block = 0;   // changed block values
+    int process = kWhole;      // the changed process
+    std::uint32_t rank = 0;    // class position its block takes (with peers)
+    typesys::Value steps = 0;  // its sidecar entry
+    bool permuted = false;     // the block left its position: a canonical hit
+  };
+
   // Writes the full record (canonical encoding + sidecar) for `node` into
-  // `record`, fingerprinting the canonical prefix in the same pass.
+  // `record`, with its fingerprint.
   Encoded encode(const Node& node, std::vector<typesys::Value>& record);
 
-  // Like encode(), but every process block except `changed_process` is
-  // copied verbatim from `parent` (the record most recently decode()d by
-  // this codec — its captured layout supplies the block spans). The header,
-  // memory, changed block, and sidecar come from `node`. `parent` is
-  // canonical, so only the changed block can be out of place: without a
-  // same-class peer it is patched in place; with one it is re-inserted at
-  // its rank (Canonicalizer::reinsert) while the record is written, so the
-  // fingerprint is absorbed in the same single pass and nothing is sorted
-  // or rebuilt. The result equals encode() of `node` byte for byte.
+  // Appends the pieces of `node`, a successor of the record last decode()d
+  // in which only `changed_process` changed (kWhole: any process), to
+  // `pieces` and returns its Delta. Every other process block is the
+  // parent's: the parent is canonical, so only the changed block can be out
+  // of place, and with a same-class peer it is ranked among its class. The
+  // fingerprint equals encode()'s of `node`; only the new header and block
+  // are digested.
+  Delta encode_delta(const Node& node, int changed_process, std::vector<typesys::Value>& pieces);
+
+  // Writes the `delta.length` values of the record `delta` describes to
+  // `out`: the header and changed block from `pieces` (the buffer
+  // encode_delta() appended to), every other block from the record last
+  // decode()d, in canonical order. Equals encode() of the successor byte for
+  // byte.
+  void materialize(const typesys::Value* pieces, const Delta& delta, typesys::Value* out);
+
+  // encode_delta() then materialize() into `record`, for callers that want
+  // the full record of every successor. `parent` must be the record last
+  // decode()d.
   Encoded encode_successor(const typesys::Value* parent, std::size_t parent_size,
                            const Node& node, int changed_process,
                            std::vector<typesys::Value>& record);
 
   // Restores `out` — which must be structurally a copy of the run's root
   // (same memory layout, same programs) — from a record produced by encode().
-  // Captures the record's layout for restore()/encode_successor()/
-  // orbit_skip_mask() against the same record.
+  // Captures the record, its layout and its block digests for restore(),
+  // encode_delta(), materialize() and orbit_skip_mask(); the record must
+  // stay in place while they use it.
   void decode(const typesys::Value* record, std::size_t size, Node& out);
 
   // Partial re-decode of the record last passed to decode(): always refills
@@ -217,20 +278,24 @@ class NodeCodec {
   bool canonicalizing() const { return canonicalizer_.active(); }
 
  private:
-  // encode_successor()'s contract check: encode() of `node` gives the same
-  // record, fingerprint and hit flag.
-  bool matches_encode(const Node& node, const std::vector<typesys::Value>& record,
-                      const Encoded& encoded);
+  // encode_delta()'s contract check: the materialized record, its
+  // fingerprint and its hit flag equal encode() of `node`.
+  bool matches_encode(const Node& node, const typesys::Value* pieces, const Delta& delta);
 
   Canonicalizer canonicalizer_;
-  std::vector<std::size_t> offsets_;   // scratch: per-process block offsets
-  std::vector<typesys::Value> block_;  // scratch: a successor's changed block
-  std::vector<int> order_;             // scratch: successor block order
+  std::vector<std::size_t> offsets_;   // scratch: encode()'s block offsets
+  std::vector<util::U128> digests_;    // scratch: encode()'s block digests
+  std::vector<typesys::Value> whole_;  // scratch: a kWhole successor's record
+  std::vector<typesys::Value> pieces_; // scratch: encode_successor()'s pieces
+  std::vector<int> order_;             // scratch: a re-inserted successor's block order
 
-  // Layout of the record most recently decode()d: where the process blocks
-  // and the sidecar live. Valid until the next decode().
+  // The record most recently decode()d, its layout — where the process
+  // blocks and the sidecar live — and the digest of each process block.
+  // Valid until the next decode().
+  const typesys::Value* parent_ = nullptr;
   std::size_t header_end_ = 0;                 // first process block offset
   std::vector<std::size_t> block_offsets_;     // n+1 entries; [n] = sidecar
+  std::vector<util::U128> block_digests_;      // n entries
 };
 
 // Interning store: record payloads live in per-worker chunked bump arenas,
@@ -241,10 +306,12 @@ class NodeCodec {
 //
 // intern() is mutex-free on both the hit and the miss path: the duplicate
 // check is a lock-free probe, and a miss claims its index slot by CAS and
-// bump-allocates the record copy from the calling worker's private arena
-// *inside the claimed window* (CasTable::insert_with), so duplicates never
-// pay a record copy and new records are published to concurrent readers by
-// the slot's release-store. The arena is refilled before the probe, so
+// writes the record into the calling worker's private arena *inside the
+// claimed window* (CasTable::insert_with) through the caller's writer, so
+// duplicates never write a record and new records are published to
+// concurrent readers by the slot's release-store. The explorer's writer
+// assembles a successor from its parent record and its pieces
+// (NodeCodec::materialize), so a new record is written once, in place. The arena is refilled before the probe, so
 // nothing inside the claimed window can fail. The only locks left are cold:
 // index growth (CasTable's epoch migration) and fresh chunk allocation.
 //
@@ -278,12 +345,48 @@ class NodeStore {
     std::uint32_t length = 0;  // from the index slot: a hit never reads the arena
   };
 
-  // Interns `record` under `fingerprint` using the caller's arena; returns
-  // the resident payload view of the (existing or new) record. Probe/CAS
-  // counters and inserts accumulate into `stats` when non-null; the caller
-  // fold()s them once it stops interning.
+  // Interns the record of `length` values under `fingerprint` using the
+  // caller's arena; returns the resident payload view of the (existing or
+  // new) record. Only when the fingerprint is new does `write(out)` run, to
+  // write the record's values at `out` inside the claimed window: a
+  // duplicate writes nothing. Probe/CAS counters and inserts accumulate into
+  // `stats` when non-null; the caller fold()s them once it stops interning.
+  template <typename Write>
+  Intern intern(util::U128 fingerprint, std::uint32_t length, Write&& write, int arena_index,
+                CasTable::OpStats* stats) {
+    RCONS_ASSERT(arena_index >= 0 && static_cast<std::size_t>(arena_index) < arenas_.size());
+    Arena& arena = *arenas_[static_cast<std::size_t>(arena_index)];
+    // A non-empty record keeps every arena address distinct, which
+    // for_each_record relies on.
+    RCONS_DCHECK_MSG(length > 0, "interned records are never empty");
+    // The arena makes room first: an allocation that failed inside the
+    // window would leave the slot CLAIMED. The length rides in the index
+    // slot, so a duplicate never reads the arena either.
+    if (static_cast<std::size_t>(arena.end - arena.cur) < length) arena_refill(arena, length);
+    const CasTable::Found found = index_.insert_with(
+        fingerprint, length,
+        [&]() -> std::uint64_t {
+          typesys::Value* values = arena.cur;
+          write(values);
+          arena.cur = values + length;
+          return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(values));
+        },
+        stats);
+    return Intern{found.inserted,
+                  reinterpret_cast<const typesys::Value*>(static_cast<std::uintptr_t>(found.value)),
+                  found.meta};
+  }
+
+  // Interns a copy of `record` (the writer above, copying it).
   Intern intern(util::U128 fingerprint, std::span<const typesys::Value> record,
-                int arena = 0, CasTable::OpStats* stats = nullptr);
+                int arena_index = 0, CasTable::OpStats* stats = nullptr) {
+    return intern(
+        fingerprint, static_cast<std::uint32_t>(record.size()),
+        [record](typesys::Value* out) {
+          std::memcpy(out, record.data(), record.size() * sizeof(typesys::Value));
+        },
+        arena_index, stats);
+  }
 
   // Starts loading the index slot an intern of `fingerprint` probes first
   // (CasTable::prefetch).

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <memory>
 #include <new>
-#include <span>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -210,12 +209,12 @@ bool ParallelExplorer::expand(Scratch& s, const typesys::Value* record, std::uin
   const auto parent_decisions = static_cast<std::size_t>(record[1]);
 
   // The build step: applies `event` to the scratch node and returns the
-  // property it breaks, or else encodes the successor into s.record and
-  // fills `built` (offset 0). It counts nothing. Between successors the
-  // scratch node diverges from the parent record only where the previous
-  // event touched it: the shared flat fields plus exactly one process (or
-  // all of them after a crash-all). restore() re-decodes just that — one
-  // program decode per successor instead of n.
+  // property it breaks, or else appends the successor's pieces to s.pieces
+  // and fills `built`. It counts nothing. Between successors the scratch
+  // node diverges from the parent record only where the previous event
+  // touched it: the shared flat fields plus exactly one process (or all of
+  // them after a crash-all). restore() re-decodes just that — one program
+  // decode per successor instead of n.
   int dirty = NodeCodec::kDirtyNone;
   const auto build = [&](const Event& event,
                          Successor& built) -> std::optional<sim::PropertyViolation> {
@@ -224,22 +223,19 @@ bool ParallelExplorer::expand(Scratch& s, const typesys::Value* record, std::uin
     if (auto broken = apply_event(s.node, event, config_)) return broken;
     built.decided = s.node.decisions.size() > parent_decisions;
     // Per-process events leave n-1 blocks byte-identical to the parent
-    // record: patch-encode copies them instead of re-encoding programs.
-    const NodeCodec::Encoded encoded =
-        event.kind == Event::Kind::kCrashAll
-            ? s.codec.encode(s.node, s.record)
-            : s.codec.encode_successor(record, length, s.node, event.process, s.record);
-    built.fingerprint = encoded.fingerprint;
-    built.length = static_cast<std::uint32_t>(s.record.size());
-    built.permuted = encoded.permuted;
+    // record: the pieces hold only what differs, and the fingerprint reuses
+    // the parent's block digests.
+    built.delta = s.codec.encode_delta(
+        s.node, event.kind == Event::Kind::kCrashAll ? NodeCodec::kWhole : event.process,
+        s.pieces);
     return std::nullopt;
   };
   // The classify step: counts the transition and runs the hooks, on
-  // `broken` when the event breaks a property, else on `built`, whose
-  // record is `successor`.
+  // `broken` when the event breaks a property, else on `built`. The intern
+  // hook gets the writer of the successor's record, which runs only if the
+  // record is new.
   const auto classify = [&](const Event& event, const Successor& built,
-                            sim::PropertyViolation* broken,
-                            std::span<const typesys::Value> successor) {
+                            sim::PropertyViolation* broken) {
     tally.transitions += 1;
     if (broken != nullptr) {
       tally.violation_edges += 1;
@@ -248,8 +244,11 @@ bool ParallelExplorer::expand(Scratch& s, const typesys::Value* record, std::uin
     }
     if (built.decided) tally.decisions += 1;
     tally.encodes += 1;
-    if (built.permuted) tally.canonical_hits += 1;
-    const NodeStore::Intern interned = intern(built.fingerprint, successor);
+    if (built.delta.permuted) tally.canonical_hits += 1;
+    const NodeStore::Intern interned =
+        intern(built.delta.fingerprint, built.delta.length, [&](typesys::Value* out) {
+          s.codec.materialize(s.pieces.data(), built.delta, out);
+        });
     if (!interned.inserted) {
       tally.duplicates += 1;
       return Next::kContinue;
@@ -265,9 +264,10 @@ bool ParallelExplorer::expand(Scratch& s, const typesys::Value* record, std::uin
       // Stop before counting the event, so a stop leaves no transition
       // unclassified.
       if (stop()) return false;
+      s.pieces.clear();
       Successor built;
       auto broken = build(event, built);
-      const Next next = classify(event, built, broken ? &*broken : nullptr, s.record);
+      const Next next = classify(event, built, broken ? &*broken : nullptr);
       if (next == Next::kStop) return false;
       // A hook that reused `s` re-pointed the codec's captured layout at
       // other records; a full re-decode re-captures this one's before the
@@ -275,10 +275,10 @@ bool ParallelExplorer::expand(Scratch& s, const typesys::Value* record, std::uin
       if (next == Next::kRedecode) dirty = NodeCodec::kDirtyAll;
     }
   } else {
-    // Build every successor first, starting the load of each one's index
-    // slot, so the classify pass finds most of them in cache. Violations
-    // wait in s.violations, in event order.
-    s.values.clear();
+    // Build every successor's pieces first, starting the load of each one's
+    // index slot, so the classify pass finds most of them in cache.
+    // Violations wait in s.violations, in event order.
+    s.pieces.clear();
     s.successors.clear();
     s.violations.clear();
     for (const Event& event : events) {
@@ -288,17 +288,13 @@ bool ParallelExplorer::expand(Scratch& s, const typesys::Value* record, std::uin
         s.violations.push_back(std::move(*broken));
         continue;
       }
-      built.offset = static_cast<std::uint32_t>(s.values.size());
-      s.values.insert(s.values.end(), s.record.begin(), s.record.end());
-      store_->prefetch(built.fingerprint);
+      store_->prefetch(built.delta.fingerprint);
     }
-    const std::span<const typesys::Value> values(s.values);
     sim::PropertyViolation* broken = s.violations.data();
     for (std::size_t i = 0; i < events.size(); ++i) {
       if (stop()) return false;
       const Successor& built = s.successors[i];
-      const Next next = classify(events[i], built, built.broken ? broken++ : nullptr,
-                                 values.subspan(built.offset, built.length));
+      const Next next = classify(events[i], built, built.broken ? broken++ : nullptr);
       if (next == Next::kStop) return false;
       RCONS_DCHECK_MSG(next == Next::kContinue,
                        "the batched order's hooks must leave the scratch alone");
@@ -388,8 +384,8 @@ std::optional<sim::Violation> ParallelExplorer::dfs(const typesys::Value* record
                                 std::move(path)};
         return true;
       },
-      [&](util::U128 fingerprint, std::span<const typesys::Value> successor) {
-        return store_->intern(fingerprint, successor, 0, &dfs_);
+      [&](util::U128 fingerprint, std::uint32_t length, auto&& write) {
+        return store_->intern(fingerprint, length, write, 0, &dfs_);
       },
       [&](const Event& event, const NodeStore::Intern& interned) {
         path_.push_back(event);
@@ -569,7 +565,7 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
             offer_violation(std::move(path), std::move(broken));
             return false;
           },
-          [&](util::U128 fingerprint, std::span<const typesys::Value> successor) {
+          [&](util::U128 fingerprint, std::uint32_t length, auto&& write) {
             if (fault != nullptr &&
                 fault->hit(FaultPlan::Site::kIntern) == FaultPlan::Action::kStop) {
               request_stop(sim::StopReason::kForcedStop);
@@ -581,7 +577,7 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
               successors.reserve(2 * successors.size() + kMaxPopBatch);
             }
             arena.reserve();
-            return store_->intern(fingerprint, successor, id, &local);
+            return store_->intern(fingerprint, length, write, id, &local);
           },
           [&](const Event& event, const NodeStore::Intern& interned) {
             const std::uint64_t count =

@@ -24,13 +24,18 @@
 //                 The DFS recurses into a new state before it builds the
 //                 next event, so its successors cannot wait in one buffer.
 //   batched     — the worker loop: build every event's successor into the
-//                 worker's successor buffer, prefetching each one's index
-//                 slot, then classify them in event order. The index is
-//                 larger than the caches, so an intern is mostly a wait on
-//                 memory; the batch lets those waits overlap.
+//                 worker's piece buffer, prefetching each one's index slot,
+//                 then classify them in event order. The index is larger
+//                 than the caches, so an intern is mostly a wait on memory;
+//                 the batch lets those waits overlap.
 //
 // Classification is in event order either way, so every counter, the
-// transitions identity and the lowest-trace rule are the same in both.
+// transitions identity and the lowest-trace rule are the same in both. In
+// both, the build step keeps a successor as the pieces in which it differs
+// from the parent (NodeCodec::Delta), fingerprinted from the parent's block
+// digests, and the classify step's intern writes its record into the store
+// only when it is new (NodeStore::intern with a writer): a duplicate, most
+// successors, costs its pieces, its fingerprint and one probe.
 //
 // Both traversals stay because only the depth-first order reproduces the
 // pinned first violations: on algorithms whose steps can leave the encoding
@@ -176,28 +181,25 @@ class ParallelExplorer {
   // --- the expansion step ------------------------------------------------------
   //
   // What the build step leaves for the classify step about one event that
-  // breaks no property: the successor's fingerprint and where its record
-  // lies (the batched order's successor buffer, or the scratch record),
-  // whether the canonicalizer permuted it and whether it decided a new
-  // value. In the batched order, `broken` marks an event whose violation
-  // waits in the scratch instead.
+  // breaks no property: the successor's Delta (its fingerprint, where its
+  // pieces lie in the scratch's piece buffer, whether the canonicalizer
+  // permuted it) and whether it decided a new value. In the batched order,
+  // `broken` marks an event whose violation waits in the scratch instead.
   struct Successor {
-    util::U128 fingerprint;
-    std::uint32_t offset = 0;
-    std::uint32_t length = 0;
-    bool permuted = false;
+    NodeCodec::Delta delta;
     bool decided = false;
     bool broken = false;
   };
 
   // One traversal's expansion scratch (the DFS keeps one for the run, each
-  // worker its own): the codec, which captures the layout of the record it
-  // last decoded; the node each successor is built in, restored from the
-  // parent's record instead of cloned; the successor's record; the parent's
-  // orbit mask; one event buffer per depth (a deque: deeper DFS frames grow
-  // it while shallower ones iterate theirs; the worker loop uses 0); and the
-  // batched order's successor buffer: every successor's record, flat, one
-  // Successor per event, and the violations in event order.
+  // worker its own): the codec, which captures the layout and block digests
+  // of the record it last decoded; the node each successor is built in,
+  // restored from the parent's record instead of cloned; the root's record;
+  // the parent's orbit mask; one event buffer per depth (a deque: deeper DFS
+  // frames grow it while shallower ones iterate theirs; the worker loop uses
+  // 0); the successors' pieces (one successor's in the interleaved order,
+  // every successor's, flat, in the batched order); and the batched order's
+  // Successor per event and violations in event order.
   struct Scratch {
     explicit Scratch(const ParallelExplorer& explorer)
         : codec(explorer.config_.symmetry_classes),
@@ -208,7 +210,7 @@ class ParallelExplorer {
     std::vector<typesys::Value> record;
     std::vector<std::uint8_t> orbit_skip;
     std::deque<std::vector<Event>> events;
-    std::vector<typesys::Value> values;
+    std::vector<typesys::Value> pieces;
     std::vector<Successor> successors;
     std::vector<sim::PropertyViolation> violations;
   };
@@ -226,13 +228,15 @@ class ParallelExplorer {
   enum class Order { kInterleaved, kBatched };
 
   // Expands the interned `record`: decode, orbit mask, enumerate, then per
-  // event the build step (restore, apply, encode) and the classify step
-  // (intern), in `order`. Each counted transition is classified as exactly
-  // one of visited / duplicates / violation_edges. The traversals differ
-  // only in the hooks, resolved at compile time:
+  // event the build step (restore, apply, encode the pieces) and the
+  // classify step (intern), in `order`. Each counted transition is
+  // classified as exactly one of visited / duplicates / violation_edges. The
+  // traversals differ only in the hooks, resolved at compile time:
   //   stop()                      — before each event is counted; true stops;
   //   violating(event, broken)    — a violating edge; true stops;
-  //   intern(fingerprint, record) — interns the successor's record;
+  //   intern(fingerprint, length, write)
+  //                               — interns the successor; write(out) writes
+  //                                 its record and runs only if it is new;
   //   fresh(event, interned)      — a state interned first (counted visited).
   // Only the build step runs ahead of a stop; it counts nothing. Returns
   // false when a hook stopped it. `depth` picks the event buffer.

@@ -35,23 +35,13 @@ struct VecHash {
 
 // 128-bit fingerprint used as a visited-state key. The two halves are
 // produced by independent hash streams over the same canonical encoding, so a
-// pruning collision requires a simultaneous 64+64-bit collision.
+// pruning collision requires a simultaneous 64+64-bit collision. Node
+// fingerprints are avalanched (engine/expand.hpp), so a table takes a
+// bucket from either half as it is (engine/cas_table.hpp).
 struct U128 {
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
   bool operator==(const U128&) const = default;
-};
-
-// Table hash for U128 keys. The previous `lo ^ (hi * K)` combine had no
-// final avalanche: the low bucket-index bits depended only on the low bits
-// of `lo` and `hi`, so structured fingerprints sharing low bits piled into
-// the same buckets (and a plain `lo ^ hi` would additionally collide on
-// swapped/equal halves). Mixing one half before combining and remixing the
-// sum avalanches every input bit into the bucket index.
-struct U128Hash {
-  std::size_t operator()(const U128& v) const {
-    return static_cast<std::size_t>(mix64(v.lo + 0x9e3779b97f4a7c15ULL * mix64(v.hi)));
-  }
 };
 
 }  // namespace rcons::util

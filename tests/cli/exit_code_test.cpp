@@ -22,6 +22,8 @@
 #include <string>
 #include <utility>
 
+#include "support/checkpoint_bytes.hpp"
+
 namespace {
 
 std::string temp_path(const std::string& name) {
@@ -292,6 +294,35 @@ TEST(CliExitCodeTest, CorruptCheckpointIsRejectedUnlessFreshFallback) {
       "corrupt_fresh");
   EXPECT_EQ(fresh.exit_code, 0) << fresh.output;
   EXPECT_NE(fresh.output.find("starting fresh"), std::string::npos) << fresh.output;
+  std::remove(ckpt.c_str());
+}
+
+TEST(CliExitCodeTest, ResumeRejectsAVersionThreeCheckpoint) {
+  const std::string spec = temp_path("v3.spec");
+  write_file(spec, "type=Sn(2) n=2 budget=2\n");
+  const std::string ckpt = temp_path("v3.ckpt");
+  const RunResult seeded =
+      run_cli(spec + " --strategy=bfs --threads=2 --checkpoint-out=" + ckpt, "v3_seed");
+  ASSERT_EQ(seeded.exit_code, 0) << seeded.output;
+
+  // The same file, stamped as format version 3 with a valid CRC.
+  std::string bytes;
+  {
+    std::ifstream in(ckpt, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    bytes = text.str();
+  }
+  ASSERT_GT(bytes.size(), 12u);
+  {
+    std::ofstream out(ckpt, std::ios::binary | std::ios::trunc);
+    out << rcons::test::with_checkpoint_version(bytes, 3);
+  }
+  const RunResult rejected =
+      run_cli(spec + " --strategy=bfs --threads=2 --resume=" + ckpt, "v3_resume");
+  EXPECT_EQ(rejected.exit_code, 2) << rejected.output;
+  EXPECT_NE(rejected.output.find("unsupported version 3"), std::string::npos)
+      << rejected.output;
   std::remove(ckpt.c_str());
 }
 

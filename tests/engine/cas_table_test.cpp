@@ -14,6 +14,33 @@
 #include "util/hash.hpp"
 
 namespace rcons::engine {
+
+// Test-only access to CasTable's growth internals (CasTable names it a
+// friend).
+struct CasTableTestSeam {
+  struct Held {
+    CasTable::Array* array = nullptr;
+    std::size_t stripe = 0;
+  };
+
+  // Claims the next stripe of the oldest pending sweep and does not migrate
+  // it, as a migrator descheduled right after its claim.
+  static Held hold_stripe(CasTable& table) {
+    CasTable::Array* successor = nullptr;
+    CasTable::Array* oldest = table.oldest_pending(successor);
+    if (oldest == nullptr) return Held{};
+    return Held{oldest, oldest->stripe_cursor.fetch_add(1, std::memory_order_relaxed)};
+  }
+
+  // Migrates the held stripe, as the migrator does once it runs again.
+  static void release_stripe(CasTable& table, const Held& held) {
+    CasTable::Array* successor = nullptr;
+    CasTable::Array* oldest = table.oldest_pending(successor);
+    ASSERT_EQ(oldest, held.array) << "a sweep with a held stripe cannot complete";
+    table.migrate_stripe(*oldest, *successor, held.stripe, nullptr);
+  }
+};
+
 namespace {
 
 util::U128 key(std::uint64_t i) {
@@ -389,6 +416,47 @@ TEST(CasTableTest, DetachedMappedArraysAreReleasedAndSmallOnesKept) {
   std::uint64_t published = 0;
   table.for_each_published([&](util::U128, std::uint64_t, std::uint32_t) { published += 1; });
   EXPECT_EQ(published, inserted);
+}
+
+TEST(CasTableTest, GrowthStacksAnEpochPastAStalledSweep) {
+  // A migrator descheduled on a claimed stripe keeps its sweep pending, so
+  // the growth at 5/8 of the live array defers. Inserts must not fill the
+  // live array meanwhile: past 7/8 of it the table grows anyway, stacking an
+  // epoch on the pending sweep, and no probe walks a full array.
+  CasTable table;
+  std::uint64_t inserted = 0;
+  while (table.capacity() < 1024) {
+    table.insert(key(inserted), inserted);
+    inserted += 1;
+  }
+  ASSERT_TRUE(table.migrating());
+  const CasTableTestSeam::Held held = CasTableTestSeam::hold_stripe(table);
+  ASSERT_NE(held.array, nullptr);
+
+  const std::size_t capacity = table.capacity();
+  const std::uint64_t rehashes = table.rehashes();
+  CasTable::OpStats ops;
+  while (table.rehashes() == rehashes) {
+    ASSERT_LT(inserted, capacity) << "the live array filled before it grew";
+    ASSERT_TRUE(table.insert(key(inserted), inserted, 0, &ops).inserted) << inserted;
+    inserted += 1;
+  }
+  // Arrays under 4 Ki slots fold every insert, so the growth came with the
+  // first insert past 7/8 of the live array, with the sweep still pending.
+  EXPECT_EQ(table.size(), capacity / 8 * 7 + 1);
+  EXPECT_EQ(table.capacity(), 2 * capacity);
+  EXPECT_TRUE(table.migrating());
+  EXPECT_LT(ops.max_probe, capacity / 8);
+
+  // Once the stripe is migrated every sweep can finish, and no key is lost.
+  CasTableTestSeam::release_stripe(table, held);
+  finish_sweeps(table, key(0));
+  EXPECT_EQ(table.size(), inserted);
+  for (std::uint64_t i = 0; i < inserted; ++i) {
+    CasTable::Found found;
+    ASSERT_TRUE(table.find(key(i), found)) << i;
+    ASSERT_EQ(found.value, i) << i;
+  }
 }
 
 TEST(CasTableTest, ReadersRaceReleasedArraysWithoutLosingKeys) {

@@ -16,6 +16,7 @@
 #include "check/spec_system.hpp"
 #include "engine/fault_inject.hpp"
 #include "obs/metrics.hpp"
+#include "support/checkpoint_bytes.hpp"
 #include "support/stats_contract.hpp"
 
 namespace rcons::engine {
@@ -105,6 +106,22 @@ TEST(CheckpointTest, MissingFileReportsMissingNotCorrupt) {
   std::string error;
   EXPECT_EQ(load_checkpoint(temp_path("nope.ckpt"), loaded, error),
             CheckpointLoad::kMissing);
+}
+
+TEST(CheckpointTest, VersionThreeFilesAreRejectedAsUnsupported) {
+  // Version 3 files hold the flat fingerprints of earlier builds. Re-stamped
+  // with a valid CRC, such a file fails on its version alone.
+  const std::string bytes = serialize_checkpoint(sample_data());
+  const std::string path = temp_path("v3.ckpt");
+  write_file(path, test::with_checkpoint_version(bytes, CheckpointData::kVersion));
+  CheckpointData loaded;
+  std::string error;
+  ASSERT_EQ(load_checkpoint(path, loaded, error), CheckpointLoad::kOk) << error;
+
+  write_file(path, test::with_checkpoint_version(bytes, 3));
+  EXPECT_EQ(load_checkpoint(path, loaded, error), CheckpointLoad::kCorrupt);
+  EXPECT_NE(error.find("unsupported version 3"), std::string::npos) << error;
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointTest, LoaderRejectsEveryFlippedByte) {

@@ -1,6 +1,7 @@
 // Unit tests of the interned node representation: NodeStore intern round
-// trips (through the resident record views), NodeCodec encode/decode
-// inversion (including fingerprint parity with engine::encode_node), the
+// trips (through the resident record views) and writes only new records,
+// the two-level fingerprint, NodeCodec encode/decode inversion (against the
+// engine::encode_node image and its segments), successor pieces, the
 // Canonicalizer's symmetry reduction
 // (full sort and successor re-insertion, with pinned hit counts).
 #include "engine/node_store.hpp"
@@ -50,7 +51,9 @@ struct SuccessorTally {
 // sidecar included, so every step-count variant of a state is expanded too —
 // and checks each per-process successor's encode_successor() against
 // encode() of the same scratch node: same record, fingerprint, fingerprint
-// length and hit flag.
+// length and hit flag. Each successor's Delta, kept in one piece buffer per
+// parent as the batched order keeps them, must also materialize that record
+// once every successor of the parent is built.
 SuccessorTally expect_successors_match_encode(const sim::Memory& memory,
                                               const std::vector<sim::Process>& processes,
                                               const std::vector<int>& classes,
@@ -67,12 +70,21 @@ SuccessorTally expect_successors_match_encode(const sim::Memory& memory,
   std::vector<Event> events;
   std::vector<typesys::Value> block;
   std::vector<typesys::Value> peer;
+  std::vector<typesys::Value> pieces;
+  std::vector<NodeCodec::Delta> deltas;
+  std::vector<std::vector<typesys::Value>> records;
+  NodeCodec lazy(classes);
   SuccessorTally tally;
   while (!stack.empty()) {
     const std::vector<typesys::Value> parent = std::move(stack.back());
     stack.pop_back();
     codec.decode(parent.data(), parent.size(), node);
+    Node lazy_node = node;
+    lazy.decode(parent.data(), parent.size(), lazy_node);
     enumerate_events(node, config, events);
+    pieces.clear();
+    deltas.clear();
+    records.clear();
     int dirty = NodeCodec::kDirtyNone;
     for (const Event& event : events) {
       if (dirty != NodeCodec::kDirtyNone) {
@@ -80,8 +92,12 @@ SuccessorTally expect_successors_match_encode(const sim::Memory& memory,
       }
       dirty = event.kind == Event::Kind::kCrashAll ? NodeCodec::kDirtyAll : event.process;
       if (apply_event(node, event, config)) continue;
+      deltas.push_back(lazy.encode_delta(
+          node, event.kind == Event::Kind::kCrashAll ? NodeCodec::kWhole : event.process,
+          pieces));
       if (event.kind == Event::Kind::kCrashAll) {
-        codec.encode(node, successor);
+        const NodeCodec::Encoded want = codec.encode(node, successor);
+        EXPECT_EQ(deltas.back().fingerprint, want.fingerprint);
       } else {
         const NodeCodec::Encoded got = codec.encode_successor(
             parent.data(), parent.size(), node, event.process, successor);
@@ -108,10 +124,38 @@ SuccessorTally expect_successors_match_encode(const sim::Memory& memory,
           }
         }
       }
+      EXPECT_EQ(deltas.back().length, successor.size());
+      records.push_back(successor);
       if (seen.insert(successor).second) stack.push_back(successor);
+    }
+    for (std::size_t i = 0; i < deltas.size(); ++i) {
+      std::vector<typesys::Value> materialized(deltas[i].length);
+      lazy.materialize(pieces.data(), deltas[i], materialized.data());
+      EXPECT_EQ(materialized, records[i]);
     }
   }
   return tally;
+}
+
+// The two-level fingerprint over explicit segments: the digest of each,
+// absorbed in order.
+util::U128 fingerprint_of(const std::vector<std::vector<typesys::Value>>& segments) {
+  FpStream fp;
+  for (const std::vector<typesys::Value>& segment : segments) {
+    fp.absorb(segment_digest(segment.data(), segment.size()));
+  }
+  return fp.finish();
+}
+
+// The reference fingerprint of a node: its header segment, then each process
+// block in process order, as encode_node() lays them out.
+util::U128 reference_fingerprint(const Node& node) {
+  std::vector<std::vector<typesys::Value>> segments(1);
+  encode_node_header(node, segments[0]);
+  for (std::size_t i = 0; i < node.processes.size(); ++i) {
+    encode_process_block(node, i, segments.emplace_back());
+  }
+  return fingerprint_of(segments);
 }
 
 // The system a spec line describes, with its crash model, budget, properties
@@ -154,6 +198,25 @@ TEST(NodeStoreTest, DuplicateInternReturnsExistingId) {
   EXPECT_FALSE(second.inserted);
   EXPECT_EQ(first.record, second.record);  // the resident record, not a copy
   EXPECT_EQ(store.size(), 1u);
+}
+
+TEST(NodeStoreTest, InternWritesARecordOnlyWhenItIsNew) {
+  NodeStore store(0);
+  int writes = 0;
+  const std::vector<typesys::Value> record = record_of(3, 6);
+  const auto write = [&](typesys::Value* out) {
+    writes += 1;
+    std::copy(record.begin(), record.end(), out);
+  };
+  const NodeStore::Intern first = store.intern(key(3), 6, write, 0, nullptr);
+  EXPECT_TRUE(first.inserted);
+  EXPECT_EQ(writes, 1);
+  EXPECT_EQ(std::vector<typesys::Value>(first.record, first.record + first.length), record);
+  // A duplicate writes nothing and answers with the resident record.
+  const NodeStore::Intern again = store.intern(key(3), 6, write, 0, nullptr);
+  EXPECT_FALSE(again.inserted);
+  EXPECT_EQ(writes, 1);
+  EXPECT_EQ(again.record, first.record);
 }
 
 TEST(NodeStoreTest, InternViewsCarryRecordLengths) {
@@ -316,10 +379,35 @@ TEST(NodeStoreTest, DuplicateInternsReturnTheResidentLengthAcrossGrowthAndNewAre
   EXPECT_EQ(records, kKeys);
 }
 
-// Encode/decode must be mutually inverse, and the fingerprint must cover
-// exactly the encode_node() image of the same node (the record minus its
-// sidecar).
-TEST(NodeCodecTest, EncodeDecodeRoundTripsAndMatchesEncodeNodeFingerprint) {
+// Every segment boundary, the order of the segments and each one's length
+// enter the fingerprint, not only the values in record order.
+TEST(FingerprintTest, SegmentBoundariesOrderAndLengthsChangeTheFingerprint) {
+  using Segments = std::vector<std::vector<typesys::Value>>;
+  const Segments base = {{0, 1, 7}, {1, 2, 3}, {4, 5}};
+  const util::U128 fp = fingerprint_of(base);
+  EXPECT_EQ(fingerprint_of(Segments{{0, 1, 7}, {1, 2, 3}, {4, 5}}), fp);
+  // A value moved across a block boundary, and across the header's.
+  EXPECT_NE(fingerprint_of(Segments{{0, 1, 7}, {1, 2}, {3, 4, 5}}), fp);
+  EXPECT_NE(fingerprint_of(Segments{{0, 1}, {7, 1, 2, 3}, {4, 5}}), fp);
+  // Two unequal blocks swapped; equal blocks swap to the same fingerprint.
+  EXPECT_NE(fingerprint_of(Segments{{0, 1, 7}, {4, 5}, {1, 2, 3}}), fp);
+  EXPECT_EQ(fingerprint_of(Segments{{0}, {4, 5}, {4, 5}}),
+            fingerprint_of(Segments{{0}, {4, 5}, {4, 5}}));
+  // Only a block's length changed: a trailing zero, or an empty block.
+  EXPECT_NE(fingerprint_of(Segments{{0, 1, 7}, {1, 2, 3, 0}, {4, 5}}), fp);
+  EXPECT_NE(fingerprint_of(Segments{{0, 1, 7}, {}, {4, 5}}),
+            fingerprint_of(Segments{{0, 1, 7}, {0}, {4, 5}}));
+  // fingerprint_values() is the fingerprint of one segment.
+  const std::vector<typesys::Value> flat = {0, 1, 7, 1, 2, 3, 4, 5};
+  EXPECT_EQ(fingerprint_values(flat.data(), flat.size()), fingerprint_of(Segments{flat}));
+  EXPECT_NE(fingerprint_values(flat.data(), flat.size()), fp);
+}
+
+// Encode/decode must be mutually inverse, the record's canonical prefix must
+// be exactly the encode_node() image of the same node (the record minus its
+// sidecar), and the fingerprint must be the two-level one over that image's
+// segments.
+TEST(NodeCodecTest, EncodeDecodeRoundTripsAndMatchesTheTwoLevelFingerprint) {
   rc::NaiveRegisterSystem system = rc::make_naive_register_system(2);
   Node root = make_root(system.memory, system.processes);
 
@@ -340,7 +428,8 @@ TEST(NodeCodecTest, EncodeDecodeRoundTripsAndMatchesEncodeNodeFingerprint) {
   std::vector<typesys::Value> image;
   encode_node(state, image);
   EXPECT_EQ(encoded.fingerprint_length, image.size());
-  EXPECT_EQ(encoded.fingerprint, fingerprint_values(image.data(), image.size()));
+  EXPECT_TRUE(std::equal(image.begin(), image.end(), record.begin()));
+  EXPECT_EQ(encoded.fingerprint, reference_fingerprint(state));
 
   // Decode into a scratch node that currently holds a different state.
   Node scratch = root;

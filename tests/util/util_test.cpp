@@ -63,32 +63,6 @@ TEST(HashTest, VecHashUsableInSets) {
   EXPECT_EQ(set.size(), 3u);
 }
 
-TEST(HashTest, U128HashSeparatesSymmetricFingerprints) {
-  // An unmixed combine of the halves (plain XOR maps {lo, hi}, {hi, lo}, and
-  // any lo == hi pair together; the pre-avalanche `lo ^ hi * K` let low-bit
-  // structure leak straight into the bucket index). The mixed hash must
-  // separate swapped halves and spread structured keys.
-  const U128 a{0x1234'5678'9abc'def0ULL, 0x0fed'cba9'8765'4321ULL};
-  const U128 swapped{a.hi, a.lo};
-  U128Hash hash;
-  EXPECT_NE(hash(a), hash(swapped));
-  // All-equal-halves keys must spread across buckets instead of all hashing
-  // to a constant region.
-  std::unordered_set<std::size_t> buckets;
-  for (std::uint64_t v = 0; v < 1000; ++v) {
-    buckets.insert(hash(U128{v, v}) & 1023);
-  }
-  EXPECT_GT(buckets.size(), 600u);
-}
-
-TEST(HashTest, U128UsableInSets) {
-  std::unordered_set<U128, U128Hash> set;
-  set.insert(U128{1, 2});
-  set.insert(U128{1, 2});
-  set.insert(U128{2, 1});
-  EXPECT_EQ(set.size(), 2u);
-}
-
 TEST(JsonTest, WritesNestedStructureWithCommas) {
   std::ostringstream out;
   {
