@@ -45,7 +45,7 @@ void enumerate_events(const Node& node, const sim::ExplorerConfig& config,
 
   // Crash moves.
   if (node.crashes_used >= config.crash_budget) return;
-  if (config.crash_model == sim::CrashModel::kIndependent) {
+  if (config.crash_model == check::CrashModel::kIndependent) {
     for (int i = 0; i < n; ++i) {
       const auto idx = static_cast<std::size_t>(i);
       // A decided process may crash too, as in the paper's model.

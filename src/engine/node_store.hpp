@@ -170,8 +170,10 @@ class Canonicalizer {
 };
 
 // Encodes nodes into interned records and decodes records back into a
-// structurally compatible scratch node. One codec per worker (it owns scratch
-// buffers); all codecs of a run must share the same symmetry declaration.
+// structurally compatible scratch node. One codec per expansion frame (it
+// owns scratch buffers and the layout it captured): one per worker, one per
+// depth of the depth-first traversal. All codecs of a run must share the
+// same symmetry declaration.
 //
 // decode() additionally captures the record's *layout* (per-process block
 // offsets) and the digest of each of its process blocks, which unlocks the
@@ -311,9 +313,10 @@ class NodeCodec {
 // duplicates never write a record and new records are published to
 // concurrent readers by the slot's release-store. The explorer's writer
 // assembles a successor from its parent record and its pieces
-// (NodeCodec::materialize), so a new record is written once, in place. The arena is refilled before the probe, so
-// nothing inside the claimed window can fail. The only locks left are cold:
-// index growth (CasTable's epoch migration) and fresh chunk allocation.
+// (NodeCodec::materialize), so a new record is written once, in place. The
+// arena is refilled before the probe, so nothing inside the claimed window
+// can fail. The only locks left are cold: index growth (CasTable's epoch
+// migration) and fresh chunk allocation.
 //
 // Record chunks grow geometrically per store: kSmallChunks chunks of
 // kChunkValues (128 KiB), then doubling up to kMaxChunkValues (2 MiB), so a

@@ -169,13 +169,13 @@ void ParallelExplorer::finish_stats(const Tally& total, sim::StopReason reason) 
 
 // --- the expansion step ------------------------------------------------------
 
-NodeCodec::Encoded ParallelExplorer::encode_root(Scratch& s, Tally& tally,
+NodeCodec::Encoded ParallelExplorer::encode_root(Frame& f, const Node& root, Tally& tally,
                                                  NodeStore::Intern* interned) {
-  const NodeCodec::Encoded encoded = s.codec.encode(s.node, s.record);
+  const NodeCodec::Encoded encoded = f.codec.encode(root, f.pieces);
   tally.encodes += 1;
   if (encoded.permuted) tally.canonical_hits += 1;
   if (interned != nullptr) {
-    *interned = store_->intern(encoded.fingerprint, s.record, 0, &tally);
+    *interned = store_->intern(encoded.fingerprint, f.pieces, 0, &tally);
     store_->fold(tally);
     tally.store_nodes += 1;
     tally.store_bytes += static_cast<std::uint64_t>(interned->length) * sizeof(typesys::Value);
@@ -183,122 +183,90 @@ NodeCodec::Encoded ParallelExplorer::encode_root(Scratch& s, Tally& tally,
   return encoded;
 }
 
-template <ParallelExplorer::Order order, typename Stop, typename Violating, typename Intern,
-          typename Fresh>
-bool ParallelExplorer::expand(Scratch& s, const typesys::Value* record, std::uint32_t length,
-                              std::size_t depth, Tally& tally, Stop&& stop,
+template <typename Stop, typename Violating, typename Intern, typename Fresh>
+bool ParallelExplorer::expand(Frame& f, Node& node, const typesys::Value* record,
+                              std::uint32_t length, Tally& tally, Stop&& stop,
                               Violating&& violating, Intern&& intern, Fresh&& fresh) {
   // The parent is its interned record, read in place from the store arena.
-  // decode() also captures the record's layout for the restore and
-  // patch-encode fast paths of the build step.
-  s.codec.decode(record, length, s.node);
-  while (s.events.size() <= depth) s.events.emplace_back();
-  std::vector<Event>& events = s.events[depth];
+  // decode() also captures the record's layout and block digests, for the
+  // restore and encode_delta fast paths of the build loop and the
+  // materialize writer of the classify loop.
+  f.codec.decode(record, length, node);
   // Stabilizer orbits: enumerate one representative event per orbit of
   // interchangeable processes; the skipped siblings still count as
-  // transitions (edges of the unreduced graph) plus orbit_skipped. The mask
-  // is consumed here, before a hook can reuse the buffer.
+  // transitions (edges of the unreduced graph) plus orbit_skipped.
   const std::uint64_t orbit_before = tally.orbit_skipped;
   const int orbit_count =
-      s.codec.canonicalizing() ? s.codec.orbit_skip_mask(record, s.orbit_skip) : 0;
-  enumerate_events(s.node, config_, events, orbit_count > 0 ? &s.orbit_skip : nullptr,
+      f.codec.canonicalizing() ? f.codec.orbit_skip_mask(record, f.orbit_skip) : 0;
+  enumerate_events(node, config_, f.events, orbit_count > 0 ? &f.orbit_skip : nullptr,
                    &tally.orbit_skipped);
   tally.transitions += tally.orbit_skipped - orbit_before;
-  if (is_terminal(s.node)) tally.terminal_states += 1;
+  if (is_terminal(node)) tally.terminal_states += 1;
   // Codec header layout: record[1] counts the distinct outputs so far.
   const auto parent_decisions = static_cast<std::size_t>(record[1]);
 
-  // The build step: applies `event` to the scratch node and returns the
-  // property it breaks, or else appends the successor's pieces to s.pieces
-  // and fills `built`. It counts nothing. Between successors the scratch
-  // node diverges from the parent record only where the previous event
-  // touched it: the shared flat fields plus exactly one process (or all of
-  // them after a crash-all). restore() re-decodes just that — one program
-  // decode per successor instead of n.
+  // The build loop: applies each event to `node` and keeps its violation,
+  // or else the successor's pieces, starting the load of its index slot so
+  // that the classify loop finds most of them in cache. It counts nothing.
+  // Between successors the node diverges from the parent record only where
+  // the previous event touched it: the shared flat fields plus exactly one
+  // process (or all of them after a crash-all). restore() re-decodes just
+  // that — one program decode per successor instead of n.
+  f.pieces.clear();
+  f.successors.clear();
+  f.violations.clear();
   int dirty = NodeCodec::kDirtyNone;
-  const auto build = [&](const Event& event,
-                         Successor& built) -> std::optional<sim::PropertyViolation> {
-    if (dirty != NodeCodec::kDirtyNone) s.codec.restore(record, length, s.node, dirty);
-    dirty = event.kind == Event::Kind::kCrashAll ? NodeCodec::kDirtyAll : event.process;
-    if (auto broken = apply_event(s.node, event, config_)) return broken;
-    built.decided = s.node.decisions.size() > parent_decisions;
+  for (const Event& event : f.events) {
+    if (dirty != NodeCodec::kDirtyNone) f.codec.restore(record, length, node, dirty);
+    const bool crash_all = event.kind == Event::Kind::kCrashAll;
+    dirty = crash_all ? NodeCodec::kDirtyAll : event.process;
+    Successor& built = f.successors.emplace_back();
+    if (auto broken = apply_event(node, event, config_)) {
+      built.broken = true;
+      f.violations.push_back(std::move(*broken));
+      continue;
+    }
+    built.decided = node.decisions.size() > parent_decisions;
     // Per-process events leave n-1 blocks byte-identical to the parent
     // record: the pieces hold only what differs, and the fingerprint reuses
     // the parent's block digests.
-    built.delta = s.codec.encode_delta(
-        s.node, event.kind == Event::Kind::kCrashAll ? NodeCodec::kWhole : event.process,
-        s.pieces);
-    return std::nullopt;
-  };
-  // The classify step: counts the transition and runs the hooks, on
-  // `broken` when the event breaks a property, else on `built`. The intern
-  // hook gets the writer of the successor's record, which runs only if the
-  // record is new.
-  const auto classify = [&](const Event& event, const Successor& built,
-                            sim::PropertyViolation* broken) {
+    built.delta =
+        f.codec.encode_delta(node, crash_all ? NodeCodec::kWhole : event.process, f.pieces);
+    store_->prefetch(built.delta.fingerprint);
+  }
+
+  // The classify loop, in event order: counts each transition and runs the
+  // hooks. The intern hook gets the writer of the successor's record, which
+  // runs only if the record is new.
+  sim::PropertyViolation* broken = f.violations.data();
+  for (std::size_t i = 0; i < f.events.size(); ++i) {
+    // Stop before counting the event, so a stop leaves no transition
+    // unclassified.
+    if (stop()) return false;
+    const Event& event = f.events[i];
+    const Successor& built = f.successors[i];
     tally.transitions += 1;
-    if (broken != nullptr) {
+    if (built.broken) {
       tally.violation_edges += 1;
       // A violating edge is never expanded further.
-      return violating(event, *broken) ? Next::kStop : Next::kContinue;
+      if (violating(event, *broken++)) return false;
+      continue;
     }
     if (built.decided) tally.decisions += 1;
     tally.encodes += 1;
     if (built.delta.permuted) tally.canonical_hits += 1;
     const NodeStore::Intern interned =
         intern(built.delta.fingerprint, built.delta.length, [&](typesys::Value* out) {
-          s.codec.materialize(s.pieces.data(), built.delta, out);
+          f.codec.materialize(f.pieces.data(), built.delta, out);
         });
     if (!interned.inserted) {
       tally.duplicates += 1;
-      return Next::kContinue;
+      continue;
     }
     tally.store_nodes += 1;
     tally.store_bytes += static_cast<std::uint64_t>(interned.length) * sizeof(typesys::Value);
     tally.visited += 1;
-    return fresh(event, interned);
-  };
-
-  if constexpr (order == Order::kInterleaved) {
-    for (const Event& event : events) {
-      // Stop before counting the event, so a stop leaves no transition
-      // unclassified.
-      if (stop()) return false;
-      s.pieces.clear();
-      Successor built;
-      auto broken = build(event, built);
-      const Next next = classify(event, built, broken ? &*broken : nullptr);
-      if (next == Next::kStop) return false;
-      // A hook that reused `s` re-pointed the codec's captured layout at
-      // other records; a full re-decode re-captures this one's before the
-      // next event.
-      if (next == Next::kRedecode) dirty = NodeCodec::kDirtyAll;
-    }
-  } else {
-    // Build every successor's pieces first, starting the load of each one's
-    // index slot, so the classify pass finds most of them in cache.
-    // Violations wait in s.violations, in event order.
-    s.pieces.clear();
-    s.successors.clear();
-    s.violations.clear();
-    for (const Event& event : events) {
-      Successor& built = s.successors.emplace_back();
-      if (auto broken = build(event, built)) {
-        built.broken = true;
-        s.violations.push_back(std::move(*broken));
-        continue;
-      }
-      store_->prefetch(built.delta.fingerprint);
-    }
-    sim::PropertyViolation* broken = s.violations.data();
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      if (stop()) return false;
-      const Successor& built = s.successors[i];
-      const Next next = classify(events[i], built, built.broken ? broken++ : nullptr);
-      if (next == Next::kStop) return false;
-      RCONS_DCHECK_MSG(next == Next::kContinue,
-                       "the batched order's hooks must leave the scratch alone");
-    }
+    if (!fresh(event, interned)) return false;
   }
   return true;
 }
@@ -322,9 +290,10 @@ std::optional<sim::Violation> ParallelExplorer::run_dfs(std::uint64_t probe_cap)
     // One arena: no concurrent inserters (the lock-free table degenerates
     // to plain probes). escalate() adds the workers' arenas.
     store_ = std::make_unique<NodeStore>(0);
-    scratch_.emplace(*this);
+    node_.emplace(make_root(initial_memory_, initial_processes_, config_.properties));
+    frames_.emplace_back(config_.symmetry_classes);
     NodeStore::Intern root;
-    encode_root(*scratch_, dfs_, &root);
+    encode_root(frames_.front(), *node_, dfs_, &root);
     result = dfs(root.record, root.length);
     if (draining_) {
       // The drain never stops early, so the probe's own verdict is the plain
@@ -349,16 +318,22 @@ std::optional<sim::Violation> ParallelExplorer::run_dfs(std::uint64_t probe_cap)
   dcheck_transitions_identity(dfs_);
   obs_cells_.flush(0, dfs_, dfs_flushed_);
   finish_stats(dfs_, static_cast<sim::StopReason>(stop_reason_.load(std::memory_order_relaxed)));
-  scratch_.reset();
+  frames_.clear();
+  node_.reset();
   if (cut_.empty()) store_.reset();  // release the arena; stats survive in stats_
   return result;
 }
 
 std::optional<sim::Violation> ParallelExplorer::dfs(const typesys::Value* record,
                                                     std::uint32_t length) {
+  // A new depth starts as a copy of the frame above, so its buffers come at
+  // their working size, one allocation each instead of a growth series:
+  // a small check pays for a frame at every depth it reaches.
+  const std::size_t depth = path_.size();
+  if (frames_.size() == depth) frames_.emplace_back(frames_.back());
   std::optional<sim::Violation> result;
-  expand<Order::kInterleaved>(
-      *scratch_, record, length, path_.size(), dfs_,
+  expand(
+      frames_[depth], *node_, record, length, dfs_,
       [&] {
         // Every kPollTransitions transitions: flush metrics, and sample the
         // limits (not while draining).
@@ -389,14 +364,11 @@ std::optional<sim::Violation> ParallelExplorer::dfs(const typesys::Value* record
       },
       [&](const Event& event, const NodeStore::Intern& interned) {
         path_.push_back(event);
-        Next next = Next::kContinue;
         if (dfs_.visited <= dfs_cap_) {
           result = dfs(interned.record, interned.length);
-          next = result.has_value() ? Next::kStop : Next::kRedecode;
         } else if (!draining_ && dfs_cap_ == config_.visited_cap()) {
           request_stop(sim::StopReason::kVisitedCap);
           result = truncated(sim::StopReason::kVisitedCap, path_);
-          next = Next::kStop;
         } else {
           if (!draining_) {
             // A probe: finish the stack for escalate(). The drain is bounded
@@ -408,7 +380,7 @@ std::optional<sim::Violation> ParallelExplorer::dfs(const typesys::Value* record
           cut_.push_back(Deferred{interned.record, interned.length, path_});
         }
         path_.pop_back();
-        return next;
+        return !result.has_value();
       });
   return result;
 }
@@ -448,9 +420,11 @@ bool ParallelExplorer::stalled(Watch& watch, std::string& dump) const {
 void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& arena,
                               std::atomic<std::uint64_t>& pending, Tally& local,
                               Tally& flushed) {
-  // Per-worker reusable state: the expansion scratch and the popped and
-  // successor batches. Zero allocations per successor after warmup.
-  Scratch scratch(*this);
+  // Per-worker reusable state: the node and frame of every expansion, and
+  // the popped and successor batches. Zero allocations per successor after
+  // warmup.
+  Node node = make_root(initial_memory_, initial_processes_, config_.properties);
+  Frame frame(config_.symmetry_classes);
   std::vector<CompactWorkItem> batch;
   std::vector<CompactWorkItem> successors;
 
@@ -556,8 +530,8 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
       batch.pop_back();
       in_flight = true;
 
-      const bool complete = expand<Order::kBatched>(
-          scratch, item.record, item.length, 0, local,
+      const bool complete = expand(
+          frame, node, item.record, item.length, local,
           [&] { return stop_.load(std::memory_order_relaxed); },
           [&](const Event& event, sim::PropertyViolation& broken) {
             std::vector<Event> path = materialize_path(item.tail);
@@ -584,12 +558,12 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
                 visited_count_.fetch_add(1, std::memory_order_relaxed) + 1;
             if (count > config_.visited_cap()) {
               record_truncation(item.tail, event);
-              return Next::kStop;
+              return false;
             }
             successors.push_back(
                 CompactWorkItem{interned.record, interned.length, arena.add(event, item.tail)});
             gained += 1;
-            return Next::kContinue;
+            return true;
           });
 
       if (complete) {
@@ -694,10 +668,11 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
   // resume or an escalation replaces base_ with the counts it continues.
   const bool from_root = config_.resume == nullptr && cut_.empty();
   if (cut_.empty()) store_ = std::make_unique<NodeStore>(0, 0, num_threads_);
-  Scratch root_scratch(*this);
+  Frame root_frame(config_.symmetry_classes);
   NodeStore::Intern root;
   const NodeCodec::Encoded root_encoded =
-      encode_root(root_scratch, base_, from_root ? &root : nullptr);
+      encode_root(root_frame, make_root(initial_memory_, initial_processes_, config_.properties),
+                  base_, from_root ? &root : nullptr);
 
   if (config_.resume != nullptr) {
     const CheckpointData& ckpt = *config_.resume;

@@ -14,28 +14,26 @@
 //                from that cut in the worker loop — no state is explored
 //                twice.
 //
-// Both expand a state through one step, expand(), which builds the successor
-// of every event and classifies it; each traversal supplies only
-// compile-time hooks for what differs (when to stop, what a violating edge
-// and a new state do, how a record is interned). The two differ in one more
-// way, the order of those two steps:
+// Both expand a state through one step, expand(), in one order: a build
+// loop builds the successor of every event, starting the load of each one's
+// index slot, then a classify loop counts each transition and runs the
+// traversal's compile-time hooks in event order (when to stop, what a
+// violating edge and a new state do, how a record is interned). The index is
+// larger than the caches, so an intern is mostly a wait on memory; building
+// first lets those waits overlap. An expansion keeps what it built in a
+// frame (its codec, events, pieces, successors and violations): each worker
+// has one, and the DFS one per depth, since it recurses into a new state
+// from inside the classify loop and classifies the later successors after
+// it returns, from a frame the recursion did not touch. Each expansion
+// decodes its parent once, and again only after a crash-all event.
 //
-//   interleaved — run_dfs(): build and classify one event, then the next.
-//                 The DFS recurses into a new state before it builds the
-//                 next event, so its successors cannot wait in one buffer.
-//   batched     — the worker loop: build every event's successor into the
-//                 worker's piece buffer, prefetching each one's index slot,
-//                 then classify them in event order. The index is larger
-//                 than the caches, so an intern is mostly a wait on memory;
-//                 the batch lets those waits overlap.
-//
-// Classification is in event order either way, so every counter, the
-// transitions identity and the lowest-trace rule are the same in both. In
-// both, the build step keeps a successor as the pieces in which it differs
-// from the parent (NodeCodec::Delta), fingerprinted from the parent's block
-// digests, and the classify step's intern writes its record into the store
-// only when it is new (NodeStore::intern with a writer): a duplicate, most
-// successors, costs its pieces, its fingerprint and one probe.
+// Classification is in event order in both traversals, so every counter, the
+// transitions identity and the lowest-trace rule are the same in both. The
+// build loop keeps a successor as the pieces in which it differs from the
+// parent (NodeCodec::Delta), fingerprinted from the parent's block digests,
+// and the classify loop's intern writes its record into the store only when
+// it is new (NodeStore::intern with a writer): a duplicate, most successors,
+// costs its pieces, its fingerprint and one probe.
 //
 // Both traversals stay because only the depth-first order reproduces the
 // pinned first violations: on algorithms whose steps can leave the encoding
@@ -69,10 +67,10 @@
 // (engine/path_arena.hpp), and every worker interns straight into one
 // lock-free CAS-claimed slot index (engine/cas_table.hpp). Nodes are interned
 // value records in a NodeStore, which is also the visited set; the step
-// decodes into the traversal's reusable scratch node instead of cloning
-// Memory + N Process objects per successor (engine/node_store.hpp). A
-// symmetry declaration
-// (ExplorerConfig::symmetry_classes) makes the fingerprints canonical.
+// decodes into the traversal's reusable node instead of cloning Memory + N
+// Process objects per successor (engine/node_store.hpp). A symmetry
+// declaration (ExplorerConfig::symmetry_classes) makes the fingerprints
+// canonical.
 // tests/engine/differential_test.cpp checks both traversals against a naive
 // reference explorer.
 #ifndef RCONS_ENGINE_PARALLEL_EXPLORER_HPP
@@ -180,70 +178,63 @@ class ParallelExplorer {
 
   // --- the expansion step ------------------------------------------------------
   //
-  // What the build step leaves for the classify step about one event that
-  // breaks no property: the successor's Delta (its fingerprint, where its
-  // pieces lie in the scratch's piece buffer, whether the canonicalizer
-  // permuted it) and whether it decided a new value. In the batched order,
-  // `broken` marks an event whose violation waits in the scratch instead.
+  // What the build loop leaves for the classify loop about one event: the
+  // successor's Delta (its fingerprint, where its pieces lie in the frame's
+  // piece buffer, whether the canonicalizer permuted it) and whether it
+  // decided a new value; or `broken`, when the event breaks a property and
+  // its violation waits in the frame instead.
   struct Successor {
     NodeCodec::Delta delta;
     bool decided = false;
     bool broken = false;
   };
 
-  // One traversal's expansion scratch (the DFS keeps one for the run, each
-  // worker its own): the codec, which captures the layout and block digests
-  // of the record it last decoded; the node each successor is built in,
-  // restored from the parent's record instead of cloned; the root's record;
-  // the parent's orbit mask; one event buffer per depth (a deque: deeper DFS
-  // frames grow it while shallower ones iterate theirs; the worker loop uses
-  // 0); the successors' pieces (one successor's in the interleaved order,
-  // every successor's, flat, in the batched order); and the batched order's
-  // Successor per event and violations in event order.
-  struct Scratch {
-    explicit Scratch(const ParallelExplorer& explorer)
-        : codec(explorer.config_.symmetry_classes),
-          node(make_root(explorer.initial_memory_, explorer.initial_processes_,
-                         explorer.config_.properties)) {}
+  // One expansion, from its build loop to the end of its classify loop: the
+  // codec, which captures the layout and block digests of the parent record
+  // it decoded; the parent's orbit mask and events; every successor's
+  // pieces, flat; a Successor per event; and the violations in event order.
+  // Each worker keeps one frame and the DFS one per depth, so a DFS frame
+  // still classifies its later successors from its own codec after
+  // recursing into an earlier one.
+  struct Frame {
+    explicit Frame(const std::vector<int>& symmetry_classes) : codec(symmetry_classes) {}
     NodeCodec codec;
-    Node node;
-    std::vector<typesys::Value> record;
     std::vector<std::uint8_t> orbit_skip;
-    std::deque<std::vector<Event>> events;
+    std::vector<Event> events;
     std::vector<typesys::Value> pieces;
     std::vector<Successor> successors;
     std::vector<sim::PropertyViolation> violations;
   };
 
-  // Encodes the root into `s`, counting the encode into `tally`. With
-  // `interned`, also interns it into store_ there, counting the record.
-  NodeCodec::Encoded encode_root(Scratch& s, Tally& tally,
+  // Encodes `root`, the root node, into `f`'s piece buffer, counting the
+  // encode into `tally`. With `interned`, also interns it into store_ there,
+  // counting the record.
+  NodeCodec::Encoded encode_root(Frame& f, const Node& root, Tally& tally,
                                  NodeStore::Intern* interned = nullptr);
 
-  // What the step does after a state it interned first; kRedecode continues
-  // too, after the hook reused the scratch (the DFS recursed into it).
-  enum class Next { kContinue, kRedecode, kStop };
-
-  // The order of build and classify steps (see the header comment).
-  enum class Order { kInterleaved, kBatched };
-
-  // Expands the interned `record`: decode, orbit mask, enumerate, then per
-  // event the build step (restore, apply, encode the pieces) and the
-  // classify step (intern), in `order`. Each counted transition is
-  // classified as exactly one of visited / duplicates / violation_edges. The
-  // traversals differ only in the hooks, resolved at compile time:
+  // `node` is the traversal's copy of the root (make_root), in which each
+  // successor is restored from the parent's record instead of cloned. Only a
+  // build loop uses it, so the DFS's frames share one.
+  //
+  // Expands the interned `record` in frame `f`: decode into `node`, orbit
+  // mask, enumerate; then the build loop, which builds every event's
+  // successor (restore, apply, encode the pieces) and starts the load of its
+  // index slot; then the classify loop, which counts each transition and
+  // runs the hooks in event order. Each counted transition is classified as
+  // exactly one of visited / duplicates / violation_edges. The traversals
+  // differ only in the hooks, resolved at compile time:
   //   stop()                      — before each event is counted; true stops;
   //   violating(event, broken)    — a violating edge; true stops;
   //   intern(fingerprint, length, write)
   //                               — interns the successor; write(out) writes
   //                                 its record and runs only if it is new;
-  //   fresh(event, interned)      — a state interned first (counted visited).
-  // Only the build step runs ahead of a stop; it counts nothing. Returns
-  // false when a hook stopped it. `depth` picks the event buffer.
-  template <Order order, typename Stop, typename Violating, typename Intern, typename Fresh>
-  bool expand(Scratch& s, const typesys::Value* record, std::uint32_t length,
-              std::size_t depth, Tally& tally, Stop&& stop, Violating&& violating,
-              Intern&& intern, Fresh&& fresh);
+  //   fresh(event, interned)      — a state interned first (counted visited);
+  //                                 false stops.
+  // Only the build loop runs ahead of a stop; it counts nothing. Returns
+  // false when a hook stopped it.
+  template <typename Stop, typename Violating, typename Intern, typename Fresh>
+  bool expand(Frame& f, Node& node, const typesys::Value* record, std::uint32_t length,
+              Tally& tally, Stop&& stop, Violating&& violating, Intern&& intern, Fresh&& fresh);
 
   // --- depth-first traversal -------------------------------------------------
   std::optional<sim::Violation> dfs(const typesys::Value* record, std::uint32_t length);
@@ -319,10 +310,11 @@ class ParallelExplorer {
   // checkpoint's counts belong to the run that wrote it.
   Tally base_;
 
-  // Depth-first state. One scratch shared by every depth; parent records are
-  // read in place from the store arena, so recursion holds pointers instead
-  // of per-depth copies.
-  std::optional<Scratch> scratch_;
+  // Depth-first state: the node and a frame per depth (a deque, so deeper
+  // frames are added while shallower ones classify). Parent records are read
+  // in place from the store arena, so a frame holds a pointer, not a copy.
+  std::optional<Node> node_;
+  std::deque<Frame> frames_;
   std::vector<Event> path_;
   std::uint64_t dfs_cap_ = 0;
   Tally dfs_;

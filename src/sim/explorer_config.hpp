@@ -41,10 +41,6 @@ enum class StopReason {
 
 const char* stop_reason_name(StopReason reason);
 
-// Historical spelling of the crash models; the definition now lives with the
-// rest of the shared budget in check/budget.hpp.
-using CrashModel = check::CrashModel;
-
 struct ExplorerConfig : check::Budget {
   ExplorerConfig() = default;
   // The budget and the property set, everything else at its default. That is

@@ -465,6 +465,9 @@ TEST(CasTableTest, ReadersRaceReleasedArraysWithoutLosingKeys) {
   // inside a slot of an array whose pages are being released: it must still
   // find every key with its own value and meta, never a zeroed payload. Each
   // release is one short window, so the race runs on several fresh tables.
+  // A start gate holds the inserters after their first key until every
+  // reader has found the all-zero key, so every reader looks up while the
+  // table still grows, however the threads are scheduled.
   constexpr int kRounds = 6;
   constexpr int kInserters = 2;
   constexpr int kReaders = 2;
@@ -485,6 +488,7 @@ TEST(CasTableTest, ReadersRaceReleasedArraysWithoutLosingKeys) {
     std::vector<std::atomic<std::uint64_t>> progress(kInserters);
     for (auto& p : progress) p.store(0, std::memory_order_relaxed);
     std::atomic<int> inserters_left{kInserters};
+    std::atomic<int> readers_in{0};
     std::atomic<std::uint64_t> lookups{0};
     std::vector<std::thread> threads;
     for (int t = 0; t < kInserters; ++t) {
@@ -495,6 +499,11 @@ TEST(CasTableTest, ReadersRaceReleasedArraysWithoutLosingKeys) {
           const std::uint64_t k = base + i;
           ASSERT_TRUE(table.insert(key_of(k), value_of(k), meta_of(k), &ops).inserted) << k;
           progress[static_cast<std::size_t>(t)].store(i + 1, std::memory_order_release);
+          if (i == 0) {
+            while (readers_in.load(std::memory_order_acquire) != kReaders) {
+              std::this_thread::yield();
+            }
+          }
         }
         table.fold(ops);
         inserters_left.fetch_sub(1, std::memory_order_release);
@@ -504,6 +513,19 @@ TEST(CasTableTest, ReadersRaceReleasedArraysWithoutLosingKeys) {
       threads.emplace_back([&, r] {
         std::uint64_t rng = util::mix64(static_cast<std::uint64_t>(r + round * kReaders) + 1);
         std::uint64_t done = 0;
+        // The start gate: find the all-zero key, then let the inserters go
+        // on. The gate opens before the checks, so a failed one cannot leave
+        // the inserters waiting.
+        while (progress[0].load(std::memory_order_acquire) == 0) std::this_thread::yield();
+        {
+          CasTable::Found found;
+          const bool first = table.find(key_of(0), found);
+          readers_in.fetch_add(1, std::memory_order_release);
+          ASSERT_TRUE(first);
+          ASSERT_EQ(found.value, value_of(0));
+          ASSERT_EQ(found.meta, meta_of(0));
+          done += 1;
+        }
         while (inserters_left.load(std::memory_order_acquire) != 0) {
           rng = util::mix64(rng);
           const auto t = static_cast<std::size_t>(rng % kInserters);

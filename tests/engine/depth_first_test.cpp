@@ -17,7 +17,7 @@
 namespace rcons::engine {
 namespace {
 
-using sim::CrashModel;
+using check::CrashModel;
 using sim::ExplorerConfig;
 using sim::Memory;
 using sim::Process;
@@ -179,6 +179,45 @@ TEST(DepthFirstTest, LimitStopLeavesNoTransitionUnclassified) {
         EXPECT_EQ(stop->schedule.size(), 12u);
       }
     }
+  }
+}
+
+TEST(DepthFirstTest, ProbeCutDrainsTheStackInEventOrder) {
+  // A kAuto probe stops recursing at its cap but classifies the remaining
+  // events of every frame on its stack. What that drain defers and counts
+  // depends on the order in which each frame interns its successors, so
+  // these counts pin the depth-first expansion order; the escalation then
+  // reaches the full state count.
+  auto type = typesys::make_type("Sn(4)");
+  rc::TeamConsensusSystem system = rc::make_team_consensus_system(*type, 4, 101, 202);
+  struct Pin {
+    bool symmetry;
+    std::size_t deferred;
+    std::uint64_t transitions, duplicates, violation_edges;
+    std::size_t cut_path;
+    std::uint64_t visited;
+  };
+  for (const Pin& pin : {Pin{false, 42, 3'908, 2'866, 0, 16, 38'837},
+                         Pin{true, 35, 4'062, 2'453, 0, 18, 8'987}}) {
+    SCOPED_TRACE(pin.symmetry ? "symmetry on" : "symmetry off");
+    ExplorerConfig config;
+    config.crash_budget = 1;
+    config.properties.valid_outputs = {101, 202};
+    if (pin.symmetry) config.symmetry_classes = system.symmetry_classes;
+    ParallelExplorer explorer(system.memory, system.processes, config);
+    const std::optional<sim::Violation> cut = explorer.run_dfs(1000);
+    ASSERT_TRUE(cut.has_value());
+    ASSERT_TRUE(explorer.can_escalate());
+    const ExplorerStats& stats = explorer.stats();
+    EXPECT_EQ(stats.stop_reason, sim::StopReason::kVisitedCap);
+    EXPECT_EQ(explorer.deferred(), pin.deferred);
+    EXPECT_EQ(stats.transitions, pin.transitions);
+    EXPECT_EQ(stats.duplicates, pin.duplicates);
+    EXPECT_EQ(stats.violation_edges, pin.violation_edges);
+    // The probe's verdict is traced to the first state it deferred.
+    EXPECT_EQ(cut->schedule.size(), pin.cut_path);
+    EXPECT_FALSE(explorer.escalate().has_value());
+    EXPECT_EQ(explorer.stats().visited, pin.visited);
   }
 }
 

@@ -120,7 +120,7 @@ struct SeedCase {
   std::string type_name;
   int n;
   int crash_budget;
-  sim::CrashModel crash_model;
+  check::CrashModel crash_model;
   std::uint64_t pinned_visited;  // 0 = not pinned
 };
 
@@ -157,16 +157,16 @@ TEST_P(DifferentialSeedTest, DriversMatchTheReferenceExplorer) {
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, DifferentialSeedTest,
-    ::testing::Values(SeedCase{"Sn(2)", 2, 3, sim::CrashModel::kIndependent, 0},
-                      SeedCase{"Sn(3)", 3, 2, sim::CrashModel::kIndependent, 0},
-                      SeedCase{"sticky-bit", 3, 2, sim::CrashModel::kSimultaneous, 0},
-                      SeedCase{"Tn(4)", 2, 3, sim::CrashModel::kIndependent, 0},
-                      SeedCase{"Sn(4)", 4, 1, sim::CrashModel::kIndependent, 38'837}),
+    ::testing::Values(SeedCase{"Sn(2)", 2, 3, check::CrashModel::kIndependent, 0},
+                      SeedCase{"Sn(3)", 3, 2, check::CrashModel::kIndependent, 0},
+                      SeedCase{"sticky-bit", 3, 2, check::CrashModel::kSimultaneous, 0},
+                      SeedCase{"Tn(4)", 2, 3, check::CrashModel::kIndependent, 0},
+                      SeedCase{"Sn(4)", 4, 1, check::CrashModel::kIndependent, 38'837}),
     [](const ::testing::TestParamInfo<SeedCase>& info) {
       std::string name = info.param.type_name + "_n" + std::to_string(info.param.n) + "_c" +
                          std::to_string(info.param.crash_budget) +
-                         (info.param.crash_model == sim::CrashModel::kIndependent ? "_ind"
-                                                                                  : "_sim");
+                         (info.param.crash_model == check::CrashModel::kIndependent ? "_ind"
+                                                                                    : "_sim");
       for (char& ch : name) {
         if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
       }

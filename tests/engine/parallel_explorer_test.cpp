@@ -33,19 +33,19 @@ struct ModelCase {
   std::string type_name;
   int n;
   int crash_budget;
-  sim::CrashModel crash_model;
+  check::CrashModel crash_model;
 };
 
 std::vector<ModelCase> model_cases() {
   return {
-      {"Sn(2)", 2, 3, sim::CrashModel::kIndependent},
-      {"Sn(3)", 3, 2, sim::CrashModel::kIndependent},
-      {"Sn(3)", 3, 2, sim::CrashModel::kSimultaneous},
-      {"Tn(4)", 2, 3, sim::CrashModel::kIndependent},
-      {"compare-and-swap", 3, 2, sim::CrashModel::kIndependent},
-      {"sticky-bit", 3, 2, sim::CrashModel::kSimultaneous},
-      {"consensus-object", 2, 3, sim::CrashModel::kIndependent},
-      {"readable-queue", 2, 3, sim::CrashModel::kIndependent},
+      {"Sn(2)", 2, 3, check::CrashModel::kIndependent},
+      {"Sn(3)", 3, 2, check::CrashModel::kIndependent},
+      {"Sn(3)", 3, 2, check::CrashModel::kSimultaneous},
+      {"Tn(4)", 2, 3, check::CrashModel::kIndependent},
+      {"compare-and-swap", 3, 2, check::CrashModel::kIndependent},
+      {"sticky-bit", 3, 2, check::CrashModel::kSimultaneous},
+      {"consensus-object", 2, 3, check::CrashModel::kIndependent},
+      {"readable-queue", 2, 3, check::CrashModel::kIndependent},
   };
 }
 
@@ -86,7 +86,7 @@ INSTANTIATE_TEST_SUITE_P(Types, ParallelParityTest,
                                info.param.type_name + "_n" +
                                std::to_string(info.param.n) + "_c" +
                                std::to_string(info.param.crash_budget) +
-                               (info.param.crash_model == sim::CrashModel::kIndependent
+                               (info.param.crash_model == check::CrashModel::kIndependent
                                     ? "_ind"
                                     : "_sim");
                            for (char& ch : name) {

@@ -15,7 +15,7 @@ namespace {
 check::CheckRequest exhaustive_request(sim::Memory memory,
                                        std::vector<sim::Process> processes,
                                        std::vector<typesys::Value> valid,
-                                       sim::CrashModel model, int crash_budget) {
+                                       check::CrashModel model, int crash_budget) {
   check::CheckRequest request;
   request.system.memory = std::move(memory);
   request.system.processes = std::move(processes);
@@ -69,7 +69,7 @@ TEST(SimultaneousTest, NoCrashesSingleRoundDecides) {
   auto [memory, processes] = make_race_fig4(3, /*max_rounds=*/2);
   const check::CheckReport report = check::check(
       exhaustive_request(std::move(memory), std::move(processes), {1, 2, 3},
-                         sim::CrashModel::kIndependent, 0));
+                         check::CrashModel::kIndependent, 0));
   EXPECT_TRUE(report.clean)
       << report.violation->description << "\n  trace: " << report.violation->trace();
 }
@@ -79,7 +79,7 @@ TEST(SimultaneousTest, ExhaustiveUnderSimultaneousCrashes) {
     auto [memory, processes] = make_race_fig4(2, /*max_rounds=*/crashes + 2);
     const check::CheckReport report = check::check(
         exhaustive_request(std::move(memory), std::move(processes), {1, 2},
-                           sim::CrashModel::kSimultaneous, crashes));
+                           check::CrashModel::kSimultaneous, crashes));
     EXPECT_TRUE(report.clean)
         << "crashes=" << crashes << ": " << report.violation->description
         << "\n  trace: " << report.violation->trace();
@@ -91,7 +91,7 @@ TEST(SimultaneousTest, TheoremOneWithNonRecoverableInner) {
   auto [memory, processes] = make_tas_fig4(2, /*max_rounds=*/4);
   const check::CheckReport report = check::check(
       exhaustive_request(std::move(memory), std::move(processes), {100, 101},
-                         sim::CrashModel::kSimultaneous, 2));
+                         check::CrashModel::kSimultaneous, 2));
   EXPECT_TRUE(report.clean)
       << report.violation->description << "\n  trace: " << report.violation->trace();
 }
@@ -102,7 +102,7 @@ TEST(SimultaneousTest, RandomStressManySimultaneousCrashes) {
   request.system.memory = std::move(memory);
   request.system.processes = std::move(processes);
   request.system.properties.valid_outputs = {1, 2, 3, 4};
-  request.budget.crash_model = sim::CrashModel::kSimultaneous;
+  request.budget.crash_model = check::CrashModel::kSimultaneous;
   request.budget.crash_budget = 10;
   request.strategy = check::Strategy::kRandomized;
   request.seed = 1;
@@ -123,7 +123,7 @@ TEST(SimultaneousTest, RoundsGrowWithCrashes) {
     check::CheckRequest request;
     request.system.memory = std::move(memory);
     request.system.processes = std::move(processes);
-    request.budget.crash_model = sim::CrashModel::kSimultaneous;
+    request.budget.crash_model = check::CrashModel::kSimultaneous;
     request.budget.crash_budget = 0;
     request.strategy = check::Strategy::kRandomized;
     request.seed = 1;
@@ -136,7 +136,7 @@ TEST(SimultaneousTest, RoundsGrowWithCrashes) {
     check::CheckRequest request;
     request.system.memory = std::move(memory);
     request.system.processes = std::move(processes);
-    request.budget.crash_model = sim::CrashModel::kSimultaneous;
+    request.budget.crash_model = check::CrashModel::kSimultaneous;
     request.budget.crash_budget = 10;
     request.strategy = check::Strategy::kRandomized;
     request.seed = 1;

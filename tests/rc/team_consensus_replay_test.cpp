@@ -85,7 +85,7 @@ TEST(TeamConsensusReplayTest, SurvivesSimultaneousCrashModelToo) {
   request.system.memory = std::move(system.memory);
   request.system.processes = std::move(system.processes);
   request.system.properties.valid_outputs = {kInputA, kInputB};
-  request.budget.crash_model = sim::CrashModel::kSimultaneous;
+  request.budget.crash_model = check::CrashModel::kSimultaneous;
   request.budget.crash_budget = 2;
   request.strategy = check::Strategy::kAuto;
   const check::CheckReport report = check::check(std::move(request));

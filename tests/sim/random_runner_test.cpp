@@ -121,7 +121,8 @@ TEST(RandomRunnerTest, RecordedScheduleReplaysIdentically) {
   };
   int violations = 0;
   for (const bool racy : {false, true}) {
-    for (const CrashModel model : {CrashModel::kIndependent, CrashModel::kSimultaneous}) {
+    for (const check::CrashModel model :
+         {check::CrashModel::kIndependent, check::CrashModel::kSimultaneous}) {
       for (const std::uint64_t seed : {3, 21, 42, 77, 1001}) {
         SCOPED_TRACE(std::string(racy ? "naive-register" : "cas-race") + " model=" +
                      std::to_string(static_cast<int>(model)) +
@@ -155,7 +156,7 @@ TEST(RandomRunnerTest, SimultaneousModelRuns) {
   auto [memory, processes] = make_race_system(3);
   RandomRunConfig config;
   config.seed = 5;
-  config.crash_model = CrashModel::kSimultaneous;
+  config.crash_model = check::CrashModel::kSimultaneous;
   config.crash_per_mille = 200;
   config.crash_budget = 3;
   const auto report = run_random(std::move(memory), std::move(processes), config);
