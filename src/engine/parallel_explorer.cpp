@@ -169,13 +169,15 @@ void ParallelExplorer::finish_stats(const Tally& total, sim::StopReason reason) 
 
 // --- the expansion step ------------------------------------------------------
 
-NodeCodec::Encoded ParallelExplorer::encode_root(Frame& f, const Node& root, Tally& tally,
+NodeCodec::Encoded ParallelExplorer::encode_root(NodeCodec& codec,
+                                                 std::vector<typesys::Value>& pieces,
+                                                 const Node& root, Tally& tally,
                                                  NodeStore::Intern* interned) {
-  const NodeCodec::Encoded encoded = f.codec.encode(root, f.pieces);
+  const NodeCodec::Encoded encoded = codec.encode(root, pieces);
   tally.encodes += 1;
   if (encoded.permuted) tally.canonical_hits += 1;
   if (interned != nullptr) {
-    *interned = store_->intern(encoded.fingerprint, f.pieces, 0, &tally);
+    *interned = store_->intern(encoded.fingerprint, pieces, 0, &tally);
     store_->fold(tally);
     tally.store_nodes += 1;
     tally.store_bytes += static_cast<std::uint64_t>(interned->length) * sizeof(typesys::Value);
@@ -291,9 +293,9 @@ std::optional<sim::Violation> ParallelExplorer::run_dfs(std::uint64_t probe_cap)
     // to plain probes). escalate() adds the workers' arenas.
     store_ = std::make_unique<NodeStore>(0);
     node_.emplace(make_root(initial_memory_, initial_processes_, config_.properties));
-    frames_.emplace_back(config_.symmetry_classes);
+    Frame& top = frames_.emplace_back(config_.symmetry_classes);
     NodeStore::Intern root;
-    encode_root(frames_.front(), *node_, dfs_, &root);
+    encode_root(top.codec, top.pieces, *node_, dfs_, &root);
     result = dfs(root.record, root.length);
     if (draining_) {
       // The drain never stops early, so the probe's own verdict is the plain
@@ -668,11 +670,13 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
   // resume or an escalation replaces base_ with the counts it continues.
   const bool from_root = config_.resume == nullptr && cut_.empty();
   if (cut_.empty()) store_ = std::make_unique<NodeStore>(0, 0, num_threads_);
-  Frame root_frame(config_.symmetry_classes);
+  NodeCodec root_codec(config_.symmetry_classes);
+  std::vector<typesys::Value> root_record;
   NodeStore::Intern root;
   const NodeCodec::Encoded root_encoded =
-      encode_root(root_frame, make_root(initial_memory_, initial_processes_, config_.properties),
-                  base_, from_root ? &root : nullptr);
+      encode_root(root_codec, root_record,
+                  make_root(initial_memory_, initial_processes_, config_.properties), base_,
+                  from_root ? &root : nullptr);
 
   if (config_.resume != nullptr) {
     const CheckpointData& ckpt = *config_.resume;

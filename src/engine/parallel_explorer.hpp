@@ -206,10 +206,11 @@ class ParallelExplorer {
     std::vector<sim::PropertyViolation> violations;
   };
 
-  // Encodes `root`, the root node, into `f`'s piece buffer, counting the
+  // Encodes `root`, the root node, with `codec` into `pieces`, counting the
   // encode into `tally`. With `interned`, also interns it into store_ there,
   // counting the record.
-  NodeCodec::Encoded encode_root(Frame& f, const Node& root, Tally& tally,
+  NodeCodec::Encoded encode_root(NodeCodec& codec, std::vector<typesys::Value>& pieces,
+                                 const Node& root, Tally& tally,
                                  NodeStore::Intern* interned = nullptr);
 
   // `node` is the traversal's copy of the root (make_root), in which each

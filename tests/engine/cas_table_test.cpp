@@ -465,9 +465,11 @@ TEST(CasTableTest, ReadersRaceReleasedArraysWithoutLosingKeys) {
   // inside a slot of an array whose pages are being released: it must still
   // find every key with its own value and meta, never a zeroed payload. Each
   // release is one short window, so the race runs on several fresh tables.
-  // A start gate holds the inserters after their first key until every
-  // reader has found the all-zero key, so every reader looks up while the
-  // table still grows, however the threads are scheduled.
+  // Two gates make the readers' lookups independent of scheduling: a start
+  // gate holds the inserters after their first key until every reader has
+  // found the all-zero key, and an end gate holds them before their last key
+  // until every reader has done a lookup in its loop. `lookups` counts only
+  // the loop's lookups, so each reader looks up while the table still grows.
   constexpr int kRounds = 6;
   constexpr int kInserters = 2;
   constexpr int kReaders = 2;
@@ -489,6 +491,7 @@ TEST(CasTableTest, ReadersRaceReleasedArraysWithoutLosingKeys) {
     for (auto& p : progress) p.store(0, std::memory_order_relaxed);
     std::atomic<int> inserters_left{kInserters};
     std::atomic<int> readers_in{0};
+    std::atomic<int> readers_looped{0};
     std::atomic<std::uint64_t> lookups{0};
     std::vector<std::thread> threads;
     for (int t = 0; t < kInserters; ++t) {
@@ -497,6 +500,11 @@ TEST(CasTableTest, ReadersRaceReleasedArraysWithoutLosingKeys) {
         CasTable::OpStats ops;
         for (std::uint64_t i = 0; i < kKeysPerInserter; ++i) {
           const std::uint64_t k = base + i;
+          if (i + 1 == kKeysPerInserter) {
+            while (readers_looped.load(std::memory_order_acquire) != kReaders) {
+              std::this_thread::yield();
+            }
+          }
           ASSERT_TRUE(table.insert(key_of(k), value_of(k), meta_of(k), &ops).inserted) << k;
           progress[static_cast<std::size_t>(t)].store(i + 1, std::memory_order_release);
           if (i == 0) {
@@ -514,17 +522,17 @@ TEST(CasTableTest, ReadersRaceReleasedArraysWithoutLosingKeys) {
         std::uint64_t rng = util::mix64(static_cast<std::uint64_t>(r + round * kReaders) + 1);
         std::uint64_t done = 0;
         // The start gate: find the all-zero key, then let the inserters go
-        // on. The gate opens before the checks, so a failed one cannot leave
-        // the inserters waiting.
+        // on. It is not counted in `done`. Each gate opens before the checks
+        // of its lookup, and the start gate's checks do not return, so a
+        // failed check cannot leave the inserters waiting.
         while (progress[0].load(std::memory_order_acquire) == 0) std::this_thread::yield();
         {
           CasTable::Found found;
           const bool first = table.find(key_of(0), found);
           readers_in.fetch_add(1, std::memory_order_release);
-          ASSERT_TRUE(first);
-          ASSERT_EQ(found.value, value_of(0));
-          ASSERT_EQ(found.meta, meta_of(0));
-          done += 1;
+          EXPECT_TRUE(first);
+          EXPECT_EQ(found.value, value_of(0));
+          EXPECT_EQ(found.meta, meta_of(0));
         }
         while (inserters_left.load(std::memory_order_acquire) != 0) {
           rng = util::mix64(rng);
@@ -537,10 +545,12 @@ TEST(CasTableTest, ReadersRaceReleasedArraysWithoutLosingKeys) {
                   ? 0
                   : t * kKeysPerInserter + (rng >> 17) % ready;
           CasTable::Found found;
-          ASSERT_TRUE(table.find(key_of(k), found)) << k;
+          const bool hit = table.find(key_of(k), found);
+          // The end gate: this reader's first lookup while the table grew.
+          if (++done == 1) readers_looped.fetch_add(1, std::memory_order_release);
+          ASSERT_TRUE(hit) << k;
           ASSERT_EQ(found.value, value_of(k)) << k;
           ASSERT_EQ(found.meta, meta_of(k)) << k;
-          done += 1;
         }
         lookups.fetch_add(done, std::memory_order_relaxed);
       });
