@@ -234,8 +234,8 @@ NodeCodec::Delta NodeCodec::encode_delta(const Node& node, int changed_process,
     return delta;
   }
   const std::size_t n = node.processes.size();
-  RCONS_ASSERT_MSG(block_offsets_.size() == n + 1,
-                   "encode_delta needs the parent's captured layout");
+  const std::vector<std::size_t>& offsets = parent_.block_offsets;
+  RCONS_ASSERT_MSG(offsets.size() == n + 1, "encode_delta needs the parent's captured layout");
   RCONS_ASSERT(changed_process >= 0 && static_cast<std::size_t>(changed_process) < n);
   const auto changed = static_cast<std::size_t>(changed_process);
 
@@ -246,8 +246,8 @@ NodeCodec::Delta NodeCodec::encode_delta(const Node& node, int changed_process,
   delta.block = static_cast<std::uint32_t>(pieces.size() - block_begin);
   delta.process = changed_process;
   delta.steps = node.steps_in_run[changed];
-  const std::size_t parent_blocks = block_offsets_[n] - header_end_;
-  const std::size_t parent_block = block_offsets_[changed + 1] - block_offsets_[changed];
+  const std::size_t parent_blocks = offsets[n] - parent_.header_end;
+  const std::size_t parent_block = offsets[changed + 1] - offsets[changed];
   delta.length = static_cast<std::uint32_t>(delta.header + parent_blocks - parent_block +
                                             delta.block + n);
 
@@ -256,7 +256,7 @@ NodeCodec::Delta NodeCodec::encode_delta(const Node& node, int changed_process,
   FpStream fp;
   fp.absorb(segment_digest(pieces.data() + delta.offset, delta.header));
   if (canonicalizer_.has_peers(changed_process)) {
-    const std::size_t rank = canonicalizer_.reinsert(parent_, block_offsets_, changed_process,
+    const std::size_t rank = canonicalizer_.reinsert(parent_.record, offsets, changed_process,
                                                      block, delta.block, delta.steps);
     delta.rank = static_cast<std::uint32_t>(rank);
     delta.permuted = rank != canonicalizer_.position(changed_process);
@@ -264,12 +264,14 @@ NodeCodec::Delta NodeCodec::encode_delta(const Node& node, int changed_process,
   if (!delta.permuted) {
     // Every class keeps the parent's canonical order: the changed block
     // keeps its position.
-    for (std::size_t i = 0; i < n; ++i) fp.absorb(i == changed ? block_digest : block_digests_[i]);
+    for (std::size_t i = 0; i < n; ++i) {
+      fp.absorb(i == changed ? block_digest : parent_.block_digests[i]);
+    }
   } else {
     canonicalizer_.reinsert_order(changed_process, delta.rank, order_);
     for (std::size_t i = 0; i < n; ++i) {
       const auto source = static_cast<std::size_t>(order_[i]);
-      fp.absorb(source == changed ? block_digest : block_digests_[source]);
+      fp.absorb(source == changed ? block_digest : parent_.block_digests[source]);
     }
   }
   delta.fingerprint = fp.finish();
@@ -287,7 +289,9 @@ void NodeCodec::materialize(const Value* pieces, const Delta& delta, Value* out)
     std::memcpy(out, at, delta.length * sizeof(Value));
     return;
   }
-  const std::size_t n = block_offsets_.size() - 1;
+  const Value* const parent = parent_.record;
+  const std::vector<std::size_t>& offsets = parent_.block_offsets;
+  const std::size_t n = offsets.size() - 1;
   const auto changed = static_cast<std::size_t>(delta.process);
   const auto copy = [&](const Value* from, std::size_t count) {
     std::memcpy(out, from, count * sizeof(Value));
@@ -295,13 +299,13 @@ void NodeCodec::materialize(const Value* pieces, const Delta& delta, Value* out)
   };
   copy(at, delta.header);
   const Value* block = at + delta.header;
-  const std::size_t sidecar = block_offsets_[n];
+  const std::size_t sidecar = offsets[n];
   if (!delta.permuted) {
     // The blocks before the changed one, the changed block, then the blocks
     // after it with the sidecar, whose changed entry is patched.
-    copy(parent_ + header_end_, block_offsets_[changed] - header_end_);
+    copy(parent + parent_.header_end, offsets[changed] - parent_.header_end);
     copy(block, delta.block);
-    copy(parent_ + block_offsets_[changed + 1], sidecar + n - block_offsets_[changed + 1]);
+    copy(parent + offsets[changed + 1], sidecar + n - offsets[changed + 1]);
     *(out - n + changed) = delta.steps;
     return;
   }
@@ -311,12 +315,12 @@ void NodeCodec::materialize(const Value* pieces, const Delta& delta, Value* out)
     if (source == changed) {
       copy(block, delta.block);
     } else {
-      copy(parent_ + block_offsets_[source], block_offsets_[source + 1] - block_offsets_[source]);
+      copy(parent + offsets[source], offsets[source + 1] - offsets[source]);
     }
   }
   for (std::size_t i = 0; i < n; ++i) {
     const auto source = static_cast<std::size_t>(order_[i]);
-    *out++ = source == changed ? delta.steps : parent_[sidecar + source];
+    *out++ = source == changed ? delta.steps : parent[sidecar + source];
   }
 }
 
@@ -324,8 +328,8 @@ NodeCodec::Encoded NodeCodec::encode_successor(const Value* parent, std::size_t 
                                                const Node& node, int changed_process,
                                                std::vector<Value>& record) {
   const std::size_t n = node.processes.size();
-  RCONS_ASSERT_MSG(parent == parent_ && block_offsets_.size() == n + 1 &&
-                       parent_size == block_offsets_[n] + n,
+  RCONS_ASSERT_MSG(parent == parent_.record && parent_.block_offsets.size() == n + 1 &&
+                       parent_size == parent_.block_offsets[n] + n,
                    "encode_successor needs the parent's captured layout");
   pieces_.clear();
   const Delta delta = encode_delta(node, changed_process, pieces_);
@@ -353,17 +357,19 @@ void NodeCodec::decode(const Value* record, std::size_t size, Node& out) {
   out.decisions.clear();
   for (std::size_t i = 0; i < ndecisions; ++i) out.decisions.push_back(record[at++]);
   at += out.memory.decode(record + at, size - at);
-  header_end_ = at;
+  parent_.header_end = at;
 
   // Whether records carry the at-most-once (ever, last) pair is a run-level
   // invariant reflected in the root-shaped scratch node.
   const std::size_t n = out.processes.size();
   const bool track_outputs = !out.ever_output.empty();
-  parent_ = record;
-  block_offsets_.clear();
-  block_digests_.clear();
+  parent_.record = record;
+  parent_.block_offsets.clear();
+  parent_.block_digests.clear();
+  parent_.block_offsets.reserve(n + 1);
+  parent_.block_digests.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    block_offsets_.push_back(at);
+    parent_.block_offsets.push_back(at);
     RCONS_ASSERT_MSG(at < size, "truncated node record");
     out.done[i] = record[at++] != 0 ? 1 : 0;
     if (track_outputs) {
@@ -374,10 +380,10 @@ void NodeCodec::decode(const Value* record, std::size_t size, Node& out) {
     at += out.processes[i].decode(record + at, size - at);
     // Digested once per expansion: every per-process successor reuses the
     // digests of the blocks it keeps (encode_delta).
-    block_digests_.push_back(segment_digest(record + block_offsets_.back(),
-                                            at - block_offsets_.back()));
+    parent_.block_digests.push_back(
+        segment_digest(record + parent_.block_offsets.back(), at - parent_.block_offsets.back()));
   }
-  block_offsets_.push_back(at);
+  parent_.block_offsets.push_back(at);
   for (std::size_t i = 0; i < n; ++i) {
     RCONS_ASSERT_MSG(at < size, "truncated node record");
     out.steps_in_run[i] = static_cast<std::int64_t>(record[at++]);
@@ -392,9 +398,9 @@ void NodeCodec::restore(const Value* record, std::size_t size, Node& out,
     return;
   }
   const std::size_t n = out.processes.size();
-  RCONS_ASSERT_MSG(block_offsets_.size() == n + 1,
+  RCONS_ASSERT_MSG(parent_.block_offsets.size() == n + 1,
                    "restore needs the record's captured layout");
-  RCONS_ASSERT(size == block_offsets_[n] + n);
+  RCONS_ASSERT(size == parent_.block_offsets[n] + n);
 
   // Shared flat fields are always refilled — any event can touch them.
   out.crashes_used = static_cast<int>(record[0]);
@@ -404,9 +410,9 @@ void NodeCodec::restore(const Value* record, std::size_t size, Node& out,
   out.memory.decode(record + 2 + ndecisions, size - 2 - ndecisions);
 
   const bool track_outputs = !out.ever_output.empty();
-  const std::size_t sidecar = block_offsets_[n];
+  const std::size_t sidecar = parent_.block_offsets[n];
   for (std::size_t i = 0; i < n; ++i) {
-    std::size_t at = block_offsets_[i];
+    std::size_t at = parent_.block_offsets[i];
     out.done[i] = record[at++] != 0 ? 1 : 0;
     if (track_outputs) {
       out.ever_output[i] = record[at++] != 0 ? 1 : 0;
@@ -423,7 +429,7 @@ void NodeCodec::restore(const Value* record, std::size_t size, Node& out,
 
 int NodeCodec::orbit_skip_mask(const Value* record,
                                std::vector<std::uint8_t>& skip) const {
-  return canonicalizer_.orbit_mask(record, block_offsets_, skip);
+  return canonicalizer_.orbit_mask(record, parent_.block_offsets, skip);
 }
 
 // --- NodeStore --------------------------------------------------------------

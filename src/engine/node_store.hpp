@@ -69,6 +69,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "engine/cas_table.hpp"
@@ -170,14 +171,15 @@ class Canonicalizer {
 };
 
 // Encodes nodes into interned records and decodes records back into a
-// structurally compatible scratch node. One codec per expansion frame (it
-// owns scratch buffers and the layout it captured): one per worker, one per
-// depth of the depth-first traversal. All codecs of a run must share the
-// same symmetry declaration.
+// structurally compatible scratch node. One codec per traversal: it owns the
+// class tables, the encode scratch and the parent it captured, so each
+// worker has one and the depth-first traversal one, which keeps each
+// depth's parent aside (swap_parent) while it recurses. All codecs of a run
+// must share the same symmetry declaration.
 //
 // decode() additionally captures the record's *layout* (per-process block
-// offsets) and the digest of each of its process blocks, which unlocks the
-// per-successor fast paths against that record:
+// offsets) and the digest of each of its process blocks (the Parent), which
+// unlocks the per-successor fast paths against that record:
 //   * restore() — refill only the shared header/memory/sidecar plus the one
 //     process block a previous event dirtied, instead of decoding all n
 //     process programs again;
@@ -279,25 +281,38 @@ class NodeCodec {
 
   bool canonicalizing() const { return canonicalizer_.active(); }
 
+  // The record most recently decode()d, its layout — where the process
+  // blocks and the sidecar live — and the digest of each process block:
+  // what restore(), encode_delta(), materialize() and orbit_skip_mask() work
+  // against. Valid until the next decode().
+  struct Parent {
+    const typesys::Value* record = nullptr;
+    std::size_t header_end = 0;              // first process block offset
+    std::vector<std::size_t> block_offsets;  // n+1 entries; [n] = sidecar
+    std::vector<util::U128> block_digests;   // n entries
+  };
+
+  // Exchanges the captured parent with `saved`, moving buffers only. A
+  // traversal that decodes a successor before it is done with the parent
+  // keeps the parent in `saved` meanwhile and swaps it back; the successor's
+  // decode reuses the buffers `saved` held.
+  void swap_parent(Parent& saved) noexcept { std::swap(parent_, saved); }
+
  private:
   // encode_delta()'s contract check: the materialized record, its
   // fingerprint and its hit flag equal encode() of `node`.
   bool matches_encode(const Node& node, const typesys::Value* pieces, const Delta& delta);
 
   Canonicalizer canonicalizer_;
-  std::vector<std::size_t> offsets_;   // scratch: encode()'s block offsets
-  std::vector<util::U128> digests_;    // scratch: encode()'s block digests
-  std::vector<typesys::Value> whole_;  // scratch: a kWhole successor's record
-  std::vector<typesys::Value> pieces_; // scratch: encode_successor()'s pieces
-  std::vector<int> order_;             // scratch: a re-inserted successor's block order
+  // Scratch of a single call each: nothing in it outlives the call, so
+  // one codec serves every depth of a traversal.
+  std::vector<std::size_t> offsets_;   // encode()'s block offsets
+  std::vector<util::U128> digests_;    // encode()'s block digests
+  std::vector<typesys::Value> whole_;  // a kWhole successor's record
+  std::vector<typesys::Value> pieces_; // encode_successor()'s pieces
+  std::vector<int> order_;             // a re-inserted successor's block order
 
-  // The record most recently decode()d, its layout — where the process
-  // blocks and the sidecar live — and the digest of each process block.
-  // Valid until the next decode().
-  const typesys::Value* parent_ = nullptr;
-  std::size_t header_end_ = 0;                 // first process block offset
-  std::vector<std::size_t> block_offsets_;     // n+1 entries; [n] = sidecar
-  std::vector<util::U128> block_digests_;      // n entries
+  Parent parent_;
 };
 
 // Interning store: record payloads live in per-worker chunked bump arenas,
@@ -330,7 +345,9 @@ class NodeStore {
   // `unused` must be 0. It is left from a layout with several index shards
   // and stays only because the benchmark's stage timings (perfbench/)
   // construct stores with it. `expected_states` pre-sizes the index so a run
-  // of the anticipated size never rehashes (0 = unknown, start minimal).
+  // of the anticipated size never rehashes (0 = unknown, start minimal at
+  // 16 slots). ParallelExplorer passes at least 1,280 states, a
+  // 2,048-slot first index, and a resume the checkpoint's record count.
   // `num_arenas` is the number of concurrent interning callers (one arena
   // per worker; arena i must only ever be used by one thread at a time).
   explicit NodeStore(int unused, std::uint64_t expected_states = 0, int num_arenas = 1);

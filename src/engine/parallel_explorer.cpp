@@ -38,6 +38,14 @@ constexpr std::size_t kMaxPopBatch = 128;
 constexpr std::uint64_t kPollTransitions = 1024;
 constexpr std::uint64_t kNever = ~std::uint64_t{0};
 
+// The states a run's index holds before its first growth (NodeStore's
+// expected_states): 2,048 slots, 64 KiB. Most checks of the checked-in
+// specs visit 400 to 1,300 states, so they never grow the index; a larger
+// first array costs every check more to zero than the few larger ones
+// save. Every traversal starts there, since the kAuto probe escalates in
+// its own index.
+constexpr std::uint64_t kFirstIndexStates = 1280;
+
 }  // namespace
 
 ParallelExplorer::ParallelExplorer(sim::Memory initial,
@@ -186,21 +194,23 @@ NodeCodec::Encoded ParallelExplorer::encode_root(NodeCodec& codec,
 }
 
 template <typename Stop, typename Violating, typename Intern, typename Fresh>
-bool ParallelExplorer::expand(Frame& f, Node& node, const typesys::Value* record,
+bool ParallelExplorer::expand(Scratch& s, Frame& f, const typesys::Value* record,
                               std::uint32_t length, Tally& tally, Stop&& stop,
                               Violating&& violating, Intern&& intern, Fresh&& fresh) {
+  NodeCodec& codec = s.codec;
+  Node& node = s.node;
   // The parent is its interned record, read in place from the store arena.
   // decode() also captures the record's layout and block digests, for the
   // restore and encode_delta fast paths of the build loop and the
   // materialize writer of the classify loop.
-  f.codec.decode(record, length, node);
+  codec.decode(record, length, node);
   // Stabilizer orbits: enumerate one representative event per orbit of
   // interchangeable processes; the skipped siblings still count as
   // transitions (edges of the unreduced graph) plus orbit_skipped.
   const std::uint64_t orbit_before = tally.orbit_skipped;
   const int orbit_count =
-      f.codec.canonicalizing() ? f.codec.orbit_skip_mask(record, f.orbit_skip) : 0;
-  enumerate_events(node, config_, f.events, orbit_count > 0 ? &f.orbit_skip : nullptr,
+      codec.canonicalizing() ? codec.orbit_skip_mask(record, s.orbit_skip) : 0;
+  enumerate_events(node, config_, s.events, orbit_count > 0 ? &s.orbit_skip : nullptr,
                    &tally.orbit_skipped);
   tally.transitions += tally.orbit_skipped - orbit_before;
   if (is_terminal(node)) tally.terminal_states += 1;
@@ -218,11 +228,12 @@ bool ParallelExplorer::expand(Frame& f, Node& node, const typesys::Value* record
   f.successors.clear();
   f.violations.clear();
   int dirty = NodeCodec::kDirtyNone;
-  for (const Event& event : f.events) {
-    if (dirty != NodeCodec::kDirtyNone) f.codec.restore(record, length, node, dirty);
+  for (const Event& event : s.events) {
+    if (dirty != NodeCodec::kDirtyNone) codec.restore(record, length, node, dirty);
     const bool crash_all = event.kind == Event::Kind::kCrashAll;
     dirty = crash_all ? NodeCodec::kDirtyAll : event.process;
     Successor& built = f.successors.emplace_back();
+    built.event = event;
     if (auto broken = apply_event(node, event, config_)) {
       built.broken = true;
       f.violations.push_back(std::move(*broken));
@@ -233,7 +244,7 @@ bool ParallelExplorer::expand(Frame& f, Node& node, const typesys::Value* record
     // record: the pieces hold only what differs, and the fingerprint reuses
     // the parent's block digests.
     built.delta =
-        f.codec.encode_delta(node, crash_all ? NodeCodec::kWhole : event.process, f.pieces);
+        codec.encode_delta(node, crash_all ? NodeCodec::kWhole : event.process, f.pieces);
     store_->prefetch(built.delta.fingerprint);
   }
 
@@ -241,17 +252,15 @@ bool ParallelExplorer::expand(Frame& f, Node& node, const typesys::Value* record
   // hooks. The intern hook gets the writer of the successor's record, which
   // runs only if the record is new.
   sim::PropertyViolation* broken = f.violations.data();
-  for (std::size_t i = 0; i < f.events.size(); ++i) {
+  for (const Successor& built : f.successors) {
     // Stop before counting the event, so a stop leaves no transition
     // unclassified.
     if (stop()) return false;
-    const Event& event = f.events[i];
-    const Successor& built = f.successors[i];
     tally.transitions += 1;
     if (built.broken) {
       tally.violation_edges += 1;
       // A violating edge is never expanded further.
-      if (violating(event, *broken++)) return false;
+      if (violating(built.event, *broken++)) return false;
       continue;
     }
     if (built.decided) tally.decisions += 1;
@@ -259,7 +268,7 @@ bool ParallelExplorer::expand(Frame& f, Node& node, const typesys::Value* record
     if (built.delta.permuted) tally.canonical_hits += 1;
     const NodeStore::Intern interned =
         intern(built.delta.fingerprint, built.delta.length, [&](typesys::Value* out) {
-          f.codec.materialize(f.pieces.data(), built.delta, out);
+          codec.materialize(f.pieces.data(), built.delta, out);
         });
     if (!interned.inserted) {
       tally.duplicates += 1;
@@ -268,7 +277,7 @@ bool ParallelExplorer::expand(Frame& f, Node& node, const typesys::Value* record
     tally.store_nodes += 1;
     tally.store_bytes += static_cast<std::uint64_t>(interned.length) * sizeof(typesys::Value);
     tally.visited += 1;
-    if (!fresh(event, interned)) return false;
+    if (!fresh(built.event, interned)) return false;
   }
   return true;
 }
@@ -291,11 +300,12 @@ std::optional<sim::Violation> ParallelExplorer::run_dfs(std::uint64_t probe_cap)
   try {
     // One arena: no concurrent inserters (the lock-free table degenerates
     // to plain probes). escalate() adds the workers' arenas.
-    store_ = std::make_unique<NodeStore>(0);
-    node_.emplace(make_root(initial_memory_, initial_processes_, config_.properties));
-    Frame& top = frames_.emplace_back(config_.symmetry_classes);
+    store_ = std::make_unique<NodeStore>(0, kFirstIndexStates);
+    scratch_.emplace(make_root(initial_memory_, initial_processes_, config_.properties),
+                     config_.symmetry_classes);
+    Frame& top = frames_.emplace_back();
     NodeStore::Intern root;
-    encode_root(top.codec, top.pieces, *node_, dfs_, &root);
+    encode_root(scratch_->codec, top.pieces, scratch_->node, dfs_, &root);
     result = dfs(root.record, root.length);
     if (draining_) {
       // The drain never stops early, so the probe's own verdict is the plain
@@ -321,21 +331,27 @@ std::optional<sim::Violation> ParallelExplorer::run_dfs(std::uint64_t probe_cap)
   obs_cells_.flush(0, dfs_, dfs_flushed_);
   finish_stats(dfs_, static_cast<sim::StopReason>(stop_reason_.load(std::memory_order_relaxed)));
   frames_.clear();
-  node_.reset();
+  scratch_.reset();
   if (cut_.empty()) store_.reset();  // release the arena; stats survive in stats_
   return result;
 }
 
 std::optional<sim::Violation> ParallelExplorer::dfs(const typesys::Value* record,
                                                     std::uint32_t length) {
-  // A new depth starts as a copy of the frame above, so its buffers come at
-  // their working size, one allocation each instead of a growth series:
-  // a small check pays for a frame at every depth it reaches.
+  // A new depth reserves its buffers at the capacities of the frame above,
+  // so a small check pays one allocation for each buffer a frame keeps at
+  // every depth it reaches (decode() sizes the parent's).
   const std::size_t depth = path_.size();
-  if (frames_.size() == depth) frames_.emplace_back(frames_.back());
+  if (frames_.size() == depth) {
+    const Frame& above = frames_[depth - 1];
+    Frame& added = frames_.emplace_back();
+    added.pieces.reserve(above.pieces.capacity());
+    added.successors.reserve(above.successors.capacity());
+  }
+  Frame& frame = frames_[depth];
   std::optional<sim::Violation> result;
   expand(
-      frames_[depth], *node_, record, length, dfs_,
+      *scratch_, frame, record, length, dfs_,
       [&] {
         // Every kPollTransitions transitions: flush metrics, and sample the
         // limits (not while draining).
@@ -367,7 +383,11 @@ std::optional<sim::Violation> ParallelExplorer::dfs(const typesys::Value* record
       [&](const Event& event, const NodeStore::Intern& interned) {
         path_.push_back(event);
         if (dfs_.visited <= dfs_cap_) {
+          // The recursion decodes the successor with the same codec: this
+          // frame's parent waits here for the successors still to classify.
+          scratch_->codec.swap_parent(frame.parent);
           result = dfs(interned.record, interned.length);
+          scratch_->codec.swap_parent(frame.parent);
         } else if (!draining_ && dfs_cap_ == config_.visited_cap()) {
           request_stop(sim::StopReason::kVisitedCap);
           result = truncated(sim::StopReason::kVisitedCap, path_);
@@ -422,11 +442,12 @@ bool ParallelExplorer::stalled(Watch& watch, std::string& dump) const {
 void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& arena,
                               std::atomic<std::uint64_t>& pending, Tally& local,
                               Tally& flushed) {
-  // Per-worker reusable state: the node and frame of every expansion, and
-  // the popped and successor batches. Zero allocations per successor after
-  // warmup.
-  Node node = make_root(initial_memory_, initial_processes_, config_.properties);
-  Frame frame(config_.symmetry_classes);
+  // Per-worker reusable state: the scratch and frame of every expansion,
+  // and the popped and successor batches. Zero allocations per successor
+  // after warmup.
+  Scratch scratch(make_root(initial_memory_, initial_processes_, config_.properties),
+                  config_.symmetry_classes);
+  Frame frame;
   std::vector<CompactWorkItem> batch;
   std::vector<CompactWorkItem> successors;
 
@@ -533,7 +554,7 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
       in_flight = true;
 
       const bool complete = expand(
-          frame, node, item.record, item.length, local,
+          scratch, frame, item.record, item.length, local,
           [&] { return stop_.load(std::memory_order_relaxed); },
           [&](const Event& event, sim::PropertyViolation& broken) {
             std::vector<Event> path = materialize_path(item.tail);
@@ -669,7 +690,15 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
   // Only a run from the root interns it and keeps its counts in base_; a
   // resume or an escalation replaces base_ with the counts it continues.
   const bool from_root = config_.resume == nullptr && cut_.empty();
-  if (cut_.empty()) store_ = std::make_unique<NodeStore>(0, 0, num_threads_);
+  if (cut_.empty()) {
+    // A resume re-interns every checkpointed record first, so its index
+    // starts large enough for them.
+    const std::uint64_t first_states =
+        config_.resume == nullptr
+            ? kFirstIndexStates
+            : std::max<std::uint64_t>(kFirstIndexStates, config_.resume->nodes.size());
+    store_ = std::make_unique<NodeStore>(0, first_states, num_threads_);
+  }
   NodeCodec root_codec(config_.symmetry_classes);
   std::vector<typesys::Value> root_record;
   NodeStore::Intern root;

@@ -21,11 +21,14 @@
 // violating edge and a new state do, how a record is interned). The index is
 // larger than the caches, so an intern is mostly a wait on memory; building
 // first lets those waits overlap. An expansion keeps what it built in a
-// frame (its codec, events, pieces, successors and violations): each worker
+// frame (the pieces, a successor per event and the violations): each worker
 // has one, and the DFS one per depth, since it recurses into a new state
 // from inside the classify loop and classifies the later successors after
-// it returns, from a frame the recursion did not touch. Each expansion
-// decodes its parent once, and again only after a crash-all event.
+// it returns, from a frame the recursion did not touch. The codec, with its
+// class tables and encode scratch, is one per traversal; a DFS frame also
+// keeps its parent's captured layout and digests across the recursion.
+// Each expansion decodes its parent once, and again only after a crash-all
+// event.
 //
 // Classification is in event order in both traversals, so every counter, the
 // transitions identity and the lowest-trace rule are the same in both. The
@@ -179,28 +182,40 @@ class ParallelExplorer {
   // --- the expansion step ------------------------------------------------------
   //
   // What the build loop leaves for the classify loop about one event: the
-  // successor's Delta (its fingerprint, where its pieces lie in the frame's
-  // piece buffer, whether the canonicalizer permuted it) and whether it
-  // decided a new value; or `broken`, when the event breaks a property and
-  // its violation waits in the frame instead.
+  // event, the successor's Delta (its fingerprint, where its pieces lie in
+  // the frame's piece buffer, whether the canonicalizer permuted it) and
+  // whether it decided a new value; or `broken`, when the event breaks a
+  // property and its violation waits in the frame instead.
   struct Successor {
+    Event event;
     NodeCodec::Delta delta;
     bool decided = false;
     bool broken = false;
   };
 
-  // One expansion, from its build loop to the end of its classify loop: the
-  // codec, which captures the layout and block digests of the parent record
-  // it decoded; the parent's orbit mask and events; every successor's
-  // pieces, flat; a Successor per event; and the violations in event order.
-  // Each worker keeps one frame and the DFS one per depth, so a DFS frame
-  // still classifies its later successors from its own codec after
-  // recursing into an earlier one.
-  struct Frame {
-    explicit Frame(const std::vector<int>& symmetry_classes) : codec(symmetry_classes) {}
+  // What an expansion uses only up to the end of its build loop, one per
+  // traversal: the codec (class tables, encode scratch and the parent it
+  // decoded); the traversal's copy of the root (make_root), in which each
+  // successor is restored from the parent's record instead of cloned; and
+  // the parent's orbit mask and events.
+  struct Scratch {
+    Scratch(Node root, const std::vector<int>& symmetry_classes)
+        : codec(symmetry_classes), node(std::move(root)) {}
     NodeCodec codec;
+    Node node;
     std::vector<std::uint8_t> orbit_skip;
     std::vector<Event> events;
+  };
+
+  // What the classify loop of one expansion reads: every successor's
+  // pieces, flat; a Successor per event; and the violations in event order.
+  // Each worker keeps one frame and the DFS one per depth. While a DFS frame
+  // recurses into a successor, the codec decodes that successor, so the
+  // frame keeps its parent's capture in `parent` meanwhile
+  // (NodeCodec::swap_parent) and materializes its later successors against
+  // it once the recursion returns.
+  struct Frame {
+    NodeCodec::Parent parent;
     std::vector<typesys::Value> pieces;
     std::vector<Successor> successors;
     std::vector<sim::PropertyViolation> violations;
@@ -213,17 +228,14 @@ class ParallelExplorer {
                                  const Node& root, Tally& tally,
                                  NodeStore::Intern* interned = nullptr);
 
-  // `node` is the traversal's copy of the root (make_root), in which each
-  // successor is restored from the parent's record instead of cloned. Only a
-  // build loop uses it, so the DFS's frames share one.
-  //
-  // Expands the interned `record` in frame `f`: decode into `node`, orbit
-  // mask, enumerate; then the build loop, which builds every event's
-  // successor (restore, apply, encode the pieces) and starts the load of its
-  // index slot; then the classify loop, which counts each transition and
-  // runs the hooks in event order. Each counted transition is classified as
-  // exactly one of visited / duplicates / violation_edges. The traversals
-  // differ only in the hooks, resolved at compile time:
+  // Expands the interned `record` with the traversal's scratch `s` into
+  // frame `f`: decode into the scratch node, orbit mask, enumerate; then the
+  // build loop, which builds every event's successor (restore, apply, encode
+  // the pieces) and starts the load of its index slot; then the classify
+  // loop, which counts each transition and runs the hooks in event order.
+  // Each counted transition is classified as exactly one of visited /
+  // duplicates / violation_edges. The traversals differ only in the hooks,
+  // resolved at compile time:
   //   stop()                      — before each event is counted; true stops;
   //   violating(event, broken)    — a violating edge; true stops;
   //   intern(fingerprint, length, write)
@@ -234,7 +246,7 @@ class ParallelExplorer {
   // Only the build loop runs ahead of a stop; it counts nothing. Returns
   // false when a hook stopped it.
   template <typename Stop, typename Violating, typename Intern, typename Fresh>
-  bool expand(Frame& f, Node& node, const typesys::Value* record, std::uint32_t length,
+  bool expand(Scratch& s, Frame& f, const typesys::Value* record, std::uint32_t length,
               Tally& tally, Stop&& stop, Violating&& violating, Intern&& intern, Fresh&& fresh);
 
   // --- depth-first traversal -------------------------------------------------
@@ -311,10 +323,11 @@ class ParallelExplorer {
   // checkpoint's counts belong to the run that wrote it.
   Tally base_;
 
-  // Depth-first state: the node and a frame per depth (a deque, so deeper
-  // frames are added while shallower ones classify). Parent records are read
-  // in place from the store arena, so a frame holds a pointer, not a copy.
-  std::optional<Node> node_;
+  // Depth-first state: the scratch every depth shares, and a frame per
+  // depth (a deque, so deeper frames are added while shallower ones
+  // classify). Parent records are read in place from the store arena, so a
+  // frame holds a pointer, not a copy.
+  std::optional<Scratch> scratch_;
   std::deque<Frame> frames_;
   std::vector<Event> path_;
   std::uint64_t dfs_cap_ = 0;

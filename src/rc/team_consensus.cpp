@@ -12,6 +12,15 @@ using sim::Memory;
 using sim::StepResult;
 using typesys::Value;
 
+StateFlags::StateFlags(const std::unordered_set<typesys::StateId>& states) {
+  for (const typesys::StateId state : states) {
+    RCONS_ASSERT(state >= 0);
+    const auto index = static_cast<std::size_t>(state);
+    if (index >= flags_.size()) flags_.resize(index + 1, 0);
+    flags_[index] = 1;
+  }
+}
+
 std::shared_ptr<const TeamConsensusPlan> TeamConsensusPlan::create(
     std::shared_ptr<typesys::TransitionCache> cache,
     const hierarchy::RecordingWitness& witness) {
@@ -29,9 +38,9 @@ std::shared_ptr<const TeamConsensusPlan> TeamConsensusPlan::create(
   plan->swapped = swap;
   if (swap) {
     for (int& t : plan->team) t = 1 - t;
-    plan->q_a = witness.q_b;
+    plan->q_a = StateFlags(witness.q_b);
   } else {
-    plan->q_a = witness.q_a;
+    plan->q_a = StateFlags(witness.q_a);
   }
   for (const int t : plan->team) plan->team_size[t] += 1;
   RCONS_ASSERT(plan->team_size[0] >= 1 && plan->team_size[1] >= 1);

@@ -24,6 +24,7 @@
 #ifndef RCONS_RC_TEAM_CONSENSUS_HPP
 #define RCONS_RC_TEAM_CONSENSUS_HPP
 
+#include <cstdint>
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -34,6 +35,24 @@
 
 namespace rcons::rc {
 
+// A set of StateIds as one flag per id. StateIds are dense
+// (typesys/state_space.hpp), so membership is a bounds check and a load
+// instead of a hash probe; an id past the flags, such as a state interned
+// after the set was built, is not a member.
+class StateFlags {
+ public:
+  StateFlags() = default;
+  explicit StateFlags(const std::unordered_set<typesys::StateId>& states);
+
+  bool contains(typesys::StateId state) const {
+    return state >= 0 && static_cast<std::size_t>(state) < flags_.size() &&
+           flags_[static_cast<std::size_t>(state)] != 0;
+  }
+
+ private:
+  std::vector<std::uint8_t> flags_;
+};
+
 // Immutable, shareable description of one team-consensus protocol: the
 // normalized witness (teams swapped if needed so that q0 ∉ Q_B) plus the
 // materialized Q_A membership set the deciding reads test against.
@@ -42,7 +61,7 @@ struct TeamConsensusPlan {
   typesys::StateId q0 = typesys::kNoState;
   std::vector<int> team;           // normalized team of each role
   std::vector<typesys::OpId> ops;  // op of each role
-  std::unordered_set<typesys::StateId> q_a;  // normalized Q_A
+  StateFlags q_a;                  // normalized Q_A
   int team_size[2] = {0, 0};
   bool swapped = false;  // true if A/B were exchanged during normalization
 

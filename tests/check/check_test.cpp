@@ -11,6 +11,7 @@
 
 #include "check/scenario_spec.hpp"
 #include "check/spec_runner.hpp"
+#include "check/spec_system.hpp"
 #include "check/violation_io.hpp"
 #include "obs/metrics.hpp"
 #include "rc/naive_register.hpp"
@@ -190,6 +191,29 @@ TEST(CheckTest, DefaultAutoChecksEveryCheckedInScenarioOnTheProbe) {
     EXPECT_EQ(result.report.strategy, Strategy::kSequentialDFS);
     EXPECT_TRUE(result.report.complete);
     EXPECT_EQ(result.report.stats.visited, pin->second);
+  }
+}
+
+TEST(CheckTest, SmallCheckNeverGrowsItsIndex) {
+  // A check of the checked-in specs' typical size fits the index every
+  // traversal starts with, so it never pays for a growth epoch: not under
+  // the depth-first traversal, the kAuto probe or the worker loop.
+  const ScenarioParse parse =
+      parse_scenario_specs("type=consensus-object n=2 model=simultaneous budget=3\n");
+  ASSERT_TRUE(parse.ok());
+  for (const Strategy strategy :
+       {Strategy::kSequentialDFS, Strategy::kAuto, Strategy::kParallelBFS}) {
+    SCOPED_TRACE(strategy_name(strategy));
+    CheckRequest request;
+    request.system = build_spec_system(parse.specs[0]);
+    request.budget = parse.specs[0].budget();
+    request.strategy = strategy;
+    request.num_threads = 2;
+    const CheckReport report = check(std::move(request));
+    EXPECT_TRUE(report.clean);
+    EXPECT_TRUE(report.complete);
+    EXPECT_EQ(report.stats.visited, 421u);
+    EXPECT_EQ(report.stats.rehashes, 0u);
   }
 }
 

@@ -232,23 +232,17 @@ TEST(CliExitCodeTest, KillAndResumeReproducesVisitedAndVerdict) {
   ASSERT_FALSE(expected_visited.empty()) << full.output;
 
   // Die mid-run (the in-tree stand-in for SIGKILL: same "no cleanup runs"
-  // semantics), with frequent periodic checkpoints. The death itself is
-  // deterministic in the hit-count domain, but whether a periodic write
-  // lands before it is scheduling-dependent — so retry a few times
-  // until a checkpoint survives a death.
-  bool died_with_checkpoint = false;
-  for (int attempt = 0; attempt < 5 && !died_with_checkpoint; ++attempt) {
-    std::remove(ckpt.c_str());
-    const RunResult killed = run_cli(
-        spec + " --strategy=bfs --threads=4 --checkpoint-out=" + ckpt +
-            " --checkpoint-every=1000 --sentinel-interval-ms=1 "
-            "--fault-inject=die@batch=500",
-        "kill_die");
-    ASSERT_EQ(killed.exit_code, 137) << killed.output;
-    died_with_checkpoint = std::ifstream(ckpt).good();
-  }
-  ASSERT_TRUE(died_with_checkpoint)
-      << "no durable checkpoint survived any of 5 deaths";
+  // semantics), at the start of the second checkpoint write: the first is
+  // already renamed into place, so the death and a surviving checkpoint both
+  // hold by construction. A 38,837-state run past 1,000 states per
+  // checkpoint writes at least one periodic checkpoint before its final one.
+  const RunResult killed = run_cli(
+      spec + " --strategy=bfs --threads=4 --checkpoint-out=" + ckpt +
+          " --checkpoint-every=1000 --sentinel-interval-ms=1 "
+          "--fault-inject=die@ckpt-write=2",
+      "kill_die");
+  ASSERT_EQ(killed.exit_code, 137) << killed.output;
+  ASSERT_TRUE(std::ifstream(ckpt).good()) << "no durable checkpoint survived the death";
 
   // Resume: byte-identical visited count, same clean verdict.
   const RunResult resumed = run_cli(

@@ -360,6 +360,42 @@ TEST(CheckpointTest, ResumedReportKeepsTheTransitionsIdentity) {
   }
 }
 
+TEST(CheckpointTest, ResumeSizesItsIndexForTheCheckpointedRecords) {
+  // A resume re-interns every checkpointed record before its workers start,
+  // so its index starts large enough for them: it grows fewer times than a
+  // run from the root, and ends at the same count.
+  const std::string line = "type=Sn(4) n=4 model=independent budget=1";
+  const std::string path = temp_path("presized.ckpt");
+  check::CheckRequest fresh_request = spec_request(line);
+  fresh_request.num_threads = 1;
+  const check::CheckReport fresh = check::check(std::move(fresh_request));
+  ASSERT_TRUE(fresh.clean);
+
+  FaultPlan stop(FaultPlan::Site::kBatch, FaultPlan::Action::kStop, 200);
+  check::CheckRequest interrupted = spec_request(line);
+  interrupted.num_threads = 1;
+  interrupted.checkpoint_path = path;
+  interrupted.checkpoint_label = line;
+  interrupted.fault = &stop;
+  const check::CheckReport partial = check::check(std::move(interrupted));
+  ASSERT_EQ(partial.stats.stop_reason, sim::StopReason::kForcedStop);
+
+  CheckpointData snapshot;
+  std::string error;
+  ASSERT_EQ(load_checkpoint(path, snapshot, error), CheckpointLoad::kOk) << error;
+  // More records than the index of a run from the root holds before it grows.
+  ASSERT_GT(snapshot.nodes.size(), 10'000u);
+  check::CheckRequest resumed = spec_request(line);
+  resumed.num_threads = 1;
+  resumed.checkpoint_label = line;
+  resumed.resume = &snapshot;
+  const check::CheckReport report = check::check(std::move(resumed));
+  EXPECT_TRUE(report.clean);
+  EXPECT_EQ(report.stats.visited, fresh.stats.visited);
+  EXPECT_LT(report.stats.rehashes, fresh.stats.rehashes);
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointTest, ViolationFoundBeforeTheCutSurvivesResume) {
   // naive-register violates with zero crashes; force a stop late enough that
   // the violation is (very likely) already recorded, checkpoint, resume, and

@@ -80,6 +80,24 @@ TEST(TeamConsensusTest, PlanNormalizationEnsuresQ0NotInQB) {
   }
 }
 
+TEST(TeamConsensusTest, PlanQaHoldsExactlyTheWitnessStates) {
+  // The plan's flat Q_A answers like the witness's set for every state the
+  // cache interned, and rejects ids outside it.
+  auto type = typesys::make_type("Tn(4)");
+  auto cache = std::make_shared<typesys::TransitionCache>(*type, 2);
+  auto witness = hierarchy::find_recording_witness(*cache);
+  ASSERT_TRUE(witness.has_value());
+  auto plan = TeamConsensusPlan::create(cache, *witness);
+  const auto& q_a = plan->swapped ? witness->q_b : witness->q_a;
+  ASSERT_FALSE(q_a.empty());
+  const auto states = static_cast<typesys::StateId>(cache->discovered_states());
+  for (typesys::StateId q = 0; q < states; ++q) {
+    EXPECT_EQ(plan->q_a.contains(q), q_a.contains(q)) << q;
+  }
+  EXPECT_FALSE(plan->q_a.contains(typesys::kNoState));
+  EXPECT_FALSE(plan->q_a.contains(states + 1000));
+}
+
 TEST(TeamConsensusTest, SoloRunDecidesOwnTeamInput) {
   // A process running alone must decide its own team's input.
   auto type = typesys::make_type("Sn(3)");
