@@ -24,7 +24,7 @@
 // samples). Results are also written machine-readably to
 // BENCH_parallel_engine.json so the perf trajectory accumulates across
 // revisions; the rows carry the hot-path counters (batch sizes, probe
-// lengths, growth epochs) introduced with the batched engine.
+// lengths, index growths) introduced with the batched engine.
 //
 // Usage: bench_parallel_engine [--repeats N] [--filter SUBSTR] [N]
 //   --repeats N     timed samples per configuration (default 3, min 1)
@@ -332,7 +332,6 @@ int main(int argc, char** argv) {
     json.key_value("table_rehashes", stats.rehashes);
     json.key_value("orbit_skipped", stats.orbit_skipped);
     json.key_value("cas_retries", stats.cas_retries);
-    json.key_value("migration_stripes", stats.migration_stripes);
     json.end_object();
   };
 

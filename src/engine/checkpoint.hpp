@@ -16,7 +16,7 @@
 // schedules (the verdict and its typed identity are unaffected; a violation
 // found *before* the checkpoint is carried whole).
 //
-// File format (version 4, all integers little-endian):
+// File format (version 5, all integers little-endian):
 //
 //   "RCKP"  magic
 //   u32     version
@@ -55,9 +55,9 @@ namespace rcons::engine {
 class FaultPlan;
 
 struct CheckpointData {
-  // Version 4 has two-level node fingerprints (engine/expand.hpp): the
-  // fingerprints of an older file are not the ones this build computes.
-  static constexpr std::uint32_t kVersion = 4;
+  // Version 5 drops the migration-stripe counter from the tally fields;
+  // version 4 introduced the two-level node fingerprints (engine/expand.hpp).
+  static constexpr std::uint32_t kVersion = 5;
 
   std::uint64_t config_hash = 0;
   std::string label;  // e.g. the formatted scenario line; validated by the CLI

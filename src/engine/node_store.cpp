@@ -434,11 +434,9 @@ int NodeCodec::orbit_skip_mask(const Value* record,
 
 // --- NodeStore --------------------------------------------------------------
 
-NodeStore::NodeStore(int unused, std::uint64_t expected_states, int num_arenas)
-    : index_(expected_states) {
+NodeStore::NodeStore(int unused, std::uint64_t expected_states) : index_(expected_states) {
   RCONS_ASSERT_MSG(unused == 0, "the store has one index; its first argument must be 0");
-  RCONS_ASSERT_MSG(num_arenas >= 1, "need at least one arena");
-  add_arenas(num_arenas);
+  add_arenas(1);
 }
 
 void NodeStore::ChunkFree::operator()(Value* chunk) const {
@@ -489,6 +487,7 @@ std::vector<std::size_t> NodeStore::chunk_bytes() const {
 }
 
 void NodeStore::add_arenas(int num_arenas) {
+  RCONS_ASSERT_MSG(!grow_pending_, "a one-arena store must grow before it gains arenas");
   while (arenas_.size() < static_cast<std::size_t>(num_arenas)) {
     arenas_.push_back(std::make_unique<Arena>());
   }

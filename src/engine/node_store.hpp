@@ -63,7 +63,6 @@
 #ifndef RCONS_ENGINE_NODE_STORE_HPP
 #define RCONS_ENGINE_NODE_STORE_HPP
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -330,8 +329,18 @@ class NodeCodec {
 // assembles a successor from its parent record and its pieces
 // (NodeCodec::materialize), so a new record is written once, in place. The
 // arena is refilled before the probe, so nothing inside the claimed window
-// can fail. The only locks left are cold: index growth (CasTable's epoch
-// migration) and fresh chunk allocation.
+// can fail. The only lock left is cold: fresh chunk allocation.
+//
+// The index grows only while one thread holds it (CasTable). A store with
+// one arena has one interning thread, so it grows itself: the intern after
+// one that left it past the growth threshold grows the index before it
+// probes, so a failed allocation throws before anything is inserted, as a
+// failed arena refill does. A store with several arenas hands the crossing
+// to its callers (Intern::grow_due, on every intern whose fold lands past
+// the threshold), which grow it through reserve() once every interning
+// thread stopped: the worker loop does so at a yield
+// (engine/parallel_explorer.hpp). A store gains arenas only through
+// add_arenas(), after a reserve() that makes room for them.
 //
 // Record chunks grow geometrically per store: kSmallChunks chunks of
 // kChunkValues (128 KiB), then doubling up to kMaxChunkValues (2 MiB), so a
@@ -348,12 +357,14 @@ class NodeStore {
   // of the anticipated size never rehashes (0 = unknown, start minimal at
   // 16 slots). ParallelExplorer passes at least 1,280 states, a
   // 2,048-slot first index, and a resume the checkpoint's record count.
-  // `num_arenas` is the number of concurrent interning callers (one arena
-  // per worker; arena i must only ever be used by one thread at a time).
-  explicit NodeStore(int unused, std::uint64_t expected_states = 0, int num_arenas = 1);
+  // The store starts with one arena (add_arenas() adds more).
+  explicit NodeStore(int unused, std::uint64_t expected_states = 0);
 
   struct Intern {
     bool inserted = false;  // true when the fingerprint was new
+    // Several arenas only: this intern's fold left the index past its
+    // growth threshold. Grow it with reserve() once no intern runs.
+    bool grow_due = false;
 
     // Direct view of the interned payload in its arena chunk. Records are
     // immutable once written and chunks never move, so the pointer is stable
@@ -376,13 +387,18 @@ class NodeStore {
                 CasTable::OpStats* stats) {
     RCONS_ASSERT(arena_index >= 0 && static_cast<std::size_t>(arena_index) < arenas_.size());
     Arena& arena = *arenas_[static_cast<std::size_t>(arena_index)];
-    // A non-empty record keeps every arena address distinct, which
-    // for_each_record relies on.
+    // A non-empty record keeps every arena address distinct, which the
+    // checkpoint's record index relies on.
     RCONS_DCHECK_MSG(length > 0, "interned records are never empty");
-    // The arena makes room first: an allocation that failed inside the
-    // window would leave the slot CLAIMED. The length rides in the index
-    // slot, so a duplicate never reads the arena either.
+    // The arena and a one-arena index make room first: an allocation that
+    // failed inside the window would leave the slot CLAIMED, and one that
+    // failed after it would lose the caller a state it interned. The length
+    // rides in the index slot, so a duplicate never reads the arena either.
     if (static_cast<std::size_t>(arena.end - arena.cur) < length) arena_refill(arena, length);
+    if (grow_pending_) {
+      index_.grow();
+      grow_pending_ = false;
+    }
     const CasTable::Found found = index_.insert_with(
         fingerprint, length,
         [&]() -> std::uint64_t {
@@ -392,9 +408,17 @@ class NodeStore {
           return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(values));
         },
         stats);
-    return Intern{found.inserted,
-                  reinterpret_cast<const typesys::Value*>(static_cast<std::uintptr_t>(found.value)),
-                  found.meta};
+    Intern interned{found.inserted, false,
+                    reinterpret_cast<const typesys::Value*>(static_cast<std::uintptr_t>(found.value)),
+                    found.meta};
+    if (found.grow_due) {
+      if (arenas_.size() == 1) {
+        grow_pending_ = true;
+      } else {
+        interned.grow_due = true;
+      }
+    }
+    return interned;
   }
 
   // Interns a copy of `record` (the writer above, copying it).
@@ -425,45 +449,38 @@ class NodeStore {
   // contract: no concurrent interns.
   std::vector<std::size_t> chunk_bytes() const;
 
-  // Growth epochs of the index. The traversals count records and bytes
+  // Growths of the index. The traversals count records and bytes
   // themselves (engine::Tally).
   std::uint64_t rehashes() const { return index_.rehashes(); }
 
-  // Adds arenas up to `num_arenas`. Records and the index stay as they are,
+  // Grows the index until it is under its growth threshold with room for
+  // `inserters` threads to intern `inserts_each` records each past the
+  // intern that reports a growth to them (CasTable::reserve). Caller contract: no
+  // concurrent interns, and every caller folded. Throws std::bad_alloc, with
+  // every record in place, when a new index array cannot be allocated.
+  void reserve(int inserters, std::uint64_t inserts_each) {
+    index_.reserve(static_cast<std::uint64_t>(inserters), inserts_each);
+    grow_pending_ = false;
+  }
+
+  // Adds arenas up to `num_arenas` (one per interning thread; arena i must
+  // only ever be used by one thread at a time). Records and the index stay
+  // as they are,
   // so every Intern view stays valid. This is how a depth-first probe's
   // store (one arena) becomes the worker loop's (ParallelExplorer::escalate).
-  // Caller contract: no concurrent interns or reads.
+  // Caller contract: no concurrent interns or reads, and no growth pending:
+  // reserve() first.
   void add_arenas(int num_arenas);
 
   // Quiescent iteration over every interned record for checkpointing:
   // `fn(fingerprint, payload, length)` where `payload` points at the record
-  // values intern() copied. Caller contract: no concurrent interns. Keys
-  // migrated by a partial index sweep appear in two epoch arrays with the
-  // same record address; they are deduplicated here (by that address) so
-  // each record is yielded once.
+  // values intern() copied. Caller contract: no concurrent interns.
   template <typename F>
-  void for_each_record(F&& fn) {
-    struct Entry {
-      util::U128 key;
-      std::uint64_t address;
-      std::uint32_t length;
-    };
-    std::vector<Entry> entries;
+  void for_each_record(F&& fn) const {
     index_.for_each_published([&](util::U128 key, std::uint64_t address, std::uint32_t length) {
-      entries.push_back(Entry{key, address, length});
+      fn(key, reinterpret_cast<const typesys::Value*>(static_cast<std::uintptr_t>(address)),
+         length);
     });
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& a, const Entry& b) { return a.address < b.address; });
-    std::uint64_t last = 0;
-    bool first = true;
-    for (const Entry& entry : entries) {
-      if (!first && entry.address == last) continue;  // migrated duplicate
-      first = false;
-      last = entry.address;
-      fn(entry.key,
-         reinterpret_cast<const typesys::Value*>(static_cast<std::uintptr_t>(entry.address)),
-         entry.length);
-    }
   }
 
  private:
@@ -498,6 +515,7 @@ class NodeStore {
 
   CasTable index_;  // fingerprint -> record address, with the length as meta
   std::vector<std::unique_ptr<Arena>> arenas_;
+  bool grow_pending_ = false;  // one arena: the last intern left it past the threshold
   // rcons-lint: allow(hot-path-no-mutex) cold: guards chunk allocation, never per-intern
   mutable std::mutex chunk_mu_;
   std::vector<Chunk> chunks_;

@@ -32,8 +32,8 @@ namespace rcons::engine {
 // worker of the worker loop keeps its own, and a run's baseline (the root, a
 // resumed checkpoint, or the depth-first run kAuto escalates from) is one
 // more. store_nodes/store_bytes count the records this traversal interned.
-// The lock-free table work (probe lengths, lost claim CASes, migration
-// stripes helped) is the CasTable::OpStats base, accumulated caller-side so
+// The lock-free table work (probe lengths, lost claim CASes) is the
+// CasTable::OpStats base, accumulated caller-side so
 // the table never bounces a shared stats cache line between workers. Its
 // inserts not yet folded into the table's size are not a count: every
 // traversal folds them before it ends. The
@@ -92,7 +92,6 @@ inline constexpr TallyField kTallyFields[] = {
     {"engine.frontier_batches", &Tally::batches},
     {"engine.frontier_batched_items", &Tally::batched_items},
     {"engine.cas_retries", &Tally::cas_retries},
-    {"engine.migration_stripes", &Tally::migration_stripes},
     {nullptr, &Tally::probe_total},
     {nullptr, &Tally::probe_ops},
 };
@@ -121,7 +120,7 @@ struct ExplorerStats : Tally {
   // Durable checkpoints written (0 when checkpointing is off or every write
   // was faulted away), including those of the runs a resume continues.
   std::uint64_t checkpoints_written = 0;
-  std::uint64_t rehashes = 0;  // growth epochs of the store's index
+  std::uint64_t rehashes = 0;  // growths (doublings) of the store's index
   // Why the run's last checkpoint write failed (write_checkpoint's error);
   // empty when checkpointing is off or the last write succeeded. The last
   // write is the final checkpoint, so a non-empty error means the file at

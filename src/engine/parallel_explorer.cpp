@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <new>
 #include <string>
@@ -574,7 +575,12 @@ void ParallelExplorer::worker(int id, CompactFrontier& frontier, PathArena& aren
               successors.reserve(2 * successors.size() + kMaxPopBatch);
             }
             arena.reserve();
-            return store_->intern(fingerprint, length, write, id, &local);
+            const NodeStore::Intern interned =
+                store_->intern(fingerprint, length, write, id, &local);
+            // The index is past its growth threshold: leave at the next item
+            // boundary, so the coordinator grows the index.
+            if (interned.grow_due) yield_.store(true, std::memory_order_relaxed);
+            return interned;
           },
           [&](const Event& event, const NodeStore::Intern& interned) {
             const std::uint64_t count =
@@ -689,6 +695,8 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
   // checkpoint's (same initial memory + programs) before trusting the file.
   // Only a run from the root interns it and keeps its counts in base_; a
   // resume or an escalation replaces base_ with the counts it continues.
+  // The store starts with one arena, so the coordinator's interns grow its
+  // index inline; the workers' arenas are added before they start.
   const bool from_root = config_.resume == nullptr && cut_.empty();
   if (cut_.empty()) {
     // A resume re-interns every checkpointed record first, so its index
@@ -697,7 +705,7 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
         config_.resume == nullptr
             ? kFirstIndexStates
             : std::max<std::uint64_t>(kFirstIndexStates, config_.resume->nodes.size());
-    store_ = std::make_unique<NodeStore>(0, first_states, num_threads_);
+    store_ = std::make_unique<NodeStore>(0, first_states);
   }
   NodeCodec root_codec(config_.symmetry_classes);
   std::vector<typesys::Value> root_record;
@@ -749,7 +757,6 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
     // The DFS's counts are part of this run's totals (its obs counters are
     // already in the registry, so nothing is flushed for them here).
     base_ = dfs_;
-    store_->add_arenas(num_threads_);
     // Arena paths from the root, so violations below a deferred state report
     // full schedules. The cut is small (77 states on Sn(5) n=5 c=1 with the
     // default 32,768-state probe), so each path gets its own chain.
@@ -767,6 +774,24 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
     seed(0, root.record, root.length, nullptr);
   }
   visited_count_.store(base_.visited, std::memory_order_relaxed);
+
+  // Grows the index while no worker runs (NodeStore::reserve): under its
+  // threshold, with room for every worker to reach its own reporting fold
+  // and finish the item it is on once the threshold is crossed next
+  // (CasTable::reserve). An expansion interns at most 2n
+  // successors (n steps and n crashes). A failed allocation stops the run
+  // as the kMemory truncation, with its final checkpoint.
+  const auto grow_index = [&] {
+    try {
+      store_->reserve(num_threads_, 2 * initial_processes_.size());
+      return true;
+    } catch (const std::bad_alloc&) {
+      request_stop(sim::StopReason::kMemory);
+      return false;
+    }
+  };
+  // A stopped run starts its workers only to have them leave at once.
+  if (grow_index()) store_->add_arenas(num_threads_);
 
   auto total = [&] {
     Tally sum = base_;
@@ -836,16 +861,33 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
 
   // The coordinator: this thread waits for the workers to exit, and once per
   // sentinel interval meanwhile runs the watchdog scan and the periodic
-  // checkpoint trigger. Each time every worker has exited it joins them and
-  // gathers a checkpoint — the only place one is taken. After a yield
-  // (neither a stop nor a drained frontier) it restarts the workers and
-  // writes the file while they run; otherwise the run is over and this is
-  // the final checkpoint, complete, truncated or violating alike.
+  // checkpoint trigger. Each time every worker has exited it joins them.
+  // After a yield (neither a stop nor a drained frontier) it grows the index
+  // if it is past its threshold, gathers a checkpoint if a periodic one is
+  // due, and restarts the workers; otherwise the run is over
+  // and it gathers the final checkpoint, complete, truncated or violating
+  // alike. Those are the only places a checkpoint is taken. A checkpoint is
+  // written on a thread of its own, so that this thread still serves the
+  // workers' growth yields while a periodic one is written; the next one is
+  // asked for once the write finished, and a cut waits it out, so the
+  // checkpoint it gathers counts it.
   const bool periodic = !config_.checkpoint_path.empty() && config_.checkpoint_every > 0;
   const auto n = static_cast<std::size_t>(num_threads_);
   Watch watch{std::vector<std::uint64_t>(n, 0), std::vector<int>(n, 0)};
   std::uint64_t next_checkpoint = base_.visited + config_.checkpoint_every;
+  bool checkpoint_due = false;  // this thread asked the workers to yield for one
   std::string checkpoint_error;
+  std::future<bool> writing;  // the last checkpoint write started
+  auto write_in_flight = [&] {
+    return writing.valid() &&
+           writing.wait_for(std::chrono::seconds(0)) != std::future_status::ready;
+  };
+  auto collect_write = [&] {
+    if (writing.valid() && writing.get()) {
+      checkpoints_written_ += 1;
+      checkpoint_error.clear();
+    }
+  };
   start_workers();
   for (;;) {
     {
@@ -861,22 +903,28 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
             watchdog_dump_ = dump;
           }
           request_stop(sim::StopReason::kWatchdog);
-        } else if (periodic && visited_count_.load(std::memory_order_relaxed) >= next_checkpoint) {
+        } else if (periodic && visited_count_.load(std::memory_order_relaxed) >= next_checkpoint &&
+                   !write_in_flight()) {
+          checkpoint_due = true;
           yield_.store(true, std::memory_order_relaxed);
         }
         continue;
       }
     }
     for (std::thread& thread : threads) thread.join();
-    const bool restart = yield_.load(std::memory_order_relaxed) &&
-                        !stop_.load(std::memory_order_relaxed) &&
-                        pending.load(std::memory_order_relaxed) != 0;
+    bool restart = yield_.load(std::memory_order_relaxed) &&
+                   !stop_.load(std::memory_order_relaxed) &&
+                   pending.load(std::memory_order_relaxed) != 0;
     yield_.store(false, std::memory_order_relaxed);
+    if (restart) restart = grow_index();
+    // A yield for growth alone gathers no checkpoint.
+    bool cut = !config_.checkpoint_path.empty() && (!restart || checkpoint_due);
+    checkpoint_due = false;
+    if (cut) collect_write();
     // A worker that could not hand its items back leaves no consistent cut:
     // the last checkpoint written stays the one to resume from.
-    const bool cut =
-        !config_.checkpoint_path.empty() && !work_lost_.load(std::memory_order_relaxed);
-    if (!config_.checkpoint_path.empty() && !cut) {
+    if (cut && work_lost_.load(std::memory_order_relaxed)) {
+      cut = false;
       checkpoint_error = "an allocation failure lost queued work; no checkpoint written";
     }
     CheckpointData data;
@@ -887,15 +935,17 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
       std::fill(watch.stalled.begin(), watch.stalled.end(), 0);
       std::fill(watch.last_beats.begin(), watch.last_beats.end(), 0);
       start_workers();
-      next_checkpoint = data.stats.visited + config_.checkpoint_every;
+      if (cut) next_checkpoint = data.stats.visited + config_.checkpoint_every;
     }
     if (cut) {
-      if (write_checkpoint(config_.checkpoint_path, data, config_.fault, checkpoint_error)) {
-        checkpoints_written_ += 1;
-        checkpoint_error.clear();
-      }
+      writing = std::async(std::launch::async, [this, &checkpoint_error, data = std::move(data)] {
+        return write_checkpoint(config_.checkpoint_path, data, config_.fault, checkpoint_error);
+      });
     }
-    if (!restart) break;
+    if (!restart) {
+      collect_write();
+      break;
+    }
   }
 
   const auto reason =

@@ -57,9 +57,12 @@
 // The worker loop runs on num_threads() threads while the thread that
 // called run() or escalate() coordinates: once per sentinel interval it scans
 // the heartbeats for the watchdog and checks whether a periodic checkpoint is
-// due. Every checkpoint, periodic or final, is gathered after the workers
-// joined; a periodic one restarts them on the same frontier and store (see
-// explore()).
+// due. The workers yield — leave between items, to be restarted on the same
+// frontier and store — for two reasons: a periodic checkpoint is due, or a
+// worker's intern took the index past its growth threshold. The coordinator
+// gathers every checkpoint, periodic or final, and grows the index only
+// after the workers joined (see explore()), so the index never grows while
+// a worker inserts.
 //
 // The worker hot path is allocation-free, batch-oriented, and mutex-free:
 // frontier items are stored inline and drained in batches (engine/
@@ -279,7 +282,19 @@ class ParallelExplorer {
   // expanded twice and `transitions` stays exact), hand their batches back
   // and exit. The coordinator joins them, gathers, restarts them on the
   // same frontier, store, arenas and per-slot tallies, and writes the file
-  // while they run.
+  // on a thread of its own while they run.
+  //
+  // Index growth: once the index is past its growth threshold, every
+  // worker learns it from its own next fold of inserts
+  // (NodeStore::Intern::grow_due, within kFoldInserts of its interns) and
+  // sets yield_ itself, so a descheduled worker delays no other. After the
+  // join the coordinator grows the index (NodeStore::reserve) and restarts
+  // the workers; a yield for growth alone gathers no checkpoint. Since
+  // workers look at yield_ only between items, each may intern the inserts
+  // it holds unfolded, those up to its reporting fold and the rest of its
+  // item (at most 2n successors): explore() keeps that much headroom above
+  // the threshold for every worker before they start. One worker has its
+  // store to itself, which then grows inline instead.
   std::optional<sim::Violation> explore();
   void request_stop(sim::StopReason reason);
   void worker_exit(int id);
@@ -354,7 +369,7 @@ class ParallelExplorer {
   // overshoot max_visited by a batch per worker instead of one state.
   alignas(64) std::atomic<std::uint64_t> visited_count_{0};
   alignas(64) std::atomic<bool> stop_{false};
-  std::atomic<bool> yield_{false};      // a periodic checkpoint is due
+  std::atomic<bool> yield_{false};      // a periodic checkpoint or a growth is due
   std::atomic<bool> truncated_{false};  // a truncation path was recorded
   std::atomic<bool> work_lost_{false};  // a worker could not hand its items back
 

@@ -1,7 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <bit>
-
 #include "util/assert.hpp"
 
 namespace rcons::obs {
@@ -34,9 +32,6 @@ void Histogram::record(std::size_t lane_index, std::uint64_t value) {
   while (value > seen &&
          !lane.max.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
   }
-  std::size_t bucket = static_cast<std::size_t>(std::bit_width(value));
-  if (bucket >= kBuckets) bucket = kBuckets - 1;
-  lane.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
 }
 
 std::uint64_t Histogram::count() const {
@@ -64,25 +59,12 @@ std::uint64_t Histogram::max() const {
   return best;
 }
 
-std::vector<std::uint64_t> Histogram::buckets() const {
-  std::vector<std::uint64_t> merged(kBuckets, 0);
-  for (std::size_t i = 0; i < lane_count_; ++i) {
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      merged[b] += lanes_[i].buckets[b].load(std::memory_order_relaxed);
-    }
-  }
-  return merged;
-}
-
 void Histogram::reset() {
   for (std::size_t i = 0; i < lane_count_; ++i) {
     Lane& lane = lanes_[i];
     lane.count.store(0, std::memory_order_relaxed);
     lane.sum.store(0, std::memory_order_relaxed);
     lane.max.store(0, std::memory_order_relaxed);
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      lane.buckets[b].store(0, std::memory_order_relaxed);
-    }
   }
 }
 

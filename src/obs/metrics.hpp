@@ -20,8 +20,7 @@
 //   Gauge     — one shared cell, last write wins (used for run-level facts
 //               like the visited cap or the current frontier size, where any
 //               recent writer's view is equally good).
-//   Histogram — per-lane power-of-two buckets plus count/sum/max, merged on
-//               read.
+//   Histogram — per-lane count/sum/max, merged on read.
 //
 // snapshot() returns the aggregated view sorted by name, so two runs that
 // did the same work produce byte-identical snapshots — the determinism tests
@@ -115,11 +114,6 @@ class Gauge {
 
 class Histogram {
  public:
-  // Power-of-two buckets: bucket i counts values v with bit_width(v) == i
-  // (bucket 0 is v == 0). 40 buckets cover every value this codebase can
-  // plausibly record (batch sizes, probe lengths, microsecond durations).
-  static constexpr std::size_t kBuckets = 40;
-
   explicit Histogram(std::size_t lanes)
       : lanes_(std::make_unique<Lane[]>(lanes)), lane_count_(lanes) {}
 
@@ -128,8 +122,6 @@ class Histogram {
   std::uint64_t count() const;
   std::uint64_t sum() const;
   std::uint64_t max() const;
-  // Merged bucket counts (size kBuckets).
-  std::vector<std::uint64_t> buckets() const;
   void reset();
 
  private:
@@ -137,7 +129,6 @@ class Histogram {
     std::atomic<std::uint64_t> count{0};
     std::atomic<std::uint64_t> sum{0};
     std::atomic<std::uint64_t> max{0};
-    std::atomic<std::uint64_t> buckets[kBuckets] = {};
   };
 
   std::unique_ptr<Lane[]> lanes_;

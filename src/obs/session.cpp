@@ -62,7 +62,6 @@ const std::vector<NameDoc>& metric_names() {
       {"engine.frontier_batched_items", "items across those batches"},
       {"engine.frontier_batches", "successor batches submitted to the frontier"},
       {"engine.frontier_pending", "gauge: items queued or mid-expansion right now"},
-      {"engine.migration_stripes", "table-growth stripes migrated cooperatively by workers"},
       {"engine.num_threads", "gauge: resolved engine worker count"},
       {"engine.orbit_skipped", "orbit-equivalent sibling events skipped by symmetry"},
       {"engine.steals", "successful frontier batch steals"},
@@ -85,7 +84,7 @@ const std::vector<NameDoc>& metric_names() {
       {"store.canonical_hits", "encodings the symmetry canonicalizer permuted"},
       {"store.encodes", "node encodings produced"},
       {"store.nodes", "unique states interned in the node store"},
-      {"store.rehashes", "growth epochs of the store's lock-free index"},
+      {"store.rehashes", "growths (doublings) of the store's lock-free index"},
       {"store.value_bytes", "arena payload bytes across interned records"},
   };
   return kNames;

@@ -86,10 +86,12 @@ struct ExplorerConfig : check::Budget {
   // transitions. Hot paths with everything off never touch a clock.
   int sentinel_interval_ms = 50;
 
-  // Watchdog: fail the run (StopReason::kWatchdog, with a per-worker
+  // Watchdog: stop the run (StopReason::kWatchdog, with a per-worker
   // heartbeat dump in the verdict description) when any live worker's
   // heartbeat does not advance for this many consecutive sentinel intervals.
-  // 0 disables the watchdog.
+  // The stop releases a fault-injected stall, and the other workers leave
+  // at their next item; a worker stuck inside a step never checks the stop,
+  // and the join keeps waiting for it. 0 disables the watchdog.
   int watchdog_stall_intervals = 0;
 
   // Durable checkpoints (parallel engine only):

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "check/scenario_spec.hpp"
 #include "check/spec_runner.hpp"
@@ -196,19 +197,25 @@ TEST(CheckTest, DefaultAutoChecksEveryCheckedInScenarioOnTheProbe) {
 
 TEST(CheckTest, SmallCheckNeverGrowsItsIndex) {
   // A check of the checked-in specs' typical size fits the index every
-  // traversal starts with, so it never pays for a growth epoch: not under
-  // the depth-first traversal, the kAuto probe or the worker loop.
+  // traversal starts with, so it never pays for a growth: not under the
+  // depth-first traversal, the kAuto probe or the worker loop. At 16
+  // threads the first array still leaves the headroom every worker needs
+  // past a crossing (16 x (2 x 16 + 2n) = 576 keys, under 3/8 of 2,048
+  // slots), so the worker loop starts without growing it either.
   const ScenarioParse parse =
       parse_scenario_specs("type=consensus-object n=2 model=simultaneous budget=3\n");
   ASSERT_TRUE(parse.ok());
-  for (const Strategy strategy :
-       {Strategy::kSequentialDFS, Strategy::kAuto, Strategy::kParallelBFS}) {
-    SCOPED_TRACE(strategy_name(strategy));
+  const std::pair<Strategy, int> runs[] = {{Strategy::kSequentialDFS, 2},
+                                           {Strategy::kAuto, 2},
+                                           {Strategy::kParallelBFS, 2},
+                                           {Strategy::kParallelBFS, 16}};
+  for (const auto& [strategy, threads] : runs) {
+    SCOPED_TRACE(std::string(strategy_name(strategy)) + " threads=" + std::to_string(threads));
     CheckRequest request;
     request.system = build_spec_system(parse.specs[0]);
     request.budget = parse.specs[0].budget();
     request.strategy = strategy;
-    request.num_threads = 2;
+    request.num_threads = threads;
     const CheckReport report = check(std::move(request));
     EXPECT_TRUE(report.clean);
     EXPECT_TRUE(report.complete);

@@ -291,15 +291,15 @@ TEST(CliExitCodeTest, CorruptCheckpointIsRejectedUnlessFreshFallback) {
   std::remove(ckpt.c_str());
 }
 
-TEST(CliExitCodeTest, ResumeRejectsAVersionThreeCheckpoint) {
-  const std::string spec = temp_path("v3.spec");
+TEST(CliExitCodeTest, ResumeRejectsAVersionFourCheckpoint) {
+  const std::string spec = temp_path("v4.spec");
   write_file(spec, "type=Sn(2) n=2 budget=2\n");
-  const std::string ckpt = temp_path("v3.ckpt");
+  const std::string ckpt = temp_path("v4.ckpt");
   const RunResult seeded =
-      run_cli(spec + " --strategy=bfs --threads=2 --checkpoint-out=" + ckpt, "v3_seed");
+      run_cli(spec + " --strategy=bfs --threads=2 --checkpoint-out=" + ckpt, "v4_seed");
   ASSERT_EQ(seeded.exit_code, 0) << seeded.output;
 
-  // The same file, stamped as format version 3 with a valid CRC.
+  // The same file, stamped as format version 4 with a valid CRC.
   std::string bytes;
   {
     std::ifstream in(ckpt, std::ios::binary);
@@ -310,12 +310,12 @@ TEST(CliExitCodeTest, ResumeRejectsAVersionThreeCheckpoint) {
   ASSERT_GT(bytes.size(), 12u);
   {
     std::ofstream out(ckpt, std::ios::binary | std::ios::trunc);
-    out << rcons::test::with_checkpoint_version(bytes, 3);
+    out << rcons::test::with_checkpoint_version(bytes, 4);
   }
   const RunResult rejected =
-      run_cli(spec + " --strategy=bfs --threads=2 --resume=" + ckpt, "v3_resume");
+      run_cli(spec + " --strategy=bfs --threads=2 --resume=" + ckpt, "v4_resume");
   EXPECT_EQ(rejected.exit_code, 2) << rejected.output;
-  EXPECT_NE(rejected.output.find("unsupported version 3"), std::string::npos)
+  EXPECT_NE(rejected.output.find("unsupported version 4"), std::string::npos)
       << rejected.output;
   std::remove(ckpt.c_str());
 }

@@ -45,7 +45,7 @@ CheckpointData sample_data() {
   data.stats.canonical_hits = 19;
   data.stats.duplicates = 33000;
   data.stats.violation_edges = 912;
-  data.stats.migration_stripes = 17;
+  data.stats.cas_retries = 17;
   data.stats.max_probe = 41;
   data.stats.checkpoints_written = 3;
   data.has_violation = true;
@@ -108,19 +108,20 @@ TEST(CheckpointTest, MissingFileReportsMissingNotCorrupt) {
             CheckpointLoad::kMissing);
 }
 
-TEST(CheckpointTest, VersionThreeFilesAreRejectedAsUnsupported) {
-  // Version 3 files hold the flat fingerprints of earlier builds. Re-stamped
-  // with a valid CRC, such a file fails on its version alone.
+TEST(CheckpointTest, VersionFourFilesAreRejectedAsUnsupported) {
+  // Version 4 files carry one tally field more (the migration stripes of
+  // an index that grew while workers inserted). Re-stamped with a valid
+  // CRC, such a file fails on its version alone.
   const std::string bytes = serialize_checkpoint(sample_data());
-  const std::string path = temp_path("v3.ckpt");
+  const std::string path = temp_path("v4.ckpt");
   write_file(path, test::with_checkpoint_version(bytes, CheckpointData::kVersion));
   CheckpointData loaded;
   std::string error;
   ASSERT_EQ(load_checkpoint(path, loaded, error), CheckpointLoad::kOk) << error;
 
-  write_file(path, test::with_checkpoint_version(bytes, 3));
+  write_file(path, test::with_checkpoint_version(bytes, 4));
   EXPECT_EQ(load_checkpoint(path, loaded, error), CheckpointLoad::kCorrupt);
-  EXPECT_NE(error.find("unsupported version 3"), std::string::npos) << error;
+  EXPECT_NE(error.find("unsupported version 4"), std::string::npos) << error;
   std::remove(path.c_str());
 }
 

@@ -233,8 +233,13 @@ TEST(NodeStoreTest, ConcurrentInternsAgreeOnWinners) {
   constexpr std::uint64_t kKeys = 2000;
   // One bump arena per thread: arenas are single-owner by contract (the
   // explorers hand each worker its own index), so racing threads must not
-  // share arena 0.
-  NodeStore store(0, /*expected_states=*/0, /*num_arenas=*/kThreads);
+  // share arena 0. A store with several arenas never grows while they
+  // intern, so it is sized for every key, and reserve() makes room for the
+  // threads before they gain arenas.
+  NodeStore store(0, /*expected_states=*/kKeys);
+  store.reserve(kThreads, 0);
+  store.add_arenas(kThreads);
+  ASSERT_EQ(store.rehashes(), 0u);
   std::vector<std::uint64_t> duplicates(kThreads, 0);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -312,15 +317,16 @@ TEST(NodeStoreTest, LargeStoresMapHugePageEligibleRecordChunks) {
 
 TEST(NodeStoreTest, AddedArenasKeepEveryRecordInPlace) {
   // A one-arena probe store given arenas for parallel workers: every record
-  // keeps its address and is still found, the index keeps its growth epochs,
+  // keeps its address and is still found, the index keeps its growths,
   // and the new arenas intern new records.
   NodeStore store(0);
-  constexpr std::uint64_t kKeys = 3000;  // past several growth epochs
+  constexpr std::uint64_t kKeys = 3000;  // past several growths
   std::vector<NodeStore::Intern> interned;
   for (std::uint64_t i = 0; i < kKeys; ++i) {
     interned.push_back(store.intern(key(i), record_of(i, 3)));
   }
   const std::uint64_t rehashes = store.rehashes();
+  store.reserve(3, 0);  // under its threshold, with room: no growth
   store.add_arenas(3);
   EXPECT_EQ(store.num_arenas(), 3);
   EXPECT_EQ(store.size(), kKeys);
@@ -341,9 +347,45 @@ TEST(NodeStoreTest, AddedArenasKeepEveryRecordInPlace) {
   EXPECT_EQ(store.size(), kKeys + 2);
 }
 
+TEST(NodeStoreTest, OneArenaGrowsItselfAndSeveralHandTheCrossingToTheCaller) {
+  // 16 slots, threshold 10. With one arena the store grows by itself, at
+  // the start of the intern after the one that crossed, and reports nothing.
+  NodeStore one(0);
+  for (std::uint64_t i = 0; i < 11; ++i) {
+    ASSERT_FALSE(one.intern(key(i), record_of(i, 3)).grow_due) << i;
+  }
+  EXPECT_EQ(one.rehashes(), 0u);
+  one.intern(key(11), record_of(11, 3));
+  EXPECT_EQ(one.rehashes(), 1u);
+
+  // With several arenas every intern past the threshold reports it, and the
+  // index grows only in reserve(), once no intern runs; every record stays
+  // in place. Room for two inserters, 2 * 16 unfolded inserts each: 64 keys
+  // of headroom take the index to 256 slots, threshold 160.
+  NodeStore shared(0);
+  shared.reserve(2, 0);
+  shared.add_arenas(2);
+  EXPECT_EQ(shared.rehashes(), 4u);
+  constexpr std::uint64_t kShared = 165;
+  std::vector<NodeStore::Intern> interned;
+  for (std::uint64_t i = 0; i < kShared; ++i) {
+    interned.push_back(shared.intern(key(i), record_of(i, 3), static_cast<int>(i % 2)));
+    EXPECT_EQ(interned.back().grow_due, i >= 160) << i;
+  }
+  EXPECT_EQ(shared.rehashes(), 4u);
+  // Over its threshold: one growth, to 512 slots.
+  shared.reserve(2, 1);
+  EXPECT_EQ(shared.rehashes(), 5u);
+  for (std::uint64_t i = 0; i < kShared; ++i) {
+    const NodeStore::Intern again = shared.intern(key(i), record_of(i, 3), 1);
+    ASSERT_FALSE(again.inserted) << i;
+    ASSERT_EQ(again.record, interned[i].record) << i;
+  }
+}
+
 TEST(NodeStoreTest, DuplicateInternsReturnTheResidentLengthAcrossGrowthAndNewArenas) {
   // Varied record lengths, interned into a minimal store (several index
-  // growth epochs), which then gains an arena. A duplicate intern answers
+  // growths), which then gains an arena. A duplicate intern answers
   // from the index slot alone: it must report the resident record's length
   // even when the caller's record differs, and the view must still cover
   // that record.
@@ -365,6 +407,7 @@ TEST(NodeStoreTest, DuplicateInternsReturnTheResidentLengthAcrossGrowthAndNewAre
     }
   };
   expect_resident(0);
+  store.reserve(2, 0);
   store.add_arenas(2);
   expect_resident(1);
 

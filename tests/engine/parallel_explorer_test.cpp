@@ -240,10 +240,11 @@ TEST(ParallelExplorerTest, SingleThreadSubsumesSequential) {
 }
 
 TEST(ParallelExplorerTest, OneIndexGrowsAlikeAtEveryThreadCountAndAcrossEscalation) {
-  // The store keeps one index for the whole run, so its growth epochs
-  // depend on the state count alone: a 4-thread worker loop and a kAuto
-  // escalation, which continues in the probe's index, grow it as often as
-  // one worker does. A growth forced behind a stalled migrator may add one.
+  // The store keeps one index for the whole run, and it grows once per
+  // crossing of its threshold, inline with one worker and at a yield with
+  // several, so its growths depend on the state count alone: the worker
+  // loop at 1, 4 and 8 threads and a kAuto escalation, which continues in
+  // the probe's index, all grow it five times.
   auto type = typesys::make_type("Sn(4)");
   rc::TeamConsensusSystem system =
       rc::make_team_consensus_system(*type, 4, kInputA, kInputB);
@@ -251,25 +252,20 @@ TEST(ParallelExplorerTest, OneIndexGrowsAlikeAtEveryThreadCountAndAcrossEscalati
   base.crash_budget = 1;
   base.properties.valid_outputs = {kInputA, kInputB};
 
-  ParallelExplorer single(system.memory, system.processes, parallel_config(base, 1));
-  ASSERT_FALSE(single.run().has_value());
-  ASSERT_EQ(single.stats().visited, 38'837u);
-  const std::uint64_t rehashes = single.stats().rehashes;
-  EXPECT_EQ(rehashes, 5u);  // the first 2,048 slots doubled to 65,536
-
-  ParallelExplorer four(system.memory, system.processes, parallel_config(base, 4));
-  ASSERT_FALSE(four.run().has_value());
-  EXPECT_EQ(four.stats().visited, 38'837u);
-  EXPECT_GE(four.stats().rehashes, rehashes);
-  EXPECT_LE(four.stats().rehashes, rehashes + 1);
+  for (const int threads : {1, 4, 8}) {
+    SCOPED_TRACE(threads);
+    ParallelExplorer explorer(system.memory, system.processes, parallel_config(base, threads));
+    ASSERT_FALSE(explorer.run().has_value());
+    EXPECT_EQ(explorer.stats().visited, 38'837u);
+    EXPECT_EQ(explorer.stats().rehashes, 5u);  // the first 2,048 slots doubled to 65,536
+  }
 
   ParallelExplorer escalated(system.memory, system.processes, parallel_config(base, 4));
   ASSERT_TRUE(escalated.run_dfs(32'768).has_value());  // the probe's truncation
   ASSERT_TRUE(escalated.can_escalate());
   ASSERT_FALSE(escalated.escalate().has_value());
   EXPECT_EQ(escalated.stats().visited, 38'837u);
-  EXPECT_GE(escalated.stats().rehashes, rehashes);
-  EXPECT_LE(escalated.stats().rehashes, rehashes + 1);
+  EXPECT_EQ(escalated.stats().rehashes, 5u);
 }
 
 }  // namespace

@@ -58,11 +58,6 @@ TEST(MetricsRegistryTest, HistogramMergesCountSumMaxAcrossLanes) {
   EXPECT_EQ(histogram.count(), 3u);
   EXPECT_EQ(histogram.sum(), 1031u);
   EXPECT_EQ(histogram.max(), 1024u);
-  const std::vector<std::uint64_t> buckets = histogram.buckets();
-  ASSERT_EQ(buckets.size(), Histogram::kBuckets);
-  EXPECT_EQ(buckets[0], 1u);   // v == 0
-  EXPECT_EQ(buckets[3], 1u);   // bit_width(7) == 3
-  EXPECT_EQ(buckets[11], 1u);  // bit_width(1024) == 11
 }
 
 TEST(MetricsRegistryTest, HandlesAreStableAndGetOrCreateReturnsSame) {

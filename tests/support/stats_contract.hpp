@@ -35,7 +35,6 @@ inline void expect_registry_matches_stats(const obs::MetricsSnapshot& metrics,
       {"engine.frontier_batches", stats.batches},
       {"engine.frontier_batched_items", stats.batched_items},
       {"engine.cas_retries", stats.cas_retries},
-      {"engine.migration_stripes", stats.migration_stripes},
       {"store.rehashes", stats.rehashes},
   };
   for (const auto& [name, value] : pairs) {

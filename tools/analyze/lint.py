@@ -14,7 +14,7 @@ documented invariants (see README "Correctness tooling"):
                        path.
   exhaustive-switch    switches over the audited enums (StopReason,
                        PropertyKind, ScheduleEvent::Kind, FaultPlan::Site,
-                       FaultPlan::Action, Claim::Outcome) cover every
+                       FaultPlan::Action) cover every
                        enumerator, or carry a default: with a reason comment.
   obs-taxonomy-sync    every engine.*/check.*/random.*/replay.*/portfolio.*/
                        store.* metric literal in src/ appears in the
@@ -101,7 +101,6 @@ AUDITED_ENUMS = {
     "Kind": "src/sim/schedule.hpp",  # sim::ScheduleEvent::Kind
     "Site": "src/engine/fault_inject.hpp",  # FaultPlan::Site
     "Action": "src/engine/fault_inject.hpp",  # FaultPlan::Action
-    "Outcome": "src/engine/cas_table.hpp",  # CasTable::Claim::Outcome
 }
 
 TAXONOMY_FILE = "src/obs/session.cpp"
